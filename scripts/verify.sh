@@ -5,8 +5,9 @@
 # subsystems (sharded server, batched sockets, realtime replay, response
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
-# timer wheel expiry, TLS handshake/resumption, sharded TCP accept) under
-# AddressSanitizer (-DLDP_SANITIZE=address).
+# timer wheel expiry, TLS handshake/resumption, sharded TCP accept) and the
+# compiled-answer differential test under AddressSanitizer
+# (-DLDP_SANITIZE=address).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips both sanitizer stages
 set -eu
@@ -402,9 +403,9 @@ echo "== fuzz: ASan harnesses, corpus replay + bounded runs =="
 if cmake -B build-fuzz -S . -DLDP_SANITIZE=address -DLDP_FUZZ=ON \
      > "$SMOKE/fuzz_configure.out" 2>&1 \
    && cmake --build build-fuzz -j"$(nproc)" --target \
-        fuzz_wire fuzz_zone fuzz_framing fuzz_distrib \
+        fuzz_wire fuzz_zone fuzz_framing fuzz_distrib fuzz_answer \
         > "$SMOKE/fuzz_build.out" 2>&1; then
-  for target in wire zone framing distrib; do
+  for target in wire zone framing distrib answer; do
     ./build-fuzz/tests/fuzz/fuzz_$target "tests/fuzz/corpus/$target" \
       -runs=20000 -max_len=4096 -artifact_prefix="$SMOKE/" \
       > "$SMOKE/fuzz_$target.out" 2>&1 || {
@@ -413,7 +414,7 @@ if cmake -B build-fuzz -S . -DLDP_SANITIZE=address -DLDP_FUZZ=ON \
       exit 1
     }
   done
-  echo "fuzz smoke: 4 harnesses, corpus replay + 20000 bounded runs, clean"
+  echo "fuzz smoke: 5 harnesses, corpus replay + 20000 bounded runs, clean"
 else
   echo "fuzz smoke: skipped (fuzz preset failed to configure or build)"
   tail -5 "$SMOKE/fuzz_build.out" "$SMOKE/fuzz_configure.out" 2>/dev/null || true
@@ -438,8 +439,8 @@ echo "== asan: socket + replay lifetime paths =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
-  tls_test sharded_server_test
+  tls_test sharded_server_test compiled_answer_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test'
 
 echo "verify: OK"

@@ -248,22 +248,19 @@ size_t Name::Hash() const {
   return h;
 }
 
-void NameCompressor::EncodeInternal(const Name& name, ByteWriter& writer,
-                                    bool compress) {
+void NameCompressor::Encode(const Name& name, ByteWriter& writer) {
   const auto& labels = name.labels();
   for (size_t i = 0; i < labels.size(); ++i) {
-    // Suffix starting at label i, as a canonical key.
+    // Suffix starting at label i, as case-folded wire octets.
     std::string key;
     for (size_t j = i; j < labels.size(); ++j) {
+      key.push_back(static_cast<char>(labels[j].size()));
       for (char c : labels[j]) key.push_back(FoldCase(c));
-      key.push_back('.');
     }
-    if (compress) {
-      auto it = suffix_offsets_.find(key);
-      if (it != suffix_offsets_.end()) {
-        writer.WriteU16(static_cast<uint16_t>(0xc000 | it->second));
-        return;
-      }
+    auto it = suffix_offsets_.find(key);
+    if (it != suffix_offsets_.end()) {
+      writer.WriteU16(static_cast<uint16_t>(0xc000 | it->second));
+      return;
     }
     if (writer.size() <= 0x3fff) {
       suffix_offsets_.emplace(std::move(key),
@@ -273,14 +270,6 @@ void NameCompressor::EncodeInternal(const Name& name, ByteWriter& writer,
     writer.WriteString(labels[i]);
   }
   writer.WriteU8(0);
-}
-
-void NameCompressor::Encode(const Name& name, ByteWriter& writer) {
-  EncodeInternal(name, writer, /*compress=*/true);
-}
-
-void NameCompressor::EncodeUncompressed(const Name& name, ByteWriter& writer) {
-  EncodeInternal(name, writer, /*compress=*/false);
 }
 
 void EncodeNameUncompressed(const Name& name, ByteWriter& writer) {

@@ -78,6 +78,7 @@ class Name {
 
 // Tracks name→offset mappings while encoding a message so later names can
 // emit compression pointers (RFC 1035 §4.1.4). One compressor per message.
+// Suffixes are keyed by their case-folded wire form.
 class NameCompressor {
  public:
   // Appends the wire form of `name` to `writer`, emitting a pointer to a
@@ -85,14 +86,7 @@ class NameCompressor {
   // suffixes (only offsets < 0x3fff are recordable).
   void Encode(const Name& name, ByteWriter& writer);
 
-  // Appends without compression but still records suffix offsets so later
-  // names may point into this one (used for RRSIG signer names etc., which
-  // must not be compressed but historically may be pointed at).
-  void EncodeUncompressed(const Name& name, ByteWriter& writer);
-
  private:
-  void EncodeInternal(const Name& name, ByteWriter& writer, bool compress);
-
   std::unordered_map<std::string, uint16_t> suffix_offsets_;
 };
 

@@ -14,7 +14,6 @@
 #include "net/event_loop.h"
 #include "net/sockets.h"
 #include "replay/timing.h"
-#include "stats/counters.h"
 
 namespace ldp::proxy {
 namespace {
@@ -42,31 +41,31 @@ struct FlowKeyHash {
 // still reads the final totals (same pattern as replay's
 // TransportCounters).
 struct ShardCounters {
-  // Per-site attribution; deque because RelaxedCounter is pinned in place.
+  // Per-site attribution; deque because Counter is pinned in place.
   // Sized once at Start (before any metric lambda captures the pointer),
   // immutable after.
   struct SiteCounters {
-    stats::RelaxedCounter queries_in;
-    stats::RelaxedCounter responses_out;
+    stats::Counter queries_in;
+    stats::Counter responses_out;
   };
   std::deque<SiteCounters> sites;
 
-  stats::RelaxedCounter rewritten;
-  stats::RelaxedCounter passed_through;
-  stats::RelaxedCounter queries_in;
-  stats::RelaxedCounter responses_in;
-  stats::RelaxedCounter responses_out;
-  stats::RelaxedCounter flows_created;
-  stats::RelaxedCounter flows_evicted;
-  stats::RelaxedCounter flows_expired;
-  stats::RelaxedCounter evicted_drops;
-  stats::RelaxedCounter port_fallbacks;
-  stats::RelaxedCounter meta_send_errors;
-  stats::RelaxedCounter tcp_accepted;
-  stats::RelaxedCounter tcp_queries;
-  stats::RelaxedCounter tcp_responses;
-  stats::RelaxedCounter tcp_reconnects;
-  stats::RelaxedCounter tcp_failed;
+  stats::Counter rewritten;
+  stats::Counter passed_through;
+  stats::Counter queries_in;
+  stats::Counter responses_in;
+  stats::Counter responses_out;
+  stats::Counter flows_created;
+  stats::Counter flows_evicted;
+  stats::Counter flows_expired;
+  stats::Counter evicted_drops;
+  stats::Counter port_fallbacks;
+  stats::Counter meta_send_errors;
+  stats::Counter tcp_accepted;
+  stats::Counter tcp_queries;
+  stats::Counter tcp_responses;
+  stats::Counter tcp_reconnects;
+  stats::Counter tcp_failed;
   std::atomic<int64_t> active_flows{0};
 };
 
@@ -84,7 +83,7 @@ void RegisterRelayMetrics(stats::MetricsRegistry* metrics,
                           });
   }
   auto counter = [&](const char* name,
-                     stats::RelaxedCounter ShardCounters::*field) {
+                     stats::Counter ShardCounters::*field) {
     metrics->AddCounterFn(
         name, [counters, field] { return (counters.get()->*field).Get(); });
   };
@@ -202,7 +201,7 @@ struct HierarchyProxy::Shard {
 
   // Active -> draining: unreachable by key, excluded from the LRU, socket
   // kept open for flow_linger so late replies are counted, not invisible.
-  void MoveToDraining(Flow& flow, stats::RelaxedCounter& reason) {
+  void MoveToDraining(Flow& flow, stats::Counter& reason) {
     flow.draining = true;
     lru.erase(flow.lru_it);
     counters->active_flows.fetch_sub(1, std::memory_order_relaxed);

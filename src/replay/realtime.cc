@@ -7,12 +7,12 @@
 
 #include "common/log.h"
 #include "dns/framing.h"
+#include "dns/wire.h"
 #include "net/sockets.h"
 #include "net/tls.h"
 #include "replay/queue.h"
 #include "replay/sticky.h"
 #include "replay/timing.h"
-#include "stats/counters.h"
 #include "stats/timeseries.h"
 
 namespace ldp::replay {
@@ -33,23 +33,24 @@ struct QueryJob {
 // they join. Held by shared_ptr so polled-metric lambdas registered in a
 // caller-owned registry stay valid after the replay returns.
 struct TransportCounters {
-  stats::RelaxedCounter sent;
-  stats::RelaxedCounter answered;
-  stats::RelaxedCounter timed_out;
-  stats::RelaxedCounter send_failed;
-  stats::RelaxedCounter retransmits;
-  stats::RelaxedCounter id_collisions;
-  stats::RelaxedCounter tcp_reconnects;
-  stats::RelaxedCounter tcp_idle_closes;
-  stats::RelaxedCounter tls_handshakes;
-  stats::RelaxedCounter tls_resumptions;
-  stats::RelaxedCounter tls_aborts;
+  stats::Counter sent;
+  stats::Counter answered;
+  stats::Counter timed_out;
+  stats::Counter send_failed;
+  stats::Counter retransmits;
+  stats::Counter id_collisions;
+  stats::Counter unmatched_replies;
+  stats::Counter tcp_reconnects;
+  stats::Counter tcp_idle_closes;
+  stats::Counter tls_handshakes;
+  stats::Counter tls_resumptions;
+  stats::Counter tls_aborts;
 };
 
 void RegisterTransportMetrics(stats::MetricsRegistry* metrics,
                               std::shared_ptr<TransportCounters> counters) {
   auto counter = [&](const char* name,
-                     stats::RelaxedCounter TransportCounters::*field) {
+                     stats::Counter TransportCounters::*field) {
     metrics->AddCounterFn(
         name, [counters, field] { return (counters.get()->*field).Get(); });
   };
@@ -59,6 +60,7 @@ void RegisterTransportMetrics(stats::MetricsRegistry* metrics,
   counter("replay.send_failed", &TransportCounters::send_failed);
   counter("replay.retransmits", &TransportCounters::retransmits);
   counter("replay.id_collisions", &TransportCounters::id_collisions);
+  counter("replay.unmatched_replies", &TransportCounters::unmatched_replies);
   counter("replay.tcp_reconnects", &TransportCounters::tcp_reconnects);
   counter("replay.tcp_idle_closes", &TransportCounters::tcp_idle_closes);
   counter("replay.tls_handshakes", &TransportCounters::tls_handshakes);
@@ -446,10 +448,19 @@ class Querier {
   }
 
   void OnUdpReply(std::span<const uint8_t> payload) {
-    if (payload.size() < 2) return;
-    uint16_t id = static_cast<uint16_t>((payload[0] << 8) | payload[1]);
-    auto it = udp_inflight_.find(id);
-    if (it == udp_inflight_.end()) return;  // late reply after age-out
+    // A reply answers the inflight query with its ID only if it carries
+    // the same question; a late reply (after age-out), an unknown ID or a
+    // reply to another question is counted and leaves the query pending.
+    auto it = payload.size() < 2
+                  ? udp_inflight_.end()
+                  : udp_inflight_.find(static_cast<uint16_t>(
+                        (payload[0] << 8) | payload[1]));
+    if (it == udp_inflight_.end() ||
+        !dns::SameFirstQuestion(payload, it->second.wire)) {
+      counters_.unmatched_replies.Add();
+      return;
+    }
+    uint16_t id = it->first;
     RecordAnswer(it->second.outcome);
     wheel_.Cancel(UdpKey(id));
     udp_inflight_.erase(it);
@@ -1187,6 +1198,7 @@ Result<RealtimeReport> ReplayPipeline::Finish() {
   report.send_failed = impl.counters->send_failed.Get();
   report.retransmits = impl.counters->retransmits.Get();
   report.id_collisions = impl.counters->id_collisions.Get();
+  report.unmatched_replies = impl.counters->unmatched_replies.Get();
   report.tcp_reconnects = impl.counters->tcp_reconnects.Get();
   report.tcp_idle_closes = impl.counters->tcp_idle_closes.Get();
   report.tls_handshakes = impl.counters->tls_handshakes.Get();

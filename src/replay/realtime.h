@@ -166,6 +166,9 @@ struct RealtimeReport {
   uint64_t send_failed = 0;
   uint64_t retransmits = 0;      // total UDP re-sends
   uint64_t id_collisions = 0;    // preferred 16-bit ID was still inflight
+  // UDP replies that answered no inflight query: late (after age-out),
+  // unknown ID, or a different question under an inflight ID.
+  uint64_t unmatched_replies = 0;
   uint64_t tcp_reconnects = 0;   // re-dials after connect failure / close
   uint64_t tcp_idle_closes = 0;  // client-side idle-timeout closures
   uint64_t tls_handshakes = 0;   // completed client TLS handshakes

@@ -78,8 +78,15 @@ void AuthServerEngine::BumpRcode(dns::Rcode rcode) {
   if (rcode == dns::Rcode::kRefused) Bump(stats_.refused);
 }
 
-dns::Message AuthServerEngine::HandleQuery(const dns::Message& query,
-                                           IpAddress source) {
+void AuthServerEngine::CountResponse(dns::Rcode rcode, size_t bytes) {
+  Bump(stats_.queries);
+  Bump(stats_.responses);
+  BumpRcode(rcode);
+  Bump(stats_.response_bytes, bytes);
+}
+
+dns::Message AuthServerEngine::AnswerDecoded(const dns::Message& query,
+                                             IpAddress source) {
   Bump(stats_.queries);
 
   const zone::ZoneSet* zones = views_->Match(source);
@@ -183,6 +190,14 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleAxfr(
 
 Result<std::vector<Bytes>> AuthServerEngine::HandleStream(
     std::span<const uint8_t> wire, IpAddress source) {
+  dns::WireQueryInfo info;
+  if (dns::ParseWireQuery(wire, &info) &&
+      info.qtype != static_cast<uint16_t>(dns::RRType::kAXFR)) {
+    auto answer =
+        answerer_.Respond(*views_->Match(source), info, dns::kMaxMessageSize);
+    CountResponse(answer.rcode, answer.wire.size());
+    return std::vector<Bytes>{Bytes(answer.wire.begin(), answer.wire.end())};
+  }
   auto query = dns::Message::Decode(wire);
   if (!query.ok()) {
     Bump(stats_.dropped);
@@ -192,7 +207,7 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleStream(
       query->questions.front().type == dns::RRType::kAXFR) {
     return HandleAxfr(*query, source);
   }
-  dns::Message response = HandleQuery(*query, source);
+  dns::Message response = AnswerDecoded(*query, source);
   Bytes encoded = response.Encode(dns::kMaxMessageSize);
   Bump(stats_.response_bytes, encoded.size());
   return std::vector<Bytes>{std::move(encoded)};
@@ -201,40 +216,62 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleStream(
 Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
                                            IpAddress source,
                                            size_t udp_limit) {
-  // Wire-level response cache: a repeat query is answered from the stored
-  // encoding with just the ID and RD flag patched in — no decode, no
-  // lookup, no encode. ParseWireQuery reads the key fields straight from
-  // the wire; only plain single-question QUERYs pass it, everything else
-  // bypasses (and a truncated response is never stored, response_cache.h).
-  bool cacheable = false;
+  // Plain queries never become a dns::Message. The wire-level response
+  // cache answers a repeat from the stored encoding with just the ID and
+  // RD flag patched in; a miss is answered from the compiled zones, which
+  // copy pre-encoded records. ParseWireQuery reads the key fields straight
+  // from the wire; other shapes bypass the cache and take the decode path
+  // (and a truncated response is never stored, response_cache.h).
+  dns::WireQueryInfo info;
+  bool plain = dns::ParseWireQuery(wire, &info) &&
+               info.qtype != static_cast<uint16_t>(dns::RRType::kAXFR);
+  const zone::ZoneSet& zones = *views_->Match(source);
+  size_t limit = 0;
+  if (plain) limit = EffectiveLimit(udp_limit, info.has_edns, info.advertised);
   if (cache_ != nullptr) {
-    WireQueryInfo info;
-    if (ParseWireQuery(wire, &info) &&
-        info.qtype != static_cast<uint16_t>(dns::RRType::kAXFR)) {
-      cacheable = true;
-      scratch_key_.view = views_->Match(source);
+    if (!plain) {
+      Bump(stats_.cache_bypass);
+    } else {
+      scratch_key_.view = &zones;
       scratch_key_.question.assign(info.question.begin(),
                                    info.question.end());
       scratch_key_.has_edns = info.has_edns;
       scratch_key_.do_bit = info.do_bit;
       scratch_key_.advertised = info.has_edns ? info.advertised : 0;
-      scratch_key_.limit = static_cast<uint32_t>(
-          EffectiveLimit(udp_limit, info.has_edns, info.advertised));
+      scratch_key_.limit = static_cast<uint32_t>(limit);
       if (const ResponseCache::Entry* entry =
               cache_->Lookup(scratch_key_)) {
-        Bump(stats_.queries);
-        Bump(stats_.responses);
-        BumpRcode(entry->rcode);
         Bump(stats_.cache_hits);
-        Bump(stats_.response_bytes, entry->wire.size());
+        CountResponse(entry->rcode, entry->wire.size());
         return ResponseCache::PatchedCopy(entry->wire, info.id, info.rd);
       }
       Bump(stats_.cache_misses);
-    } else {
-      Bump(stats_.cache_bypass);
     }
   }
+  if (!plain) return HandleDecoded(wire, source, udp_limit);
+  return AnswerCompiled(zones, info, limit);
+}
 
+Bytes AuthServerEngine::AnswerCompiled(const zone::ZoneSet& zones,
+                                       const dns::WireQueryInfo& info,
+                                       size_t limit) {
+  auto answer = answerer_.Respond(zones, info, limit);
+  CountResponse(answer.rcode, answer.wire.size());
+  if (answer.truncated) Bump(stats_.truncated);
+  if (cache_ != nullptr && !answer.truncated) {
+    cache_->Insert(std::move(scratch_key_),
+                   Bytes(answer.wire.begin(), answer.wire.end()),
+                   answer.rcode);
+    stats_.cache_evictions.store(cache_->evictions(),
+                                 std::memory_order_relaxed);
+    stats_.cache_size.store(cache_->size(), std::memory_order_relaxed);
+  }
+  return Bytes(answer.wire.begin(), answer.wire.end());
+}
+
+Result<Bytes> AuthServerEngine::HandleDecoded(std::span<const uint8_t> wire,
+                                              IpAddress source,
+                                              size_t udp_limit) {
   auto query = dns::Message::Decode(wire);
   if (!query.ok()) {
     Bump(stats_.dropped);
@@ -259,20 +296,12 @@ Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
       udp_limit, query->edns.has_value(),
       query->edns.has_value() ? query->edns->udp_payload_size : 0);
 
-  dns::Message response = HandleQuery(*query, source);
+  dns::Message response = AnswerDecoded(*query, source);
   Bytes encoded = response.Encode(limit);
   // TC is patched into the wire during truncation; detect via re-check of
   // the flags byte rather than re-decoding the whole message.
-  bool truncated = encoded.size() >= 4 && (encoded[2] & 0x02);
-  if (truncated) Bump(stats_.truncated);
+  if (encoded.size() >= 4 && (encoded[2] & 0x02)) Bump(stats_.truncated);
   Bump(stats_.response_bytes, encoded.size());
-
-  if (cacheable && !truncated) {
-    cache_->Insert(std::move(scratch_key_), encoded, response.rcode);
-    stats_.cache_evictions.store(cache_->evictions(),
-                                 std::memory_order_relaxed);
-    stats_.cache_size.store(cache_->size(), std::memory_order_relaxed);
-  }
   return encoded;
 }
 

@@ -17,6 +17,7 @@
 #include "common/ip.h"
 #include "common/result.h"
 #include "server/response_cache.h"
+#include "zone/compiled.h"
 #include "zone/lookup.h"
 #include "zone/view.h"
 
@@ -59,18 +60,18 @@ class AuthServerEngine {
                              std::move(views)),
                          options) {}
 
-  // Serves one decoded query. `source` selects the split-horizon view.
-  dns::Message HandleQuery(const dns::Message& query, IpAddress source);
-
-  // Wire-to-wire: decode, serve, encode. `udp_limit` caps the response size
-  // (EDNS-advertised or 512); pass 0 for stream transports (no truncation).
-  // Returns kParseError for undecodable input (transports drop those).
+  // Wire-to-wire. `udp_limit` caps the response size (EDNS-advertised or
+  // 512); pass 0 for stream transports (no truncation). Plain queries
+  // (dns::ParseWireQuery) are answered from the response cache or the
+  // compiled zones, without decoding; other shapes are decoded and served
+  // by zone::BuildResponse. Returns kParseError for undecodable input
+  // (transports drop those).
   Result<Bytes> HandleWire(std::span<const uint8_t> wire, IpAddress source,
                            size_t udp_limit);
 
-  // Stream-transport entry point: decodes once and routes to HandleAxfr
-  // for AXFR questions or to the normal query path (no truncation)
-  // otherwise. Each returned buffer is one DNS message to frame and send.
+  // Stream-transport entry point: routes AXFR questions to HandleAxfr and
+  // everything else to the normal query path (no truncation). Each
+  // returned buffer is one DNS message to frame and send.
   Result<std::vector<Bytes>> HandleStream(std::span<const uint8_t> wire,
                                           IpAddress source);
 
@@ -113,6 +114,16 @@ class AuthServerEngine {
   };
 
   void BumpRcode(dns::Rcode rcode);
+  // Counts one answered query whose response has `rcode` and `bytes`.
+  void CountResponse(dns::Rcode rcode, size_t bytes);
+  // A plain query the cache did not answer; stores the answer when a
+  // cache is on and the answer is not truncated.
+  Bytes AnswerCompiled(const zone::ZoneSet& zones,
+                       const dns::WireQueryInfo& info, size_t limit);
+  // The decode path, for queries dns::ParseWireQuery rejects.
+  Result<Bytes> HandleDecoded(std::span<const uint8_t> wire,
+                              IpAddress source, size_t udp_limit);
+  dns::Message AnswerDecoded(const dns::Message& query, IpAddress source);
 
   std::shared_ptr<const zone::ViewTable> views_;
   std::unique_ptr<ResponseCache> cache_;  // nullptr = disabled
@@ -120,6 +131,8 @@ class AuthServerEngine {
   // amortizes the question-bytes allocation (engines are single-threaded).
   ResponseCacheKey scratch_key_;
   Counters stats_;
+  // Builds compiled answers (single-threaded, like the engine).
+  zone::WireAnswerer answerer_;
 };
 
 }  // namespace ldp::server

@@ -2,62 +2,6 @@
 
 namespace ldp::server {
 
-bool ParseWireQuery(std::span<const uint8_t> wire, WireQueryInfo* out) {
-  if (wire.size() < 12) return false;
-  const uint8_t* p = wire.data();
-  auto u16 = [p](size_t off) {
-    return static_cast<uint16_t>((p[off] << 8) | p[off + 1]);
-  };
-
-  uint8_t flags_hi = p[2];
-  if (flags_hi & 0x80) return false;         // QR set: not a query
-  if ((flags_hi >> 3) & 0x0f) return false;  // opcode != QUERY
-  if (u16(4) != 1 || u16(6) != 0 || u16(8) != 0) return false;
-  uint16_t arcount = u16(10);
-  if (arcount > 1) return false;
-
-  // Walk the qname: plain labels only, inside the RFC 1035 length cap.
-  size_t off = 12;
-  size_t name_len = 0;
-  while (true) {
-    if (off >= wire.size()) return false;
-    uint8_t len = p[off];
-    if (len == 0) {
-      ++off;
-      break;
-    }
-    if (len & 0xc0) return false;  // compression / extended label
-    name_len += len + 1;
-    if (name_len > 254) return false;
-    off += 1 + static_cast<size_t>(len);
-  }
-  if (off + 4 > wire.size()) return false;
-  out->qtype = u16(off);
-  out->question = wire.subspan(12, off + 4 - 12);
-  off += 4;
-
-  out->id = u16(0);
-  out->rd = flags_hi & 0x01;
-  out->has_edns = arcount == 1;
-  out->do_bit = false;
-  out->advertised = 0;
-  if (arcount == 1) {
-    // The one additional must be a well-formed OPT pseudo-record:
-    // root owner name, TYPE 41, class = advertised payload size,
-    // TTL = extended-rcode(0) | version(0) | flags.
-    if (off + 11 > wire.size()) return false;
-    if (p[off] != 0) return false;
-    if (u16(off + 1) != 41) return false;
-    out->advertised = u16(off + 3);
-    if (p[off + 5] != 0 || p[off + 6] != 0) return false;
-    out->do_bit = p[off + 7] & 0x80;
-    uint16_t rdlen = u16(off + 9);
-    off += 11 + static_cast<size_t>(rdlen);
-    if (off > wire.size()) return false;
-  }
-  return off == wire.size();  // trailing bytes: take the slow path
-}
-
 const ResponseCache::Entry* ResponseCache::Lookup(
     const ResponseCacheKey& key) {
   auto it = map_.find(key);

@@ -2,8 +2,9 @@
 // skip zone lookup, message encoding, AND query decoding entirely. An entry
 // stores the fully encoded response; a hit copies the buffer and patches
 // the two query-dependent bytes (message ID, RD flag) into the copy. The
-// query side never becomes a dns::Message either — ParseWireQuery pulls the
-// handful of fields the key needs straight from the wire bytes.
+// query side never becomes a dns::Message either — dns::ParseWireQuery
+// (dns/wire.h) pulls the handful of fields the key needs straight from the
+// wire bytes.
 //
 // Keying has to cover everything else the encoded response depends on
 // (see zone::BuildResponse): the split-horizon view matched by the query
@@ -37,24 +38,6 @@
 #include "dns/message.h"
 
 namespace ldp::server {
-
-// The cache-relevant fields of a plain single-question query, read directly
-// from the wire (no dns::Message).
-struct WireQueryInfo {
-  uint16_t id = 0;
-  bool rd = false;
-  uint16_t qtype = 0;
-  bool has_edns = false;
-  bool do_bit = false;
-  uint32_t advertised = 0;  // raw EDNS payload size (0 without EDNS)
-  std::span<const uint8_t> question;  // raw question section bytes
-};
-
-// Parses a cache-eligible query: QR clear, opcode QUERY, exactly one
-// question, no answer/authority records, at most one additional that must
-// be a well-formed OPT, no compression, no trailing bytes. Returns false
-// for anything else — those queries take the full decode path.
-bool ParseWireQuery(std::span<const uint8_t> wire, WireQueryInfo* out);
 
 struct ResponseCacheKey {
   // Identity of the matched split-horizon view (the ZoneSet pointer, stable

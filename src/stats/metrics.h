@@ -5,8 +5,10 @@
 // figure generation after the run, useless for watching a million-QPS
 // experiment between start and final report.
 //
-// Threading contract (mirrors counters.h): recording on hot paths is one
-// uncontended relaxed atomic op — no locks, no fences. Registration takes
+// Threading contract: recording on hot paths is one uncontended relaxed
+// atomic op — no locks, no fences. Relaxed ordering suffices because the
+// values are aggregates, read after the writers join or approximately for
+// live monitoring; they never order other memory. Registration takes
 // a mutex (cold path, once per shard/querier at startup), and a snapshot
 // thread may read concurrently with writers: each cell is individually
 // exact, the set is loosely consistent, which aggregation tolerates.
@@ -35,7 +37,7 @@
 
 namespace ldp::stats {
 
-// Monotonic event counter (see counters.h for the relaxed-order rationale).
+// Monotonic event counter.
 class Counter {
  public:
   Counter() = default;

@@ -5,6 +5,12 @@
 // This is the algorithm whose *absence of shortcuts* LDplayer's hierarchy
 // emulation depends on: a query that crosses a zone cut must produce a
 // referral, never a direct answer from a deeper zone.
+//
+// Lookup and BuildResponse are the reference oracle. The engine answers
+// plain queries from compiled zones (compiled.h), which must produce the
+// bytes BuildResponse(...).Encode(limit) gives (tests/compiled_oracle.h);
+// in production these functions serve only the query shapes
+// dns::ParseWireQuery rejects. Change them together with compiled.cc.
 #ifndef LDPLAYER_ZONE_LOOKUP_H
 #define LDPLAYER_ZONE_LOOKUP_H
 

@@ -6,11 +6,14 @@ Status ZoneSet::AddZone(ZonePtr zone) {
   if (zone == nullptr) {
     return Error(ErrorCode::kInvalidArgument, "null zone");
   }
-  auto [it, inserted] = zones_.emplace(zone->origin(), std::move(zone));
+  auto [it, inserted] = zones_.emplace(zone->origin(), zone);
   if (!inserted) {
     return Error(ErrorCode::kAlreadyExists,
                  "zone already present: " + it->first.ToString());
   }
+  compiled_.push_back(std::make_shared<const CompiledZone>(*zone));
+  compiled_by_origin_.Insert(compiled_.back()->origin(),
+                             static_cast<uint32_t>(compiled_.size() - 1));
   return Status::Ok();
 }
 
@@ -24,6 +27,15 @@ const Zone* ZoneSet::FindBestZone(const dns::Name& qname) const {
     if (current.IsRoot()) return nullptr;
     current = *current.Parent();
   }
+}
+
+const CompiledZone* ZoneSet::FindBestCompiled(
+    const dns::WireNameView& qname) const {
+  for (size_t i = 0; i <= qname.labels; ++i) {
+    uint32_t index = compiled_by_origin_.Find(qname, i);
+    if (index != WireNameTable::kMissing) return compiled_[index].get();
+  }
+  return nullptr;
 }
 
 ZonePtr ZoneSet::FindZone(const dns::Name& origin) const {

@@ -12,18 +12,25 @@
 
 #include "common/ip.h"
 #include "common/result.h"
+#include "dns/wire.h"
+#include "zone/compiled.h"
 #include "zone/zone.h"
 
 namespace ldp::zone {
 
 // A set of zones served together; the deepest origin containing the qname
 // answers (longest-suffix match, like a server with several zone clauses).
+// Each zone is compiled (compiled.h) when added; copies of a set share the
+// compiled indexes.
 class ZoneSet {
  public:
+  // Adds and compiles `zone`, which must not change afterwards.
   Status AddZone(ZonePtr zone);
 
   // The zone whose origin is the longest ancestor of `qname`, or nullptr.
   const Zone* FindBestZone(const dns::Name& qname) const;
+  // The same choice over compiled indexes, for an indexed wire qname.
+  const CompiledZone* FindBestCompiled(const dns::WireNameView& qname) const;
   ZonePtr FindZone(const dns::Name& origin) const;
 
   size_t zone_count() const { return zones_.size(); }
@@ -32,6 +39,8 @@ class ZoneSet {
 
  private:
   std::unordered_map<dns::Name, ZonePtr> zones_;  // keyed by origin
+  std::vector<std::shared_ptr<const CompiledZone>> compiled_;
+  WireNameTable compiled_by_origin_;  // folded origin -> compiled_ index
 };
 
 // BIND-style views with match-clients lists of explicit addresses. The

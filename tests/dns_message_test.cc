@@ -7,6 +7,7 @@
 #include "dns/framing.h"
 #include "dns/message.h"
 #include "dns/rdata.h"
+#include "dns/wire.h"
 
 namespace ldp::dns {
 namespace {
@@ -141,6 +142,34 @@ TEST(Message, Matches) {
   r.questions[0].type = RRType::kAAAA;
   EXPECT_FALSE(r.Matches(q));
   EXPECT_FALSE(q.Matches(q));  // a query does not match itself (qr unset)
+}
+
+TEST(Wire, SameFirstQuestionFoldsCaseAndChecksTypeAndClass) {
+  Message query = Message::MakeQuery(*Name::Parse("www.Example.com"),
+                                     RRType::kA, true);
+  Bytes asked = query.Encode();
+
+  Message reply = query;
+  reply.qr = true;
+  reply.questions.front().name = *Name::Parse("WWW.example.COM");
+  EXPECT_TRUE(SameFirstQuestion(reply.Encode(), asked));
+
+  // A question name can only point forward (nothing but the header
+  // precedes it), which is malformed: never a match.
+  Bytes pointed = {0x00, 0x00, 0x80, 0x00, 0x00, 0x01, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0x00, 0xc0, 0x12, 0x00, 0x01,
+                   0x00, 0x01, 0x03, 'w',  'w',  'w',  0x07, 'e',
+                   'x',  'a',  'm',  'p',  'l',  'e',  0x03, 'c',
+                   'o',  'm',  0x00};
+  EXPECT_FALSE(SameFirstQuestion(pointed, asked));
+
+  reply.questions.front().type = RRType::kAAAA;
+  EXPECT_FALSE(SameFirstQuestion(reply.Encode(), asked));
+  reply.questions.front() = query.questions.front();
+  reply.questions.front().klass = RRClass::kCH;
+  EXPECT_FALSE(SameFirstQuestion(reply.Encode(), asked));
+  reply.questions.clear();
+  EXPECT_FALSE(SameFirstQuestion(reply.Encode(), asked));
 }
 
 TEST(Message, DecodeRejectsGarbage) {

@@ -144,6 +144,24 @@ TEST(NameWire, CompressionIsCaseInsensitive) {
   EXPECT_EQ(w.size() - first_len, 2u);  // pure pointer
 }
 
+TEST(NameWire, CompressionKeysOnLabelsNotText) {
+  // One label "a.b" and the two labels "a", "b" print alike but are
+  // different names: the second must not point at the first.
+  NameCompressor compressor;
+  ByteWriter w;
+  Name dotted = *Name::FromLabels({"a.b", "example"});
+  Name split = *Name::Parse("a.b.example");
+  compressor.Encode(dotted, w);
+  size_t first_len = w.size();
+  compressor.Encode(split, w);
+  // "a" and "b" written out, then a pointer to the shared "example".
+  EXPECT_EQ(w.size() - first_len, 2u + 2u + 2u);
+
+  ByteReader r(w.data());
+  EXPECT_EQ(*DecodeName(r), dotted);
+  EXPECT_EQ(*DecodeName(r), split);
+}
+
 TEST(NameWire, DecodeRejectsPointerLoop) {
   // A pointer pointing at itself.
   Bytes evil{0xc0, 0x00};

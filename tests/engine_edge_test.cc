@@ -17,6 +17,16 @@ zone::ZonePtr MakeZone(const std::string& origin_label) {
   return std::make_shared<zone::Zone>(std::move(*zone));
 }
 
+// Serves `query` through the wire entry point and decodes the response.
+dns::Message Ask(AuthServerEngine& engine, const dns::Message& query,
+                 IpAddress source) {
+  auto wire = engine.HandleWire(query.Encode(), source, 0);
+  EXPECT_TRUE(wire.ok());
+  auto response = dns::Message::Decode(*wire);
+  EXPECT_TRUE(response.ok());
+  return *response;
+}
+
 TEST(EngineEdge, NonQueryOpcodeGetsNotImp) {
   zone::ViewTable views;
   zone::ZoneSet set;
@@ -27,7 +37,7 @@ TEST(EngineEdge, NonQueryOpcodeGetsNotImp) {
   auto query = dns::Message::MakeQuery(*dns::Name::Parse("www.a"),
                                        dns::RRType::kA, false);
   query.opcode = dns::Opcode::kUpdate;
-  auto response = engine.HandleQuery(query, IpAddress(1, 1, 1, 1));
+  auto response = Ask(engine, query, IpAddress(1, 1, 1, 1));
   EXPECT_EQ(response.rcode, dns::Rcode::kNotImp);
 }
 
@@ -36,7 +46,7 @@ TEST(EngineEdge, EmptyQuestionRefusedGracefully) {
   AuthServerEngine engine(std::move(views));
   dns::Message query;
   query.id = 3;
-  auto response = engine.HandleQuery(query, IpAddress(1, 1, 1, 1));
+  auto response = Ask(engine, query, IpAddress(1, 1, 1, 1));
   EXPECT_TRUE(response.qr);
   EXPECT_EQ(response.id, 3);
   EXPECT_EQ(response.rcode, dns::Rcode::kRefused);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "distrib/protocol.h"
 #include "dns/framing.h"
 #include "dns/message.h"
+#include "zone/dnssec.h"
 #include "zone/masterfile.h"
 
 namespace {
@@ -228,6 +230,96 @@ void WriteDistribCorpus(const std::filesystem::path& dir) {
   WriteFile(dir / "repro_chunk_count.bin", Seeded(0x03, {huge_count}));
 }
 
+// fuzz_answer input: u16 zone length, zone text, flags, u16 UDP limit,
+// query wire (see fuzz_answer.cc).
+Bytes AnswerInput(std::string_view zone, uint8_t flags, uint16_t udp_limit,
+                  const dns::Message& query) {
+  Bytes out{static_cast<uint8_t>(zone.size() >> 8),
+            static_cast<uint8_t>(zone.size() & 0xff)};
+  out.insert(out.end(), zone.begin(), zone.end());
+  out.push_back(flags);
+  out.push_back(static_cast<uint8_t>(udp_limit >> 8));
+  out.push_back(static_cast<uint8_t>(udp_limit & 0xff));
+  Bytes wire = query.Encode();
+  out.insert(out.end(), wire.begin(), wire.end());
+  return out;
+}
+
+dns::Message AnswerQuery(std::string_view name, dns::RRType type,
+                         std::optional<uint16_t> payload, bool do_bit) {
+  dns::Message query = dns::Message::MakeQuery(MustName(name), type, false);
+  query.id = 0x4242;
+  if (payload.has_value()) {
+    query.edns = dns::Edns{.udp_payload_size = *payload, .do_bit = do_bit};
+  }
+  return query;
+}
+
+void WriteAnswerCorpus(const std::filesystem::path& dir) {
+  const std::string edge =
+      "$ORIGIN edge.test.\n"
+      "@ 3600 IN SOA ns1 hostmaster 1 7200 3600 1209600 300\n"
+      "@ IN NS ns1\n"
+      "@ IN MX 10 mail\n"
+      "ns1 IN A 192.0.2.1\n"
+      "mail IN A 192.0.2.25\n"
+      "www IN CNAME host\n"
+      "host IN A 192.0.2.80\n"
+      "out IN CNAME www.elsewhere.test.\n"
+      "loop1 IN CNAME loop2\n"
+      "loop2 IN CNAME loop1\n"
+      "*.wc IN A 192.0.2.99\n"
+      "*.wcn IN CNAME host\n"
+      "a.b.ent IN TXT \"deep\"\n"
+      "sub IN NS ns.sub\n"
+      "sub IN DS 12345 8 2 49FD46E6C4B45C55D4AC69CBD3CD34AC1AFE51DE\n"
+      "ns.sub IN A 192.0.2.53\n"
+      "_sip._tcp IN SRV 10 60 5060 host\n"
+      "MiXeD IN A 192.0.2.3\n";
+  WriteFile(dir / "edge_cname.bin",
+            AnswerInput(edge, 0x02, 0,
+                        AnswerQuery("www.edge.test", dns::RRType::kA, 4096,
+                                    false)));
+  WriteFile(dir / "edge_wildcard_udp.bin",
+            AnswerInput(edge, 0x04, 512,
+                        AnswerQuery("x.wcn.edge.test", dns::RRType::kA,
+                                    std::nullopt, false)));
+  WriteFile(dir / "edge_referral.bin",
+            AnswerInput(edge, 0x2a, 1232,
+                        AnswerQuery("www.sub.edge.test", dns::RRType::kA, 1232,
+                                    true)));
+  WriteFile(dir / "edge_refused.bin",
+            AnswerInput(edge, 0x01, 512,
+                        AnswerQuery("www.edge.test", dns::RRType::kAAAA, 512,
+                                    false)));
+
+  // A small signed zone, serialized: RRSIGs, NSEC chain, DNSKEY.
+  auto signed_zone = std::move(zone::ParseMasterFile(
+                                   "$ORIGIN signed.test.\n"
+                                   "@ 300 IN SOA ns1 hostmaster 1 2 3 4 300\n"
+                                   "@ IN NS ns1\n"
+                                   "ns1 IN A 192.0.2.1\n"
+                                   "*.w IN A 192.0.2.9\n",
+                                   zone::MasterFileOptions{}))
+                         .value();
+  zone::DnssecConfig dnssec;
+  dnssec.zsk_bits = 512;
+  dnssec.ksk_bits = 512;
+  if (!zone::SignZone(signed_zone, dnssec).ok()) {
+    std::fprintf(stderr, "signing the answer seed zone failed\n");
+    std::exit(1);
+  }
+  std::string signed_text = zone::SerializeZone(signed_zone);
+  WriteFile(dir / "signed_nxdomain.bin",
+            AnswerInput(signed_text, 0x0a, 0,
+                        AnswerQuery("nope.signed.test", dns::RRType::kA, 4096,
+                                    true)));
+  WriteFile(dir / "signed_wildcard_truncated.bin",
+            AnswerInput(signed_text, 0x1e, 300,
+                        AnswerQuery("a.w.signed.test", dns::RRType::kA, 4096,
+                                    true)));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -236,13 +328,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::filesystem::path root(argv[1]);
-  for (const char* sub : {"wire", "zone", "framing", "distrib"}) {
+  for (const char* sub : {"wire", "zone", "framing", "distrib", "answer"}) {
     std::filesystem::create_directories(root / sub);
   }
   WriteWireCorpus(root / "wire");
   WriteZoneCorpus(root / "zone");
   WriteFramingCorpus(root / "framing");
   WriteDistribCorpus(root / "distrib");
+  WriteAnswerCorpus(root / "answer");
   std::printf("corpus written under %s\n", root.c_str());
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <thread>
 
 #include "dns/framing.h"
@@ -124,6 +125,67 @@ class BlackholeUdp {
  private:
   int fd_ = -1;
   Endpoint endpoint_{};
+};
+
+// A UDP responder that answers every query with its own ID but a different
+// question (the qtype bumped by one), as a stray or spoofed reply would.
+class WrongQuestionUdp {
+ public:
+  WrongQuestionUdp() {
+    fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (fd_ < 0 ||
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      return;
+    }
+    socklen_t len = sizeof(addr);
+    if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      return;
+    }
+    endpoint_ = Endpoint{IpAddress::Loopback(), ntohs(addr.sin_port)};
+    timeval tv{0, 50 * 1000};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    thread_ = std::thread([this]() { Serve(); });
+  }
+  ~WrongQuestionUdp() {
+    stop_ = true;
+    if (thread_.joinable()) thread_.join();
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool ok() const { return endpoint_.port != 0; }
+  Endpoint endpoint() const { return endpoint_; }
+  uint64_t replies() const { return replies_; }
+
+ private:
+  void Serve() {
+    uint8_t buf[1500];
+    while (!stop_) {
+      sockaddr_in from{};
+      socklen_t from_len = sizeof(from);
+      ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
+                             reinterpret_cast<sockaddr*>(&from), &from_len);
+      if (n <= 0) continue;
+      auto query = dns::Message::Decode(
+          std::span<const uint8_t>(buf, static_cast<size_t>(n)));
+      if (!query.ok() || query->questions.empty()) continue;
+      dns::Message reply = *query;
+      reply.qr = true;
+      reply.questions.front().type = static_cast<dns::RRType>(
+          static_cast<uint16_t>(reply.questions.front().type) + 1);
+      Bytes wire = reply.Encode();
+      ::sendto(fd_, wire.data(), wire.size(), 0,
+               reinterpret_cast<sockaddr*>(&from), from_len);
+      ++replies_;
+    }
+  }
+
+  int fd_ = -1;
+  Endpoint endpoint_{};
+  std::atomic<bool> stop_{false};
+  std::atomic<uint64_t> replies_{0};
+  std::thread thread_;
 };
 
 // A TCP port that refuses connections: bind without listen, so connect
@@ -325,6 +387,31 @@ TEST(RealtimeTransport, UdpTimeoutAndRetransmitAccounting) {
     EXPECT_EQ(send.retransmits, 1u);
     EXPECT_NE(send.sent, 0);
   }
+  ExpectTerminalAccounting(*report);
+}
+
+// A reply with the right ID but another question does not answer the
+// query: it is counted as unmatched and the query still times out.
+TEST(RealtimeTransport, WrongQuestionReplyLeavesQueryTimedOut) {
+  WrongQuestionUdp responder;
+  ASSERT_TRUE(responder.ok());
+  auto records = MakeTraceTo(responder.endpoint(), 50, Millis(1));
+
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 1;
+  config.queriers_per_distributor = 1;
+  config.fast_mode = true;
+  config.query_timeout = Millis(150);
+  config.max_retransmits = 0;
+
+  auto report = RunRealtimeReplay(records, config);
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, 50u);
+  EXPECT_EQ(report->answered, 0u);
+  EXPECT_EQ(report->timed_out, 50u);
+  EXPECT_EQ(report->unmatched_replies, responder.replies());
+  EXPECT_GT(report->unmatched_replies, 0u);
   ExpectTerminalAccounting(*report);
 }
 

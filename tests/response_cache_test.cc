@@ -4,6 +4,7 @@
 // presence), eviction is LRU, and truncation-prone responses never enter.
 #include <gtest/gtest.h>
 
+#include "dns/wire.h"
 #include "server/engine.h"
 #include "server/response_cache.h"
 #include "zone/masterfile.h"
@@ -226,8 +227,8 @@ TEST(ParseWireQuery, ExtractsKeyFields) {
   query.edns = dns::Edns{.udp_payload_size = 1232, .do_bit = true};
   Bytes wire = query.Encode();
 
-  WireQueryInfo info;
-  ASSERT_TRUE(ParseWireQuery(wire, &info));
+  dns::WireQueryInfo info;
+  ASSERT_TRUE(dns::ParseWireQuery(wire, &info));
   EXPECT_EQ(info.id, 0xbeef);
   EXPECT_TRUE(info.rd);
   EXPECT_EQ(info.qtype, static_cast<uint16_t>(dns::RRType::kA));
@@ -239,32 +240,32 @@ TEST(ParseWireQuery, ExtractsKeyFields) {
 }
 
 TEST(ParseWireQuery, RejectsUnusualShapes) {
-  WireQueryInfo info;
+  dns::WireQueryInfo info;
   dns::Message query = Query("www.example.com");
   Bytes wire = query.Encode();
 
   // Trailing bytes, truncated input, responses: all slow-path.
   Bytes trailing = wire;
   trailing.push_back(0);
-  EXPECT_FALSE(ParseWireQuery(trailing, &info));
+  EXPECT_FALSE(dns::ParseWireQuery(trailing, &info));
   EXPECT_FALSE(
-      ParseWireQuery(std::span<const uint8_t>(wire.data(), 11), &info));
+      dns::ParseWireQuery(std::span<const uint8_t>(wire.data(), 11), &info));
   Bytes response = wire;
   response[2] |= 0x80;  // QR
-  EXPECT_FALSE(ParseWireQuery(response, &info));
+  EXPECT_FALSE(dns::ParseWireQuery(response, &info));
 
   // Compression pointer in the question.
   Bytes compressed = wire;
   compressed[12] = 0xc0;
-  EXPECT_FALSE(ParseWireQuery(compressed, &info));
+  EXPECT_FALSE(dns::ParseWireQuery(compressed, &info));
 
   // qdcount != 1.
   Bytes two_questions = wire;
   two_questions[5] = 2;
-  EXPECT_FALSE(ParseWireQuery(two_questions, &info));
+  EXPECT_FALSE(dns::ParseWireQuery(two_questions, &info));
 
   // A valid plain query still parses.
-  EXPECT_TRUE(ParseWireQuery(wire, &info));
+  EXPECT_TRUE(dns::ParseWireQuery(wire, &info));
   EXPECT_FALSE(info.has_edns);
   EXPECT_EQ(info.advertised, 0u);
 }

@@ -15,6 +15,16 @@ zone::ZonePtr MakeZone(const char* text) {
   return std::make_shared<zone::Zone>(std::move(*zone));
 }
 
+// Serves `query` through the wire entry point and decodes the response.
+dns::Message Ask(AuthServerEngine& engine, const dns::Message& query,
+                 IpAddress source) {
+  auto wire = engine.HandleWire(query.Encode(), source, 0);
+  EXPECT_TRUE(wire.ok());
+  auto response = dns::Message::Decode(*wire);
+  EXPECT_TRUE(response.ok());
+  return *response;
+}
+
 zone::ZonePtr ExampleZone() {
   return MakeZone(R"(
 $ORIGIN example.com.
@@ -45,7 +55,7 @@ TEST(Engine, AnswersFromDefaultView) {
   auto query = dns::Message::MakeQuery(*dns::Name::Parse("www.example.com"),
                                        dns::RRType::kA, false);
   query.id = 5;
-  dns::Message response = engine.HandleQuery(query, IpAddress(10, 0, 0, 9));
+  dns::Message response = Ask(engine, query, IpAddress(10, 0, 0, 9));
   EXPECT_EQ(response.rcode, dns::Rcode::kNoError);
   ASSERT_EQ(response.answers.size(), 1u);
   EXPECT_EQ(engine.stats().queries, 1u);
@@ -77,8 +87,8 @@ TEST(Engine, SplitHorizonSelectsZoneBySource) {
 
   auto query = dns::Message::MakeQuery(*dns::Name::Parse("www.conflict.test"),
                                        dns::RRType::kA, false);
-  auto from_a = engine.HandleQuery(query, IpAddress(198, 41, 0, 4));
-  auto from_b = engine.HandleQuery(query, IpAddress(192, 5, 6, 30));
+  auto from_a = Ask(engine, query, IpAddress(198, 41, 0, 4));
+  auto from_b = Ask(engine, query, IpAddress(192, 5, 6, 30));
   ASSERT_EQ(from_a.answers.size(), 1u);
   ASSERT_EQ(from_b.answers.size(), 1u);
   EXPECT_EQ(std::get<dns::ARdata>(from_a.answers[0].rdata).address,
@@ -87,7 +97,7 @@ TEST(Engine, SplitHorizonSelectsZoneBySource) {
             IpAddress(2, 2, 2, 2));
 
   // Unknown source falls to the (empty) default view: REFUSED.
-  auto refused = engine.HandleQuery(query, IpAddress(10, 1, 1, 1));
+  auto refused = Ask(engine, query, IpAddress(10, 1, 1, 1));
   EXPECT_EQ(refused.rcode, dns::Rcode::kRefused);
 }
 
