@@ -30,4 +30,18 @@ NanoTime WallNow() {
   return static_cast<NanoTime>(ts.tv_sec) * kNanosPerSecond + ts.tv_nsec;
 }
 
+NanoDuration WallToMonotonicOffset() {
+  // Bracket the wall read between two monotonic reads and take the
+  // midpoint; retry a few times if a preemption stretched the bracket.
+  NanoDuration offset = 0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    NanoTime before = MonotonicNow();
+    NanoTime wall = WallNow();
+    NanoTime after = MonotonicNow();
+    offset = before + (after - before) / 2 - wall;
+    if (after - before < 10 * kNanosPerMicro) break;
+  }
+  return offset;
+}
+
 }  // namespace ldp

@@ -42,6 +42,11 @@ NanoTime MonotonicNow();
 // Wall clock (CLOCK_REALTIME) for timestamps in captures.
 NanoTime WallNow();
 
+// CLOCK_MONOTONIC minus CLOCK_REALTIME, now. Adding it to a kernel
+// timestamp taken on the wall clock (socket receive stamps, packet-ring
+// frame headers) places that timestamp on the monotonic clock.
+NanoDuration WallToMonotonicOffset();
+
 }  // namespace ldp
 
 #endif  // LDPLAYER_COMMON_CLOCK_H

@@ -325,6 +325,29 @@ Result<Rdata> DecodeRdata(RRType type, uint16_t rdlength, ByteReader& reader) {
 }
 
 std::string RdataToText(const Rdata& rdata) {
+  // Wire or RFC 3597 input can carry an empty trailing binary field (DS
+  // digest, DNSKEY key, RRSIG signature), which has no presentation form;
+  // such rdata is written in the generic form, which parses back to it.
+  const bool empty_binary = std::visit(
+      [](const auto& r) {
+        using T = std::decay_t<decltype(r)>;
+        if constexpr (std::is_same_v<T, DsRdata>) {
+          return r.digest.empty();
+        } else if constexpr (std::is_same_v<T, DnskeyRdata>) {
+          return r.public_key.empty();
+        } else if constexpr (std::is_same_v<T, RrsigRdata>) {
+          return r.signature.empty();
+        } else {
+          return false;
+        }
+      },
+      rdata);
+  if (empty_binary) {
+    NameCompressor compressor;
+    ByteWriter writer;
+    EncodeRdata(rdata, compressor, writer);
+    return RdataToText(GenericRdata{std::move(writer).Take()});
+  }
   return std::visit(
       [](const auto& r) -> std::string {
         using T = std::decay_t<decltype(r)>;
@@ -394,17 +417,20 @@ Result<Rdata> RdataFromText(RRType type,
     return Status::Ok();
   };
 
-  // RFC 3597 generic form is accepted for any type.
+  // RFC 3597 generic form is accepted for any type. Rdata of a type with a
+  // typed form is decoded into it (§5), so a generic CNAME serves exactly
+  // like one written normally; it must decode to exactly its stated length.
   if (!tokens.empty() && tokens[0] == "\\#") {
     LDP_RETURN_IF_ERROR(need(2));
     LDP_ASSIGN_OR_RETURN(uint64_t len, ParseUint64(tokens[1]));
     std::string hex;
     for (size_t i = 2; i < tokens.size(); ++i) hex += std::string(tokens[i]);
     LDP_ASSIGN_OR_RETURN(Bytes data, HexDecode(hex));
-    if (data.size() != len) {
+    if (data.size() != len || len > 0xffff) {
       return Error(ErrorCode::kParseError, "\\# length mismatch");
     }
-    return Rdata(GenericRdata{std::move(data)});
+    ByteReader reader(data);
+    return DecodeRdata(type, static_cast<uint16_t>(len), reader);
   }
 
   switch (type) {

@@ -365,17 +365,23 @@ AfPacketPath::~AfPacketPath() {
   if (tx_map_ != nullptr) ::munmap(tx_map_, tx_map_len_);
 }
 
-void AfPacketPath::OnRxReadable() {
+bool AfPacketPath::OnRxReadable() {
   size_t blocks = 0;
   size_t frames = 0;
+  bool emptied = false;
+  NanoDuration to_monotonic = 0;
   while (blocks < kMaxBlocksPerWakeup) {
     uint8_t* block = rx_map_ + rx_block_idx_ * rx_block_bytes_;
     auto* desc = reinterpret_cast<tpacket_block_desc*>(block);
     const uint32_t status =
         __atomic_load_n(&desc->hdr.bh1.block_status, __ATOMIC_ACQUIRE);
-    if ((status & TP_STATUS_USER) == 0) break;
+    if ((status & TP_STATUS_USER) == 0) {
+      emptied = true;
+      break;
+    }
+    if (blocks == 0) to_monotonic = WallToMonotonicOffset();
     ++blocks;
-    frames += ConsumeBlock(block);
+    frames += ConsumeBlock(block, to_monotonic);
     // The batch handler saw every span pointing into this block; only now
     // may the kernel overwrite it.
     __atomic_store_n(&desc->hdr.bh1.block_status, TP_STATUS_KERNEL,
@@ -391,9 +397,14 @@ void AfPacketPath::OnRxReadable() {
     }
     PollKernelDrops();
   }
+  return emptied;
 }
 
-size_t AfPacketPath::ConsumeBlock(uint8_t* block) {
+Status AfPacketPath::SetReadArmed(bool armed) {
+  return loop_.Modify(rx_fd_.get(), armed, /*want_write=*/false);
+}
+
+size_t AfPacketPath::ConsumeBlock(uint8_t* block, NanoDuration to_monotonic) {
   auto* desc = reinterpret_cast<tpacket_block_desc*>(block);
   const uint32_t num_frames = desc->hdr.bh1.num_pkts;
   uint8_t* at = block + desc->hdr.bh1.offset_to_first_pkt;
@@ -418,8 +429,12 @@ size_t AfPacketPath::ConsumeBlock(uint8_t* block) {
         if (metrics_.rx_bytes != nullptr) {
           metrics_.rx_bytes->Add(parsed->payload.size());
         }
+        // The ring stamps each frame on the wall clock at capture.
+        const NanoTime rx_time =
+            static_cast<NanoTime>(hdr->tp_sec) * kNanosPerSecond +
+            hdr->tp_nsec + to_monotonic;
         rx_items_[n_rx_items_++] =
-            RecvItem{parsed->payload, parsed->src, parsed->dst};
+            RecvItem{parsed->payload, parsed->src, parsed->dst, rx_time};
         if (n_rx_items_ == kBatchSize) FlushRxBatch();
       } else if (metrics_.rx_parse_errors != nullptr) {
         metrics_.rx_parse_errors->Add();

@@ -23,6 +23,8 @@ class AfPacketPath final : public DatagramPath {
 
   Status SendTo(std::span<const uint8_t> payload, Endpoint to) override;
   size_t SendBatch(std::span<const SendItem> batch) override;
+  Status SetReadArmed(bool armed) override;
+  bool PollReceive() override { return OnRxReadable(); }
   Endpoint local() const override { return local_; }
   DatapathKind kind() const override { return DatapathKind::kAfPacket; }
 
@@ -60,12 +62,14 @@ class AfPacketPath final : public DatagramPath {
   Status Init(Endpoint local, const DatapathOptions& options);
   void RegisterMetrics(stats::MetricsRegistry& registry);
 
-  void OnRxReadable();
+  // Consumes retired blocks up to the per-wakeup cap; returns true when it
+  // stopped because no retired block was left.
+  bool OnRxReadable();
   // Parses every frame of one retired block into rx_items_, flushing the
   // batch to the handler as it fills; returns the frame count. The final
   // flush happens before the caller releases the block — payload spans
-  // point into it.
-  size_t ConsumeBlock(uint8_t* block);
+  // point into it. `to_monotonic` converts the frames' wall-clock stamps.
+  size_t ConsumeBlock(uint8_t* block, NanoDuration to_monotonic);
   void FlushRxBatch();
   void PollKernelDrops();
 

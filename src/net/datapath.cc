@@ -73,6 +73,11 @@ class EpollPath final : public DatagramPath {
     return accepted;
   }
 
+  Status SetReadArmed(bool armed) override {
+    return socket_->SetReadArmed(armed);
+  }
+  bool PollReceive() override { return socket_->Drain(); }
+
   Endpoint local() const override { return socket_->local(); }
   DatapathKind kind() const override { return DatapathKind::kEpoll; }
 
@@ -84,7 +89,7 @@ class EpollPath final : public DatagramPath {
     const Endpoint to = socket_->local();
     size_t i = 0;
     for (const auto& item : items) {
-      out[i++] = RecvItem{item.payload, item.from, to};
+      out[i++] = RecvItem{item.payload, item.from, to, item.rx_time};
       if (i == kBatchSize) {
         if (rx_frames_ != nullptr) rx_frames_->Add(i);
         on_batch_({out.data(), i});

@@ -103,6 +103,11 @@ class DatagramPath {
     // a concrete address this equals local(); for a wildcard afpacket
     // ring it is the address the peer actually queried (the proxy's OQDA).
     Endpoint to;
+    // When the datagram arrived, on CLOCK_MONOTONIC, from the kernel's
+    // receive timestamp: the afpacket ring always carries one; the epoll
+    // backend fills it when opened with udp.rx_timestamps, else 0. A
+    // caller that reads late (see SetReadArmed) still learns the arrival.
+    NanoTime rx_time = 0;
   };
 
   // One datagram of an outgoing batch; payload must stay alive through
@@ -137,6 +142,18 @@ class DatagramPath {
   // count means the tx ring / socket buffer filled and the rest were
   // dropped, as they would be on the wire.
   virtual size_t SendBatch(std::span<const SendItem> batch) = 0;
+
+  // Read interest in the loop. A disarmed path no longer wakes the loop
+  // when datagrams arrive; they wait in the socket or ring until
+  // PollReceive, or until the path is armed again (level-triggered, so
+  // anything waiting fires at once). The replay distributor disarms its
+  // queriers while sends are imminent and reads replies after each send.
+  virtual Status SetReadArmed(bool armed) = 0;
+
+  // Delivers waiting datagrams to the batch handler exactly as a readiness
+  // event would, up to the same per-event cap. Returns true when nothing
+  // was left waiting; false means it stopped at the cap.
+  virtual bool PollReceive() = 0;
 
   virtual Endpoint local() const = 0;
   virtual DatapathKind kind() const = 0;

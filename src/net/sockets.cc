@@ -65,6 +65,13 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
     int bytes = options.recv_buffer_bytes;
     ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
   }
+  if (options.rx_timestamps) {
+    int one = 1;
+    if (::setsockopt(fd.get(), SOL_SOCKET, SO_TIMESTAMPNS, &one,
+                     sizeof(one)) != 0) {
+      return Errno("setsockopt(SO_TIMESTAMPNS)");
+    }
+  }
 
   sockaddr_in addr = ToSockaddr(local);
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
@@ -77,6 +84,7 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
       std::unique_ptr<UdpSocket>(new UdpSocket(loop, std::move(fd), bound));
   socket->on_datagram_ = std::move(on_datagram);
   socket->on_batch_ = std::move(on_batch);
+  socket->rx_timestamps_ = options.rx_timestamps;
   // for_overwrite: value-initializing these 2 MB costs ~1.2 ms of zeroing
   // per socket, which stalls an event loop that creates sockets on the hot
   // path (the relay binds one per flow); recvmmsg fills slots before any
@@ -86,7 +94,7 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
   UdpSocket* raw = socket.get();
   LDP_RETURN_IF_ERROR(loop.Add(raw->fd_.get(), /*want_read=*/true,
                                /*want_write=*/false,
-                               [raw](IoEvents) { raw->OnReadable(); }));
+                               [raw](IoEvents) { raw->Drain(); }));
   return socket;
 }
 
@@ -130,6 +138,9 @@ size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
   mmsghdr msgs[kBatchSize];
   iovec iovs[kBatchSize];
   sockaddr_in addrs[kBatchSize];
+  // One SCM_TIMESTAMPNS control message per datagram when stamping.
+  constexpr size_t kControlBytes = CMSG_SPACE(sizeof(timespec));
+  alignas(cmsghdr) uint8_t control[kBatchSize][kControlBytes];
   std::memset(msgs, 0, sizeof(mmsghdr) * want);
   for (size_t i = 0; i < want; ++i) {
     iovs[i].iov_base = recv_slots_.get() + i * kRecvSlotSize;
@@ -138,16 +149,36 @@ size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
     msgs[i].msg_hdr.msg_iovlen = 1;
     msgs[i].msg_hdr.msg_name = &addrs[i];
     msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
+    if (rx_timestamps_) {
+      msgs[i].msg_hdr.msg_control = control[i];
+      msgs[i].msg_hdr.msg_controllen = kControlBytes;
+    }
   }
   int got = ::recvmmsg(fd_.get(), msgs, static_cast<unsigned>(want), 0,
                        nullptr);
   if (got > 0) {
+    const NanoDuration to_monotonic =
+        rx_timestamps_ ? WallToMonotonicOffset() : 0;
     for (int i = 0; i < got; ++i) {
+      NanoTime rx_time = 0;
+      if (rx_timestamps_) {
+        for (cmsghdr* cmsg = CMSG_FIRSTHDR(&msgs[i].msg_hdr); cmsg != nullptr;
+             cmsg = CMSG_NXTHDR(&msgs[i].msg_hdr, cmsg)) {
+          if (cmsg->cmsg_level != SOL_SOCKET ||
+              cmsg->cmsg_type != SCM_TIMESTAMPNS) {
+            continue;
+          }
+          timespec ts;
+          std::memcpy(&ts, CMSG_DATA(cmsg), sizeof(ts));
+          rx_time = static_cast<NanoTime>(ts.tv_sec) * kNanosPerSecond +
+                    ts.tv_nsec + to_monotonic;
+        }
+      }
       out[static_cast<size_t>(i)] = RecvItem{
           std::span<const uint8_t>(
               recv_slots_.get() + static_cast<size_t>(i) * kRecvSlotSize,
               msgs[i].msg_len),
-          FromSockaddr(addrs[i])};
+          FromSockaddr(addrs[i]), rx_time};
     }
     return static_cast<size_t>(got);
   }
@@ -210,25 +241,34 @@ size_t UdpSocket::SendBatch(std::span<const UdpSendItem> batch) {
   return accepted;
 }
 
-void UdpSocket::OnReadable() {
+bool UdpSocket::Drain() {
   // Drain the socket in recvmmsg batches: level-triggered epoll would
-  // re-arm anyway, but draining cuts wakeups at high rates. The per-event
+  // re-arm anyway, but draining cuts wakeups at high rates. The per-call
   // cap bounds how long one busy socket can starve its loop siblings.
   constexpr size_t kMaxPerEvent = 8 * kBatchSize;
   RecvItem items[kBatchSize];
   size_t total = 0;
   while (total < kMaxPerEvent) {
     size_t got = RecvBatch(items);
-    if (got == 0) return;
     total += got;
-    if (on_batch_) {
-      on_batch_(std::span<const RecvItem>(items, got));
-    } else if (on_datagram_) {
-      for (size_t i = 0; i < got; ++i) {
-        on_datagram_(items[i].payload, items[i].from);
+    if (got > 0) {
+      if (on_batch_) {
+        on_batch_(std::span<const RecvItem>(items, got));
+      } else if (on_datagram_) {
+        for (size_t i = 0; i < got; ++i) {
+          on_datagram_(items[i].payload, items[i].from);
+        }
       }
     }
+    // A short batch means the receive queue ran dry; asking again would
+    // only cost a recvmmsg that returns EAGAIN.
+    if (got < kBatchSize) return true;
   }
+  return false;
+}
+
+Status UdpSocket::SetReadArmed(bool armed) {
+  return loop_.Modify(fd_.get(), armed, /*want_write=*/false);
 }
 
 // --- TcpConnection ---

@@ -32,6 +32,10 @@ struct UdpOptions {
   // so bursts queue in the kernel instead of dropping while the worker is
   // mid-batch.
   int recv_buffer_bytes = 0;
+  // SO_TIMESTAMPNS: stamp every received datagram with the kernel's
+  // receive time (RecvItem::rx_time), so a caller that reads late still
+  // knows when each datagram arrived.
+  bool rx_timestamps = false;
 };
 
 class UdpSocket {
@@ -47,6 +51,9 @@ class UdpSocket {
   struct RecvItem {
     std::span<const uint8_t> payload;
     Endpoint from;
+    // Kernel receive time on CLOCK_MONOTONIC; 0 unless the socket was
+    // bound with rx_timestamps.
+    NanoTime rx_time = 0;
   };
 
   using DatagramHandler =
@@ -83,6 +90,17 @@ class UdpSocket {
   // as they would be on the wire.
   size_t SendBatch(std::span<const UdpSendItem> batch);
 
+  // Reads received datagrams and hands them to the handler, as a
+  // readiness event does: until the socket is empty or a per-call cap
+  // (which bounds how long one busy socket can starve its loop siblings)
+  // is reached. Returns true when it stopped because the socket was empty.
+  bool Drain();
+
+  // Read interest in the loop. A disarmed socket no longer wakes the loop
+  // when datagrams arrive; they wait in the kernel until Drain or until it
+  // is armed again (level-triggered, so a non-empty socket fires at once).
+  Status SetReadArmed(bool armed);
+
   Endpoint local() const { return local_; }
 
  private:
@@ -91,11 +109,11 @@ class UdpSocket {
   static Result<std::unique_ptr<UdpSocket>> BindInternal(
       EventLoop& loop, Endpoint local, const Options& options,
       DatagramHandler on_datagram, BatchHandler on_batch);
-  void OnReadable();
 
   EventLoop& loop_;
   Fd fd_;
   Endpoint local_;
+  bool rx_timestamps_ = false;
   DatagramHandler on_datagram_;  // per-datagram mode
   BatchHandler on_batch_;        // batch mode (exactly one mode is set)
   // Receive slots, allocated once at bind: kBatchSize * kRecvSlotSize.

@@ -1,5 +1,7 @@
 #include "replay/realtime.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <deque>
 #include <memory>
@@ -73,6 +75,7 @@ void RegisterTransportMetrics(stats::MetricsRegistry* metrics,
 // merges them at snapshot time, so recording never crosses threads.
 struct QuerierMetrics {
   stats::LogHistogram* latency = nullptr;    // send→answer, ns
+  stats::LogHistogram* send_lateness = nullptr;  // sent − scheduled, ns
   stats::Gauge* inflight = nullptr;          // non-terminal tracked queries
   stats::LogHistogram* wheel_occupancy = nullptr;  // entries per tick
   stats::LogHistogram* tls_handshake = nullptr;    // client handshake, ns
@@ -134,14 +137,29 @@ class Querier {
     options.kind = config_.datapath;
     options.afpacket = config_.afpacket;
     options.metrics = config_.metrics;
+    // Reply latency comes from the kernel's receive stamp, so a reply read
+    // late from a disarmed socket (see Distributor) is not biased by it.
+    options.udp.rx_timestamps = true;
     LDP_ASSIGN_OR_RETURN(
         udp_, net::DatagramPath::Open(
                   loop_, Endpoint{config_.local_addr, 0},
                   [this](std::span<const net::DatagramPath::RecvItem> batch) {
-                    for (const auto& item : batch) OnUdpReply(item.payload);
+                    const NanoTime handled = MonotonicNow() - epoch_mono_;
+                    for (const auto& item : batch) OnUdpReply(item, handled);
                   },
                   options));
     return Status::Ok();
+  }
+
+  // Reads every reply waiting on the UDP socket, up to the datapath's
+  // per-event cap; returns true when the socket was left empty.
+  bool DrainReplies() { return udp_->PollReceive(); }
+
+  // Whether the UDP socket wakes the loop on its own when replies arrive.
+  bool replies_armed() const { return replies_armed_; }
+  void SetRepliesArmed(bool armed) {
+    if (armed == replies_armed_) return;
+    if (udp_->SetReadArmed(armed).ok()) replies_armed_ = armed;
   }
 
   // Fires whenever the querier may have just gone idle; the distributor
@@ -283,11 +301,12 @@ class Querier {
     if (metrics_.inflight != nullptr) metrics_.inflight->Add(-1);
   }
 
-  void RecordAnswer(SendOutcome* slot) {
+  // `replied` is relative to the replay epoch, like outcome.sent.
+  void RecordAnswer(SendOutcome* slot, NanoTime replied) {
     SendOutcome& outcome = *slot;
     if (outcome.state != SendOutcome::State::kPending) return;
     outcome.state = SendOutcome::State::kAnswered;
-    outcome.replied = MonotonicNow() - epoch_mono_;
+    outcome.replied = replied;
     counters_.answered.Add();
     if (metrics_.inflight != nullptr) metrics_.inflight->Add(-1);
     if (metrics_.latency != nullptr && outcome.replied > outcome.sent) {
@@ -298,6 +317,14 @@ class Querier {
 
   void MaybeIdle() {
     if (on_idle_ && idle()) on_idle_();
+  }
+
+  // Fig 6's timing error, live: actual minus scheduled send time. Fast
+  // mode has no schedule to be late against.
+  void RecordLateness(const SendOutcome& outcome) {
+    if (metrics_.send_lateness == nullptr || config_.fast_mode) return;
+    metrics_.send_lateness->Record(static_cast<uint64_t>(
+        std::max<NanoDuration>(0, outcome.sent - outcome.trace_time)));
   }
 
   // --- timeout wheel ---
@@ -319,6 +346,10 @@ class Querier {
 
   void OnTick() {
     tick_armed_ = false;
+    // A reply may be waiting unread in a disarmed socket: read everything
+    // before deciding that anything timed out.
+    while (!DrainReplies()) {
+    }
     if (metrics_.wheel_occupancy != nullptr) {
       metrics_.wheel_occupancy->Record(wheel_.size());
     }
@@ -415,6 +446,7 @@ class Querier {
     entry.target = TargetFor(job.record);
     auto emplaced = udp_inflight_.emplace(id, std::move(entry));
     job.outcome->sent = MonotonicNow() - epoch_mono_;
+    RecordLateness(*job.outcome);
     ScheduleTimeout(UdpKey(id), /*tries=*/0);
 
     if (config_.batch_udp) {
@@ -447,10 +479,12 @@ class Querier {
     });
   }
 
-  void OnUdpReply(std::span<const uint8_t> payload) {
+  // `handled` is when the batch was read, relative to the replay epoch.
+  void OnUdpReply(const net::DatagramPath::RecvItem& item, NanoTime handled) {
     // A reply answers the inflight query with its ID only if it carries
     // the same question; a late reply (after age-out), an unknown ID or a
     // reply to another question is counted and leaves the query pending.
+    std::span<const uint8_t> payload = item.payload;
     auto it = payload.size() < 2
                   ? udp_inflight_.end()
                   : udp_inflight_.find(static_cast<uint16_t>(
@@ -461,7 +495,14 @@ class Querier {
       return;
     }
     uint16_t id = it->first;
-    RecordAnswer(it->second.outcome);
+    // The kernel's receive stamp, kept between the send and the read so a
+    // stamp the clock conversion skewed cannot invert either.
+    NanoTime replied = handled;
+    if (item.rx_time != 0) {
+      replied = std::clamp(item.rx_time - epoch_mono_, it->second.outcome->sent,
+                           handled);
+    }
+    RecordAnswer(it->second.outcome, replied);
     wheel_.Cancel(UdpKey(id));
     udp_inflight_.erase(it);
     MaybeIdle();
@@ -532,6 +573,7 @@ class Querier {
     entry.frame = std::move(*framed);
     state.inflight.emplace(*allocated, std::move(entry));
     job.outcome->sent = MonotonicNow() - epoch_mono_;
+    RecordLateness(*job.outcome);
     ScheduleTimeout(TcpKeyFor(state, *allocated), /*tries=*/0);
 
     if (state.connected && !state.paused && state.backlog.empty()) {
@@ -768,11 +810,20 @@ class Querier {
     state.last_activity = MonotonicNow();
     if (!state.assembler.Feed(data).ok()) return;
     while (auto wire = state.assembler.NextMessage()) {
-      if (wire->size() < 2) continue;
-      uint16_t id = static_cast<uint16_t>(((*wire)[0] << 8) | (*wire)[1]);
-      auto it = state.inflight.find(id);
-      if (it == state.inflight.end()) continue;
-      RecordAnswer(it->second.outcome);
+      // Matched as on UDP: the inflight ID must carry the same question
+      // (the stored frame is the query behind its 2-byte length prefix).
+      auto it = wire->size() < 2
+                    ? state.inflight.end()
+                    : state.inflight.find(static_cast<uint16_t>(
+                          ((*wire)[0] << 8) | (*wire)[1]));
+      if (it == state.inflight.end() ||
+          !dns::SameFirstQuestion(
+              *wire, std::span<const uint8_t>(it->second.frame).subspan(2))) {
+        counters_.unmatched_replies.Add();
+        continue;
+      }
+      uint16_t id = it->first;
+      RecordAnswer(it->second.outcome, state.last_activity - epoch_mono_);
       wheel_.Cancel(TcpKeyFor(state, id));
       state.inflight.erase(it);
       state.attempts = 0;  // a live reply refills the reconnect budget
@@ -813,16 +864,35 @@ class Querier {
   TimerWheel wheel_;
   std::vector<uint64_t> expired_;
   bool tick_armed_ = false;
+  bool replies_armed_ = true;  // DatagramPath::Open registers rx interest
 
   NanoTime epoch_mono_ = 0;
 };
 
+// Timed replay's send timing (DESIGN.md, "Replay send timing"). The
+// distributor thread's timer slack: the kernel may fire a wake-up this
+// much after its deadline, so sends due within it of each other share one
+// wake-up and one sendmmsg.
+constexpr unsigned long kSendTimerSlackNs = 20'000;
+// While the next send is due within this horizon the querier sockets are
+// disarmed and read right after each send instead of waking the loop.
+constexpr NanoDuration kReplyReadHorizon = Micros(200);
+// A send that follows at least kPreWakeGap of idle is woken kPreWake
+// early and waits out the rest on the CPU. Waking from a long sleep takes
+// ~150-250 us on a virtualized host, and the kernel adds 0.1% of a long
+// timeout as slack (100 us for the loop's 100 ms cap), far more than the
+// 20 us a short sleep gets.
+constexpr NanoDuration kPreWakeGap = Millis(1);
+constexpr NanoDuration kPreWake = Micros(500);
+
 // A distributor thread: event loop + sticky querier assignment + the
-// ΔT scheduler.
+// ΔT scheduler. Timed replay keeps one trace-ordered send queue and one
+// loop timer armed for its head: a query with rebased trace time t leaves
+// at epoch_mono + t, or at once if that has passed.
 class Distributor {
  public:
-  Distributor(const RealtimeConfig& config, NanoTime trace_epoch_rebased,
-              NanoTime epoch_mono, TransportCounters& counters, uint64_t seed,
+  Distributor(const RealtimeConfig& config, NanoTime epoch_mono,
+              TransportCounters& counters, uint64_t seed,
               stats::MetricsSnapshotter* snapshotter,
               std::atomic<size_t>* finished)
       : config_(config),
@@ -830,9 +900,7 @@ class Distributor {
         counters_(counters),
         snapshotter_(snapshotter),
         finished_(finished),
-        assigner_(config.queriers_per_distributor, seed) {
-    scheduler_.Synchronize(trace_epoch_rebased, epoch_mono);
-  }
+        assigner_(config.queriers_per_distributor, seed) {}
 
   NotifyQueue<QueryJob>& queue() { return queue_; }
 
@@ -858,6 +926,9 @@ class Distributor {
       return;
     }
     loop_ = std::move(*loop);
+#if defined(PR_SET_TIMERSLACK)
+    ::prctl(PR_SET_TIMERSLACK, kSendTimerSlackNs, 0, 0, 0);
+#endif
     if (config_.metrics != nullptr) {
       loop_->SetMetrics(config_.metrics->AddHistogram("replay.loop_lag_ns"),
                         config_.metrics->AddHistogram("replay.epoll_batch"));
@@ -867,6 +938,8 @@ class Distributor {
       QuerierMetrics qm;
       if (config_.metrics != nullptr) {
         qm.latency = config_.metrics->AddHistogram("replay.latency_ns");
+        qm.send_lateness =
+            config_.metrics->AddHistogram("replay.send_lateness_ns");
         qm.inflight = config_.metrics->AddGauge("replay.inflight");
         qm.wheel_occupancy =
             config_.metrics->AddHistogram("replay.wheel_occupancy");
@@ -908,19 +981,8 @@ class Distributor {
       ++outstanding_;
       if (config_.fast_mode) {
         fast_backlog_.push_back(std::move(job));
-        continue;
-      }
-      size_t querier = assigner_.Assign(job.record.src);
-      NanoDuration delay = scheduler_.DelayFor(
-          job.trace_time, MonotonicNow());
-      if (delay <= 0) {
-        Dispatch(querier, std::move(job));
       } else {
-        loop_->ScheduleAfter(delay,
-                             [this, querier, job = std::move(job)]() {
-                               Dispatch(querier, job);
-                               queriers_[querier]->Flush();
-                             });
+        Enqueue(std::move(job));
       }
     }
     if (drained.closed) input_closed_ = true;
@@ -928,9 +990,70 @@ class Distributor {
       PumpFastBacklog();
       return;
     }
-    // One sendmmsg per querier covers everything dispatched this drain.
-    for (auto& querier : queriers_) querier->Flush();
+    SendDue();
     MaybeFinish();
+  }
+
+  NanoTime DueAt(const QueryJob& job) const {
+    return epoch_mono_ + job.trace_time;
+  }
+
+  // Keeps the send queue in trace-time order. Records nearly always
+  // arrive in order, so the insertion point is searched from the back.
+  void Enqueue(QueryJob job) {
+    auto at = send_queue_.end();
+    while (at != send_queue_.begin() &&
+           std::prev(at)->trace_time > job.trace_time) {
+      --at;
+    }
+    send_queue_.insert(at, std::move(job));
+  }
+
+  // Sends every queued query that is due, one sendmmsg per querier; reads
+  // the replies waiting on disarmed sockets; then re-arms the timer for
+  // the new head and decides whether the sockets stay disarmed.
+  void SendDue() {
+    NanoTime now = MonotonicNow();
+    while (!send_queue_.empty()) {
+      if (DueAt(send_queue_.front()) > now) {
+        now = MonotonicNow();  // sending took time: more may be due now
+        if (DueAt(send_queue_.front()) > now) break;
+      }
+      QueryJob job = std::move(send_queue_.front());
+      send_queue_.pop_front();
+      Dispatch(assigner_.Assign(job.record.src), job);
+    }
+    for (auto& querier : queriers_) querier->Flush();
+
+    // Sockets stay disarmed only while the next send is due within the
+    // horizon and their last read left them empty; anything else (no send
+    // due soon, end of input, a read stopped at the per-event cap) arms
+    // them, so a reply never waits on a wake-up that is not coming.
+    const bool send_soon = !send_queue_.empty() &&
+                           DueAt(send_queue_.front()) - now <= kReplyReadHorizon;
+    for (auto& querier : queriers_) {
+      const bool emptied = querier->replies_armed() || querier->DrainReplies();
+      querier->SetRepliesArmed(!send_soon || !emptied);
+    }
+    ArmSendTimer();
+  }
+
+  void ArmSendTimer() {
+    if (send_queue_.empty()) {
+      send_timer_.Cancel();
+      return;
+    }
+    const NanoTime due = DueAt(send_queue_.front());
+    if (send_timer_.active() && send_timer_due_ == due) return;
+    send_timer_.Cancel();
+    send_timer_due_ = due;
+    const NanoTime wake =
+        due - MonotonicNow() > kPreWakeGap ? due - kPreWake : due;
+    send_timer_ = loop_->ScheduleAt(wake, [this, due]() {
+      while (MonotonicNow() < due) {
+      }
+      SendDue();
+    });
   }
 
   // Fast mode sends in bounded chunks, yielding to the event loop between
@@ -990,8 +1113,10 @@ class Distributor {
   stats::MetricsSnapshotter* snapshotter_;
   std::atomic<size_t>* finished_;
   StickyAssigner assigner_;
-  ReplayScheduler scheduler_;
   NotifyQueue<QueryJob> queue_;
+  std::deque<QueryJob> send_queue_;  // timed mode, trace-time order
+  net::TimerHandle send_timer_;
+  NanoTime send_timer_due_ = 0;
   std::unique_ptr<net::EventLoop> loop_;
   std::vector<std::unique_ptr<Querier>> queriers_;
   std::thread thread_;
@@ -1117,7 +1242,7 @@ Result<std::unique_ptr<ReplayPipeline>> ReplayPipeline::Start(
   // thread.
   for (size_t i = 0; i < config.n_distributors; ++i) {
     impl.distributors.push_back(std::make_unique<Distributor>(
-        config, 0, epoch_mono, *impl.counters, config.seed + 1 + i,
+        config, epoch_mono, *impl.counters, config.seed + 1 + i,
         i == 0 ? config.snapshotter : nullptr, &impl.finished));
     impl.distributors.back()->Start();
   }

@@ -147,7 +147,9 @@ struct SendOutcome {
   uint64_t trace_index = 0;
   NanoTime trace_time = 0;   // relative to the trace epoch
   NanoTime sent = 0;         // monotonic, relative to the replay epoch
-  NanoTime replied = 0;      // 0 = no reply observed
+  // When the reply arrived, same clock: the kernel's receive stamp for
+  // UDP, the time the stream was read for TCP. 0 = no reply observed.
+  NanoTime replied = 0;
   uint8_t retransmits = 0;   // UDP re-sends attempted for this query
   State state = State::kPending;
   bool answered() const { return state == State::kAnswered; }
@@ -166,8 +168,9 @@ struct RealtimeReport {
   uint64_t send_failed = 0;
   uint64_t retransmits = 0;      // total UDP re-sends
   uint64_t id_collisions = 0;    // preferred 16-bit ID was still inflight
-  // UDP replies that answered no inflight query: late (after age-out),
-  // unknown ID, or a different question under an inflight ID.
+  // Replies (UDP datagrams or TCP frames) that answered no inflight
+  // query: late (after age-out), unknown ID, or a different question
+  // under an inflight ID.
   uint64_t unmatched_replies = 0;
   uint64_t tcp_reconnects = 0;   // re-dials after connect failure / close
   uint64_t tcp_idle_closes = 0;  // client-side idle-timeout closures
@@ -238,7 +241,9 @@ class ReplayPipeline {
   ReplayPipeline(const ReplayPipeline&) = delete;
   ReplayPipeline& operator=(const ReplayPipeline&) = delete;
 
-  // Hands a batch to the distributors (timestamps ascend across calls).
+  // Hands a batch to the distributors. Timed replay sends in trace-time
+  // order whatever order records are fed in, provided each arrives before
+  // it is due; ascending order is the cheap case.
   void Feed(std::span<const trace::QueryRecord> records);
   // After the last Feed. Distributors finish once every fed query reaches
   // a terminal outcome (or, with query_timeout == 0, after drain_grace).

@@ -15,27 +15,33 @@ Result<std::unique_ptr<SocketDnsServer>> SocketDnsServer::Start(
       new SocketDnsServer(loop, std::move(engine), config));
   SocketDnsServer* raw = server.get();
 
-  LDP_ASSIGN_OR_RETURN(
-      server->udp_,
-      net::DatagramPath::Open(
-          loop, config.listen,
-          [raw](std::span<const net::DatagramPath::RecvItem> batch) {
-            raw->OnUdpBatch(batch);
-          },
-          config.datapath));
   net::TcpListenOptions listen_options;
   listen_options.reuse_port = config.tcp_reuse_port;
-  if (config.serve_tcp) {
-    // TCP binds the same port the UDP socket got (matters for port 0).
-    Endpoint tcp_endpoint{config.listen.addr, server->udp_->local().port};
+  // TCP binds the same port the UDP socket got. With port 0 that is an
+  // ephemeral port some TCP socket elsewhere on the host may already hold,
+  // so a failed TCP bind draws another UDP port, a few times.
+  for (int attempt = 0;; ++attempt) {
     LDP_ASSIGN_OR_RETURN(
-        server->listener_,
-        net::TcpListener::Listen(
-            loop, tcp_endpoint,
-            [raw](std::unique_ptr<net::TcpConnection> conn) {
-              raw->OnAccept(std::move(conn), /*tls=*/false);
+        server->udp_,
+        net::DatagramPath::Open(
+            loop, config.listen,
+            [raw](std::span<const net::DatagramPath::RecvItem> batch) {
+              raw->OnUdpBatch(batch);
             },
-            listen_options));
+            config.datapath));
+    if (!config.serve_tcp) break;
+    Endpoint tcp_endpoint{config.listen.addr, server->udp_->local().port};
+    auto listener = net::TcpListener::Listen(
+        loop, tcp_endpoint,
+        [raw](std::unique_ptr<net::TcpConnection> conn) {
+          raw->OnAccept(std::move(conn), /*tls=*/false);
+        },
+        listen_options);
+    if (listener.ok()) {
+      server->listener_ = std::move(*listener);
+      break;
+    }
+    if (config.listen.port != 0 || attempt == 7) return listener.error();
   }
   if (config.serve_tls) {
     Endpoint tls_endpoint{config.listen.addr, config.tls_port};

@@ -225,10 +225,14 @@ Result<Zone> ParseMasterFile(std::string_view text,
     // against the origin by pre-qualifying name-ish fields: we rely on
     // RdataFromText for typed parsing, so qualify tokens that look like
     // relative names for the name-bearing types.
+    // RFC 3597 generic rdata ("\# <length> <hex>") holds no names to
+    // qualify.
+    const bool generic = cursor < tokens.size() && tokens[cursor] == "\\#";
     std::vector<std::string> qualified;
     std::vector<std::string_view> rdata_tokens;
     qualified.reserve(tokens.size() - cursor);
     auto qualify_indices = [&]() -> std::vector<size_t> {
+      if (generic) return {};
       switch (type) {
         case dns::RRType::kNS:
         case dns::RRType::kCNAME:

@@ -60,20 +60,6 @@ inline std::optional<Bytes> ReferenceResponse(const zone::ViewTable& views,
   return response.Encode(EffectiveLimit(udp_limit, *query));
 }
 
-// Lookup dereferences the first rdata of a CNAME RRset as CnameRdata; a
-// zone whose CNAME was written in RFC 3597 generic form would make the
-// reference path itself fail, so differential checks skip such zones.
-inline bool ReferenceCanServe(const zone::Zone& zone) {
-  bool ok = true;
-  zone.ForEachRRset([&](const dns::RRset& rrset) {
-    if (rrset.type == dns::RRType::kCNAME && !rrset.rdatas.empty() &&
-        !std::holds_alternative<dns::CnameRdata>(rrset.rdatas.front())) {
-      ok = false;
-    }
-  });
-  return ok;
-}
-
 }  // namespace ldp::oracle
 
 #endif  // LDPLAYER_TESTS_COMPILED_ORACLE_H

@@ -39,13 +39,18 @@ TEST(DatapathKindTest, ParseAndName) {
 
 // One datagram each way through a backend; asserts the RecvItem address
 // semantics: `from` is the sender, `to` is the address the datagram
-// targeted (== local() for concretely-bound paths).
+// targeted (== local() for concretely-bound paths), and `rx_time` is the
+// kernel's receive stamp on the monotonic clock: after the send began and
+// no later than the handler saw it.
 void RoundTrip(DatapathKind kind) {
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
 
   DatapathOptions options;
   options.kind = kind;
+  options.udp.rx_timestamps = true;  // the afpacket ring always stamps
+  // Slack for the wall-to-monotonic conversion of the kernel stamps.
+  constexpr NanoDuration kClockSlack = Micros(50);
 
   const Bytes query = {'q', 'u', 'e', 'r', 'y'};
   const Bytes reply = {'r', 'e', 'p', 'l', 'y', '!'};
@@ -53,13 +58,16 @@ void RoundTrip(DatapathKind kind) {
   std::unique_ptr<DatagramPath> server;
   size_t server_got = 0;
   Endpoint server_saw_from, server_saw_to;
+  NanoTime server_rx = 0, server_handled = 0;
   auto server_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
       [&](std::span<const DatagramPath::RecvItem> batch) {
+        server_handled = MonotonicNow();
         for (const auto& item : batch) {
           ++server_got;
           server_saw_from = item.from;
           server_saw_to = item.to;
+          server_rx = item.rx_time;
           EXPECT_EQ(item.payload.size(), query.size());
           DatagramPath::SendItem out{reply, item.from, {}};
           EXPECT_EQ(server->SendBatch({&out, 1}), 1u);
@@ -74,12 +82,15 @@ void RoundTrip(DatapathKind kind) {
   size_t client_got = 0;
   Endpoint client_saw_from;
   Bytes client_payload;
+  NanoTime client_rx = 0, client_handled = 0;
   auto client_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
       [&](std::span<const DatagramPath::RecvItem> batch) {
+        client_handled = MonotonicNow();
         for (const auto& item : batch) {
           ++client_got;
           client_saw_from = item.from;
+          client_rx = item.rx_time;
           client_payload.assign(item.payload.begin(), item.payload.end());
         }
         (*loop)->Stop();
@@ -88,6 +99,7 @@ void RoundTrip(DatapathKind kind) {
   ASSERT_TRUE(client_result.ok()) << client_result.error().ToString();
   auto client = std::move(*client_result);
 
+  const NanoTime sent = MonotonicNow();
   ASSERT_TRUE(client->SendTo(query, server->local()).ok());
   (*loop)->ScheduleAfter(Seconds(2), [&] { (*loop)->Stop(); });  // safety
   (*loop)->Run();
@@ -98,6 +110,11 @@ void RoundTrip(DatapathKind kind) {
   ASSERT_EQ(client_got, 1u);
   EXPECT_EQ(client_saw_from, server->local());
   EXPECT_EQ(client_payload, reply);
+
+  EXPECT_GE(server_rx, sent - kClockSlack);
+  EXPECT_LE(server_rx, server_handled + kClockSlack);
+  EXPECT_GE(client_rx, server_rx);
+  EXPECT_LE(client_rx, client_handled + kClockSlack);
 }
 
 TEST(DatapathTest, EpollRoundTrip) { RoundTrip(DatapathKind::kEpoll); }

@@ -74,7 +74,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   Bytes query(rest + 3, data + size);
 
   auto parsed = zone::ParseMasterFile(text, zone::MasterFileOptions{});
-  if (!parsed.ok() || !oracle::ReferenceCanServe(*parsed)) return 0;
+  if (!parsed.ok()) return 0;
   auto zone = std::make_shared<zone::Zone>(std::move(*parsed));
   zone::ZoneSet set;
   if (!set.AddZone(zone).ok()) return 0;

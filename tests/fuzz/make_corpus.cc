@@ -135,6 +135,13 @@ void WriteZoneCorpus(const std::filesystem::path& dir) {
             "$ORIGIN example.com.\n"
             "@ IN SOA ns1 root 1 2 3 4 5\n"
             "odd IN TYPE999 \\# 4 deadbeef\n");
+  // RFC 3597 rdata of known types loads typed; a DNSKEY with no key bits
+  // serializes back in the generic form.
+  WriteFile(dir / "generic_known.zone",
+            "$ORIGIN example.com.\n"
+            "@ IN SOA ns1 root 1 2 3 4 5\n"
+            "alias IN CNAME \\# 17 03777777076578616d706c65036e657400\n"
+            "@ IN DNSKEY \\# 4 01010308\n");
   // Minimized reproducers for the tokenizer/directive fixes: each must
   // parse-error (the old code silently mis-tokenized or truncated).
   WriteFile(dir / "repro_trailing_backslash.zone",
@@ -288,6 +295,14 @@ void WriteAnswerCorpus(const std::filesystem::path& dir) {
             AnswerInput(edge, 0x2a, 1232,
                         AnswerQuery("www.sub.edge.test", dns::RRType::kA, 1232,
                                     true)));
+  // A CNAME written in RFC 3597 generic form (host.edge.test.), chased
+  // like any other.
+  WriteFile(dir / "generic_cname.bin",
+            AnswerInput(edge + "gen IN CNAME \\# 16 "
+                               "04686f73740465646765047465737400\n",
+                        0x00, 1232,
+                        AnswerQuery("gen.edge.test", dns::RRType::kA, 1232,
+                                    false)));
   WriteFile(dir / "edge_refused.bin",
             AnswerInput(edge, 0x01, 512,
                         AnswerQuery("www.edge.test", dns::RRType::kAAAA, 512,

@@ -5,11 +5,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <deque>
+#include <random>
+#include <string>
 #include <thread>
+#include <unordered_map>
 
 #include "dns/framing.h"
 #include "mutate/mutate.h"
@@ -127,12 +133,25 @@ class BlackholeUdp {
   Endpoint endpoint_{};
 };
 
-// A UDP responder that answers every query with its own ID but a different
-// question (the qtype bumped by one), as a stray or spoofed reply would.
-class WrongQuestionUdp {
+// A UDP responder on its own thread. Each reply echoes the query with QR
+// set, `delay` after it arrived; with wrong_question the qtype is bumped by
+// one, as a stray or spoofed reply would be. For every reply it records the
+// monotonic time just before and just after its sendto, by query name.
+struct UdpResponderOptions {
+  NanoDuration delay = 0;
+  bool wrong_question = false;
+};
+
+class UdpResponder {
  public:
-  WrongQuestionUdp() {
-    fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+  using Options = UdpResponderOptions;
+  struct Stamp {
+    NanoTime before = 0;
+    NanoTime after = 0;
+  };
+
+  explicit UdpResponder(Options options = {}) : options_(options) {
+    fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -145,45 +164,149 @@ class WrongQuestionUdp {
       return;
     }
     endpoint_ = Endpoint{IpAddress::Loopback(), ntohs(addr.sin_port)};
-    timeval tv{0, 50 * 1000};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     thread_ = std::thread([this]() { Serve(); });
   }
-  ~WrongQuestionUdp() {
-    stop_ = true;
-    if (thread_.joinable()) thread_.join();
+  ~UdpResponder() {
+    Stop();
     if (fd_ >= 0) ::close(fd_);
   }
   bool ok() const { return endpoint_.port != 0; }
   Endpoint endpoint() const { return endpoint_; }
   uint64_t replies() const { return replies_; }
+  void Stop() {
+    stop_ = true;
+    if (thread_.joinable()) thread_.join();
+  }
+  // Read only after Stop().
+  const std::unordered_map<std::string, Stamp>& stamps() const {
+    return stamps_;
+  }
 
  private:
+  struct Held {
+    NanoTime due;
+    std::string name;
+    Bytes wire;
+    sockaddr_in to;
+  };
+
   void Serve() {
+    std::deque<Held> held;
     uint8_t buf[1500];
     while (!stop_) {
-      sockaddr_in from{};
-      socklen_t from_len = sizeof(from);
-      ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
-                             reinterpret_cast<sockaddr*>(&from), &from_len);
-      if (n <= 0) continue;
-      auto query = dns::Message::Decode(
-          std::span<const uint8_t>(buf, static_cast<size_t>(n)));
-      if (!query.ok() || query->questions.empty()) continue;
-      dns::Message reply = *query;
-      reply.qr = true;
-      reply.questions.front().type = static_cast<dns::RRType>(
-          static_cast<uint16_t>(reply.questions.front().type) + 1);
-      Bytes wire = reply.Encode();
-      ::sendto(fd_, wire.data(), wire.size(), 0,
-               reinterpret_cast<sockaddr*>(&from), from_len);
-      ++replies_;
+      while (!held.empty() && held.front().due <= MonotonicNow()) {
+        Reply(held.front());
+        held.pop_front();
+      }
+      int wait_ms = 20;
+      if (!held.empty()) {
+        wait_ms = static_cast<int>(std::clamp<NanoDuration>(
+            (held.front().due - MonotonicNow()) / kNanosPerMilli, 0, 20));
+      }
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, wait_ms) <= 0) continue;
+      for (;;) {
+        sockaddr_in from{};
+        socklen_t from_len = sizeof(from);
+        ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
+                               reinterpret_cast<sockaddr*>(&from), &from_len);
+        if (n <= 0) break;
+        auto query = dns::Message::Decode(
+            std::span<const uint8_t>(buf, static_cast<size_t>(n)));
+        if (!query.ok() || query->questions.empty()) continue;
+        dns::Message reply = *query;
+        reply.qr = true;
+        if (options_.wrong_question) {
+          reply.questions.front().type = static_cast<dns::RRType>(
+              static_cast<uint16_t>(reply.questions.front().type) + 1);
+        }
+        held.push_back(Held{MonotonicNow() + options_.delay,
+                            query->questions.front().name.ToString(),
+                            reply.Encode(), from});
+        if (options_.delay == 0) {
+          Reply(held.back());
+          held.pop_back();
+        }
+      }
     }
   }
 
+  void Reply(const Held& reply) {
+    Stamp stamp;
+    stamp.before = MonotonicNow();
+    ::sendto(fd_, reply.wire.data(), reply.wire.size(), 0,
+             reinterpret_cast<const sockaddr*>(&reply.to), sizeof(reply.to));
+    stamp.after = MonotonicNow();
+    stamps_[reply.name] = stamp;
+    ++replies_;
+  }
+
+  Options options_;
   int fd_ = -1;
   Endpoint endpoint_{};
   std::atomic<bool> stop_{false};
+  std::atomic<uint64_t> replies_{0};
+  std::unordered_map<std::string, Stamp> stamps_;
+  std::thread thread_;
+};
+
+// The TCP twin: an event-loop thread that answers every framed query with
+// its own ID but the qtype bumped by one.
+class WrongQuestionTcp {
+ public:
+  WrongQuestionTcp() {
+    auto loop = net::EventLoop::Create();
+    if (!loop.ok()) return;
+    loop_ = std::move(*loop);
+    auto listener = net::TcpListener::Listen(
+        *loop_, Endpoint{IpAddress::Loopback(), 0},
+        [this](std::unique_ptr<net::TcpConnection> conn) { Adopt(std::move(conn)); });
+    if (!listener.ok()) return;
+    listener_ = std::move(*listener);
+    thread_ = std::thread([this]() { loop_->Run(); });
+  }
+  ~WrongQuestionTcp() {
+    if (thread_.joinable()) {
+      loop_->RequestStop();
+      thread_.join();
+    }
+  }
+  bool ok() const { return listener_ != nullptr; }
+  Endpoint endpoint() const { return listener_->local(); }
+  uint64_t replies() const { return replies_; }
+
+ private:
+  struct Conn {
+    std::unique_ptr<net::TcpConnection> conn;
+    dns::StreamAssembler assembler;
+  };
+
+  void Adopt(std::unique_ptr<net::TcpConnection> accepted) {
+    conns_.push_back(std::make_unique<Conn>());
+    Conn* conn = conns_.back().get();
+    conn->conn = std::move(accepted);
+    auto status = net::TcpListener::AdoptHandlers(
+        *conn->conn,
+        [this, conn](std::span<const uint8_t> data) {
+          if (!conn->assembler.Feed(data).ok()) return;
+          while (auto wire = conn->assembler.NextMessage()) {
+            auto query = dns::Message::Decode(*wire);
+            if (!query.ok() || query->questions.empty()) continue;
+            dns::Message reply = *query;
+            reply.qr = true;
+            reply.questions.front().type = static_cast<dns::RRType>(
+                static_cast<uint16_t>(reply.questions.front().type) + 1);
+            auto framed = dns::FrameMessage(reply.Encode());
+            if (framed.ok() && conn->conn->Send(*framed).ok()) ++replies_;
+          }
+        },
+        [](Status) {});
+    EXPECT_TRUE(status.ok());
+  }
+
+  std::unique_ptr<net::EventLoop> loop_;
+  std::unique_ptr<net::TcpListener> listener_;
+  std::vector<std::unique_ptr<Conn>> conns_;
   std::atomic<uint64_t> replies_{0};
   std::thread thread_;
 };
@@ -393,7 +516,7 @@ TEST(RealtimeTransport, UdpTimeoutAndRetransmitAccounting) {
 // A reply with the right ID but another question does not answer the
 // query: it is counted as unmatched and the query still times out.
 TEST(RealtimeTransport, WrongQuestionReplyLeavesQueryTimedOut) {
-  WrongQuestionUdp responder;
+  UdpResponder responder({.wrong_question = true});
   ASSERT_TRUE(responder.ok());
   auto records = MakeTraceTo(responder.endpoint(), 50, Millis(1));
 
@@ -413,6 +536,139 @@ TEST(RealtimeTransport, WrongQuestionReplyLeavesQueryTimedOut) {
   EXPECT_EQ(report->unmatched_replies, responder.replies());
   EXPECT_GT(report->unmatched_replies, 0u);
   ExpectTerminalAccounting(*report);
+}
+
+// The TCP twin: a frame with the right ID but another question does not
+// answer the query either.
+TEST(RealtimeTransport, TcpWrongQuestionReplyLeavesQueryTimedOut) {
+  WrongQuestionTcp responder;
+  ASSERT_TRUE(responder.ok());
+  auto records = MakeTraceTo(responder.endpoint(), 50, Millis(1));
+  ForceTcp(records);
+
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 1;
+  config.queriers_per_distributor = 1;
+  config.fast_mode = true;
+  config.query_timeout = Millis(150);
+
+  auto report = RunRealtimeReplay(records, config);
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, 50u);
+  EXPECT_EQ(report->answered, 0u);
+  EXPECT_EQ(report->timed_out, 50u);
+  EXPECT_EQ(report->unmatched_replies, responder.replies());
+  EXPECT_GT(report->unmatched_replies, 0u);
+  ExpectTerminalAccounting(*report);
+}
+
+// The send queue accepts records in any order and still sends them in
+// trace-time order.
+TEST_F(RealtimeReplayTest, OutOfOrderFeedStillSendsInTraceOrder) {
+  auto records = MakeTrace(200, Micros(500));
+  std::shuffle(records.begin(), records.end(), std::mt19937(7));
+  RealtimeConfig config = MakeConfig();
+  config.n_distributors = 1;
+
+  // Far enough ahead that every record is queued before the first is due.
+  auto pipeline =
+      ReplayPipeline::Start(config, MonotonicNow() + Millis(500), 0);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().ToString();
+  for (const auto& record : records) (*pipeline)->Feed({&record, 1});
+  auto report = (*pipeline)->Finish();
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, 200u);
+  EXPECT_GE(report->answered, 198u);
+  ExpectTerminalAccounting(*report);
+
+  // One distributor thread stamps its sends in the order it makes them.
+  std::vector<const SendOutcome*> by_send;
+  for (const auto& send : report->sends) by_send.push_back(&send);
+  std::sort(by_send.begin(), by_send.end(),
+            [](const SendOutcome* a, const SendOutcome* b) {
+              return a->sent < b->sent;
+            });
+  for (size_t i = 1; i < by_send.size(); ++i) {
+    EXPECT_LE(by_send[i - 1]->trace_time, by_send[i]->trace_time)
+        << "send " << i << " left out of trace order";
+  }
+}
+
+// On a dense replay the querier sockets are read after each send, not
+// when replies arrive. The reply time is the kernel's receive stamp: never
+// before the query left, and taken while the responder was still inside
+// its sendto, not when the distributor got round to reading the reply.
+TEST(RealtimeTransport, DenseUdpReplyTimesAreKernelReceiveStamps) {
+  UdpResponder responder;
+  ASSERT_TRUE(responder.ok());
+  const size_t kQueries = 1000;
+  auto records = MakeTraceTo(responder.endpoint(), kQueries, Micros(150));
+
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 1;
+  config.queriers_per_distributor = 2;
+  config.query_timeout = Seconds(1);
+  const NanoTime epoch = MonotonicNow() + Millis(200);
+  auto pipeline = ReplayPipeline::Start(config, epoch, 0);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().ToString();
+  (*pipeline)->Feed(records);
+  auto report = (*pipeline)->Finish();
+  const NanoTime finished = MonotonicNow() - epoch;
+  responder.Stop();
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  ExpectTerminalAccounting(*report);
+  EXPECT_GE(report->answered, kQueries - 2);
+
+  size_t checked = 0, inside_sendto = 0;
+  for (size_t i = 0; i < report->sends.size(); ++i) {
+    const SendOutcome& send = report->sends[i];
+    if (!send.answered()) continue;
+    EXPECT_LE(send.sent, send.replied) << "query " << i;
+    EXPECT_LE(send.replied, finished) << "query " << i;
+    auto stamp = responder.stamps().find(records[i].qname.ToString());
+    ASSERT_NE(stamp, responder.stamps().end());
+    ++checked;
+    // A few microseconds of slack for the wall-to-monotonic conversion.
+    if (send.replied + epoch >= stamp->second.before - Micros(5) &&
+        send.replied + epoch <= stamp->second.after + Micros(5)) {
+      ++inside_sendto;
+    }
+  }
+  ASSERT_GT(checked, 0u);
+  // The kernel may stamp the first datagrams at read time while it turns
+  // receive timestamps on; after that every stamp is inside the sendto.
+  EXPECT_GE(inside_sendto, checked * 95 / 100)
+      << inside_sendto << " of " << checked;
+}
+
+// Replies held back by the responder arrive while the dense replay keeps
+// the querier sockets disarmed; read at the next send (or by the timeout
+// wheel's tick, which reads before it expires anything), each ends
+// answered, well inside its deadline.
+TEST(RealtimeTransport, ReplyWaitingInDisarmedSocketIsAnswered) {
+  UdpResponder responder({.delay = Millis(20)});
+  ASSERT_TRUE(responder.ok());
+  const size_t kQueries = 1000;
+  auto records = MakeTraceTo(responder.endpoint(), kQueries, Micros(150));
+
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 1;
+  config.queriers_per_distributor = 2;
+  config.query_timeout = Seconds(1);
+  auto report = RunRealtimeReplay(records, config);
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, kQueries);
+  EXPECT_EQ(report->answered, kQueries);
+  EXPECT_EQ(report->timed_out, 0u);
+  ExpectTerminalAccounting(*report);
+  for (const auto& send : report->sends) {
+    if (!send.answered()) continue;
+    EXPECT_LT(send.replied - send.sent, config.query_timeout);
+    EXPECT_GE(send.replied - send.sent, Millis(20));
+  }
 }
 
 // ID-wrap regression: push more queries into one querier's UDP socket than

@@ -588,6 +588,56 @@ TEST(ViewTable, RejectsAmbiguousSource) {
 
 // --- adversarial master-file inputs (fuzz_zone regression targets) ---
 
+// RFC 3597 §5: rdata of a known type written in generic form loads as the
+// typed record, so Lookup chases a generic CNAME like any other (it used to
+// reach Lookup as opaque bytes and throw bad_variant_access). Bytes that do
+// not decode to exactly the stated length are rejected at load.
+TEST(MasterFile, GenericRdataOfKnownTypeLoadsTyped) {
+  auto zone = ParseMasterFile(
+      "$ORIGIN example.com.\n@ IN SOA ns1 root 1 2 3 4 5\n@ IN NS ns1\n"
+      "ns1 IN A \\# 4 c0000235\n"
+      // www.example.net. in wire form
+      "alias IN CNAME \\# 17 03777777076578616d706c65036e657400\n",
+      {});
+  ASSERT_TRUE(zone.ok()) << zone.error().ToString();
+  auto result = Lookup(*zone, *Name::Parse("alias.example.com"), RRType::kA);
+  EXPECT_EQ(result.outcome, LookupOutcome::kCname);
+  ASSERT_EQ(result.answers.size(), 1u);
+  ASSERT_EQ(result.answers[0].rdatas.size(), 1u);
+  EXPECT_EQ(std::get<dns::CnameRdata>(result.answers[0].rdatas[0]).target,
+            *Name::Parse("www.example.net"));
+  auto glue = Lookup(*zone, *Name::Parse("ns1.example.com"), RRType::kA);
+  ASSERT_EQ(glue.answers.size(), 1u);
+  EXPECT_EQ(std::get<dns::ARdata>(glue.answers[0].rdatas[0]).address,
+            IpAddress(192, 0, 2, 53));
+
+  // A DNSKEY with no key bits has no presentation form: it serializes in
+  // the generic form and stays a fixed point of serialize and reparse.
+  auto keyed = ParseMasterFile(
+      "$ORIGIN example.com.\n@ IN SOA ns1 root 1 2 3 4 5\n"
+      "@ IN DNSKEY \\# 4 01010308\n",
+      {});
+  ASSERT_TRUE(keyed.ok()) << keyed.error().ToString();
+  const dns::RRset* dnskey =
+      keyed->FindRRset(*Name::Parse("example.com"), RRType::kDNSKEY);
+  ASSERT_NE(dnskey, nullptr);
+  EXPECT_EQ(std::get<dns::DnskeyRdata>(dnskey->rdatas[0]).flags, 0x0101);
+  std::string text = SerializeZone(*keyed);
+  auto reparsed = ParseMasterFile(text, {});
+  ASSERT_TRUE(reparsed.ok()) << text;
+  EXPECT_EQ(SerializeZone(*reparsed), text);
+
+  for (const char* bad : {"x IN CNAME \\# 3 010203\n",  // name overruns
+                          "x IN A \\# 5 c000023500\n",   // trailing octet
+                          "x IN MX \\# 2 000a\n"}) {    // no exchange
+    auto rejected = ParseMasterFile(
+        std::string("$ORIGIN example.com.\n@ IN SOA ns1 root 1 2 3 4 5\n") +
+            bad,
+        {});
+    EXPECT_FALSE(rejected.ok()) << bad;
+  }
+}
+
 TEST(MasterFileAdversarial, TrailingBackslashAtEndOfLine) {
   auto zone = ParseMasterFile(
       "$ORIGIN example.com.\n@ IN SOA ns1 root 1 2 3 4 5\n"
