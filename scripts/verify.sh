@@ -102,6 +102,7 @@ META_PORT=$(sed -n 's/.*serving on [0-9.]*:\([0-9]*\).*/\1/p' \
   cat "$SMOKE/hier_serve.out"; exit 1; }
 ./build/tools/ldp_proxy --meta "127.0.0.1:$META_PORT" \
   --views "$SMOKE/hier/views.txt" --loopback-alias \
+  --metrics-out "$SMOKE/hier_proxy.jsonl" \
   --stats-interval-s 0 > "$SMOKE/hier_proxy.out" 2>&1 &
 PROXY_PID=$!
 i=0
@@ -132,6 +133,19 @@ ANSWERED=$(sed -n 's/^sent [0-9]*, answered \([0-9]*\).*/\1/p' \
 }
 kill -TERM "$PROXY_PID"; wait "$PROXY_PID"; PROXY_PID=""
 kill -TERM "$SERVE_PID"; wait "$SERVE_PID"; SERVE_PID=""
+# The proxy's final metrics row: every query went through its flow, nothing
+# arrived for an address it does not emulate, and no relay leg failed.
+python3 - "$SMOKE/hier_proxy.jsonl" <<'EOF'
+import json, sys
+rows = [json.loads(line) for line in open(sys.argv[1])]
+assert rows, "hierarchy smoke: no proxy metrics rows"
+last = rows[-1]["counters"]
+for name in ("proxy.passed_through", "proxy.port_fallbacks",
+             "proxy.meta_send_errors", "proxy.evicted_drops"):
+    assert last[name]["total"] == 0, "%s = %d" % (name, last[name]["total"])
+print("hierarchy smoke: proxy passed_through, port_fallbacks, "
+      "meta_send_errors and evicted_drops all 0")
+EOF
 echo "hierarchy smoke: $SENT queries proxied, all answered"
 
 echo "== scenario smoke: attack overlay + anycast catchment =="

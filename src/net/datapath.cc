@@ -1,6 +1,5 @@
 #include "net/datapath.h"
 
-#include <array>
 #include <utility>
 
 #include "net/afpacket.h"
@@ -28,8 +27,10 @@ std::string_view DatapathKindName(DatapathKind kind) {
 namespace {
 
 // The default backend: a thin adapter over the kernel-socket batch path.
-// RecvItem::to is always the bound endpoint (kernel demux already matched
-// it) and SendItem::from is ignored — the socket's binding is the source.
+// Bound to a concrete address, RecvItem::to is always that endpoint and
+// SendItem::from is ignored: the binding is the source. Bound to the
+// unspecified address, the socket runs with IP_PKTINFO, so `to` is each
+// datagram's destination and `from` picks each reply's source address.
 class EpollPath final : public DatagramPath {
  public:
   static Result<std::unique_ptr<DatagramPath>> Open(
@@ -44,7 +45,7 @@ class EpollPath final : public DatagramPath {
         path->socket_,
         UdpSocket::BindBatch(
             loop, local,
-            [raw = path.get()](std::span<const UdpSocket::RecvItem> items) {
+            [raw = path.get()](std::span<const RecvItem> items) {
               raw->OnBatch(items);
             },
             options.udp));
@@ -57,18 +58,7 @@ class EpollPath final : public DatagramPath {
   }
 
   size_t SendBatch(std::span<const SendItem> batch) override {
-    std::array<UdpSendItem, kBatchSize> chunk;
-    size_t accepted = 0;
-    while (accepted < batch.size()) {
-      const size_t n = std::min(batch.size() - accepted, kBatchSize);
-      for (size_t i = 0; i < n; ++i) {
-        chunk[i] = UdpSendItem{batch[accepted + i].payload,
-                               batch[accepted + i].to};
-      }
-      const size_t sent = socket_->SendBatch({chunk.data(), n});
-      accepted += sent;
-      if (sent < n) break;  // kernel buffer full: drop the tail
-    }
+    const size_t accepted = socket_->SendBatch(batch);
     if (tx_frames_ != nullptr) tx_frames_->Add(accepted);
     return accepted;
   }
@@ -84,22 +74,9 @@ class EpollPath final : public DatagramPath {
  private:
   explicit EpollPath(BatchHandler on_batch) : on_batch_(std::move(on_batch)) {}
 
-  void OnBatch(std::span<const UdpSocket::RecvItem> items) {
-    std::array<RecvItem, kBatchSize> out;
-    const Endpoint to = socket_->local();
-    size_t i = 0;
-    for (const auto& item : items) {
-      out[i++] = RecvItem{item.payload, item.from, to, item.rx_time};
-      if (i == kBatchSize) {
-        if (rx_frames_ != nullptr) rx_frames_->Add(i);
-        on_batch_({out.data(), i});
-        i = 0;
-      }
-    }
-    if (i > 0) {
-      if (rx_frames_ != nullptr) rx_frames_->Add(i);
-      on_batch_({out.data(), i});
-    }
+  void OnBatch(std::span<const RecvItem> items) {
+    if (rx_frames_ != nullptr) rx_frames_->Add(items.size());
+    on_batch_(items);
   }
 
   BatchHandler on_batch_;

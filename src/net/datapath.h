@@ -10,12 +10,14 @@
 //                a BPF steering filter, and PACKET_FANOUT across shards.
 //                Needs CAP_NET_RAW; see net/afpacket.cc for the packet walk.
 //
-// The interface is deliberately the UdpSocket batch shape plus two fields
-// kernel sockets cannot express per datagram: RecvItem::to (the local
-// address a datagram actually targeted — one wildcard afpacket ring can
-// listen for every emulated nameserver address at once) and SendItem::from
-// (source-address override, so the proxy answers from the queried address
-// over that same single ring).
+// The interface is deliberately the UdpSocket batch shape plus two
+// per-datagram address fields: RecvItem::to (the local address a datagram
+// actually targeted, so one wildcard path listens for every emulated
+// nameserver address at once) and SendItem::from (the reply's source, so
+// the proxy answers from the queried address over that same path). The
+// afpacket ring reads and writes them in the packet headers; the epoll
+// backend, when bound to the unspecified address, carries them in
+// IP_PKTINFO control messages.
 #ifndef LDPLAYER_NET_DATAPATH_H
 #define LDPLAYER_NET_DATAPATH_H
 
@@ -95,34 +97,26 @@ class DatagramPath {
   // consumers keep their batch staging sizes.
   static constexpr size_t kBatchSize = UdpSocket::kBatchSize;
 
-  // One received datagram; payload is valid only during the handler call.
-  struct RecvItem {
-    std::span<const uint8_t> payload;
-    Endpoint from;
-    // The local address/port this datagram targeted. For a path bound to
-    // a concrete address this equals local(); for a wildcard afpacket
-    // ring it is the address the peer actually queried (the proxy's OQDA).
-    Endpoint to;
-    // When the datagram arrived, on CLOCK_MONOTONIC, from the kernel's
-    // receive timestamp: the afpacket ring always carries one; the epoll
-    // backend fills it when opened with udp.rx_timestamps, else 0. A
-    // caller that reads late (see SetReadArmed) still learns the arrival.
-    NanoTime rx_time = 0;
-  };
+  // One received datagram; the payload is valid only during the handler
+  // call. `to` is the local address/port the datagram targeted: local() on
+  // a path bound to a concrete address, the address the peer actually
+  // queried (the proxy's OQDA) on a wildcard path of either backend.
+  // `rx_time` is when it arrived, on CLOCK_MONOTONIC, from the kernel's
+  // receive timestamp: the afpacket ring always carries one; the epoll
+  // backend fills it when opened with udp.rx_timestamps, else 0. A caller
+  // that reads late (see SetReadArmed) still learns the arrival.
+  using RecvItem = UdpRecvItem;
 
-  // One datagram of an outgoing batch; payload must stay alive through
-  // the SendBatch call.
-  struct SendItem {
-    std::span<const uint8_t> payload;
-    Endpoint to;
-    // Source override: a default-constructed endpoint sends from local().
-    // The afpacket backend writes any other value into the IPv4/UDP
-    // headers (source spoofing is the point — the proxy answers from
-    // emulated addresses over one ring). The epoll backend cannot rewrite
-    // per-datagram sources; callers only set `from` on paths bound to
-    // that same address.
-    Endpoint from;
-  };
+  // One datagram of an outgoing batch; the payload must stay alive through
+  // the SendBatch call. `from` overrides the source: a default-constructed
+  // endpoint sends from local(). The afpacket backend writes any other
+  // value into the IPv4/UDP headers (source spoofing is the point — the
+  // proxy answers from emulated addresses over one ring). The epoll
+  // backend honors the address on a wildcard path (IP_PKTINFO
+  // ipi_spec_dst; it must be a local address, and the port is always
+  // local().port) and ignores `from` on a concretely-bound path, whose
+  // binding is the source.
+  using SendItem = UdpSendItem;
 
   using BatchHandler = std::function<void(std::span<const RecvItem>)>;
 
@@ -130,8 +124,9 @@ class DatagramPath {
 
   // Binds `local` (port 0 = ephemeral) and registers rx readiness with the
   // loop; whole batches are delivered per handler call. An unspecified
-  // address (0.0.0.0) makes an afpacket path a wildcard ring matching on
-  // port alone; the epoll backend binds it like any kernel socket.
+  // address (0.0.0.0) makes a wildcard path on either backend: the
+  // afpacket ring matches on port alone, the epoll socket turns on
+  // IP_PKTINFO; both fill RecvItem::to and honor SendItem::from.
   static Result<std::unique_ptr<DatagramPath>> Open(
       EventLoop& loop, Endpoint local, BatchHandler on_batch,
       const DatapathOptions& options = DatapathOptions());

@@ -65,6 +65,8 @@ class TimerHandle {
   std::shared_ptr<Flag> flag_;
 };
 
+struct UdpRecvArena;  // net/sockets.cc
+
 class EventLoop {
  public:
   static Result<std::unique_ptr<EventLoop>> Create();
@@ -112,6 +114,15 @@ class EventLoop {
     epoll_batch_ = epoll_batch;
   }
 
+  // The receive arena every UdpSocket of this loop reads into: payload
+  // slots and the recvmmsg headers aimed at them (net/sockets.cc). The
+  // loop's sockets are read on its thread, one at a time, and a payload
+  // lives only through its handler call, so one arena serves them all.
+  // The first socket bound to the loop makes it.
+  using UdpRecvArenaPtr =
+      std::unique_ptr<UdpRecvArena, void (*)(UdpRecvArena*)>;
+  UdpRecvArenaPtr& udp_recv_arena() { return udp_recv_arena_; }
+
  private:
   EventLoop(int epoll_fd, int wakeup_fd)
       : epoll_fd_(epoll_fd), wakeup_fd_(wakeup_fd) {}
@@ -140,6 +151,7 @@ class EventLoop {
   std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
   stats::LogHistogram* loop_lag_ = nullptr;
   stats::LogHistogram* epoll_batch_ = nullptr;
+  UdpRecvArenaPtr udp_recv_arena_{nullptr, nullptr};
 };
 
 // Makes a socket non-blocking; returns the error from fcntl if any.

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 
@@ -47,6 +48,43 @@ Error Errno(const char* what) {
 
 // --- UdpSocket ---
 
+// The loop's receive arena (EventLoop::udp_recv_arena). The headers are
+// aimed at the slots once, so a read sets only the fields the kernel writes
+// back and the control buffer its socket wants.
+struct UdpRecvArena {
+  // Per datagram: SCM_TIMESTAMPNS when stamping, IP_PKTINFO when wildcard.
+  static constexpr size_t kControlBytes =
+      CMSG_SPACE(sizeof(timespec)) + CMSG_SPACE(sizeof(in_pktinfo));
+  static constexpr size_t kBatchSize = UdpSocket::kBatchSize;
+  static constexpr size_t kSlotSize = UdpSocket::kRecvSlotSize;
+
+  UdpRecvArena() {
+    for (size_t i = 0; i < kBatchSize; ++i) {
+      iovs[i].iov_base = slots.get() + i * kSlotSize;
+      iovs[i].iov_len = kSlotSize;
+      msgs[i].msg_hdr.msg_iov = &iovs[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
+      msgs[i].msg_hdr.msg_name = &addrs[i];
+    }
+  }
+  // The headers point into this object.
+  UdpRecvArena(const UdpRecvArena&) = delete;
+  UdpRecvArena& operator=(const UdpRecvArena&) = delete;
+
+  // for_overwrite: recvmmsg fills a slot before anything reads it, so
+  // zeroing the 2 MiB would buy nothing.
+  std::unique_ptr<uint8_t[]> slots =
+      std::make_unique_for_overwrite<uint8_t[]>(kBatchSize * kSlotSize);
+  mmsghdr msgs[kBatchSize] = {};
+  iovec iovs[kBatchSize] = {};
+  sockaddr_in addrs[kBatchSize] = {};
+  alignas(cmsghdr) uint8_t control[kBatchSize][kControlBytes] = {};
+  UdpRecvItem items[kBatchSize];  // Drain's batch
+  // Set while a batch handler holds payloads in the slots: a read then
+  // would overwrite them (the debug guard in RecvBatch).
+  bool lent = false;
+};
+
 Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
     EventLoop& loop, Endpoint local, const Options& options,
     DatagramHandler on_datagram, BatchHandler on_batch) {
@@ -73,6 +111,15 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
     }
   }
 
+  const bool pktinfo = local.addr.IsUnspecified();
+  if (pktinfo) {
+    int one = 1;
+    if (::setsockopt(fd.get(), IPPROTO_IP, IP_PKTINFO, &one, sizeof(one)) !=
+        0) {
+      return Errno("setsockopt(IP_PKTINFO)");
+    }
+  }
+
   sockaddr_in addr = ToSockaddr(local);
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
@@ -85,12 +132,13 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
   socket->on_datagram_ = std::move(on_datagram);
   socket->on_batch_ = std::move(on_batch);
   socket->rx_timestamps_ = options.rx_timestamps;
-  // for_overwrite: value-initializing these 2 MB costs ~1.2 ms of zeroing
-  // per socket, which stalls an event loop that creates sockets on the hot
-  // path (the relay binds one per flow); recvmmsg fills slots before any
-  // read, so the zeroing bought nothing.
-  socket->recv_slots_ =
-      std::make_unique_for_overwrite<uint8_t[]>(kBatchSize * kRecvSlotSize);
+  socket->pktinfo_ = pktinfo;
+  EventLoop::UdpRecvArenaPtr& arena = loop.udp_recv_arena();
+  if (arena == nullptr) {
+    arena = EventLoop::UdpRecvArenaPtr(
+        new UdpRecvArena(), [](UdpRecvArena* dead) { delete dead; });
+  }
+  socket->arena_ = arena.get();
   UdpSocket* raw = socket.get();
   LDP_RETURN_IF_ERROR(loop.Add(raw->fd_.get(), /*want_read=*/true,
                                /*want_write=*/false,
@@ -130,29 +178,42 @@ Status UdpSocket::SendTo(std::span<const uint8_t> payload, Endpoint to) {
   return Status::Ok();
 }
 
+Status UdpSocket::Connect(Endpoint remote) {
+  sockaddr_in addr = ToSockaddr(remote);
+  if (::connect(fd_.get(), reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    return Errno(("connect " + remote.ToString()).c_str());
+  }
+  return Status::Ok();
+}
+
+Status UdpSocket::Send(std::span<const uint8_t> payload) {
+  if (::send(fd_.get(), payload.data(), payload.size(), 0) < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Error(ErrorCode::kWouldBlock, "UDP send buffer full");
+    }
+    return Errno("send");
+  }
+  return Status::Ok();
+}
+
 size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
+  UdpRecvArena& arena = *arena_;
+  assert(!arena.lent &&
+         "UDP socket read while another socket's batch handler holds the "
+         "loop's receive slots");
+  uint8_t* slots = arena.slots.get();
   size_t want = std::min(out.size(), kBatchSize);
   if (want == 0) return 0;
 
 #if defined(__linux__)
-  mmsghdr msgs[kBatchSize];
-  iovec iovs[kBatchSize];
-  sockaddr_in addrs[kBatchSize];
-  // One SCM_TIMESTAMPNS control message per datagram when stamping.
-  constexpr size_t kControlBytes = CMSG_SPACE(sizeof(timespec));
-  alignas(cmsghdr) uint8_t control[kBatchSize][kControlBytes];
-  std::memset(msgs, 0, sizeof(mmsghdr) * want);
+  mmsghdr* msgs = arena.msgs;
+  const bool want_control = rx_timestamps_ || pktinfo_;
   for (size_t i = 0; i < want; ++i) {
-    iovs[i].iov_base = recv_slots_.get() + i * kRecvSlotSize;
-    iovs[i].iov_len = kRecvSlotSize;
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &addrs[i];
-    msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
-    if (rx_timestamps_) {
-      msgs[i].msg_hdr.msg_control = control[i];
-      msgs[i].msg_hdr.msg_controllen = kControlBytes;
-    }
+    msghdr& hdr = msgs[i].msg_hdr;
+    hdr.msg_namelen = sizeof(sockaddr_in);
+    hdr.msg_control = want_control ? arena.control[i] : nullptr;
+    hdr.msg_controllen = want_control ? UdpRecvArena::kControlBytes : 0;
   }
   int got = ::recvmmsg(fd_.get(), msgs, static_cast<unsigned>(want), 0,
                        nullptr);
@@ -161,24 +222,29 @@ size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
         rx_timestamps_ ? WallToMonotonicOffset() : 0;
     for (int i = 0; i < got; ++i) {
       NanoTime rx_time = 0;
-      if (rx_timestamps_) {
+      Endpoint to = local_;
+      if (want_control) {
         for (cmsghdr* cmsg = CMSG_FIRSTHDR(&msgs[i].msg_hdr); cmsg != nullptr;
              cmsg = CMSG_NXTHDR(&msgs[i].msg_hdr, cmsg)) {
-          if (cmsg->cmsg_level != SOL_SOCKET ||
-              cmsg->cmsg_type != SCM_TIMESTAMPNS) {
-            continue;
+          if (cmsg->cmsg_level == SOL_SOCKET &&
+              cmsg->cmsg_type == SCM_TIMESTAMPNS) {
+            timespec ts;
+            std::memcpy(&ts, CMSG_DATA(cmsg), sizeof(ts));
+            rx_time = static_cast<NanoTime>(ts.tv_sec) * kNanosPerSecond +
+                      ts.tv_nsec + to_monotonic;
+          } else if (cmsg->cmsg_level == IPPROTO_IP &&
+                     cmsg->cmsg_type == IP_PKTINFO) {
+            in_pktinfo info{};
+            std::memcpy(&info, CMSG_DATA(cmsg), sizeof(info));
+            to.addr = IpAddress(ntohl(info.ipi_addr.s_addr));
           }
-          timespec ts;
-          std::memcpy(&ts, CMSG_DATA(cmsg), sizeof(ts));
-          rx_time = static_cast<NanoTime>(ts.tv_sec) * kNanosPerSecond +
-                    ts.tv_nsec + to_monotonic;
         }
       }
       out[static_cast<size_t>(i)] = RecvItem{
           std::span<const uint8_t>(
-              recv_slots_.get() + static_cast<size_t>(i) * kRecvSlotSize,
+              slots + static_cast<size_t>(i) * kRecvSlotSize,
               msgs[i].msg_len),
-          FromSockaddr(addrs[i]), rx_time};
+          FromSockaddr(arena.addrs[i]), to, rx_time};
     }
     return static_cast<size_t>(got);
   }
@@ -190,13 +256,13 @@ size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
   while (count < want) {
     sockaddr_in from{};
     socklen_t from_len = sizeof(from);
-    uint8_t* slot = recv_slots_.get() + count * kRecvSlotSize;
+    uint8_t* slot = slots + count * kRecvSlotSize;
     ssize_t n = ::recvfrom(fd_.get(), slot, kRecvSlotSize, 0,
                            reinterpret_cast<sockaddr*>(&from), &from_len);
     if (n < 0) break;  // EAGAIN or error: stop draining
     out[count] = RecvItem{
         std::span<const uint8_t>(slot, static_cast<size_t>(n)),
-        FromSockaddr(from)};
+        FromSockaddr(from), local_};
     ++count;
   }
   return count;
@@ -205,6 +271,10 @@ size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
 size_t UdpSocket::SendBatch(std::span<const UdpSendItem> batch) {
   size_t accepted = 0;
 #if defined(__linux__)
+  // Source addresses ride as IP_PKTINFO, and only on a wildcard socket: a
+  // concretely-bound one sends exactly as it would without them.
+  constexpr size_t kControlBytes = CMSG_SPACE(sizeof(in_pktinfo));
+  alignas(cmsghdr) uint8_t control[kBatchSize][kControlBytes];
   while (accepted < batch.size()) {
     size_t chunk = std::min(batch.size() - accepted, kBatchSize);
     mmsghdr msgs[kBatchSize];
@@ -220,6 +290,18 @@ size_t UdpSocket::SendBatch(std::span<const UdpSendItem> batch) {
       msgs[i].msg_hdr.msg_iovlen = 1;
       msgs[i].msg_hdr.msg_name = &addrs[i];
       msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
+      if (pktinfo_ && !item.from.addr.IsUnspecified()) {
+        std::memset(control[i], 0, kControlBytes);
+        msgs[i].msg_hdr.msg_control = control[i];
+        msgs[i].msg_hdr.msg_controllen = kControlBytes;
+        cmsghdr* cmsg = CMSG_FIRSTHDR(&msgs[i].msg_hdr);
+        cmsg->cmsg_level = IPPROTO_IP;
+        cmsg->cmsg_type = IP_PKTINFO;
+        cmsg->cmsg_len = CMSG_LEN(sizeof(in_pktinfo));
+        in_pktinfo info{};
+        info.ipi_spec_dst.s_addr = htonl(item.from.addr.value());
+        std::memcpy(CMSG_DATA(cmsg), &info, sizeof(info));
+      }
     }
     int sent = ::sendmmsg(fd_.get(), msgs, static_cast<unsigned>(chunk), 0);
     if (sent < 0) {
@@ -246,12 +328,14 @@ bool UdpSocket::Drain() {
   // re-arm anyway, but draining cuts wakeups at high rates. The per-call
   // cap bounds how long one busy socket can starve its loop siblings.
   constexpr size_t kMaxPerEvent = 8 * kBatchSize;
-  RecvItem items[kBatchSize];
+  UdpRecvArena& arena = *arena_;
+  RecvItem* items = arena.items;
   size_t total = 0;
   while (total < kMaxPerEvent) {
-    size_t got = RecvBatch(items);
+    size_t got = RecvBatch({items, kBatchSize});
     total += got;
     if (got > 0) {
+      arena.lent = true;
       if (on_batch_) {
         on_batch_(std::span<const RecvItem>(items, got));
       } else if (on_datagram_) {
@@ -259,6 +343,7 @@ bool UdpSocket::Drain() {
           on_datagram_(items[i].payload, items[i].from);
         }
       }
+      arena.lent = false;
     }
     // A short batch means the receive queue ran dry; asking again would
     // only cost a recvmmsg that returns EAGAIN.

@@ -22,6 +22,27 @@ namespace ldp::net {
 struct UdpSendItem {
   std::span<const uint8_t> payload;
   Endpoint to;
+  // Source. Only a socket bound to the unspecified address honors it, and
+  // only its address (an IP_PKTINFO control message naming ipi_spec_dst);
+  // the port is always the socket's own. The default value, or any value
+  // on a concretely-bound socket, leaves the source to the binding.
+  Endpoint from;
+};
+
+// One received datagram of a batch; the payload points into the loop's
+// receive slots (EventLoop::udp_recv_arena) and is valid only until the
+// next RecvBatch call on any socket of the same loop.
+struct UdpRecvItem {
+  std::span<const uint8_t> payload;
+  Endpoint from;
+  // The address and port the datagram targeted: the bound endpoint on a
+  // socket bound to a concrete address; on a socket bound to the
+  // unspecified address, the destination the kernel reports through
+  // IP_PKTINFO.
+  Endpoint to;
+  // Kernel receive time on CLOCK_MONOTONIC; 0 unless the socket was
+  // bound with rx_timestamps.
+  NanoTime rx_time = 0;
 };
 
 struct UdpOptions {
@@ -41,20 +62,13 @@ struct UdpOptions {
 class UdpSocket {
  public:
   // Datagrams moved per recvmmsg/sendmmsg syscall. Received payloads live
-  // in per-socket slots of kRecvSlotSize bytes (the UDP maximum, so jumbo
-  // loopback datagrams are never clipped).
+  // in the loop's shared receive slots (EventLoop::udp_recv_arena),
+  // kRecvSlotSize bytes each: the UDP maximum, so jumbo loopback datagrams
+  // are never clipped.
   static constexpr size_t kBatchSize = 32;
   static constexpr size_t kRecvSlotSize = 65536;
 
-  // One received datagram of a batch; the payload points into the socket's
-  // receive slots and is valid only until the next RecvBatch call.
-  struct RecvItem {
-    std::span<const uint8_t> payload;
-    Endpoint from;
-    // Kernel receive time on CLOCK_MONOTONIC; 0 unless the socket was
-    // bound with rx_timestamps.
-    NanoTime rx_time = 0;
-  };
+  using RecvItem = UdpRecvItem;
 
   using DatagramHandler =
       std::function<void(std::span<const uint8_t>, Endpoint from)>;
@@ -62,7 +76,10 @@ class UdpSocket {
 
   using Options = UdpOptions;
 
-  // Binds to `local` (port 0 = ephemeral) and registers with the loop.
+  // Binds to `local` (port 0 = ephemeral) and registers with the loop. A
+  // socket bound to the unspecified address turns on IP_PKTINFO, so each
+  // datagram reports the local address it targeted (RecvItem::to) and each
+  // sent datagram can name its source (UdpSendItem::from).
   static Result<std::unique_ptr<UdpSocket>> Bind(EventLoop& loop,
                                                  Endpoint local,
                                                  DatagramHandler on_datagram,
@@ -79,9 +96,17 @@ class UdpSocket {
 
   Status SendTo(std::span<const uint8_t> payload, Endpoint to);
 
+  // Fixes the peer: Send then needs no address, and the kernel delivers
+  // this socket only datagrams from `remote`.
+  Status Connect(Endpoint remote);
+  // Sends to the connected peer.
+  Status Send(std::span<const uint8_t> payload);
+
   // Receives up to min(out.size(), kBatchSize) datagrams with one recvmmsg
   // (portable fallback: recvfrom loop). Returns the number received; 0 on
-  // EAGAIN. Payload spans are valid until the next RecvBatch call.
+  // EAGAIN. Payload spans point into the loop's shared receive slots and
+  // are valid until the next RecvBatch call on any socket of this loop, so
+  // a batch handler must not read another socket while it holds them.
   size_t RecvBatch(std::span<RecvItem> out);
 
   // Sends the whole batch via sendmmsg in kBatchSize chunks (portable
@@ -111,13 +136,13 @@ class UdpSocket {
       DatagramHandler on_datagram, BatchHandler on_batch);
 
   EventLoop& loop_;
+  UdpRecvArena* arena_ = nullptr;  // owned by loop_
   Fd fd_;
   Endpoint local_;
   bool rx_timestamps_ = false;
+  bool pktinfo_ = false;  // bound to the unspecified address
   DatagramHandler on_datagram_;  // per-datagram mode
   BatchHandler on_batch_;        // batch mode (exactly one mode is set)
-  // Receive slots, allocated once at bind: kBatchSize * kRecvSlotSize.
-  std::unique_ptr<uint8_t[]> recv_slots_;
 };
 
 // --- TCP ---

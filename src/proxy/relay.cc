@@ -6,6 +6,7 @@
 #include <list>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/log.h"
@@ -18,7 +19,7 @@
 namespace ldp::proxy {
 namespace {
 
-// One flow per (client endpoint, listener address). The OQDA is part of
+// One flow per (client endpoint, queried address). The OQDA is part of
 // the key: the same client talking to two emulated nameservers holds two
 // flows, each with its own relay socket bound to the right source.
 struct FlowKey {
@@ -120,16 +121,21 @@ NanoDuration RelayTickFor(const RelayConfig& config) {
 
 }  // namespace
 
-// One worker shard: event loop, the SO_REUSEPORT listener set, and a
-// private flow table + wheel + counters. Everything except the counters is
-// loop-thread-only after Start.
+// One worker shard: event loop, its SO_REUSEPORT wildcard ingress path,
+// and a private flow table + wheel + counters. Everything except the
+// counters is loop-thread-only after Start.
 struct HierarchyProxy::Shard {
   struct Flow {
     uint64_t id = 0;
     FlowKey key;
+    // Bound (OQDA, client port) and connected to the meta server, so the
+    // kernel hands it only the meta server's replies.
     std::unique_ptr<net::UdpSocket> sock;
     bool draining = false;
     size_t site = 0;  // catchment assignment, fixed for the flow's life
+    // Last query or reply; the wheel re-files an active flow whose idle
+    // deadline moved on since its entry was filed.
+    NanoTime last_active = 0;
     std::list<uint64_t>::iterator lru_it;
   };
 
@@ -157,12 +163,11 @@ struct HierarchyProxy::Shard {
 
   RelayConfig config;
   std::unique_ptr<net::EventLoop> loop;
-  // Epoll: one path per emulated address. Afpacket: a single wildcard
-  // ring; listener_by_addr then maps every configured address to it, so
-  // the map doubles as the "is this one of ours" ingress check.
-  std::vector<std::unique_ptr<net::DatagramPath>> listeners;
-  std::unordered_map<IpAddress, net::DatagramPath*> listener_by_addr;
-  std::vector<std::unique_ptr<net::TcpListener>> tcp_listeners;
+  // One path bound to the unspecified address at the service port hears
+  // every local address there; `emulated` says which of them are ours.
+  std::unique_ptr<net::DatagramPath> ingress;
+  std::unordered_set<IpAddress> emulated;
+  std::unique_ptr<net::TcpListener> tcp_listener;  // shard 0, same address
   std::shared_ptr<ShardCounters> counters =
       std::make_shared<ShardCounters>();
   std::thread thread;
@@ -191,17 +196,52 @@ struct HierarchyProxy::Shard {
   stats::LogHistogram* rewrite_ns = nullptr;
   stats::LogHistogram* udp_batch = nullptr;
 
+  // Opens the wildcard ingress at `port` (0 = ephemeral), and with `tcp`
+  // the splice listener at the same port. The paths take the port on
+  // every local address, so a socket already holding any one of them there
+  // (without SO_REUSEPORT) fails the bind.
+  Status OpenIngress(uint16_t port, bool tcp,
+                     const net::DatapathOptions& options) {
+    auto path = net::DatagramPath::Open(
+        *loop, Endpoint{IpAddress(), port},
+        [this](std::span<const net::DatagramPath::RecvItem> items) {
+          OnIngressBatch(items);
+        },
+        options);
+    if (!path.ok()) return PortTaken(port, path.error());
+    ingress = std::move(*path);
+    if (!tcp) return Status::Ok();
+    const uint16_t bound = ingress->local().port;
+    auto listener = net::TcpListener::Listen(
+        *loop, Endpoint{IpAddress(), bound},
+        [this](std::unique_ptr<net::TcpConnection> conn) {
+          OnTcpAccept(std::move(conn));
+        });
+    if (!listener.ok()) {
+      ingress.reset();
+      return PortTaken(bound, listener.error());
+    }
+    tcp_listener = std::move(*listener);
+    return Status::Ok();
+  }
+
+  static Error PortTaken(uint16_t port, const Error& error) {
+    return error.WithContext("taking service port " + std::to_string(port) +
+                             " on every local address");
+  }
+
   // --- flow table ---
 
-  void Touch(Flow& flow) {
+  // The wheel is left alone: OnTick checks last_active when the flow's one
+  // entry comes due.
+  void Touch(Flow& flow, NanoTime now) {
     lru.splice(lru.end(), lru, flow.lru_it);  // move to hottest position
-    wheel.Schedule(flow.id, MonotonicNow() + config.flow_idle_timeout);
-    ArmTick();
+    flow.last_active = now;
   }
 
   // Active -> draining: unreachable by key, excluded from the LRU, socket
   // kept open for flow_linger so late replies are counted, not invisible.
-  void MoveToDraining(Flow& flow, stats::Counter& reason) {
+  void MoveToDraining(Flow& flow, stats::Counter& reason, NanoTime now) {
     flow.draining = true;
     lru.erase(flow.lru_it);
     counters->active_flows.fetch_sub(1, std::memory_order_relaxed);
@@ -210,17 +250,17 @@ struct HierarchyProxy::Shard {
       flows_by_key.erase(by_key);
     }
     reason.Add();
-    wheel.Schedule(flow.id, MonotonicNow() + config.flow_linger);
+    wheel.Schedule(flow.id, now + config.flow_linger);
     ArmTick();
   }
 
-  Flow* FlowFor(Endpoint client, IpAddress oqda) {
+  Flow* FlowFor(Endpoint client, IpAddress oqda, NanoTime now) {
     FlowKey key{client, oqda};
     auto it = flows_by_key.find(key);
     if (it != flows_by_key.end()) return &flows.at(it->second);
 
     if (lru.size() >= config.flow_capacity && !lru.empty()) {
-      MoveToDraining(flows.at(lru.front()), counters->flows_evicted);
+      MoveToDraining(flows.at(lru.front()), counters->flows_evicted, now);
     }
 
     uint64_t id = next_flow_id++;
@@ -240,11 +280,17 @@ struct HierarchyProxy::Shard {
         return nullptr;
       }
     }
+    if (auto connected = (*sock)->Connect(config.meta_server);
+        !connected.ok()) {
+      LDP_DEBUG << "relay connect failed: " << connected.error().ToString();
+      return nullptr;
+    }
 
     Flow flow;
     flow.id = id;
     flow.key = key;
     flow.sock = std::move(*sock);
+    flow.last_active = now;
     if (!config.sites.empty()) {
       flow.site = config.catchment.Lookup(client.addr);
     }
@@ -253,7 +299,7 @@ struct HierarchyProxy::Shard {
     flows_by_key.emplace(key, id);
     counters->flows_created.Add();
     counters->active_flows.fetch_add(1, std::memory_order_relaxed);
-    wheel.Schedule(id, MonotonicNow() + config.flow_idle_timeout);
+    wheel.Schedule(id, now + config.flow_idle_timeout);
     ArmTick();
     return &emplaced.first->second;
   }
@@ -267,14 +313,19 @@ struct HierarchyProxy::Shard {
   void OnTick() {
     tick_armed = false;
     expired.clear();
-    wheel.Advance(MonotonicNow(), expired);
+    const NanoTime now = MonotonicNow();
+    wheel.Advance(now, expired);
     for (uint64_t id : expired) {
       auto it = flows.find(id);
       if (it == flows.end()) continue;
-      if (it->second.draining) {
+      Flow& flow = it->second;
+      const NanoTime idle_at = flow.last_active + config.flow_idle_timeout;
+      if (flow.draining) {
         flows.erase(it);  // linger over: the relay socket closes here
+      } else if (idle_at > now) {
+        wheel.Schedule(id, idle_at);  // touched since it was filed
       } else {
-        MoveToDraining(it->second, counters->flows_expired);
+        MoveToDraining(flow, counters->flows_expired, now);
       }
     }
     ArmTick();
@@ -282,28 +333,25 @@ struct HierarchyProxy::Shard {
 
   // --- UDP data path ---
 
-  // Queries arriving at an emulated nameserver address. The paper's
-  // recursive-proxy rewrite (src := OQDA, dst := meta) is realized by
-  // forwarding from the flow's relay socket, which is bound to the OQDA.
-  // Each datagram carries the address it targeted (RecvItem::to): the
-  // listener's own address on epoll paths, the parsed destination on the
-  // wildcard afpacket ring.
+  // Queries arriving at the service port. The paper's recursive-proxy
+  // rewrite (src := OQDA, dst := meta) is realized by forwarding from the
+  // flow's relay socket, which is bound to the OQDA. Each datagram carries
+  // the address it targeted (RecvItem::to): IP_PKTINFO's destination on
+  // the epoll backend, the parsed IPv4 header on the afpacket ring.
   void OnIngressBatch(std::span<const net::DatagramPath::RecvItem> items) {
-    NanoTime t0 = MonotonicNow();
+    const NanoTime t0 = MonotonicNow();
     if (udp_batch != nullptr) udp_batch->Record(items.size());
     for (const auto& item : items) {
       counters->queries_in.Add();
       IpAddress oqda = item.to.addr;
-      if (item.payload.size() < kDnsHeaderBytes ||
-          !listener_by_addr.contains(oqda)) {
-        // Not a DNS message — or (wildcard ring only) a datagram for an
-        // address we don't emulate that happens to share the service
-        // port. Nothing to rewrite; the iptables analogue would never
-        // have captured it.
+      if (item.payload.size() < kDnsHeaderBytes || !emulated.contains(oqda)) {
+        // Not a DNS message — or a datagram for a local address we don't
+        // emulate that happens to share the service port. Nothing to
+        // rewrite; the iptables analogue would never have captured it.
         counters->passed_through.Add();
         continue;
       }
-      Flow* flow = FlowFor(item.from, oqda);
+      Flow* flow = FlowFor(item.from, oqda, t0);
       if (flow == nullptr) {
         counters->meta_send_errors.Add();
         continue;
@@ -311,13 +359,13 @@ struct HierarchyProxy::Shard {
       if (flow->site < counters->sites.size()) {
         counters->sites[flow->site].queries_in.Add();
       }
-      auto status = flow->sock->SendTo(item.payload, config.meta_server);
+      auto status = flow->sock->Send(item.payload);
       if (status.ok()) {
         counters->rewritten.Add();
       } else {
         counters->meta_send_errors.Add();
       }
-      Touch(*flow);
+      Touch(*flow, t0);
     }
     if (rewrite_ns != nullptr && !items.empty()) {
       // Per-query rewrite+forward cost, averaged over the batch.
@@ -326,9 +374,10 @@ struct HierarchyProxy::Shard {
     }
   }
 
-  // Meta-server replies landing on one flow's relay socket. The reverse
-  // rewrite (src := OQDA, dst := client) is realized by answering from
-  // the listener bound to the OQDA.
+  // Meta-server replies landing on one flow's relay socket (connected, so
+  // nothing else lands there). The reverse rewrite (src := OQDA, dst :=
+  // client) is realized by answering over the ingress path with the OQDA
+  // as the reply's source.
   void OnRelayBatch(uint64_t flow_id,
                     std::span<const net::UdpSocket::RecvItem> items) {
     auto it = flows.find(flow_id);
@@ -341,12 +390,9 @@ struct HierarchyProxy::Shard {
       return;
     }
     counters->responses_in.Add(items.size());
-    auto listener = listener_by_addr.find(flow.key.oqda);
-    if (listener == listener_by_addr.end()) return;  // unreachable
-    // `from` makes the reply leave from the queried address: redundant on
-    // an epoll path (already bound to the OQDA), load-bearing on the
-    // wildcard afpacket ring, which writes it into the IPv4 header.
-    Endpoint reply_source{flow.key.oqda, listener->second->local().port};
+    // `from` makes the reply leave from the queried address: an IP_PKTINFO
+    // source on the epoll backend, the IPv4 header on the afpacket ring.
+    Endpoint reply_source{flow.key.oqda, ingress->local().port};
     NanoDuration rtt =
         flow.site < config.sites.size() ? config.sites[flow.site].rtt : 0;
     if (rtt > 0) {
@@ -359,18 +405,16 @@ struct HierarchyProxy::Shard {
       for (const auto& item : items) {
         held.emplace_back(item.payload.begin(), item.payload.end());
       }
-      net::DatagramPath* path = listener->second;
       Endpoint client = flow.key.client;
       size_t site = flow.site;
       loop->ScheduleAfter(
-          rtt, [this, path, client, reply_source, site,
-                held = std::move(held)]() {
+          rtt, [this, client, reply_source, site, held = std::move(held)]() {
             reply_items.clear();
             for (const auto& payload : held) {
               reply_items.push_back(
                   net::DatagramPath::SendItem{payload, client, reply_source});
             }
-            SendReplies(*path, site);
+            SendReplies(site);
           });
     } else {
       reply_items.clear();
@@ -378,14 +422,14 @@ struct HierarchyProxy::Shard {
         reply_items.push_back(net::DatagramPath::SendItem{
             item.payload, flow.key.client, reply_source});
       }
-      SendReplies(*listener->second, flow.site);
+      SendReplies(flow.site);
     }
-    Touch(flow);
+    Touch(flow, MonotonicNow());
   }
 
-  // Flushes reply_items through `path`, attributing to `site`.
-  void SendReplies(net::DatagramPath& path, size_t site) {
-    size_t accepted = path.SendBatch(reply_items);
+  // Flushes reply_items through the ingress path, attributing to `site`.
+  void SendReplies(size_t site) {
+    size_t accepted = ingress->SendBatch(reply_items);
     counters->responses_out.Add(accepted);
     counters->rewritten.Add(accepted);
     if (site < counters->sites.size()) {
@@ -396,6 +440,12 @@ struct HierarchyProxy::Shard {
   // --- TCP splice (shard 0) ---
 
   void OnTcpAccept(std::unique_ptr<net::TcpConnection> conn) {
+    // The wildcard listener accepts on every local address at the service
+    // port; a stream to one we don't emulate is closed, not spliced.
+    if (!emulated.contains(conn->local().addr)) {
+      counters->passed_through.Add();
+      return;
+    }
     counters->tcp_accepted.Add();
     uint64_t id = next_splice_id++;
     auto splice = std::make_unique<Splice>();
@@ -654,47 +704,21 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
         config.datapath == net::DatapathKind::kAfPacket && n_shards > 1;
     dp_options.metrics = config.metrics;
 
-    Shard* raw = shard.get();
-    auto handler = [raw](std::span<const net::DatagramPath::RecvItem> items) {
-      raw->OnIngressBatch(items);
-    };
-    if (config.datapath == net::DatapathKind::kAfPacket) {
-      // One wildcard ring carries every emulated address: the steering
-      // filter matches the service port alone and OnIngressBatch reads
-      // the OQDA from each frame.
-      auto listener = net::DatagramPath::Open(
-          *shard->loop, Endpoint{IpAddress(), port}, handler, dp_options);
-      if (!listener.ok()) return listener.error();
-      if (port == 0) port = (*listener)->local().port;  // resolve once
-      for (IpAddress address : config.addresses) {
-        shard->listener_by_addr[address] = listener->get();
-      }
-      shard->listeners.push_back(std::move(*listener));
-    } else {
-      for (IpAddress address : config.addresses) {
-        auto listener = net::DatagramPath::Open(
-            *shard->loop, Endpoint{address, port}, handler, dp_options);
-        if (!listener.ok()) return listener.error();
-        if (port == 0) port = (*listener)->local().port;  // resolve once
-        shard->listener_by_addr[address] = listener->get();
-        shard->listeners.push_back(std::move(*listener));
-      }
+    // One wildcard path per shard carries every emulated address, on
+    // either backend; OnIngressBatch reads each query's OQDA from
+    // RecvItem::to. TCP splices on shard 0 only (mirrors ShardedDnsServer:
+    // the TCP lane needs correctness, not multi-core throughput). An
+    // ephemeral UDP port may be held by some TCP socket on another
+    // address, so shard 0 draws again a few times, as SocketDnsServer does.
+    shard->emulated.insert(config.addresses.begin(), config.addresses.end());
+    const bool tcp = i == 0 && config.splice_tcp;
+    Status opened = shard->OpenIngress(port, tcp, dp_options);
+    for (int attempt = 1; !opened.ok() && port == 0 && attempt < 8;
+         ++attempt) {
+      opened = shard->OpenIngress(port, tcp, dp_options);
     }
-
-    // TCP splice on shard 0 only (mirrors ShardedDnsServer: the TCP lane
-    // needs correctness, not multi-core throughput).
-    if (i == 0 && config.splice_tcp) {
-      for (IpAddress address : config.addresses) {
-        Shard* raw = shard.get();
-        auto listener = net::TcpListener::Listen(
-            *shard->loop, Endpoint{address, port},
-            [raw](std::unique_ptr<net::TcpConnection> conn) {
-              raw->OnTcpAccept(std::move(conn));
-            });
-        if (!listener.ok()) return listener.error();
-        shard->tcp_listeners.push_back(std::move(*listener));
-      }
-    }
+    if (!opened.ok()) return opened.error();
+    if (port == 0) port = shard->ingress->local().port;  // resolve once
     proxy->shards_.push_back(std::move(shard));
   }
   proxy->port_ = port;

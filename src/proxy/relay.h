@@ -5,33 +5,36 @@
 // and the meta-DNS-server. Over real sockets both rewrites collapse into
 // one relay process:
 //
-//   recursive side:  the proxy *listens on* every emulated nameserver
-//     address (loopback aliases, see LoopbackAlias in common/ip.h) at one
-//     shared service port. A query arriving at address A already carries
-//     its OQDA — it is the listener address itself.
+//   recursive side:  the proxy listens on the unspecified address at one
+//     shared service port, the single interposition point the paper's TUN
+//     device gives it. Every emulated nameserver address (loopback
+//     aliases, see LoopbackAlias in common/ip.h) is local, so a query to
+//     address A lands there, and the datagram's destination (RecvItem::to)
+//     is its OQDA.
 //   rewrite:         the query is forwarded to the meta server from a
-//     relay socket bound to (A, client-port): the meta server sees
-//     src == OQDA (its split-horizon view selector) and the client's
-//     original port (ports pass through untouched, paper §2.4).
+//     relay socket bound to (A, client-port) and connected to the meta
+//     server: the meta server sees src == OQDA (its split-horizon view
+//     selector) and the client's original port (ports pass through
+//     untouched, paper §2.4).
 //   authoritative side: the meta server's reply lands on that relay
-//     socket; the proxy sends it back to the client *from* the listener
-//     on A, so the client sees the reply arriving from the address it
-//     queried.
+//     socket; the proxy sends it back to the client over the ingress path
+//     with A as its source, so the client sees the reply arriving from the
+//     address it queried.
 //
 // Flows — one per (client endpoint, OQDA) pair — live in a NAT-style
 // bounded table: LRU-evicted at capacity, idle-expired on a timer wheel.
 // Evicted/expired flows linger briefly in a draining state so a late meta
 // reply is counted (proxy.evicted_drops) instead of silently vanishing.
 //
-// TCP is spliced: the proxy accepts on each emulated address, dials the
-// meta server from that address, and re-frames both directions; if the
-// upstream stream dies with queries still owed, the proxy reconnects (with
-// budget + backoff) and redelivers the unanswered frames, carrying the
-// rewrite across reconnects.
+// TCP is spliced: the proxy accepts on the same wildcard address and port,
+// dials the meta server from the address the client dialed, and re-frames
+// both directions; if the upstream stream dies with queries still owed,
+// the proxy reconnects (with budget + backoff) and redelivers the
+// unanswered frames, carrying the rewrite across reconnects.
 //
 // Sharding mirrors ShardedDnsServer: n_shards worker threads, each with
-// its own EventLoop, SO_REUSEPORT listener set, flow table, wheel, and
-// metric instances (merged by name at snapshot). TCP stays on shard 0.
+// its own EventLoop, SO_REUSEPORT wildcard ingress path, flow table, wheel,
+// and metric instances (merged by name at snapshot). TCP stays on shard 0.
 //
 // Anycast emulation (catchment.h): when `sites` is configured, each flow
 // is pinned to a site by catchment lookup on the client address, UDP
@@ -59,23 +62,26 @@
 namespace ldp::proxy {
 
 struct RelayConfig {
-  // Emulated nameserver addresses to impersonate. Must be bindable on
-  // this host — pass public testbed addresses through LoopbackAlias.
+  // Emulated nameserver addresses to impersonate. Must be local addresses
+  // of this host — pass public testbed addresses through LoopbackAlias.
+  // A datagram or stream to any other local address at the service port
+  // is counted proxy.passed_through and not forwarded.
   std::vector<IpAddress> addresses;
   // Shared service port across all addresses (0 = pick an ephemeral port
-  // from the first bind and reuse it for the rest).
+  // from the first bind and reuse it for the rest). The proxy takes this
+  // port on every local address.
   uint16_t port = 0;
   // Where rewritten queries go: the meta-DNS-server.
   Endpoint meta_server;
   size_t n_shards = 1;
   int udp_recv_buffer_bytes = 0;
 
-  // Ingress transport. Epoll binds one kernel listener per emulated
-  // address; afpacket opens ONE wildcard ring per shard that matches on
-  // the service port alone and reads each query's OQDA out of the frame,
-  // answering from that address over the same ring — the per-address
-  // listener fan-out collapses into a single mmap'd channel. The meta
-  // legs (per-flow relay sockets, TCP splice) stay on kernel sockets.
+  // Ingress transport. Either backend opens ONE wildcard path per shard
+  // at the service port and learns each query's OQDA from it, answering
+  // from that address over the same path: epoll through IP_PKTINFO control
+  // messages, afpacket by reading and writing the IPv4 headers of its
+  // ring's frames. The meta legs (per-flow relay sockets, TCP splice) stay
+  // on kernel sockets.
   net::DatapathKind datapath = net::DatapathKind::kEpoll;
   net::AfPacketOptions afpacket;  // used when datapath == kAfPacket
 
@@ -108,7 +114,8 @@ struct RelayConfig {
 // Aggregate across shards; all counters monotonic except active_flows.
 struct RelayStats {
   uint64_t rewritten = 0;       // address-rewritten packets, both legs
-  uint64_t passed_through = 0;  // seen but not rewritable (not DNS-sized)
+  uint64_t passed_through = 0;  // seen but not rewritable: not DNS-sized,
+                                // or to a local address not emulated
   uint64_t queries_in = 0;
   uint64_t responses_in = 0;
   uint64_t responses_out = 0;
@@ -138,8 +145,10 @@ class HierarchyProxy {
  public:
   using Config = RelayConfig;
 
-  // Binds every listener (resolving an ephemeral service port via the
-  // first bind), then starts one worker thread per shard. Mirrors
+  // Binds each shard's wildcard ingress path (resolving an ephemeral
+  // service port via the first bind), then starts one worker thread per
+  // shard. Fails, naming the port, when another socket holds the port on
+  // one of the local addresses. Mirrors
   // ShardedDnsServer: sockets and loops are built on the calling thread;
   // after Start returns each loop is touched only by its own worker.
   static Result<std::unique_ptr<HierarchyProxy>> Start(const Config& config);

@@ -481,15 +481,17 @@ class Querier {
 
   // `handled` is when the batch was read, relative to the replay epoch.
   void OnUdpReply(const net::DatagramPath::RecvItem& item, NanoTime handled) {
-    // A reply answers the inflight query with its ID only if it carries
-    // the same question; a late reply (after age-out), an unknown ID or a
-    // reply to another question is counted and leaves the query pending.
+    // A reply answers the inflight query with its ID only if it comes from
+    // the endpoint the query went to and carries the same question (RFC
+    // 5452 §3); a late reply (after age-out), an unknown ID, a reply from
+    // another source or to another question is counted and leaves the
+    // query pending.
     std::span<const uint8_t> payload = item.payload;
     auto it = payload.size() < 2
                   ? udp_inflight_.end()
                   : udp_inflight_.find(static_cast<uint16_t>(
                         (payload[0] << 8) | payload[1]));
-    if (it == udp_inflight_.end() ||
+    if (it == udp_inflight_.end() || item.from != it->second.target ||
         !dns::SameFirstQuestion(payload, it->second.wire)) {
       counters_.unmatched_replies.Add();
       return;

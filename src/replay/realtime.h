@@ -169,8 +169,9 @@ struct RealtimeReport {
   uint64_t retransmits = 0;      // total UDP re-sends
   uint64_t id_collisions = 0;    // preferred 16-bit ID was still inflight
   // Replies (UDP datagrams or TCP frames) that answered no inflight
-  // query: late (after age-out), unknown ID, or a different question
-  // under an inflight ID.
+  // query: late (after age-out), unknown ID, a UDP reply from another
+  // endpoint than the query's target, or a different question under an
+  // inflight ID.
   uint64_t unmatched_replies = 0;
   uint64_t tcp_reconnects = 0;   // re-dials after connect failure / close
   uint64_t tcp_idle_closes = 0;  // client-side idle-timeout closures

@@ -1,10 +1,10 @@
 // Integration tests for the DatagramPath transport seam (net/datapath.h):
-// epoll round-trip semantics, the full serve→replay chain through the
-// interface with exact terminal accounting, and — when the host allows
-// AF_PACKET rings — the same through the afpacket backend, including the
-// wildcard-ring OQDA delivery and source-spoofed replies the hierarchy
-// proxy depends on. Afpacket cases skip with the probe's reason on hosts
-// without CAP_NET_RAW or ring support.
+// round-trip semantics, the wildcard path's OQDA delivery and
+// source-spoofed replies the hierarchy proxy depends on, and the full
+// serve→replay chain through the interface with exact terminal
+// accounting — on epoll everywhere and, when the host allows AF_PACKET
+// rings, on the afpacket backend too. Afpacket cases skip with the probe's
+// reason on hosts without CAP_NET_RAW or ring support.
 #include "net/datapath.h"
 
 #include <gtest/gtest.h>
@@ -126,41 +126,38 @@ TEST(DatapathTest, AfPacketRoundTrip) {
   RoundTrip(DatapathKind::kAfPacket);
 }
 
-// The hierarchy-proxy contract: one wildcard ring hears every address on
+// The hierarchy-proxy contract: one wildcard path hears every address on
 // its port, reports the queried address in RecvItem::to, and replies can
 // spoof that address back via SendItem::from.
-TEST(DatapathTest, AfPacketWildcardRingDeliversOqdaAndSpoofsSource) {
-  if (auto probe = ProbeAfPacket({}); !probe.ok()) {
-    GTEST_SKIP() << "afpacket unavailable: " << probe.error().ToString();
-  }
+void WildcardDeliversOqdaAndSpoofsSource(DatapathKind kind) {
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
 
   DatapathOptions options;
-  options.kind = DatapathKind::kAfPacket;
+  options.kind = kind;
 
   const IpAddress alias = *IpAddress::Parse("127.6.5.4");
   const Bytes query = {'o', 'q', 'd', 'a'};
   const Bytes reply = {'o', 'k'};
 
-  // Wildcard ring: unspecified address, ephemeral port (the shadow socket
-  // resolves it); matches on port alone.
-  std::unique_ptr<DatagramPath> ring;
-  Endpoint ring_saw_to;
-  auto ring_result = DatagramPath::Open(
+  // Wildcard path: unspecified address, ephemeral port; the afpacket ring
+  // matches on port alone, the epoll socket reads IP_PKTINFO.
+  std::unique_ptr<DatagramPath> wildcard;
+  Endpoint wildcard_saw_to;
+  auto wildcard_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress(), 0},
       [&](std::span<const DatagramPath::RecvItem> batch) {
         for (const auto& item : batch) {
-          ring_saw_to = item.to;
+          wildcard_saw_to = item.to;
           // Answer from the address the client actually queried.
           DatagramPath::SendItem out{reply, item.from, item.to};
-          EXPECT_EQ(ring->SendBatch({&out, 1}), 1u);
+          EXPECT_EQ(wildcard->SendBatch({&out, 1}), 1u);
         }
       },
       options);
-  ASSERT_TRUE(ring_result.ok()) << ring_result.error().ToString();
-  ring = std::move(*ring_result);
-  const uint16_t port = ring->local().port;
+  ASSERT_TRUE(wildcard_result.ok()) << wildcard_result.error().ToString();
+  wildcard = std::move(*wildcard_result);
+  const uint16_t port = wildcard->local().port;
   ASSERT_NE(port, 0);
 
   Endpoint client_saw_from;
@@ -178,15 +175,26 @@ TEST(DatapathTest, AfPacketWildcardRingDeliversOqdaAndSpoofsSource) {
   ASSERT_TRUE(client_result.ok()) << client_result.error().ToString();
   auto client = std::move(*client_result);
 
-  // Query an address nothing is bound to; only the wildcard ring hears it.
+  // Query an address nothing is bound to; only the wildcard path hears it.
   ASSERT_TRUE(client->SendTo(query, Endpoint{alias, port}).ok());
   (*loop)->ScheduleAfter(Seconds(2), [&] { (*loop)->Stop(); });  // safety
   (*loop)->Run();
 
-  EXPECT_EQ(ring_saw_to, (Endpoint{alias, port}));
+  EXPECT_EQ(wildcard_saw_to, (Endpoint{alias, port}));
   ASSERT_EQ(client_got, 1u);
   EXPECT_EQ(client_saw_from, (Endpoint{alias, port}))
       << "reply must carry the spoofed source";
+}
+
+TEST(DatapathTest, EpollWildcardPathDeliversOqdaAndSpoofsSource) {
+  WildcardDeliversOqdaAndSpoofsSource(DatapathKind::kEpoll);
+}
+
+TEST(DatapathTest, AfPacketWildcardRingDeliversOqdaAndSpoofsSource) {
+  if (auto probe = ProbeAfPacket({}); !probe.ok()) {
+    GTEST_SKIP() << "afpacket unavailable: " << probe.error().ToString();
+  }
+  WildcardDeliversOqdaAndSpoofsSource(DatapathKind::kAfPacket);
 }
 
 // --- Full serve→replay chain through the DatagramPath seam ---

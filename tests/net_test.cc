@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dns/framing.h"
 #include "net/event_loop.h"
 #include "net/sockets.h"
@@ -438,6 +440,65 @@ TEST(UdpSockets, ReusePortSharesAnAddress) {
   auto third = UdpSocket::Bind(**loop, shared,
                                [](std::span<const uint8_t>, Endpoint) {});
   EXPECT_FALSE(third.ok());
+}
+
+// Every UdpSocket of a loop reads into the loop's one receive arena: two
+// sockets' payloads land in the same slot, one after the other.
+TEST(UdpSockets, SocketsOfOneLoopShareOneReceiveArena) {
+  auto loop = EventLoop::Create();
+  ASSERT_TRUE(loop.ok());
+
+  std::vector<const uint8_t*> slots;
+  std::vector<Bytes> got;
+  auto on_batch = [&](std::span<const UdpSocket::RecvItem> batch) {
+    for (const auto& item : batch) {
+      slots.push_back(item.payload.data());
+      got.emplace_back(item.payload.begin(), item.payload.end());
+    }
+    if (got.size() == 2) (*loop)->Stop();
+  };
+  auto a = UdpSocket::BindBatch(**loop, Endpoint{IpAddress::Loopback(), 0},
+                                on_batch);
+  auto b = UdpSocket::BindBatch(**loop, Endpoint{IpAddress::Loopback(), 0},
+                                on_batch);
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  const Bytes to_a = {'a'};
+  const Bytes to_b = {'b', 'b'};
+  ASSERT_TRUE((*a)->SendTo(to_a, (*a)->local()).ok());
+  ASSERT_TRUE((*a)->SendTo(to_b, (*b)->local()).ok());
+  (*loop)->ScheduleAfter(Seconds(2), [&] { (*loop)->Stop(); });  // safety
+  (*loop)->Run();
+
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE((got[0] == to_a && got[1] == to_b) ||
+              (got[0] == to_b && got[1] == to_a));
+  EXPECT_EQ(slots[0], slots[1]);
+}
+
+// The arena's one rule: no socket is read while another socket's batch
+// handler still holds payloads in it. Debug builds assert it.
+TEST(UdpSocketsDeathTest, ReadInsideAnotherSocketsHandlerAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the receive-arena guard is an assert (debug builds)";
+#else
+  EXPECT_DEATH(
+      {
+        auto loop = EventLoop::Create();
+        std::unique_ptr<UdpSocket> other;
+        auto reader = UdpSocket::BindBatch(
+            **loop, Endpoint{IpAddress::Loopback(), 0},
+            [&](std::span<const UdpSocket::RecvItem>) { other->Drain(); });
+        auto bound = UdpSocket::BindBatch(
+            **loop, Endpoint{IpAddress::Loopback(), 0},
+            [](std::span<const UdpSocket::RecvItem>) {});
+        other = std::move(*bound);
+        const Bytes ping = {'p'};
+        (void)(*reader)->SendTo(ping, (*reader)->local());
+        (void)(*loop)->RunOnce(Seconds(2));
+      },
+      "receive slots");
+#endif
 }
 
 }  // namespace

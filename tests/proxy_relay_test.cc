@@ -3,7 +3,10 @@
 // OQDA as source (its split-horizon view selector) with the client's port
 // preserved, and the reply returns from the address the client queried.
 // Plus the NAT-table bounds: LRU eviction under pressure, idle expiry on
-// the wheel, and late replies for drained flows dropped-and-counted.
+// the wheel, and late replies for drained flows dropped-and-counted; and
+// the single wildcard listener's edges: traffic to local addresses it does
+// not emulate, datagrams to a relay socket from anyone but the meta
+// server, and a service port another socket already holds.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -385,6 +388,141 @@ TEST(HierarchyProxyTest, IdleFlowsExpireOnTheWheel) {
     return (*relay)->TotalStats().active_flows == 0;
   }));
   (*relay)->Stop();
+}
+
+// A flow that keeps talking outlives its idle timeout: the wheel entry
+// filed at creation comes due, sees the flow was touched since, and files
+// it again instead of expiring it.
+TEST(HierarchyProxyTest, ActiveFlowOutlivesItsIdleTimeout) {
+  ManualMeta meta;
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  config.flow_idle_timeout = Millis(100);
+  config.flow_linger = Millis(50);
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+
+  UdpClient client;
+  const Endpoint service{kNsA, (*relay)->port()};
+  for (uint16_t i = 0; i < 20; ++i) {  // ~400 ms, four idle timeouts
+    client.SendTo(service, MakeQueryWire("busy.a.test", i));
+    ASSERT_TRUE(meta.Read().has_value()) << "query " << i;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  RelayStats stats = (*relay)->TotalStats();
+  EXPECT_EQ(stats.flows_created, 1u);
+  EXPECT_EQ(stats.flows_expired, 0u) << "an active flow must not expire";
+
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().flows_expired >= 1;
+  })) << "the flow never expired once it went quiet";
+  (*relay)->Stop();
+}
+
+// Relay sockets are connected to the meta server: a datagram from anyone
+// else to a live flow's (OQDA, client port) is not taken for an answer.
+TEST(HierarchyProxyTest, RelaySocketTakesRepliesOnlyFromTheMetaServer) {
+  ManualMeta meta;
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+
+  UdpClient client;
+  client.SendTo(Endpoint{kNsA, (*relay)->port()},
+                MakeQueryWire("spoof.a.test", 7));
+  auto seen = meta.Read();
+  ASSERT_TRUE(seen.has_value()) << "query never relayed";
+
+  // A third party sends a well-formed answer to the flow's relay socket.
+  auto query = dns::Message::Decode(seen->wire);
+  ASSERT_TRUE(query.ok());
+  dns::Message forged = *query;
+  forged.qr = true;
+  UdpClient stranger;
+  stranger.SendTo(seen->from, forged.Encode());
+  EXPECT_TRUE(client.Recv(nullptr, 300).empty())
+      << "a datagram from outside the meta server reached the client";
+  EXPECT_EQ((*relay)->TotalStats().responses_in, 0u);
+
+  // The meta server's own reply still goes through.
+  meta.ReplyTo(*seen);
+  EXPECT_FALSE(client.Recv(nullptr, 5000).empty());
+  EXPECT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().responses_in == 1;
+  }));
+  (*relay)->Stop();
+}
+
+// The proxy listens on every local address at its service port; traffic
+// to one it does not emulate is counted and dropped, not forwarded.
+TEST(HierarchyProxyTest, NonEmulatedLocalAddressIsPassedThrough) {
+  ManualMeta meta;
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+  const Endpoint stranger{kNsB, (*relay)->port()};
+
+  UdpClient client;
+  client.SendTo(stranger, MakeQueryWire("www.b.test", 1));
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().passed_through >= 1;
+  })) << "datagram to a non-emulated address was not counted";
+  EXPECT_FALSE(meta.Read(200).has_value()) << "it must not be forwarded";
+
+  // A stream to the same address is accepted by the kernel, then closed.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa = SockAddr(stranger.addr, stranger.port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  uint8_t byte;
+  EXPECT_EQ(::read(fd, &byte, 1), 0) << "the proxy must close the stream";
+  ::close(fd);
+
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().passed_through >= 2;
+  }));
+  RelayStats stats = (*relay)->TotalStats();
+  EXPECT_EQ(stats.passed_through, 2u);
+  EXPECT_EQ(stats.flows_created, 0u);
+  EXPECT_EQ(stats.tcp_accepted, 0u);
+  EXPECT_EQ(stats.rewritten, 0u);
+  (*relay)->Stop();
+}
+
+// The proxy takes its service port on every local address, so a socket
+// already holding one of them there makes Start fail, and say which port.
+TEST(HierarchyProxyTest, WildcardBindConflictNamesThePort) {
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa = SockAddr(kNsB, 0);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
+  const uint16_t port = ntohs(sa.sin_port);
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.port = port;
+  config.meta_server = Endpoint{IpAddress::Loopback(), 53};
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ::close(fd);
+  ASSERT_FALSE(relay.ok()) << "bind over a held address must fail";
+  EXPECT_NE(relay.error().message().find(std::to_string(port)),
+            std::string::npos)
+      << relay.error().ToString();
 }
 
 TEST(HierarchyProxyTest, RestartMidReplayRetransmitsRecover) {

@@ -135,11 +135,14 @@ class BlackholeUdp {
 
 // A UDP responder on its own thread. Each reply echoes the query with QR
 // set, `delay` after it arrived; with wrong_question the qtype is bumped by
-// one, as a stray or spoofed reply would be. For every reply it records the
-// monotonic time just before and just after its sendto, by query name.
+// one, as a stray or spoofed reply would be; with wrong_source the reply
+// leaves from a second socket, another port than the one queried. For
+// every reply it records the monotonic time just before and just after its
+// sendto, by query name.
 struct UdpResponderOptions {
   NanoDuration delay = 0;
   bool wrong_question = false;
+  bool wrong_source = false;
 };
 
 class UdpResponder {
@@ -164,10 +167,21 @@ class UdpResponder {
       return;
     }
     endpoint_ = Endpoint{IpAddress::Loopback(), ntohs(addr.sin_port)};
+    reply_fd_ = fd_;
+    if (options_.wrong_source) {
+      reply_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+      addr.sin_port = 0;
+      if (reply_fd_ < 0 || ::bind(reply_fd_, reinterpret_cast<sockaddr*>(&addr),
+                                  sizeof(addr)) != 0) {
+        endpoint_ = Endpoint{};
+        return;
+      }
+    }
     thread_ = std::thread([this]() { Serve(); });
   }
   ~UdpResponder() {
     Stop();
+    if (reply_fd_ >= 0 && reply_fd_ != fd_) ::close(reply_fd_);
     if (fd_ >= 0) ::close(fd_);
   }
   bool ok() const { return endpoint_.port != 0; }
@@ -234,7 +248,7 @@ class UdpResponder {
   void Reply(const Held& reply) {
     Stamp stamp;
     stamp.before = MonotonicNow();
-    ::sendto(fd_, reply.wire.data(), reply.wire.size(), 0,
+    ::sendto(reply_fd_, reply.wire.data(), reply.wire.size(), 0,
              reinterpret_cast<const sockaddr*>(&reply.to), sizeof(reply.to));
     stamp.after = MonotonicNow();
     stamps_[reply.name] = stamp;
@@ -243,6 +257,7 @@ class UdpResponder {
 
   Options options_;
   int fd_ = -1;
+  int reply_fd_ = -1;
   Endpoint endpoint_{};
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> replies_{0};
@@ -517,6 +532,32 @@ TEST(RealtimeTransport, UdpTimeoutAndRetransmitAccounting) {
 // query: it is counted as unmatched and the query still times out.
 TEST(RealtimeTransport, WrongQuestionReplyLeavesQueryTimedOut) {
   UdpResponder responder({.wrong_question = true});
+  ASSERT_TRUE(responder.ok());
+  auto records = MakeTraceTo(responder.endpoint(), 50, Millis(1));
+
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 1;
+  config.queriers_per_distributor = 1;
+  config.fast_mode = true;
+  config.query_timeout = Millis(150);
+  config.max_retransmits = 0;
+
+  auto report = RunRealtimeReplay(records, config);
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, 50u);
+  EXPECT_EQ(report->answered, 0u);
+  EXPECT_EQ(report->timed_out, 50u);
+  EXPECT_EQ(report->unmatched_replies, responder.replies());
+  EXPECT_GT(report->unmatched_replies, 0u);
+  ExpectTerminalAccounting(*report);
+}
+
+// A reply with the right ID and question but from another endpoint than
+// the one queried does not answer the query either (RFC 5452 §3): it is
+// counted as unmatched and the query still times out.
+TEST(RealtimeTransport, ReplyFromWrongSourceLeavesQueryTimedOut) {
+  UdpResponder responder({.wrong_source = true});
   ASSERT_TRUE(responder.ok());
   auto records = MakeTraceTo(responder.endpoint(), 50, Millis(1));
 

@@ -36,8 +36,10 @@ www IN A 192.0.2.1
 }
 
 // A minimal blocking UDP client: its own socket per call, so queries
-// spread across the reuseport shards by source port.
-Bytes Exchange(Endpoint server, const Bytes& query) {
+// spread across the reuseport shards by source port. `replier`, when set,
+// receives the reply's source.
+Bytes Exchange(Endpoint server, const Bytes& query,
+               Endpoint* replier = nullptr) {
   int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   EXPECT_GE(fd, 0);
   timeval tv{.tv_sec = 5, .tv_usec = 0};
@@ -50,10 +52,17 @@ Bytes Exchange(Endpoint server, const Bytes& query) {
                      reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             static_cast<ssize_t>(query.size()));
   uint8_t buf[65536];
-  ssize_t got = ::recvfrom(fd, buf, sizeof(buf), 0, nullptr, nullptr);
+  sockaddr_in from{};
+  socklen_t from_len = sizeof(from);
+  ssize_t got = ::recvfrom(fd, buf, sizeof(buf), 0,
+                           reinterpret_cast<sockaddr*>(&from), &from_len);
   ::close(fd);
   EXPECT_GT(got, 0) << "no reply within timeout";
   if (got <= 0) return {};
+  if (replier != nullptr) {
+    *replier = Endpoint{IpAddress(ntohl(from.sin_addr.s_addr)),
+                        ntohs(from.sin_port)};
+  }
   return Bytes(buf, buf + got);
 }
 
@@ -264,6 +273,30 @@ TEST(ShardedServer, SingleShardServesTcpAndUdp) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->rcode, dns::Rcode::kNoError);
   EXPECT_EQ((*server)->TotalStats().queries, 1u);
+}
+
+// A server bound to the unspecified address answers from the address each
+// query targeted, not from whatever source the kernel would pick for the
+// reply's route (127.0.0.1 on loopback).
+TEST(ShardedServer, WildcardServerAnswersFromTheQueriedAddress) {
+  ShardedDnsServer::Config config;
+  config.listen = Endpoint{IpAddress(), 0};
+  config.n_shards = 2;
+  config.serve_tcp = false;
+  auto server = ShardedDnsServer::Start(MakeViews(), config);
+  ASSERT_TRUE(server.ok()) << server.error().ToString();
+
+  const Endpoint queried{IpAddress(127, 9, 9, 9), (*server)->endpoint().port};
+  for (uint16_t id = 1; id <= 8; ++id) {  // fresh source ports: both shards
+    auto query = dns::Message::MakeQuery(
+        *dns::Name::Parse("www.example.com"), dns::RRType::kA, false);
+    query.id = id;
+    Endpoint replier;
+    Bytes reply_wire = Exchange(queried, query.Encode(), &replier);
+    ASSERT_FALSE(reply_wire.empty());
+    EXPECT_EQ(replier, queried) << "query " << id;
+  }
+  EXPECT_EQ((*server)->TotalStats().queries, 8u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// ldp_proxy: real-socket hierarchy-emulation proxy (paper §2.4). Binds
-// every emulated nameserver address (from a views manifest or an explicit
-// list), rewrites queries toward the meta server with the OQDA as their
+// ldp_proxy: real-socket hierarchy-emulation proxy (paper §2.4). Listens
+// on every local address at one service port, takes queries to the
+// emulated nameserver addresses (from a views manifest or an explicit
+// list), rewrites them toward the meta server with the OQDA as their
 // source, and relays replies back — the loopback stand-in for the paper's
 // TUN/iptables capture. See src/proxy/relay.h and DESIGN.md.
 //
@@ -29,8 +30,9 @@ constexpr const char* kUsage =
   --addresses A,B,...      emulate an explicit comma-separated address list
   --loopback-alias         remap emulated addresses into 127/8 (LoopbackAlias)
                            so they are bindable without interface config
-  --port N                 shared service port across all addresses
-                           (0 = ephemeral; the resolved port is printed)
+  --port N                 shared service port across all addresses, taken
+                           on every local address (0 = ephemeral; the
+                           resolved port is printed)
   --threads N              relay shards, SO_REUSEPORT (1)
   --flow-capacity N        flow-table entries per shard before LRU (4096)
   --flow-idle-timeout-s N  expire idle flows after N seconds (30)
@@ -41,9 +43,9 @@ constexpr const char* kUsage =
                            load under proxy.site.NAME.* metrics
   --catchment FILE         client-prefix -> site map ("route P/LEN SITE",
                            "default SITE" lines); requires --sites
-  --udp-rcvbuf-bytes N     SO_RCVBUF per relay listener (0 = kernel default)
-  --datapath MODE          epoll listeners per address (default) or one
-                           wildcard afpacket ring per shard
+  --udp-rcvbuf-bytes N     SO_RCVBUF per shard listener (0 = kernel default)
+  --datapath MODE          one wildcard listener per shard: an epoll socket
+                           (default) or an afpacket ring
   --afpacket-if IFACE      interface for afpacket rings (lo)
   --afpacket-peer-mac MAC  afpacket fallback destination MAC
   --stats-interval-s N     print relay stats every N seconds (10; 0=off)
