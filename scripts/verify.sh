@@ -1,11 +1,12 @@
 #!/bin/sh
-# Tier-1 verification: the full build + test suite, then a live-metrics
-# smoke (ldp_serve + ldp_replay_trace with --metrics-out: snapshots must
-# parse and the final row must reconcile with the report), the threaded
+# Tier-1 verification: the full build (warnings are errors) + test suite,
+# then a live-metrics smoke (ldp_serve + ldp_replay_trace with
+# --metrics-out: snapshots must parse and the final row must reconcile
+# with the report), the threaded
 # subsystems (sharded server, batched sockets, realtime replay, response
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
-# timer wheel expiry, TLS handshake/resumption, sharded TCP accept) and the
+# timeout expiry, TLS handshake/resumption, sharded TCP accept) and the
 # compiled-answer differential test under AddressSanitizer
 # (-DLDP_SANITIZE=address).
 #
@@ -15,7 +16,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== tier 1: build + ctest =="
-cmake -B build -S . >/dev/null
+# The tier-1 build is warning-free and stays so: any compiler warning
+# (-Wall -Wextra, CMakeLists.txt) fails it.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j2
 

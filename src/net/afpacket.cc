@@ -379,7 +379,7 @@ bool AfPacketPath::OnRxReadable() {
       emptied = true;
       break;
     }
-    if (blocks == 0) to_monotonic = WallToMonotonicOffset();
+    if (blocks == 0) to_monotonic = loop_.WallToMonotonic();
     ++blocks;
     frames += ConsumeBlock(block, to_monotonic);
     // The batch handler saw every span pointing into this block; only now

@@ -97,9 +97,21 @@ void EventLoop::Remove(int fd) {
 }
 
 TimerHandle EventLoop::ScheduleAt(NanoTime deadline, std::function<void()> fn) {
-  auto flag = std::make_shared<TimerHandle::Flag>();
+  std::shared_ptr<TimerHandle::Flag> flag;
+  if (spare_flags_.empty()) {
+    flag = std::make_shared<TimerHandle::Flag>();
+  } else {
+    flag = std::move(spare_flags_.back());
+    spare_flags_.pop_back();
+  }
   timers_.push(Timer{deadline, next_timer_seq_++, std::move(fn), flag});
   return TimerHandle(std::move(flag));
+}
+
+void EventLoop::Recycle(std::shared_ptr<TimerHandle::Flag> flag) {
+  if (flag.use_count() != 1) return;  // a handle still reads it
+  *flag = TimerHandle::Flag{};
+  spare_flags_.push_back(std::move(flag));
 }
 
 NanoDuration EventLoop::FireDueTimers(NanoDuration cap) {
@@ -114,6 +126,7 @@ NanoDuration EventLoop::FireDueTimers(NanoDuration cap) {
   while (!timers_.empty()) {
     const Timer& top = timers_.top();
     if (top.flag->cancelled) {
+      Recycle(std::move(const_cast<Timer&>(top).flag));
       timers_.pop();
       continue;
     }
@@ -132,6 +145,7 @@ NanoDuration EventLoop::FireDueTimers(NanoDuration cap) {
       loop_lag_->Record(static_cast<uint64_t>(now - timer.deadline));
     }
     timer.fn();
+    Recycle(std::move(timer.flag));
   }
   return cap;
 }
@@ -155,6 +169,7 @@ Status EventLoop::RunOnce(NanoDuration wait) {
   count = ::epoll_wait(epoll_fd_.get(), events, 256,
                        static_cast<int>(timeout / kNanosPerMilli));
 #endif
+  ++wakes_;
   if (count < 0) {
     if (errno == EINTR) return Status::Ok();
     return Error(ErrorCode::kIoError,
@@ -186,6 +201,14 @@ Status EventLoop::RunOnce(NanoDuration wait) {
   }
   FireDueTimers(0);
   return Status::Ok();
+}
+
+NanoDuration EventLoop::WallToMonotonic() {
+  if (offset_wake_ != wakes_) {
+    wall_offset_ = WallToMonotonicOffset();
+    offset_wake_ = wakes_;
+  }
+  return wall_offset_;
 }
 
 void EventLoop::RequestStop() {

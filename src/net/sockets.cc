@@ -219,7 +219,7 @@ size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
                        nullptr);
   if (got > 0) {
     const NanoDuration to_monotonic =
-        rx_timestamps_ ? WallToMonotonicOffset() : 0;
+        rx_timestamps_ ? loop_.WallToMonotonic() : 0;
     for (int i = 0; i < got; ++i) {
       NanoTime rx_time = 0;
       Endpoint to = local_;

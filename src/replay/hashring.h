@@ -32,7 +32,8 @@ namespace ldp::replay {
 template <typename Picker>
 size_t StickyAssign(std::unordered_map<IpAddress, size_t>& table,
                     IpAddress source, Picker&& picker) {
-  auto [it, inserted] = table.emplace(source, 0);
+  // try_emplace, not emplace: emplace allocates a node before it looks.
+  auto [it, inserted] = table.try_emplace(source, 0);
   if (inserted) it->second = picker(source);
   return it->second;
 }

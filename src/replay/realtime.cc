@@ -14,7 +14,6 @@
 #include "net/tls.h"
 #include "replay/queue.h"
 #include "replay/sticky.h"
-#include "replay/timing.h"
 #include "stats/timeseries.h"
 
 namespace ldp::replay {
@@ -77,12 +76,11 @@ struct QuerierMetrics {
   stats::LogHistogram* latency = nullptr;    // send→answer, ns
   stats::LogHistogram* send_lateness = nullptr;  // sent − scheduled, ns
   stats::Gauge* inflight = nullptr;          // non-terminal tracked queries
-  stats::LogHistogram* wheel_occupancy = nullptr;  // entries per tick
   stats::LogHistogram* tls_handshake = nullptr;    // client handshake, ns
 };
 
-// Timer-wheel keys: UDP entries are the bare 16-bit ID; TCP entries pack
-// a per-connection index so per-connection ID spaces stay distinct. (An
+// Timeout keys: UDP entries are the bare 16-bit ID; TCP entries pack a
+// per-connection index so per-connection ID spaces stay distinct. (An
 // index rather than the source address: with follow_trace_dst a
 // connection is keyed by source AND target, which no longer fits in the
 // key's upper bits.)
@@ -110,17 +108,35 @@ struct ConnKeyHash {
   }
 };
 
-// Expiry-check cadence (and wheel slot granularity): fine enough that a
-// timeout is detected within ~1/8 of its length, floored so short test
-// timeouts do not busy-spin the loop.
-NanoDuration WheelTickFor(NanoDuration query_timeout) {
+// Expiry-check cadence: fine enough that a timeout is detected within
+// ~1/8 of its length, floored so short test timeouts do not busy-spin the
+// loop.
+NanoDuration ExpiryTickFor(NanoDuration query_timeout) {
   if (query_timeout <= 0) return Millis(8);
   return std::clamp<NanoDuration>(query_timeout / 8, Millis(1), Millis(16));
 }
 
+// One entry of a timeout FIFO: at `deadline` query `key` times out, unless
+// it was answered or freed meanwhile. Nothing cancels the entry; on pop, a
+// `seq` that no longer matches the inflight entry's says it is stale.
+struct Timeout {
+  NanoTime deadline = 0;
+  uint64_t key = 0;
+  uint64_t seq = 0;
+};
+
+// Retry k waits query_timeout << k (exponential backoff); the shift is
+// clamped so a large retransmit budget cannot overflow int64 ns.
+constexpr int kMaxBackoffShift = 10;
+
 // One logical querier: a UDP socket plus per-source TCP connections. Every
-// accepted query is tracked by the timer wheel until it reaches a terminal
-// outcome (answered / timed out / send-failed); see realtime.h.
+// accepted query is tracked until it reaches a terminal outcome (answered /
+// timed out / send-failed); see realtime.h. With timeouts on, each live
+// query has one entry in the timeout FIFO of its retransmit level: every
+// entry of level k waits the same query_timeout << k, so pushing in send
+// order keeps each FIFO in deadline order with no heap or wheel. An
+// answered query leaves its entry behind, and the entry is dropped when it
+// reaches the front.
 class Querier {
  public:
   Querier(net::EventLoop& loop, const RealtimeConfig& config,
@@ -129,8 +145,9 @@ class Querier {
         config_(config),
         counters_(counters),
         metrics_(metrics),
-        tick_interval_(WheelTickFor(config.query_timeout)),
-        wheel_(WheelTickFor(config.query_timeout), 512) {}
+        tick_interval_(ExpiryTickFor(config.query_timeout)),
+        timeouts_(std::clamp(config.max_retransmits, 0, kMaxBackoffShift) +
+                  1) {}
 
   Status Init() {
     net::DatapathOptions options;
@@ -168,14 +185,15 @@ class Querier {
     on_idle_ = std::move(on_idle);
   }
 
-  // With timeouts enabled every live query (UDP and TCP, including frames
-  // waiting in a connect backlog) has a wheel entry, so an empty wheel
-  // means every outcome this querier owns is terminal.
-  bool idle() const { return wheel_.empty(); }
+  // Every live query (UDP and TCP, including frames waiting in a connect
+  // backlog) is in an inflight table until it reaches a terminal outcome,
+  // so empty tables mean every outcome this querier owns is terminal.
+  bool idle() const { return udp_inflight_.empty() && tcp_live_ == 0; }
 
-  void Send(const QueryJob& job, NanoTime epoch_mono) {
+  // `now` is the caller's monotonic clock read: the query's send stamp and
+  // the start of its timeout.
+  void Send(const QueryJob& job, NanoTime epoch_mono, NanoTime now) {
     epoch_mono_ = epoch_mono;  // reply timestamps share the send epoch
-    dns::Message query = job.record.ToMessage();
 
     SendOutcome& outcome = *job.outcome;
     outcome.trace_index = job.trace_index;
@@ -186,9 +204,9 @@ class Querier {
     if (metrics_.inflight != nullptr) metrics_.inflight->Add(1);
 
     if (job.record.protocol == trace::Protocol::kUdp) {
-      SendUdp(job, query);
+      SendUdp(job, now);
     } else {
-      SendTcp(job, query);
+      SendTcp(job, now);
     }
   }
 
@@ -201,16 +219,16 @@ class Querier {
     pending_items_.clear();
     live_ids_.clear();
     for (uint16_t id : pending_udp_) {
-      auto it = udp_inflight_.find(id);
-      if (it == udp_inflight_.end()) continue;  // aged out while staged
-      pending_items_.push_back(net::DatagramPath::SendItem{
-          it->second.wire, it->second.target});
+      const UdpEntry* entry = udp_inflight_.find(id);
+      if (entry == nullptr) continue;  // aged out while staged
+      pending_items_.push_back(
+          net::DatagramPath::SendItem{entry->wire, entry->target});
       live_ids_.push_back(id);
     }
     size_t accepted =
         pending_items_.empty() ? 0 : udp_->SendBatch(pending_items_);
     for (size_t i = 0; i < accepted; ++i) {
-      udp_inflight_[live_ids_[i]].on_wire = true;
+      udp_inflight_.find(live_ids_[i])->on_wire = true;
     }
     if (accepted == live_ids_.size()) {
       pending_udp_.clear();
@@ -225,11 +243,10 @@ class Querier {
       LDP_DEBUG << "UDP flush: giving up on " << pending_udp_.size()
                 << " staged queries after " << kMaxFlushRetries << " retries";
       for (uint16_t id : pending_udp_) {
-        auto it = udp_inflight_.find(id);
-        if (it == udp_inflight_.end()) continue;
-        wheel_.Cancel(UdpKey(id));
-        Terminal(it->second.outcome, SendOutcome::State::kSendFailed);
-        udp_inflight_.erase(it);
+        UdpEntry* entry = udp_inflight_.find(id);
+        if (entry == nullptr) continue;
+        Terminal(entry->outcome, SendOutcome::State::kSendFailed);
+        udp_inflight_.Erase(id);
       }
       pending_udp_.clear();
       flush_retries_ = 0;
@@ -253,17 +270,20 @@ class Querier {
     return target;
   }
 
+  // A slot of the UDP inflight table; a later query reuses it, `wire`'s
+  // capacity included.
   struct UdpEntry {
     SendOutcome* outcome = nullptr;
     Bytes wire;           // encoded query, kept for retransmits
     Endpoint target;      // destination (kept so retransmits follow it)
+    uint64_t seq = 0;     // matches this query's Timeout entry
     int tries = 0;        // retransmits performed
     bool on_wire = false;  // accepted by the kernel at least once
   };
 
   struct TcpState {
     ConnKey key;
-    uint32_t index = 0;  // packs into timer-wheel keys; see conn_index_
+    uint32_t index = 0;  // packs into timeout keys; see conn_index_
     std::unique_ptr<net::StreamConn> conn;
     // Non-owning view of `conn` when key.tls, for the post-handshake
     // accessors (session_reused, handshake_duration); null otherwise.
@@ -279,6 +299,7 @@ class Querier {
     struct Entry {
       SendOutcome* outcome = nullptr;
       Bytes frame;  // length-prefixed wire form, kept for redelivery
+      uint64_t seq = 0;  // matches this query's Timeout entry
       bool on_wire = false;
     };
     std::unordered_map<uint16_t, Entry> inflight;
@@ -327,14 +348,13 @@ class Querier {
         std::max<NanoDuration>(0, outcome.sent - outcome.trace_time)));
   }
 
-  // --- timeout wheel ---
+  // --- timeouts ---
 
-  void ScheduleTimeout(uint64_t key, int tries) {
+  void ScheduleTimeout(uint64_t key, uint64_t seq, int tries, NanoTime now) {
     if (config_.query_timeout <= 0) return;
-    // Retry k waits query_timeout << k (exponential backoff); the shift is
-    // clamped so a large retransmit budget cannot overflow int64 ns.
-    NanoDuration wait = config_.query_timeout << std::min(tries, 10);
-    wheel_.Schedule(key, MonotonicNow() + wait);
+    const int level = std::min(tries, kMaxBackoffShift);
+    timeouts_[static_cast<size_t>(level)].push_back(
+        Timeout{now + (config_.query_timeout << level), key, seq});
     ArmTick();
   }
 
@@ -350,69 +370,70 @@ class Querier {
     // before deciding that anything timed out.
     while (!DrainReplies()) {
     }
-    if (metrics_.wheel_occupancy != nullptr) {
-      metrics_.wheel_occupancy->Record(wheel_.size());
-    }
-    expired_.clear();
-    wheel_.Advance(MonotonicNow(), expired_);
-    for (uint64_t key : expired_) {
-      if (key & kTcpKeyBit) {
-        ExpireTcp(key);
-      } else {
-        ExpireUdp(static_cast<uint16_t>(key));
+    const NanoTime now = MonotonicNow();
+    for (auto& fifo : timeouts_) {
+      while (!fifo.empty() && fifo.front().deadline <= now) {
+        const Timeout timeout = fifo.pop_front();
+        if (timeout.key & kTcpKeyBit) {
+          ExpireTcp(timeout);
+        } else {
+          ExpireUdp(timeout, now);
+        }
       }
     }
-    if (!wheel_.empty()) ArmTick();
+    if (!idle()) ArmTick();
     MaybeIdle();
   }
 
-  void ExpireUdp(uint16_t id) {
-    auto it = udp_inflight_.find(id);
-    if (it == udp_inflight_.end()) return;
-    UdpEntry& entry = it->second;
-    if (!entry.on_wire) {
+  void ExpireUdp(const Timeout& timeout, NanoTime now) {
+    const uint16_t id = static_cast<uint16_t>(timeout.key);
+    UdpEntry* entry = udp_inflight_.find(id);
+    if (entry == nullptr || entry->seq != timeout.seq) return;  // answered
+    if (!entry->on_wire) {
       // Never accepted by the kernel within a full timeout: send-failed,
       // not timed-out — the server never saw it.
-      Terminal(entry.outcome, SendOutcome::State::kSendFailed);
-      udp_inflight_.erase(it);
+      Terminal(entry->outcome, SendOutcome::State::kSendFailed);
+      udp_inflight_.Erase(id);
       return;
     }
-    if (entry.tries < config_.max_retransmits) {
-      ++entry.tries;
-      entry.outcome->retransmits =
-          static_cast<uint8_t>(std::min(entry.tries, 255));
+    if (entry->tries < config_.max_retransmits) {
+      ++entry->tries;
+      entry->outcome->retransmits =
+          static_cast<uint8_t>(std::min(entry->tries, 255));
       counters_.retransmits.Add();
-      auto status = udp_->SendTo(entry.wire, entry.target);
+      auto status = udp_->SendTo(entry->wire, entry->target);
       (void)status;  // a full buffer just leaves it to the next expiry
-      ScheduleTimeout(UdpKey(id), entry.tries);
+      ScheduleTimeout(timeout.key, entry->seq, entry->tries, now);
       return;
     }
-    Terminal(entry.outcome, SendOutcome::State::kTimedOut);
-    udp_inflight_.erase(it);
+    Terminal(entry->outcome, SendOutcome::State::kTimedOut);
+    udp_inflight_.Erase(id);
   }
 
-  void ExpireTcp(uint64_t wheel_key) {
-    uint32_t index = static_cast<uint32_t>((wheel_key >> 16) & 0xffffffff);
-    uint16_t id = static_cast<uint16_t>(wheel_key & 0xffff);
+  void ExpireTcp(const Timeout& timeout) {
+    uint32_t index = static_cast<uint32_t>((timeout.key >> 16) & 0xffffffff);
+    uint16_t id = static_cast<uint16_t>(timeout.key & 0xffff);
     auto indexed = conn_index_.find(index);
     if (indexed == conn_index_.end()) return;
     auto it = tcp_.find(indexed->second);
     if (it == tcp_.end()) return;
     TcpState& state = *it->second;
     auto entry = state.inflight.find(id);
-    if (entry == state.inflight.end()) return;
+    if (entry == state.inflight.end() || entry->second.seq != timeout.seq) {
+      return;  // answered, or the ID now carries a later query
+    }
     // on_wire distinguishes "written to a stream, no answer" (timed out)
     // from "still waiting in a backlog, never delivered" (send-failed).
     Terminal(entry->second.outcome,
              entry->second.on_wire ? SendOutcome::State::kTimedOut
                                    : SendOutcome::State::kSendFailed);
-    state.inflight.erase(entry);
+    EraseTcp(state, entry);
     // The backlog may still hold the ID; WriteFrame skips missing entries.
   }
 
   // --- UDP ---
 
-  void SendUdp(const QueryJob& job, dns::Message& query) {
+  void SendUdp(const QueryJob& job, NanoTime now) {
     uint16_t id = 0;
     bool collided = false;
     if (config_.query_timeout > 0) {
@@ -431,33 +452,33 @@ class Querier {
       // historical wrap but evict the stale entry and count the collision
       // instead of silently clobbering it.
       id = next_udp_id_++;
-      auto old = udp_inflight_.find(id);
-      if (old != udp_inflight_.end()) {
+      if (udp_inflight_.contains(id)) {
         collided = true;
-        udp_inflight_.erase(old);
+        udp_inflight_.Erase(id);
       }
     }
     if (collided) counters_.id_collisions.Add();
 
-    query.id = id;
-    UdpEntry entry;
+    UdpEntry& entry = udp_inflight_.Insert(id);
     entry.outcome = job.outcome;
-    entry.wire = query.Encode();
+    entry.wire.clear();
+    job.record.AppendWire(id, entry.wire);
     entry.target = TargetFor(job.record);
-    auto emplaced = udp_inflight_.emplace(id, std::move(entry));
-    job.outcome->sent = MonotonicNow() - epoch_mono_;
+    entry.seq = ++next_seq_;
+    entry.tries = 0;
+    entry.on_wire = false;
+    job.outcome->sent = now - epoch_mono_;
     RecordLateness(*job.outcome);
-    ScheduleTimeout(UdpKey(id), /*tries=*/0);
+    ScheduleTimeout(UdpKey(id), entry.seq, /*tries=*/0, now);
 
     if (config_.batch_udp) {
       pending_udp_.push_back(id);
       if (pending_udp_.size() >= net::DatagramPath::kBatchSize) Flush();
       return;
     }
-    auto status = udp_->SendTo(emplaced.first->second.wire,
-                               emplaced.first->second.target);
+    auto status = udp_->SendTo(entry.wire, entry.target);
     if (status.ok()) {
-      emplaced.first->second.on_wire = true;
+      entry.on_wire = true;
       return;
     }
     LDP_DEBUG << "UDP send failed: " << status.error().ToString();
@@ -487,26 +508,25 @@ class Querier {
     // another source or to another question is counted and leaves the
     // query pending.
     std::span<const uint8_t> payload = item.payload;
-    auto it = payload.size() < 2
-                  ? udp_inflight_.end()
-                  : udp_inflight_.find(static_cast<uint16_t>(
-                        (payload[0] << 8) | payload[1]));
-    if (it == udp_inflight_.end() || item.from != it->second.target ||
-        !dns::SameFirstQuestion(payload, it->second.wire)) {
+    const uint16_t id =
+        payload.size() < 2
+            ? 0
+            : static_cast<uint16_t>((payload[0] << 8) | payload[1]);
+    UdpEntry* entry = payload.size() < 2 ? nullptr : udp_inflight_.find(id);
+    if (entry == nullptr || item.from != entry->target ||
+        !dns::SameFirstQuestion(payload, entry->wire)) {
       counters_.unmatched_replies.Add();
       return;
     }
-    uint16_t id = it->first;
     // The kernel's receive stamp, kept between the send and the read so a
     // stamp the clock conversion skewed cannot invert either.
     NanoTime replied = handled;
     if (item.rx_time != 0) {
-      replied = std::clamp(item.rx_time - epoch_mono_, it->second.outcome->sent,
+      replied = std::clamp(item.rx_time - epoch_mono_, entry->outcome->sent,
                            handled);
     }
-    RecordAnswer(it->second.outcome, replied);
-    wheel_.Cancel(UdpKey(id));
-    udp_inflight_.erase(it);
+    RecordAnswer(entry->outcome, replied);
+    udp_inflight_.Erase(id);  // its Timeout entry is dropped when popped
     MaybeIdle();
   }
 
@@ -519,7 +539,7 @@ class Querier {
   // next loop iteration: destroying them in place would free the
   // TcpConnection whose callback is currently executing.
 
-  void SendTcp(const QueryJob& job, dns::Message& query) {
+  void SendTcp(const QueryJob& job, NanoTime now) {
     bool tls = job.record.protocol == trace::Protocol::kTls;
     if (tls && !net::TlsAvailable()) {
       if (!warned_no_tls_) {
@@ -561,9 +581,10 @@ class Querier {
       MaybeIdle();
       return;
     }
-    query.id = *allocated;
 
-    auto framed = dns::FrameMessage(query.Encode());
+    tcp_wire_.clear();
+    job.record.AppendWire(*allocated, tcp_wire_);
+    auto framed = dns::FrameMessage(tcp_wire_);
     if (!framed.ok()) {
       Terminal(job.outcome, SendOutcome::State::kSendFailed);
       MaybeIdle();
@@ -573,10 +594,13 @@ class Querier {
     TcpState::Entry entry;
     entry.outcome = job.outcome;
     entry.frame = std::move(*framed);
+    entry.seq = ++next_seq_;
+    const uint64_t seq = entry.seq;
     state.inflight.emplace(*allocated, std::move(entry));
-    job.outcome->sent = MonotonicNow() - epoch_mono_;
+    ++tcp_live_;
+    job.outcome->sent = now - epoch_mono_;
     RecordLateness(*job.outcome);
-    ScheduleTimeout(TcpKeyFor(state, *allocated), /*tries=*/0);
+    ScheduleTimeout(TcpKeyFor(state, *allocated), seq, /*tries=*/0, now);
 
     if (state.connected && !state.paused && state.backlog.empty()) {
       if (!WriteFrame(state, *allocated)) state.backlog.push_back(*allocated);
@@ -585,7 +609,7 @@ class Querier {
     }
   }
 
-  // Timer-wheel key for one inflight TCP query of this connection.
+  // Timeout key for one inflight TCP query of this connection.
   static uint64_t TcpKeyFor(const TcpState& state, uint16_t id) {
     return kTcpKeyBit | (static_cast<uint64_t>(state.index) << 16) | id;
   }
@@ -733,9 +757,9 @@ class Querier {
     if (it == tcp_.end()) return;
     TcpState& state = *it->second;
     for (auto& [id, entry] : state.inflight) {
-      wheel_.Cancel(TcpKeyFor(state, id));
       Terminal(entry.outcome, SendOutcome::State::kSendFailed);
     }
+    tcp_live_ -= state.inflight.size();
     state.inflight.clear();
     DisposeState(key);
     MaybeIdle();
@@ -782,6 +806,12 @@ class Querier {
     return true;
   }
 
+  void EraseTcp(TcpState& state,
+                std::unordered_map<uint16_t, TcpState::Entry>::iterator it) {
+    state.inflight.erase(it);
+    --tcp_live_;
+  }
+
   void DrainBacklog(TcpState& state) {
     while (!state.backlog.empty() && state.connected && !state.paused) {
       uint16_t id = state.backlog.front();
@@ -824,10 +854,8 @@ class Querier {
         counters_.unmatched_replies.Add();
         continue;
       }
-      uint16_t id = it->first;
       RecordAnswer(it->second.outcome, state.last_activity - epoch_mono_);
-      wheel_.Cancel(TcpKeyFor(state, id));
-      state.inflight.erase(it);
+      EraseTcp(state, it);  // its Timeout entry is dropped when popped
       state.attempts = 0;  // a live reply refills the reconnect budget
     }
     MaybeIdle();
@@ -840,9 +868,8 @@ class Querier {
   std::function<void()> on_idle_;
 
   std::unique_ptr<net::DatagramPath> udp_;
-  std::unordered_map<uint16_t, UdpEntry> udp_inflight_;
-  // Staged IDs awaiting the batch flush; wire bytes live in udp_inflight_
-  // (unordered_map references are rehash-stable).
+  InflightTable<UdpEntry> udp_inflight_;
+  // Staged IDs awaiting the batch flush; wire bytes live in udp_inflight_.
   std::vector<uint16_t> pending_udp_;
   std::vector<net::DatagramPath::SendItem> pending_items_;
   std::vector<uint16_t> live_ids_;
@@ -851,9 +878,11 @@ class Querier {
   uint16_t next_udp_id_ = 1;
 
   std::unordered_map<ConnKey, std::unique_ptr<TcpState>, ConnKeyHash> tcp_;
-  // index -> key, for decoding timer-wheel expiries back to a connection.
+  // index -> key, for decoding timeout keys back to a connection.
   std::unordered_map<uint32_t, ConnKey> conn_index_;
   uint32_t next_conn_index_ = 1;
+  size_t tcp_live_ = 0;  // entries across every TcpState::inflight
+  Bytes tcp_wire_;       // AppendWire scratch for the frame
   std::vector<std::unique_ptr<net::StreamConn>> graveyard_conns_;
   std::vector<std::unique_ptr<TcpState>> graveyard_states_;
   bool sweep_armed_ = false;
@@ -863,8 +892,9 @@ class Querier {
   bool warned_no_tls_ = false;
 
   NanoDuration tick_interval_;
-  TimerWheel wheel_;
-  std::vector<uint64_t> expired_;
+  // One FIFO per retransmit level (UDP and TCP first tries share level 0).
+  std::vector<Ring<Timeout>> timeouts_;
+  uint64_t next_seq_ = 0;
   bool tick_armed_ = false;
   bool replies_armed_ = true;  // DatagramPath::Open registers rx interest
 
@@ -943,8 +973,6 @@ class Distributor {
         qm.send_lateness =
             config_.metrics->AddHistogram("replay.send_lateness_ns");
         qm.inflight = config_.metrics->AddGauge("replay.inflight");
-        qm.wheel_occupancy =
-            config_.metrics->AddHistogram("replay.wheel_occupancy");
         qm.tls_handshake =
             config_.metrics->AddHistogram("replay.tls_handshake_ns");
       }
@@ -992,7 +1020,7 @@ class Distributor {
       PumpFastBacklog();
       return;
     }
-    SendDue();
+    SendDue(MonotonicNow());
     MaybeFinish();
   }
 
@@ -1003,27 +1031,25 @@ class Distributor {
   // Keeps the send queue in trace-time order. Records nearly always
   // arrive in order, so the insertion point is searched from the back.
   void Enqueue(QueryJob job) {
-    auto at = send_queue_.end();
-    while (at != send_queue_.begin() &&
-           std::prev(at)->trace_time > job.trace_time) {
-      --at;
-    }
+    size_t at = send_queue_.size();
+    while (at > 0 && send_queue_[at - 1].trace_time > job.trace_time) --at;
     send_queue_.insert(at, std::move(job));
   }
 
   // Sends every queued query that is due, one sendmmsg per querier; reads
   // the replies waiting on disarmed sockets; then re-arms the timer for
-  // the new head and decides whether the sockets stay disarmed.
-  void SendDue() {
-    NanoTime now = MonotonicNow();
+  // the new head and decides whether the sockets stay disarmed. `now` is
+  // the caller's fresh monotonic clock read; the queries sent on it share
+  // it as their send stamp and timeout start, and the clock is read again
+  // only when the head is not yet due by it.
+  void SendDue(NanoTime now) {
     while (!send_queue_.empty()) {
       if (DueAt(send_queue_.front()) > now) {
         now = MonotonicNow();  // sending took time: more may be due now
         if (DueAt(send_queue_.front()) > now) break;
       }
-      QueryJob job = std::move(send_queue_.front());
-      send_queue_.pop_front();
-      Dispatch(assigner_.Assign(job.record.src), job);
+      QueryJob job = send_queue_.pop_front();
+      Dispatch(assigner_.Assign(job.record.src), job, now);
     }
     for (auto& querier : queriers_) querier->Flush();
 
@@ -1037,10 +1063,10 @@ class Distributor {
       const bool emptied = querier->replies_armed() || querier->DrainReplies();
       querier->SetRepliesArmed(!send_soon || !emptied);
     }
-    ArmSendTimer();
+    ArmSendTimer(now);
   }
 
-  void ArmSendTimer() {
+  void ArmSendTimer(NanoTime now) {
     if (send_queue_.empty()) {
       send_timer_.Cancel();
       return;
@@ -1049,28 +1075,26 @@ class Distributor {
     if (send_timer_.active() && send_timer_due_ == due) return;
     send_timer_.Cancel();
     send_timer_due_ = due;
-    const NanoTime wake =
-        due - MonotonicNow() > kPreWakeGap ? due - kPreWake : due;
+    const NanoTime wake = due - now > kPreWakeGap ? due - kPreWake : due;
     send_timer_ = loop_->ScheduleAt(wake, [this, due]() {
-      while (MonotonicNow() < due) {
-      }
-      SendDue();
+      NanoTime now = MonotonicNow();
+      while (now < due) now = MonotonicNow();
+      SendDue(now);
     });
   }
 
   // Fast mode sends in bounded chunks, yielding to the event loop between
   // them. Dispatching a large drained batch monolithically would starve
   // socket reads (and timers) for the whole burst: replies pile up unread
-  // in the kernel buffer until the timer wheel has already expired their
+  // in the kernel buffer until the timeout FIFOs have already expired their
   // inflight entries, manufacturing timeouts for queries that were in fact
   // answered.
   void PumpFastBacklog() {
     if (fast_pump_armed_) return;
     size_t n = std::min(fast_backlog_.size(), kFastChunk);
     for (size_t i = 0; i < n; ++i) {
-      QueryJob job = std::move(fast_backlog_.front());
-      fast_backlog_.pop_front();
-      Dispatch(assigner_.Assign(job.record.src), job);
+      QueryJob job = fast_backlog_.pop_front();
+      Dispatch(assigner_.Assign(job.record.src), job, MonotonicNow());
     }
     for (auto& querier : queriers_) querier->Flush();
     if (!fast_backlog_.empty()) {
@@ -1084,8 +1108,8 @@ class Distributor {
     MaybeFinish();
   }
 
-  void Dispatch(size_t querier, const QueryJob& job) {
-    queriers_[querier]->Send(job, epoch_mono_);
+  void Dispatch(size_t querier, const QueryJob& job, NanoTime now) {
+    queriers_[querier]->Send(job, epoch_mono_, now);
     counters_.sent.Add();
     --outstanding_;
     MaybeFinish();
@@ -1116,7 +1140,7 @@ class Distributor {
   std::atomic<size_t>* finished_;
   StickyAssigner assigner_;
   NotifyQueue<QueryJob> queue_;
-  std::deque<QueryJob> send_queue_;  // timed mode, trace-time order
+  Ring<QueryJob> send_queue_;  // timed mode, trace-time order
   net::TimerHandle send_timer_;
   NanoTime send_timer_due_ = 0;
   std::unique_ptr<net::EventLoop> loop_;
@@ -1127,7 +1151,7 @@ class Distributor {
   bool input_closed_ = false;
   bool stopping_ = false;
   static constexpr size_t kFastChunk = 256;
-  std::deque<QueryJob> fast_backlog_;
+  Ring<QueryJob> fast_backlog_;
   bool fast_pump_armed_ = false;
 };
 

@@ -11,8 +11,8 @@
 // ΔT = Δt̄ − Δt rule, sends it, and timestamps the reply.
 //
 // Every replayed query is tracked to a terminal outcome: answered, timed
-// out (a timer wheel ages inflight entries past query_timeout, after any
-// configured UDP retransmits), or send-failed (never accepted by the
+// out (per-retransmit-level timeout FIFOs age inflight entries past
+// query_timeout, after any configured UDP retransmits), or send-failed (never accepted by the
 // kernel, or its TCP connection exhausted its reconnect budget). The
 // invariant `queries_sent == answered + timed_out + send_failed` makes loss
 // an explicit output instead of a silent gap in the fidelity metrics.
@@ -27,13 +27,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
 
 #include "common/result.h"
 #include "net/datapath.h"
+#include "replay/inflight.h"
 #include "stats/metrics.h"
 #include "stats/summary.h"
 #include "trace/record.h"
@@ -124,8 +124,8 @@ struct RealtimeConfig {
 
   // Registry for live counters/histograms: transport outcome counters
   // (replay.sent/answered/timed_out/send_failed/...), per-querier
-  // send→answer latency histograms, inflight-depth gauges, timer-wheel
-  // occupancy, and per-distributor loop-lag / epoll-batch histograms.
+  // send→answer latency histograms, inflight-depth gauges, and
+  // per-distributor loop-lag / epoll-batch histograms.
   // Must outlive the replay call AND any snapshots taken after it.
   stats::MetricsRegistry* metrics = nullptr;
   // When set, distributor 0 drives it: one JSONL row per interval() from
@@ -192,27 +192,6 @@ struct RealtimeReport {
   // records count toward the original series only.
   std::vector<double> RateErrors() const;
 };
-
-// Allocates a 16-bit DNS query ID that is not currently inflight, probing
-// upward from `next_id` (which is advanced past the returned ID). Sets
-// *collided when the preferred ID was occupied — the caller counts it —
-// and returns nullopt when all 65536 IDs are inflight. Shared by the UDP
-// and per-TCP-connection ID spaces; a template so each can use its own
-// map type without copying the wrap/probe logic.
-template <typename InflightMap>
-std::optional<uint16_t> AllocateQueryId(uint16_t& next_id,
-                                        const InflightMap& inflight,
-                                        bool* collided) {
-  *collided = false;
-  if (inflight.size() >= 0x10000) return std::nullopt;
-  uint16_t id = next_id;
-  while (inflight.find(id) != inflight.end()) {
-    *collided = true;
-    ++id;  // uint16_t arithmetic wraps 65535 -> 0 by definition
-  }
-  next_id = static_cast<uint16_t>(id + 1);
-  return id;
-}
 
 // Replays `records` (timestamps must ascend) and blocks until done.
 Result<RealtimeReport> RunRealtimeReplay(

@@ -4,6 +4,17 @@
 #include "dns/framing.h"
 
 namespace ldp::replay {
+namespace {
+
+// A record's query behind its 2-byte length prefix. A query is at most a
+// few hundred bytes, far below the frame cap, so framing cannot fail.
+Bytes FramedQuery(const trace::QueryRecord& record, uint16_t id) {
+  Bytes wire;
+  record.AppendWire(id, wire);
+  return std::move(dns::FrameMessage(wire)).value();
+}
+
+}  // namespace
 
 stats::Distribution SimReplayReport::LatencySummary(
     size_t max_source_queries) const {
@@ -115,15 +126,16 @@ void SimReplayEngine::SendUdpQuery(SourceState& state, size_t outcome_index,
     }
   }
 
-  dns::Message query = record.ToMessage();
-  query.id = next_id_++;
-  state.inflight[query.id] = outcome_index;
+  const uint16_t id = next_id_++;
+  state.inflight[id] = outcome_index;
+  Bytes wire;
+  record.AppendWire(id, wire);
 
   QueryOutcome& outcome = report_.outcomes[outcome_index];
   outcome.sent = net_.simulator().Now();
   ++report_.queries_sent;
   net_.SendUdp(Endpoint{record.src, state.udp_port}, config_.server,
-               query.Encode());
+               std::move(wire));
 }
 
 void SimReplayEngine::SendStreamQuery(SourceState& state,
@@ -135,13 +147,11 @@ void SimReplayEngine::SendStreamQuery(SourceState& state,
   // Existing connection of the right protocol: reuse it.
   if (state.conn != nullptr && state.conn_protocol == record.protocol &&
       state.conn->established()) {
-    dns::Message query = record.ToMessage();
-    query.id = next_id_++;
-    state.inflight[query.id] = outcome_index;
+    const uint16_t id = next_id_++;
+    state.inflight[id] = outcome_index;
     ++report_.queries_sent;
     ++report_.reused_connections;
-    // Replayed queries come from our own encoder, which caps at 64KiB.
-    state.conn->Send(std::move(dns::FrameMessage(query.Encode())).value());
+    state.conn->Send(FramedQuery(record, id));
     return;
   }
 
@@ -170,11 +180,10 @@ void SimReplayEngine::SendStreamQuery(SourceState& state,
     st.backlog.clear();
     for (size_t index : backlog) {
       const auto& record = records_[report_.outcomes[index].trace_index];
-      dns::Message query = record.ToMessage();
-      query.id = next_id_++;
-      st.inflight[query.id] = index;
+      const uint16_t id = next_id_++;
+      st.inflight[id] = index;
       ++report_.queries_sent;
-      conn.Send(std::move(dns::FrameMessage(query.Encode())).value());
+      conn.Send(FramedQuery(record, id));
     }
   };
   callbacks.on_data = [this, source](sim::SimTcpConnection&,

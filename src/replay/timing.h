@@ -54,14 +54,14 @@ class ReplayScheduler {
   bool synchronized_ = false;
 };
 
-// Hashed timer wheel for aging out inflight queries: O(1) schedule and
-// cancel, expiry collection amortized across Advance calls. Keys are
-// caller-defined 64-bit handles (the querier packs protocol, source, and
-// DNS ID). Entries due further out than one wheel revolution stay parked in
+// Hashed timer wheel for aging out entries with individual deadlines (the
+// hierarchy proxy's idle flows): O(1) schedule and cancel, expiry
+// collection amortized across Advance calls. Keys are caller-defined 64-bit
+// handles. Entries due further out than one wheel revolution stay parked in
 // their slot and are skipped until the cursor passes them with the deadline
 // actually due — no cascading levels needed at replay timeout scales.
 //
-// Re-scheduling a live key (retransmit backoff) just files it again; the
+// Re-scheduling a live key just files it again; the
 // stale slot entry is dropped lazily when scanned. Cancel is a map erase;
 // the slot entry likewise dies lazily.
 class TimerWheel {

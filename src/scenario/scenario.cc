@@ -64,9 +64,10 @@ AmplificationReport ComputeAmplification(
     server::AuthServerEngine& engine,
     std::span<const trace::QueryRecord> records) {
   AmplificationReport report;
+  Bytes wire;
   for (const auto& record : records) {
-    dns::Message query = record.ToMessage();
-    auto wire = query.Encode();
+    wire.clear();
+    record.AppendWire(record.id, wire);
     size_t udp_limit =
         record.edns ? record.udp_payload_size : dns::kMaxUdpPayloadDefault;
     auto response = engine.HandleWire(wire, record.dst, udp_limit);

@@ -228,19 +228,20 @@ Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
   const zone::ZoneSet& zones = *views_->Match(source);
   size_t limit = 0;
   if (plain) limit = EffectiveLimit(udp_limit, info.has_edns, info.advertised);
+  ResponseCacheKey key;
+  uint64_t hash = 0;
   if (cache_ != nullptr) {
     if (!plain) {
       Bump(stats_.cache_bypass);
     } else {
-      scratch_key_.view = &zones;
-      scratch_key_.question.assign(info.question.begin(),
-                                   info.question.end());
-      scratch_key_.has_edns = info.has_edns;
-      scratch_key_.do_bit = info.do_bit;
-      scratch_key_.advertised = info.has_edns ? info.advertised : 0;
-      scratch_key_.limit = static_cast<uint32_t>(limit);
-      if (const ResponseCache::Entry* entry =
-              cache_->Lookup(scratch_key_)) {
+      key = ResponseCacheKey{.view = &zones,
+                             .question = info.question,
+                             .has_edns = info.has_edns,
+                             .do_bit = info.do_bit,
+                             .advertised = info.has_edns ? info.advertised : 0,
+                             .limit = static_cast<uint32_t>(limit)};
+      hash = ResponseCache::Hash(key);
+      if (const ResponseCache::Entry* entry = cache_->Lookup(key, hash)) {
         Bump(stats_.cache_hits);
         CountResponse(entry->rcode, entry->wire.size());
         return ResponseCache::PatchedCopy(entry->wire, info.id, info.rd);
@@ -249,19 +250,13 @@ Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
     }
   }
   if (!plain) return HandleDecoded(wire, source, udp_limit);
-  return AnswerCompiled(zones, info, limit);
-}
 
-Bytes AuthServerEngine::AnswerCompiled(const zone::ZoneSet& zones,
-                                       const dns::WireQueryInfo& info,
-                                       size_t limit) {
   auto answer = answerer_.Respond(zones, info, limit);
   CountResponse(answer.rcode, answer.wire.size());
   if (answer.truncated) Bump(stats_.truncated);
   if (cache_ != nullptr && !answer.truncated) {
-    cache_->Insert(std::move(scratch_key_),
-                   Bytes(answer.wire.begin(), answer.wire.end()),
-                   answer.rcode);
+    // One copy into the entry's reused buffer.
+    cache_->Insert(key, hash, answer.wire, answer.rcode);
     stats_.cache_evictions.store(cache_->evictions(),
                                  std::memory_order_relaxed);
     stats_.cache_size.store(cache_->size(), std::memory_order_relaxed);

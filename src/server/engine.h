@@ -116,10 +116,6 @@ class AuthServerEngine {
   void BumpRcode(dns::Rcode rcode);
   // Counts one answered query whose response has `rcode` and `bytes`.
   void CountResponse(dns::Rcode rcode, size_t bytes);
-  // A plain query the cache did not answer; stores the answer when a
-  // cache is on and the answer is not truncated.
-  Bytes AnswerCompiled(const zone::ZoneSet& zones,
-                       const dns::WireQueryInfo& info, size_t limit);
   // The decode path, for queries dns::ParseWireQuery rejects.
   Result<Bytes> HandleDecoded(std::span<const uint8_t> wire,
                               IpAddress source, size_t udp_limit);
@@ -127,9 +123,6 @@ class AuthServerEngine {
 
   std::shared_ptr<const zone::ViewTable> views_;
   std::unique_ptr<ResponseCache> cache_;  // nullptr = disabled
-  // Key staging for HandleWire, reused across queries so the hot path
-  // amortizes the question-bytes allocation (engines are single-threaded).
-  ResponseCacheKey scratch_key_;
   Counters stats_;
   // Builds compiled answers (single-threaded, like the engine).
   zone::WireAnswerer answerer_;

@@ -25,14 +25,20 @@
 // truncates — and which records survive — depends on the exact limit, and
 // a TC answer only tells the client to retry over TCP anyway, so caching
 // it would trade correctness-sensitive bytes for nothing.
+//
+// Layout: a slab of at most `capacity` entries, linked by index into an LRU
+// list, behind an open-addressing index (linear probing, power-of-two
+// size, at most half full) of slab positions. Each entry stores its key's
+// hash, so a query is hashed once and an eviction finds its index bucket
+// without rehashing; an evicted entry's question and answer buffers are
+// reused by the entry that replaces it. Once the slab is full, a miss
+// costs no heap allocation.
 #ifndef LDPLAYER_SERVER_RESPONSE_CACHE_H
 #define LDPLAYER_SERVER_RESPONSE_CACHE_H
 
 #include <cstdint>
-#include <list>
 #include <span>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "dns/message.h"
@@ -43,31 +49,13 @@ struct ResponseCacheKey {
   // Identity of the matched split-horizon view (the ZoneSet pointer, stable
   // for the lifetime of the ViewTable). nullptr = no view matched.
   const void* view = nullptr;
-  Bytes question;           // raw question section (qname, qtype, qclass)
+  // Raw question section (qname, qtype, qclass), borrowed from the query;
+  // the cache copies it when it stores an entry.
+  std::span<const uint8_t> question;
   bool has_edns = false;
   bool do_bit = false;
   uint32_t advertised = 0;  // raw EDNS payload size (0 without EDNS)
   uint32_t limit = 0;       // effective encode limit (the size bucket)
-
-  bool operator==(const ResponseCacheKey&) const = default;
-};
-
-struct ResponseCacheKeyHash {
-  size_t operator()(const ResponseCacheKey& key) const {
-    // FNV-1a over the question bytes, then mix in the scalar fields.
-    size_t h = 0xcbf29ce484222325ull;
-    for (uint8_t byte : key.question) {
-      h = (h ^ byte) * 0x100000001b3ull;
-    }
-    auto mix = [&h](size_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    };
-    mix(reinterpret_cast<size_t>(key.view));
-    mix((static_cast<size_t>(key.has_edns) << 1) |
-        static_cast<size_t>(key.do_bit));
-    mix((static_cast<size_t>(key.advertised) << 32) | key.limit);
-    return h;
-  }
 };
 
 // Capacity-bounded LRU map from key to encoded response. Not thread-safe:
@@ -76,18 +64,23 @@ class ResponseCache {
  public:
   struct Entry {
     Bytes wire;             // encoded response; ID/RD bytes are stale
-    dns::Rcode rcode;       // for stats accounting on hits
+    dns::Rcode rcode = dns::Rcode::kNoError;  // for stats on hits
   };
 
-  explicit ResponseCache(size_t capacity) : capacity_(capacity) {}
+  explicit ResponseCache(size_t capacity);
+
+  // The key's hash; Lookup and Insert take it so a query is hashed once.
+  static uint64_t Hash(const ResponseCacheKey& key);
 
   // Returns the entry (promoted to most-recently-used) or nullptr.
-  const Entry* Lookup(const ResponseCacheKey& key);
+  const Entry* Lookup(const ResponseCacheKey& key, uint64_t hash);
 
-  // Inserts or refreshes; evicts the least-recently-used entry when full.
-  void Insert(ResponseCacheKey key, Bytes wire, dns::Rcode rcode);
+  // Stores a copy of `wire` under `key`, or refreshes the entry already
+  // there; evicts the least-recently-used entry when full.
+  void Insert(const ResponseCacheKey& key, uint64_t hash,
+              std::span<const uint8_t> wire, dns::Rcode rcode);
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return slots_.size(); }
   size_t capacity() const { return capacity_; }
   uint64_t evictions() const { return evictions_; }
 
@@ -96,14 +89,38 @@ class ResponseCache {
   static Bytes PatchedCopy(const Bytes& wire, uint16_t id, bool rd);
 
  private:
-  using LruList = std::list<std::pair<ResponseCacheKey, Entry>>;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  struct Slot {
+    // The key, its question owned.
+    const void* view = nullptr;
+    Bytes question;
+    bool has_edns = false;
+    bool do_bit = false;
+    uint32_t advertised = 0;
+    uint32_t limit = 0;
+    uint64_t hash = 0;
+    Entry entry;
+    uint32_t prev = kNil;  // toward the most recently used
+    uint32_t next = kNil;  // toward the least recently used
+  };
+
+  bool Matches(const Slot& slot, const ResponseCacheKey& key,
+               uint64_t hash) const;
+  // The index bucket holding `key`, or the empty bucket ending its probe.
+  size_t Probe(const ResponseCacheKey& key, uint64_t hash) const;
+  // Empties the bucket of `slot` and shifts later probes back over it.
+  void RemoveFromIndex(uint32_t slot);
+  void Unlink(uint32_t slot);
+  void PushFront(uint32_t slot);
 
   size_t capacity_;
   uint64_t evictions_ = 0;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<ResponseCacheKey, LruList::iterator,
-                     ResponseCacheKeyHash>
-      map_;
+  std::vector<Slot> slots_;      // grows to capacity_, then recycles
+  std::vector<uint32_t> index_;  // slab positions; kNil = empty bucket
+  size_t mask_ = 0;              // index_.size() - 1
+  uint32_t head_ = kNil;         // most recently used
+  uint32_t tail_ = kNil;         // least recently used
 };
 
 }  // namespace ldp::server

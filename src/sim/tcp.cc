@@ -189,6 +189,8 @@ void SimTcpStack::OnSegment(const SimPacket& packet) {
     case SegmentKind::kTcpFin:
       ClosePassive(conn);
       break;
+    case SegmentKind::kTcpSyn:
+      break;  // unreachable: a SYN is handled before the switch
     case SegmentKind::kUdp:
       break;  // unreachable: UDP routes to datagram listeners
   }

@@ -31,6 +31,39 @@ dns::Message QueryRecord::ToMessage() const {
   return msg;
 }
 
+void QueryRecord::AppendWire(uint16_t id, Bytes& out) const {
+  out.reserve(out.size() + 12 + qname.WireLength() + 4 + (edns ? 11 : 0));
+  auto u16 = [&out](uint16_t v) {
+    out.push_back(static_cast<uint8_t>(v >> 8));
+    out.push_back(static_cast<uint8_t>(v & 0xff));
+  };
+  // Header: a standard query (opcode 0, rcode 0) with RD and CD from the
+  // record; one question, and the OPT RR as the only additional.
+  u16(id);
+  u16(static_cast<uint16_t>((rd ? 0x0100 : 0) | (cd ? 0x0010 : 0)));
+  u16(1);
+  u16(0);
+  u16(0);
+  u16(edns ? 1 : 0);
+  for (const auto& label : qname.labels()) {
+    out.push_back(static_cast<uint8_t>(label.size()));
+    out.insert(out.end(), label.begin(), label.end());
+  }
+  out.push_back(0);
+  u16(static_cast<uint16_t>(qtype));
+  u16(static_cast<uint16_t>(qclass));
+  if (edns) {
+    // OPT (RFC 6891 §6.1.2): root owner, the payload size in the class
+    // field, TTL = extended rcode 0, version 0, DO; no options.
+    out.push_back(0);
+    u16(static_cast<uint16_t>(dns::RRType::kOPT));
+    u16(udp_payload_size);
+    u16(0);
+    u16(do_bit ? 0x8000 : 0);
+    u16(0);
+  }
+}
+
 QueryRecord QueryRecord::FromMessage(const dns::Message& message,
                                      NanoTime time, IpAddress src,
                                      uint16_t src_port, IpAddress dst,

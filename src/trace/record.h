@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/clock.h"
 #include "common/ip.h"
 #include "common/result.h"
@@ -44,6 +45,13 @@ struct QueryRecord {
 
   // Builds the wire-ready DNS query message this record describes.
   dns::Message ToMessage() const;
+
+  // Appends this record's query, with message ID `id`, to `out`: the
+  // header, the qname uncompressed (a lone question has nothing to
+  // compress against), qtype, qclass and, with EDNS, the OPT RR. The bytes
+  // are exactly those of ToMessage() with `id`, then Encode(); every
+  // record-to-wire site uses this instead, as it builds no dns::Message.
+  void AppendWire(uint16_t id, Bytes& out) const;
 
   // Extracts a record from a decoded query message plus transport metadata.
   static QueryRecord FromMessage(const dns::Message& message, NanoTime time,

@@ -74,7 +74,6 @@ LookupResult Lookup(const Zone& zone, const dns::Name& qname,
     bool node_exists = zone.HasNode(current);
     const dns::RRset* node_src = nullptr;
     dns::RRset synthesized;  // wildcard-expanded copy, when applicable
-    bool from_wildcard = false;
 
     if (!node_exists) {
       // 3. Wildcard: only if `current` is not an empty non-terminal and a
@@ -94,7 +93,6 @@ LookupResult Lookup(const Zone& zone, const dns::Name& qname,
           if (wc.ok() && zone.HasNode(*wc)) {
             // Wildcard applies only if nothing exists between qname and
             // the encloser (guaranteed: we stopped at the closest one).
-            from_wildcard = true;
             found_wildcard = true;
             // Reuse the wildcard node below via `wc_name`.
             encloser = *wc;

@@ -4,10 +4,15 @@
 // parse → encode → reparse → re-encode with a byte-identical second
 // encoding. A violation means the decoder and encoder disagree about what
 // the message *is*, which silently corrupts replayed traces.
+//
+// A second oracle covers the replay querier's encoder: any accepted
+// message with one question, taken into a trace record, must encode the
+// same through QueryRecord::AppendWire as through ToMessage() + Encode().
 #include <cstdio>
 #include <cstdlib>
 
 #include "dns/message.h"
+#include "trace/record.h"
 
 namespace {
 
@@ -31,5 +36,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!reparsed.ok()) Fail("encoder output does not reparse");
   ldp::Bytes second = reparsed->Encode();
   if (second != first) Fail("re-encoding is not a fixed point");
+
+  if (msg->questions.size() == 1) {
+    auto record = ldp::trace::QueryRecord::FromMessage(
+        *msg, 0, ldp::IpAddress(), 0, ldp::IpAddress(), 53,
+        ldp::trace::Protocol::kUdp);
+    ldp::dns::Message query = record.ToMessage();
+    query.id = msg->id;
+    ldp::Bytes appended;
+    record.AppendWire(msg->id, appended);
+    if (appended != query.Encode()) Fail("AppendWire differs from Encode");
+  }
   return 0;
 }

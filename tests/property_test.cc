@@ -3,12 +3,16 @@
 //    hierarchies (signed and unsigned),
 //  * the simulated TCP lifecycle balances its connection accounting for
 //    every idle-timeout setting,
-//  * binary/text trace codecs are inverses on every workload model.
+//  * binary/text trace codecs are inverses on every workload model,
+//  * the slab response cache behaves exactly like a list-based LRU.
 #include <gtest/gtest.h>
+
+#include <list>
 
 #include "common/rng.h"
 #include "mutate/mutate.h"
 #include "replay/sim_engine.h"
+#include "server/response_cache.h"
 #include "server/sim_server.h"
 #include "trace/binary.h"
 #include "trace/pcap.h"
@@ -215,6 +219,135 @@ TEST_P(DecoderRobustness, BitFlippedMessagesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderRobustness,
                          ::testing::Values(1, 2, 3, 4));
+
+// --- Response cache: the slab LRU against a reference list LRU ---
+
+// The reference: the cache as it was specified, a std::list in LRU order
+// (front = most recently used) searched linearly.
+class ReferenceLru {
+ public:
+  struct Item {
+    const void* view;
+    Bytes question;
+    bool has_edns;
+    bool do_bit;
+    uint32_t advertised;
+    uint32_t limit;
+    Bytes wire;
+    dns::Rcode rcode;
+  };
+
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  const Item* Lookup(const server::ResponseCacheKey& key) {
+    auto it = Find(key);
+    if (it == items_.end()) return nullptr;
+    items_.splice(items_.begin(), items_, it);
+    return &items_.front();
+  }
+
+  void Insert(const server::ResponseCacheKey& key, const Bytes& wire,
+              dns::Rcode rcode) {
+    if (capacity_ == 0) return;
+    auto it = Find(key);
+    if (it != items_.end()) {
+      it->wire = wire;
+      it->rcode = rcode;
+      items_.splice(items_.begin(), items_, it);
+      return;
+    }
+    if (items_.size() >= capacity_) {
+      items_.pop_back();
+      ++evictions_;
+    }
+    items_.push_front(Item{key.view,
+                           Bytes(key.question.begin(), key.question.end()),
+                           key.has_edns, key.do_bit, key.advertised,
+                           key.limit, wire, rcode});
+  }
+
+  size_t size() const { return items_.size(); }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  std::list<Item>::iterator Find(const server::ResponseCacheKey& key) {
+    for (auto it = items_.begin(); it != items_.end(); ++it) {
+      if (it->view == key.view && it->has_edns == key.has_edns &&
+          it->do_bit == key.do_bit && it->advertised == key.advertised &&
+          it->limit == key.limit &&
+          std::equal(it->question.begin(), it->question.end(),
+                     key.question.begin(), key.question.end())) {
+        return it;
+      }
+    }
+    return items_.end();
+  }
+
+  size_t capacity_;
+  uint64_t evictions_ = 0;
+  std::list<Item> items_;
+};
+
+class ResponseCacheVsReference : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ResponseCacheVsReference, RandomLookupInsertSequencesAgree) {
+  const size_t capacity = GetParam();
+  // 24 keys over a few views, questions and EDNS shapes: with capacity 7
+  // the 16-bucket index probes and shifts entries constantly.
+  const int views[2] = {0, 0};
+  std::vector<Bytes> questions;
+  for (int i = 0; i < 6; ++i) {
+    Bytes question = {3, 'w', 'w', static_cast<uint8_t>('a' + i), 0, 0, 1,
+                      0, 1};
+    questions.push_back(question);
+  }
+  std::vector<server::ResponseCacheKey> keys;
+  for (size_t i = 0; i < 24; ++i) {
+    server::ResponseCacheKey key;
+    key.view = &views[i % 2];
+    key.question = questions[i / 4];
+    key.has_edns = (i / 2) % 2 == 1;
+    key.do_bit = key.has_edns && i % 3 == 0;
+    key.advertised = key.has_edns ? 1232 : 0;
+    key.limit = key.has_edns ? 1232 : 512;
+    keys.push_back(key);
+  }
+
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 7919 + capacity);
+    server::ResponseCache cache(capacity);
+    ReferenceLru reference(capacity);
+    for (int step = 0; step < 5000; ++step) {
+      const server::ResponseCacheKey& key =
+          keys[rng.NextBelow(keys.size())];
+      const uint64_t hash = server::ResponseCache::Hash(key);
+      if (rng.NextBelow(2) == 0) {
+        const auto* got = cache.Lookup(key, hash);
+        const auto* want = reference.Lookup(key);
+        ASSERT_EQ(got != nullptr, want != nullptr)
+            << "seed " << seed << " step " << step;
+        if (got != nullptr) {
+          EXPECT_EQ(got->wire, want->wire);
+          EXPECT_EQ(got->rcode, want->rcode);
+        }
+      } else {
+        Bytes wire(1 + rng.NextBelow(40));
+        for (auto& byte : wire) byte = static_cast<uint8_t>(rng.NextU64());
+        const auto rcode = rng.NextBelow(2) == 0 ? dns::Rcode::kNoError
+                                                 : dns::Rcode::kNxDomain;
+        cache.Insert(key, hash, wire, rcode);
+        reference.Insert(key, wire, rcode);
+      }
+      ASSERT_EQ(cache.size(), reference.size())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(cache.evictions(), reference.evictions())
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, ResponseCacheVsReference,
+                         ::testing::Values(0, 1, 2, 7));
 
 }  // namespace
 }  // namespace ldp

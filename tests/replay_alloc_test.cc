@@ -1,0 +1,173 @@
+// Steady-state heap allocation on the replay distributor thread. A timed
+// UDP replay through ReplayPipeline against a local responder must cost at
+// most one heap allocation per query on the distributor thread, once
+// queues, inflight slots and buffers have grown to their working size.
+//
+// A counting global operator new counts every allocation made on a thread
+// that has not opted out; the test's own threads (this feeder and the
+// responder) opt out, which leaves exactly the pipeline's distributor.
+// The binary is separate because replacing operator new is global.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <thread>
+
+#include "replay/realtime.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+thread_local bool t_uncounted = false;
+
+void* CountedAlloc(size_t size) {
+  if (!t_uncounted) g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(size_t size) { return CountedAlloc(size); }
+void* operator new[](size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+
+namespace ldp::replay {
+namespace {
+
+// Answers every datagram by echoing it with QR set: the reply carries the
+// query's ID and question, so the querier matches it. Allocation-free.
+class EchoResponder {
+ public:
+  EchoResponder() {
+    fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd_ < 0 ||
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      return;
+    }
+    int rcvbuf = 4 << 20;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    endpoint_ = Endpoint{IpAddress::Loopback(), ntohs(addr.sin_port)};
+    thread_ = std::thread([this]() { Serve(); });
+  }
+  ~EchoResponder() {
+    stop_ = true;
+    if (thread_.joinable()) thread_.join();
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool ok() const { return endpoint_.port != 0; }
+  Endpoint endpoint() const { return endpoint_; }
+
+ private:
+  void Serve() {
+    t_uncounted = true;
+    uint8_t buf[1500];
+    while (!stop_) {
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      sockaddr_in from{};
+      socklen_t from_len = sizeof(from);
+      ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
+                             reinterpret_cast<sockaddr*>(&from), &from_len);
+      if (n < 12) continue;
+      buf[2] |= 0x80;  // QR
+      ::sendto(fd_, buf, static_cast<size_t>(n), 0,
+               reinterpret_cast<sockaddr*>(&from), from_len);
+    }
+  }
+
+  int fd_ = -1;
+  Endpoint endpoint_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(ReplayAllocation, DistributorAllocatesAtMostOncePerQuery) {
+  t_uncounted = true;
+  EchoResponder responder;
+  ASSERT_TRUE(responder.ok());
+
+  // 30k queries 25 us apart (40k q/s, the order of the B-Root median
+  // rate), from 500 sources over 64 names; the first 5k warm up the
+  // queues, inflight slots and buffers, the next 20k are measured.
+  constexpr size_t kQueries = 30'000;
+  constexpr uint64_t kWarmup = 5'000;
+  constexpr uint64_t kMeasured = 20'000;
+  std::vector<dns::Name> names;
+  for (int i = 0; i < 64; ++i) {
+    names.push_back(*dns::Name::Parse("host" + std::to_string(i) +
+                                      ".example.com"));
+  }
+  std::vector<trace::QueryRecord> records(kQueries);
+  for (size_t i = 0; i < kQueries; ++i) {
+    trace::QueryRecord& record = records[i];
+    record.timestamp = static_cast<NanoTime>(i) * Micros(25);
+    record.src = IpAddress(10, 0, static_cast<uint8_t>(i % 500 / 250),
+                           static_cast<uint8_t>(i % 250 + 1));
+    record.qname = names[i % names.size()];
+    record.edns = true;
+    record.udp_payload_size = 1232;
+  }
+
+  stats::MetricsRegistry metrics;
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 1;
+  config.queriers_per_distributor = 2;
+  config.query_timeout = Seconds(1);
+  config.metrics = &metrics;
+  auto pipeline =
+      ReplayPipeline::Start(config, MonotonicNow() + Millis(100), 0);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().ToString();
+  (*pipeline)->Feed(records);
+  (*pipeline)->CloseInput();
+
+  // Sample the distributor's allocation count as the send count crosses
+  // the window's edges (polled: each edge lands within a few queries).
+  auto sample_at = [&](uint64_t sent) {
+    while ((*pipeline)->SentCount() < sent && !(*pipeline)->Done()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return std::make_pair((*pipeline)->SentCount(),
+                          g_allocations.load(std::memory_order_relaxed));
+  };
+  const auto [sent0, allocs0] = sample_at(kWarmup);
+  const auto [sent1, allocs1] = sample_at(sent0 + kMeasured);
+  auto report = (*pipeline)->Finish();
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+
+  EXPECT_EQ(report->queries_sent, kQueries);
+  EXPECT_EQ(report->queries_sent,
+            report->answered + report->timed_out + report->send_failed);
+  // Most replies are read (the reply path is part of the measured work);
+  // a host stall may drop some, which only turns them into timeouts.
+  EXPECT_GT(report->answered, kQueries / 2);
+  ASSERT_GE(sent1 - sent0, kMeasured);
+  const double per_query = static_cast<double>(allocs1 - allocs0) /
+                           static_cast<double>(sent1 - sent0);
+  std::printf("distributor: %.3f allocations per query (%llu over %llu)\n",
+              per_query,
+              static_cast<unsigned long long>(allocs1 - allocs0),
+              static_cast<unsigned long long>(sent1 - sent0));
+  EXPECT_LE(per_query, 1.0) << (allocs1 - allocs0) << " allocations over "
+                            << (sent1 - sent0) << " queries";
+}
+
+}  // namespace
+}  // namespace ldp::replay

@@ -500,6 +500,97 @@ TEST(QueryIdAllocation, ExhaustedIdSpaceReturnsNullopt) {
   EXPECT_FALSE(AllocateQueryId(next, inflight, &collided).has_value());
 }
 
+// The querier's UDP ID table (replay/inflight.h), driven directly: its ID
+// space rules hold independent of how fast the host can send.
+struct TableEntry {
+  Bytes wire;
+};
+
+TEST(InflightTable, FullIdSpaceFailsAllocation) {
+  InflightTable<TableEntry> table;
+  for (uint32_t id = 0; id < 0x10000; ++id) {
+    table.Insert(static_cast<uint16_t>(id));
+  }
+  EXPECT_EQ(table.size(), 0x10000u);
+  uint16_t next = 123;
+  bool collided = false;
+  EXPECT_FALSE(AllocateQueryId(next, table, &collided).has_value());
+  EXPECT_EQ(next, 123);
+}
+
+TEST(InflightTable, ProbingPastLiveIdsIsOneCollision) {
+  InflightTable<TableEntry> table;
+  table.Insert(10);
+  table.Insert(11);
+  uint16_t next = 10;
+  bool collided = false;
+  auto id = AllocateQueryId(next, table, &collided);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(*id, 12);
+  EXPECT_TRUE(collided);  // one flag for the allocation, not one per probe
+  EXPECT_EQ(next, 13);
+  table.Insert(*id);
+
+  id = AllocateQueryId(next, table, &collided);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(*id, 13);
+  EXPECT_FALSE(collided);
+}
+
+TEST(InflightTable, FreedIdIsTheNextHandedOutAfterTheWrap) {
+  InflightTable<TableEntry> table;
+  for (uint32_t id = 0; id < 0x10000; ++id) {
+    table.Insert(static_cast<uint16_t>(id));
+  }
+  table.Erase(777);
+  EXPECT_FALSE(table.contains(777));
+  EXPECT_EQ(table.find(777), nullptr);
+  uint16_t next = 60000;
+  bool collided = false;
+  auto id = AllocateQueryId(next, table, &collided);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(*id, 777);
+  EXPECT_TRUE(collided);
+  EXPECT_EQ(next, 778);
+}
+
+TEST(InflightTable, FreedSlotIsReusedWithItsBuffer) {
+  InflightTable<TableEntry> table;
+  TableEntry& first = table.Insert(5);
+  first.wire.assign(100, 0xab);
+  const uint8_t* storage = first.wire.data();
+  table.Erase(5);
+  EXPECT_TRUE(table.empty());
+
+  TableEntry& second = table.Insert(9);
+  EXPECT_EQ(table.find(9), &second);
+  EXPECT_EQ(table.find(5), nullptr);
+  second.wire.clear();  // the caller resets; the capacity stays
+  second.wire.assign(60, 0xcd);
+  EXPECT_EQ(second.wire.data(), storage);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(Ring, KeepsFifoOrderAcrossGrowthWrapAndInsert) {
+  Ring<int> ring;
+  int pushed = 0;
+  int popped = 0;
+  // Interleave so the head walks around the ring while it grows.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 7; ++i) ring.push_back(pushed++);
+    for (int i = 0; i < 5; ++i) EXPECT_EQ(ring.pop_front(), popped++);
+  }
+  EXPECT_EQ(ring.size(), static_cast<size_t>(pushed - popped));
+  // insert() places a value at a position, shifting the tail back.
+  ring.insert(ring.size() - 1, -1);
+  ring.insert(0, -2);
+  EXPECT_EQ(ring.pop_front(), -2);
+  while (ring.size() > 2) EXPECT_EQ(ring.pop_front(), popped++);
+  EXPECT_EQ(ring.pop_front(), -1);
+  EXPECT_EQ(ring.pop_front(), popped++);
+  EXPECT_TRUE(ring.empty());
+}
+
 TEST(RealtimeTransport, UdpTimeoutAndRetransmitAccounting) {
   BlackholeUdp blackhole;
   ASSERT_TRUE(blackhole.ok());
@@ -623,16 +714,18 @@ TEST_F(RealtimeReplayTest, OutOfOrderFeedStillSendsInTraceOrder) {
   EXPECT_GE(report->answered, 198u);
   ExpectTerminalAccounting(*report);
 
-  // One distributor thread stamps its sends in the order it makes them.
-  std::vector<const SendOutcome*> by_send;
-  for (const auto& send : report->sends) by_send.push_back(&send);
-  std::sort(by_send.begin(), by_send.end(),
+  // One distributor thread stamps its sends in the order it makes them,
+  // so in trace order the stamps never go backwards. (Queries sent in one
+  // pass share a stamp: a tie says nothing about their order.)
+  std::vector<const SendOutcome*> by_trace;
+  for (const auto& send : report->sends) by_trace.push_back(&send);
+  std::sort(by_trace.begin(), by_trace.end(),
             [](const SendOutcome* a, const SendOutcome* b) {
-              return a->sent < b->sent;
+              return a->trace_time < b->trace_time;
             });
-  for (size_t i = 1; i < by_send.size(); ++i) {
-    EXPECT_LE(by_send[i - 1]->trace_time, by_send[i]->trace_time)
-        << "send " << i << " left out of trace order";
+  for (size_t i = 1; i < by_trace.size(); ++i) {
+    EXPECT_LE(by_trace[i - 1]->sent, by_trace[i]->sent)
+        << "query " << i << " (trace order) left out of trace order";
   }
 }
 

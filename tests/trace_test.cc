@@ -44,6 +44,102 @@ TEST(QueryRecord, ToMessageRoundTrip) {
   EXPECT_EQ(back, record);
 }
 
+// The query encoder's oracle: AppendWire must write exactly what the
+// general encoder makes of ToMessage() with the same ID.
+Bytes OracleWire(const QueryRecord& record, uint16_t id) {
+  dns::Message msg = record.ToMessage();
+  msg.id = id;
+  return msg.Encode();
+}
+
+void ExpectAppendWireMatches(const QueryRecord& record, uint16_t id) {
+  Bytes wire = {0xaa, 0xbb};  // AppendWire appends: a prefix must survive
+  record.AppendWire(id, wire);
+  ASSERT_GE(wire.size(), 2u);
+  EXPECT_EQ(wire[0], 0xaa);
+  EXPECT_EQ(wire[1], 0xbb);
+  EXPECT_EQ(Bytes(wire.begin() + 2, wire.end()), OracleWire(record, id))
+      << record.qname.ToString() << " id=" << id;
+}
+
+TEST(QueryRecord, AppendWireMatchesEncodeAcrossShapes) {
+  std::vector<dns::Name> names = {
+      dns::Name::Root(),
+      *dns::Name::Parse("www.example.com"),
+      *dns::Name::Parse("WwW.ExAmPlE.CoM"),
+      *dns::Name::Parse("a\\.b\\\\c.example."),
+      *dns::Name::Parse("\\000\\255\\032x.example."),
+      *dns::Name::FromLabels({std::string(63, 'a'), "com"}),
+  };
+  // 255 octets on the wire: three 63-octet labels, one of 61, the root.
+  auto longest = dns::Name::FromLabels({std::string(63, 'x'),
+                                        std::string(63, 'Y'),
+                                        std::string(63, 'z'),
+                                        std::string(61, 'w')});
+  ASSERT_TRUE(longest.ok());
+  ASSERT_EQ(longest->WireLength(), 255u);
+  names.push_back(*longest);
+
+  const dns::RRType types[] = {dns::RRType::kA, dns::RRType::kANY,
+                               dns::RRType::kAXFR, dns::RRType::kOPT};
+  const dns::RRClass classes[] = {dns::RRClass::kIN, dns::RRClass::kCH,
+                                  dns::RRClass::kAny};
+  struct EdnsShape {
+    bool edns;
+    uint16_t size;
+    bool do_bit;
+  };
+  std::vector<EdnsShape> edns_shapes = {{false, 0, false}};
+  for (uint16_t size : {0, 512, 1232, 4096, 65535}) {
+    edns_shapes.push_back({true, size, false});
+    edns_shapes.push_back({true, size, true});
+  }
+  const uint16_t ids[] = {0, 1, 0x1234, 0xffff};
+
+  size_t cases = 0;
+  for (const auto& name : names) {
+    for (dns::RRType type : types) {
+      for (dns::RRClass klass : classes) {
+        for (const auto& shape : edns_shapes) {
+          for (int flags = 0; flags < 4; ++flags) {
+            QueryRecord record;
+            record.qname = name;
+            record.qtype = type;
+            record.qclass = klass;
+            record.rd = flags & 1;
+            record.cd = flags & 2;
+            record.edns = shape.edns;
+            record.udp_payload_size = shape.size;
+            record.do_bit = shape.do_bit;
+            for (uint16_t id : ids) {
+              ExpectAppendWireMatches(record, id);
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 7u * 4 * 3 * 11 * 4 * 4);
+}
+
+TEST(QueryRecord, AppendWireIgnoresTheRecordsOwnId) {
+  // The ID comes from the caller (the querier's allocator), never from
+  // the captured query; the rest is the record's.
+  QueryRecord record = SampleRecord();
+  Bytes wire;
+  record.AppendWire(0xbeef, wire);
+  auto decoded = dns::Message::Decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  EXPECT_EQ(decoded->id, 0xbeef);
+  EXPECT_EQ(QueryRecord::FromMessage(*decoded, record.timestamp, record.src,
+                                     record.src_port, record.dst,
+                                     record.dst_port, record.protocol)
+                .qname,
+            record.qname);
+  ExpectAppendWireMatches(record, record.id);
+}
+
 TEST(TextFormat, LineRoundTrip) {
   QueryRecord record = SampleRecord();
   std::string line = FormatQueryLine(record);

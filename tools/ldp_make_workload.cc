@@ -2,8 +2,8 @@
 // paper's trace inventory (Table 1).
 //
 //   ldp_make_workload --model broot --rate 3800 --duration 60 --out t.bin
-//   ldp_make_workload --model fixed --interarrival-us 1000 --duration 60 \
-//       --out syn3.txt
+//   ldp_make_workload --model fixed --interarrival-us 1000 --duration 60
+//       --out syn3.txt   (one command, wrapped here)
 //   ldp_make_workload --model recursive --records 20000 --out rec.bin
 #include <cstdio>
 
