@@ -6,9 +6,10 @@
 # subsystems (sharded server, batched sockets, realtime replay, response
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
-# timeout expiry, TLS handshake/resumption, sharded TCP accept) and the
-# compiled-answer differential test under AddressSanitizer
-# (-DLDP_SANITIZE=address).
+# timeout expiry, TLS handshake/resumption, sharded TCP accept), the
+# compiled-answer differential test and the name and trace codecs (their
+# own offset arithmetic over wire-form names, with the name oracle) under
+# AddressSanitizer (-DLDP_SANITIZE=address).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips both sanitizer stages
 set -eu
@@ -452,12 +453,13 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths =="
+echo "== asan: socket + replay lifetime paths, name offset arithmetic =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
-  tls_test sharded_server_test compiled_answer_test
+  tls_test sharded_server_test compiled_answer_test \
+  dns_name_test name_oracle_test trace_test zone_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test'
 
 echo "verify: OK"

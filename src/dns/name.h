@@ -1,9 +1,16 @@
 // Domain names (RFC 1035 §3.1): an ordered list of labels, case-preserving
 // but case-insensitive for comparison, with wire-format compression support.
+//
+// A Name is stored as its uncompressed wire form in one string: each label
+// as a length octet and its octets, case preserved. The root octet that
+// ends the wire form is the string's own terminating NUL, so the empty
+// string is the root and wire() always ends in the zero octet.
 #ifndef LDPLAYER_DNS_NAME_H
 #define LDPLAYER_DNS_NAME_H
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,6 +26,30 @@ constexpr size_t kMaxNameWireLength = 255;
 
 class Name {
  public:
+  // The labels, leftmost first, as views into the wire form; iterating
+  // allocates nothing: `for (std::string_view label : name.label_views())`.
+  class LabelIterator {
+   public:
+    explicit LabelIterator(const char* pos) : pos_(pos) {}
+    std::string_view operator*() const {
+      return {pos_ + 1, static_cast<uint8_t>(*pos_)};
+    }
+    LabelIterator& operator++() {
+      pos_ += 1 + static_cast<uint8_t>(*pos_);
+      return *this;
+    }
+    bool operator==(const LabelIterator& other) const = default;
+
+   private:
+    const char* pos_;  // at a label's length octet
+  };
+  struct LabelRange {
+    LabelIterator first;
+    LabelIterator last;
+    LabelIterator begin() const { return first; }
+    LabelIterator end() const { return last; }
+  };
+
   // The root name (zero labels).
   Name() = default;
 
@@ -30,15 +61,29 @@ class Name {
 
   // Builds from raw labels (no escaping applied); each label must be
   // non-empty and <= 63 octets.
-  static Result<Name> FromLabels(std::vector<std::string> labels);
+  static Result<Name> FromLabels(const std::vector<std::string>& labels);
 
-  bool IsRoot() const { return labels_.empty(); }
-  size_t label_count() const { return labels_.size(); }
-  const std::vector<std::string>& labels() const { return labels_; }
+  // Builds from an uncompressed wire form: plain labels ending in the root
+  // octet, at most 255 octets (e.g. a tail of another name's wire()).
+  static Result<Name> FromWire(std::span<const uint8_t> wire);
+
+  bool IsRoot() const { return wire_.empty(); }
+  size_t label_count() const;
+  // A copy of the labels; label_views() reads them without allocating.
+  std::vector<std::string> labels() const;
+  LabelRange label_views() const {
+    return {LabelIterator(wire_.data()),
+            LabelIterator(wire_.data() + wire_.size())};
+  }
+
+  // The uncompressed wire encoding, case preserved, root octet included.
+  std::span<const uint8_t> wire() const {
+    return {reinterpret_cast<const uint8_t*>(wire_.data()), wire_.size() + 1};
+  }
 
   // Length of the wire encoding without compression (labels + length octets
   // + terminal zero octet).
-  size_t WireLength() const;
+  size_t WireLength() const { return wire_.size() + 1; }
 
   // Presentation format, always with a trailing dot ("www.example.com.",
   // root is ".").
@@ -55,7 +100,9 @@ class Name {
   bool IsSubdomainOf(const Name& ancestor) const;
 
   // True iff the leftmost label is "*" (wildcard owner name, RFC 4592).
-  bool IsWildcard() const;
+  bool IsWildcard() const {
+    return wire_.size() >= 2 && wire_[0] == 1 && wire_[1] == '*';
+  }
 
   // The wildcard name covering this name's immediate parent domain:
   // a.b.example.com -> *.b.example.com.
@@ -70,10 +117,16 @@ class Name {
   // Lowercased presentation form; used as a canonical map key.
   std::string CanonicalKey() const;
 
+  // FNV-1a over the case-folded label octets, each label followed by a
+  // zero octet.
   size_t Hash() const;
 
  private:
-  std::vector<std::string> labels_;  // leftmost label first
+  friend Result<Name> DecodeName(ByteReader& reader);
+
+  explicit Name(std::string wire) : wire_(std::move(wire)) {}
+
+  std::string wire_;  // length-prefixed labels, leftmost first; no root octet
 };
 
 // Tracks name→offset mappings while encoding a message so later names can
@@ -96,7 +149,9 @@ class NameCompressor {
 Result<Name> DecodeName(ByteReader& reader);
 
 // Encodes without compression (e.g. for canonical forms and hashing).
-void EncodeNameUncompressed(const Name& name, ByteWriter& writer);
+inline void EncodeNameUncompressed(const Name& name, ByteWriter& writer) {
+  writer.WriteBytes(name.wire());
+}
 
 }  // namespace ldp::dns
 

@@ -171,14 +171,6 @@ int CanonicalCompare(const WireNameView& a, const WireNameView& b) {
   return a.labels < b.labels ? -1 : 1;
 }
 
-void AppendNameWire(const Name& name, Bytes& out) {
-  for (const auto& label : name.labels()) {
-    out.push_back(static_cast<uint8_t>(label.size()));
-    out.insert(out.end(), label.begin(), label.end());
-  }
-  out.push_back(0);
-}
-
 size_t WireCompressor::Write(const WireNameView& name, uint8_t* out,
                              size_t pos) {
   for (size_t i = 0; i < name.labels; ++i) {

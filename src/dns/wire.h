@@ -77,9 +77,6 @@ size_t IndexWireName(std::span<const uint8_t> wire, uint8_t* folded,
 // negative, zero or positive as a sorts before, equal to or after b.
 int CanonicalCompare(const WireNameView& a, const WireNameView& b);
 
-// Appends the uncompressed wire form of `name` (case preserved).
-void AppendNameWire(const Name& name, Bytes& out);
-
 // The compression dictionary of one message being written. Write() emits
 // exactly the bytes NameCompressor::Encode would at the same offset: a
 // pointer to the first recorded suffix that matches case-insensitively,

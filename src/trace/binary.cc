@@ -1,7 +1,9 @@
 #include "trace/binary.h"
 
 #include <fstream>
-#include <memory>
+
+#include "common/strings.h"
+#include "trace/text.h"
 
 namespace ldp::trace {
 namespace {
@@ -31,53 +33,69 @@ void EncodePayload(const QueryRecord& record, ByteWriter& writer) {
   dns::EncodeNameUncompressed(record.qname, writer);
 }
 
-Result<QueryRecord> DecodePayload(std::span<const uint8_t> payload) {
-  ByteReader reader(payload);
-  QueryRecord record;
-  LDP_ASSIGN_OR_RETURN(uint64_t ts, reader.ReadU64());
-  record.timestamp = static_cast<NanoTime>(ts);
-  LDP_ASSIGN_OR_RETURN(uint32_t src, reader.ReadU32());
-  record.src = IpAddress(src);
-  LDP_ASSIGN_OR_RETURN(record.src_port, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(uint32_t dst, reader.ReadU32());
-  record.dst = IpAddress(dst);
-  LDP_ASSIGN_OR_RETURN(record.dst_port, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(uint8_t protocol, reader.ReadU8());
+// The fixed fields, then the qname: no valid payload is shorter than the
+// fixed fields plus the root octet.
+constexpr size_t kFixedBytes = 30;
+constexpr size_t kMinPayload = kFixedBytes + 1;
+
+uint64_t LoadBigEndian(const uint8_t* p, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+// Decodes the record at the stream's length prefix into `record`.
+Status DecodeRecord(ByteReader& stream, QueryRecord& record) {
+  LDP_ASSIGN_OR_RETURN(uint16_t length, stream.ReadU16());
+  LDP_ASSIGN_OR_RETURN(auto payload, stream.ReadSpan(length));
+  if (payload.size() < kFixedBytes) {
+    return Error(ErrorCode::kTruncated, "record shorter than its fixed fields");
+  }
+  // Offsets follow the payload layout in binary.h.
+  const uint8_t* p = payload.data();
+  uint8_t protocol = p[20];
   if (protocol > static_cast<uint8_t>(Protocol::kTls)) {
     return Error(ErrorCode::kParseError, "bad protocol byte");
   }
+  record.timestamp = static_cast<NanoTime>(LoadBigEndian(p, 8));
+  record.src = IpAddress(static_cast<uint32_t>(LoadBigEndian(p + 8, 4)));
+  record.src_port = static_cast<uint16_t>(LoadBigEndian(p + 12, 2));
+  record.dst = IpAddress(static_cast<uint32_t>(LoadBigEndian(p + 14, 4)));
+  record.dst_port = static_cast<uint16_t>(LoadBigEndian(p + 18, 2));
   record.protocol = static_cast<Protocol>(protocol);
-  LDP_ASSIGN_OR_RETURN(record.id, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(uint8_t flags, reader.ReadU8());
+  record.id = static_cast<uint16_t>(LoadBigEndian(p + 21, 2));
+  uint8_t flags = p[23];
   record.rd = flags & kFlagRd;
   record.cd = flags & kFlagCd;
   record.do_bit = flags & kFlagDo;
   record.edns = flags & kFlagEdns;
-  LDP_ASSIGN_OR_RETURN(record.udp_payload_size, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(uint16_t qtype, reader.ReadU16());
-  record.qtype = static_cast<dns::RRType>(qtype);
-  LDP_ASSIGN_OR_RETURN(uint16_t qclass, reader.ReadU16());
-  record.qclass = static_cast<dns::RRClass>(qclass);
+  record.udp_payload_size = static_cast<uint16_t>(LoadBigEndian(p + 24, 2));
+  record.qtype = static_cast<dns::RRType>(LoadBigEndian(p + 26, 2));
+  record.qclass = static_cast<dns::RRClass>(LoadBigEndian(p + 28, 2));
+  // The name decodes against the whole payload: a compression pointer
+  // counts from the payload's first octet.
+  ByteReader reader(payload);
+  LDP_RETURN_IF_ERROR(reader.Seek(kFixedBytes));
   LDP_ASSIGN_OR_RETURN(record.qname, dns::DecodeName(reader));
   if (!reader.AtEnd()) {
     return Error(ErrorCode::kParseError, "trailing bytes in binary record");
   }
-  return record;
+  return Status::Ok();
 }
 
 }  // namespace
 
 void EncodeBinaryRecord(const QueryRecord& record, ByteWriter& writer) {
-  ByteWriter payload;
-  EncodePayload(record, payload);
-  writer.WriteU16(static_cast<uint16_t>(payload.size()));
-  writer.WriteBytes(payload.data());
+  size_t prefix = writer.size();
+  writer.WriteU16(0);  // patched once the payload is written
+  EncodePayload(record, writer);
+  writer.PatchU16(prefix, static_cast<uint16_t>(writer.size() - prefix - 2));
 }
 
 Result<QueryRecord> DecodeBinaryRecord(ByteReader& reader) {
-  LDP_ASSIGN_OR_RETURN(uint16_t length, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(auto payload, reader.ReadSpan(length));
-  return DecodePayload(payload);
+  QueryRecord record;
+  LDP_RETURN_IF_ERROR(DecodeRecord(reader, record));
+  return record;
 }
 
 Bytes EncodeBinaryTrace(const std::vector<QueryRecord>& records) {
@@ -88,15 +106,24 @@ Bytes EncodeBinaryTrace(const std::vector<QueryRecord>& records) {
 
 Result<std::vector<QueryRecord>> DecodeBinaryTrace(
     std::span<const uint8_t> data) {
+  // One pass over the length prefixes sizes the output. It stops at the
+  // first prefix too short for a record, so garbage cannot inflate the
+  // reservation; the decode loop reports that record.
+  size_t count = 0;
+  for (size_t pos = 0; pos + 2 <= data.size(); ++count) {
+    size_t length = (size_t{data[pos]} << 8) | data[pos + 1];
+    if (length < kMinPayload) break;
+    pos += 2 + length;
+  }
   std::vector<QueryRecord> records;
+  records.reserve(count);
   ByteReader reader(data);
   while (!reader.AtEnd()) {
-    auto record = DecodeBinaryRecord(reader);
-    if (!record.ok()) {
-      return record.error().WithContext(
-          "record " + std::to_string(records.size()));
+    Status status = DecodeRecord(reader, records.emplace_back());
+    if (!status.ok()) {
+      return status.error().WithContext(
+          "record " + std::to_string(records.size() - 1));
     }
-    records.push_back(std::move(*record));
   }
   return records;
 }
@@ -112,32 +139,21 @@ Status WriteBinaryTraceFile(const std::vector<QueryRecord>& records,
   return Status::Ok();
 }
 
-Result<BinaryTraceReader> BinaryTraceReader::Open(const std::string& path) {
-  auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!*in) return Error(ErrorCode::kIoError, "cannot open " + path);
-  return BinaryTraceReader(std::move(in));
+Result<std::vector<QueryRecord>> ReadBinaryTraceFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) return Error(ErrorCode::kIoError, "cannot open " + path);
+  Bytes data(static_cast<size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(data.data()),
+          static_cast<std::streamsize>(data.size()));
+  if (!in) return Error(ErrorCode::kIoError, "read failed: " + path);
+  return DecodeBinaryTrace(data);
 }
 
-bool BinaryTraceReader::AtEnd() {
-  return in_->peek() == std::ifstream::traits_type::eof();
-}
-
-Result<QueryRecord> BinaryTraceReader::Next() {
-  uint8_t len_buf[2];
-  in_->read(reinterpret_cast<char*>(len_buf), 2);
-  if (in_->gcount() == 0) {
-    return Error(ErrorCode::kNotFound, "end of trace");
-  }
-  if (in_->gcount() != 2) {
-    return Error(ErrorCode::kTruncated, "partial length prefix");
-  }
-  uint16_t length = static_cast<uint16_t>((len_buf[0] << 8) | len_buf[1]);
-  Bytes payload(length);
-  in_->read(reinterpret_cast<char*>(payload.data()), length);
-  if (in_->gcount() != length) {
-    return Error(ErrorCode::kTruncated, "partial record payload");
-  }
-  return DecodePayload(payload);
+Result<std::vector<QueryRecord>> ReadTraceFile(const std::string& path) {
+  if (EndsWith(path, ".txt")) return ReadTextTraceFile(path);
+  return ReadBinaryTraceFile(path);
 }
 
 }  // namespace ldp::trace

@@ -11,8 +11,6 @@
 #ifndef LDPLAYER_TRACE_BINARY_H
 #define LDPLAYER_TRACE_BINARY_H
 
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,26 +31,15 @@ Bytes EncodeBinaryTrace(const std::vector<QueryRecord>& records);
 Result<std::vector<QueryRecord>> DecodeBinaryTrace(
     std::span<const uint8_t> data);
 
-// Streaming file I/O (the reader yields records one at a time so replay can
-// pre-load a bounded window, paper §3 "the reader pre-loads a window").
+// Whole-file I/O. A binary trace is read in one read and decoded by
+// DecodeBinaryTrace.
 Status WriteBinaryTraceFile(const std::vector<QueryRecord>& records,
                             const std::string& path);
+Result<std::vector<QueryRecord>> ReadBinaryTraceFile(const std::string& path);
 
-class BinaryTraceReader {
- public:
-  // Opens the file; fails fast when unreadable.
-  static Result<BinaryTraceReader> Open(const std::string& path);
-
-  // Next record, or kNotFound at end of stream.
-  Result<QueryRecord> Next();
-
-  bool AtEnd();
-
- private:
-  explicit BinaryTraceReader(std::unique_ptr<std::ifstream> in)
-      : in_(std::move(in)) {}
-  std::unique_ptr<std::ifstream> in_;
-};
+// Loads a replay input: the text format (trace/text.h) when `path` ends in
+// ".txt", the binary stream otherwise.
+Result<std::vector<QueryRecord>> ReadTraceFile(const std::string& path);
 
 }  // namespace ldp::trace
 

@@ -45,11 +45,8 @@ void QueryRecord::AppendWire(uint16_t id, Bytes& out) const {
   u16(0);
   u16(0);
   u16(edns ? 1 : 0);
-  for (const auto& label : qname.labels()) {
-    out.push_back(static_cast<uint8_t>(label.size()));
-    out.insert(out.end(), label.begin(), label.end());
-  }
-  out.push_back(0);
+  std::span<const uint8_t> name = qname.wire();
+  out.insert(out.end(), name.begin(), name.end());
   u16(static_cast<uint16_t>(qtype));
   u16(static_cast<uint16_t>(qclass));
   if (edns) {

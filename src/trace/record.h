@@ -23,22 +23,22 @@ std::string_view ProtocolName(Protocol protocol);
 Result<Protocol> ProtocolFromString(std::string_view text);
 
 struct QueryRecord {
+  // Field order packs the small fields behind the name: 72 bytes with a
+  // 32-byte std::string. A decoded trace holds one record per query.
   NanoTime timestamp = 0;  // nanoseconds since trace epoch
-  IpAddress src;
-  uint16_t src_port = 0;
-  IpAddress dst;           // original query destination address (OQDA)
-  uint16_t dst_port = 53;
-  Protocol protocol = Protocol::kUdp;
-
-  uint16_t id = 0;
   dns::Name qname;
+  IpAddress src;
+  IpAddress dst;           // original query destination address (OQDA)
+  uint16_t src_port = 0;
+  uint16_t dst_port = 53;
+  uint16_t id = 0;
   dns::RRType qtype = dns::RRType::kA;
   dns::RRClass qclass = dns::RRClass::kIN;
+  uint16_t udp_payload_size = 0;
+  Protocol protocol = Protocol::kUdp;
   bool rd = false;
   bool cd = false;
-
   bool edns = false;
-  uint16_t udp_payload_size = 0;
   bool do_bit = false;
 
   bool operator==(const QueryRecord&) const = default;

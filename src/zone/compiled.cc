@@ -111,7 +111,6 @@ struct CompiledZone::BuildState {
   std::vector<uint32_t> slots;         // name index + 1; 0 = empty
   std::vector<const dns::RRset*> sources;  // rrsets_ index -> zone RRset
   std::vector<uint32_t> rrset_node;        // rrsets_ index -> nodes_ index
-  Bytes scratch;                           // a name's wire form
 };
 
 dns::WireNameView CompiledZone::View(uint32_t name) const {
@@ -170,9 +169,7 @@ uint32_t CompiledZone::InternWire(std::span<const uint8_t> wire) {
 }
 
 uint32_t CompiledZone::InternName(const dns::Name& name) {
-  build_->scratch.clear();
-  dns::AppendNameWire(name, build_->scratch);
-  return InternWire(build_->scratch);
+  return InternWire(name.wire());
 }
 
 uint32_t CompiledZone::AddRRset(const dns::RRset& rrset) {
@@ -194,7 +191,8 @@ uint32_t CompiledZone::AddRRset(const dns::RRset& rrset) {
           static_cast<uint16_t>(rdata_bytes_.size() - info.bytes);
       info.name[info.n_names] = InternName(name);
       ++info.n_names;
-      dns::AppendNameWire(name, rdata_bytes_);
+      std::span<const uint8_t> wire = name.wire();
+      rdata_bytes_.insert(rdata_bytes_.end(), wire.begin(), wire.end());
     };
     if (const auto* ns = std::get_if<dns::NsRdata>(&rdata)) {
       add_name(ns->nsdname);

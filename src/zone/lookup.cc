@@ -8,11 +8,12 @@ namespace {
 
 // The suffix of `name` keeping its last `labels` labels.
 dns::Name Suffix(const dns::Name& name, size_t labels) {
-  const auto& all = name.labels();
-  std::vector<std::string> keep(all.end() - static_cast<ptrdiff_t>(labels),
-                                all.end());
-  auto result = dns::Name::FromLabels(std::move(keep));
-  return *result;  // cannot fail: labels came from a valid name
+  std::span<const uint8_t> wire = name.wire();
+  size_t pos = 0;
+  for (size_t skip = name.label_count() - labels; skip > 0; --skip) {
+    pos += 1 + wire[pos];
+  }
+  return *dns::Name::FromWire(wire.subspan(pos));  // a tail of a valid name
 }
 
 // Copies an RRset with a replaced owner name (wildcard synthesis).
@@ -50,7 +51,8 @@ LookupResult Lookup(const Zone& zone, const dns::Name& qname,
   // qname wins. A cut at qname itself still answers DS from this side of
   // the cut (the parent holds DS, RFC 4035 §3.1.4.1).
   size_t origin_labels = zone.origin().label_count();
-  for (size_t i = origin_labels + 1; i <= qname.label_count(); ++i) {
+  size_t qname_labels = qname.label_count();
+  for (size_t i = origin_labels + 1; i <= qname_labels; ++i) {
     dns::Name candidate = Suffix(qname, i);
     const dns::RRset* ns = zone.FindRRset(candidate, dns::RRType::kNS);
     if (ns == nullptr) continue;

@@ -107,10 +107,12 @@ Result<dns::Name> ParseNameToken(std::string_view token,
     return dns::Name::Parse(token);
   }
   LDP_ASSIGN_OR_RETURN(dns::Name relative, dns::Name::Parse(token));
-  // Append origin's labels.
-  std::vector<std::string> labels = relative.labels();
-  labels.insert(labels.end(), origin.labels().begin(), origin.labels().end());
-  return dns::Name::FromLabels(std::move(labels));
+  // The relative labels (without their root octet), then origin's wire form.
+  std::span<const uint8_t> head = relative.wire();
+  std::span<const uint8_t> tail = origin.wire();
+  Bytes wire(head.begin(), head.end() - 1);
+  wire.insert(wire.end(), tail.begin(), tail.end());
+  return dns::Name::FromWire(wire);
 }
 
 bool IsTtlToken(std::string_view token) {

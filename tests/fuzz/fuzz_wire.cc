@@ -8,6 +8,10 @@
 // A second oracle covers the replay querier's encoder: any accepted
 // message with one question, taken into a trace record, must encode the
 // same through QueryRecord::AppendWire as through ToMessage() + Encode().
+//
+// A third covers dns::Name itself: every decoded question and owner name
+// must reparse from its presentation text to an equal name with an equal
+// hash.
 #include <cstdio>
 #include <cstdlib>
 
@@ -21,6 +25,13 @@ namespace {
   std::abort();
 }
 
+void CheckNameRoundTrip(const ldp::dns::Name& name) {
+  auto reparsed = ldp::dns::Name::Parse(name.ToString());
+  if (!reparsed.ok()) Fail("decoded name does not reparse from its text");
+  if (!(*reparsed == name)) Fail("reparsed name differs");
+  if (reparsed->Hash() != name.Hash()) Fail("reparsed name hashes apart");
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -30,6 +41,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   // Rendering must be total for anything the decoder accepts.
   (void)msg->ToText();
+
+  for (const auto& question : msg->questions) {
+    CheckNameRoundTrip(question.name);
+  }
+  for (const auto* section :
+       {&msg->answers, &msg->authorities, &msg->additionals}) {
+    for (const auto& rr : *section) CheckNameRoundTrip(rr.name);
+  }
 
   ldp::Bytes first = msg->Encode();
   auto reparsed = Message::Decode(first);

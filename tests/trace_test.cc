@@ -30,6 +30,12 @@ QueryRecord SampleRecord() {
   return record;
 }
 
+// The decoded pool holds millions of these: the small fields pack into
+// 32 bytes behind the timestamp and the name (72 bytes with libstdc++).
+TEST(QueryRecord, SmallFieldsPack) {
+  EXPECT_LE(sizeof(QueryRecord), sizeof(NanoTime) + sizeof(dns::Name) + 32);
+}
+
 TEST(QueryRecord, ToMessageRoundTrip) {
   QueryRecord record = SampleRecord();
   dns::Message msg = record.ToMessage();
@@ -218,6 +224,144 @@ TEST(BinaryFormat, DecodeRejectsCorruptStream) {
   EXPECT_FALSE(DecodeBinaryTrace(data).ok());
 }
 
+// The payload of `record` as EncodeBinaryRecord writes it (no prefix).
+// Its qname starts at kQnameOffset, after the fixed fields; the protocol
+// byte sits at kProtocolOffset.
+constexpr size_t kProtocolOffset = 20;
+constexpr size_t kQnameOffset = 30;
+
+Bytes Payload(const QueryRecord& record) {
+  ByteWriter writer;
+  EncodeBinaryRecord(record, writer);
+  return Bytes(writer.data().begin() + 2, writer.data().end());
+}
+
+// Two good records, then `payload` behind a prefix claiming `length`.
+Bytes StreamWithThird(const Bytes& payload, size_t length) {
+  std::vector<QueryRecord> good(2, SampleRecord());
+  Bytes stream = EncodeBinaryTrace(good);
+  stream.push_back(static_cast<uint8_t>(length >> 8));
+  stream.push_back(static_cast<uint8_t>(length & 0xff));
+  stream.insert(stream.end(), payload.begin(), payload.end());
+  return stream;
+}
+
+void ExpectRejectsThird(const Bytes& stream, const std::string& why) {
+  auto decoded = DecodeBinaryTrace(stream);
+  ASSERT_FALSE(decoded.ok()) << why;
+  EXPECT_NE(decoded.error().message().find("record 2"), std::string::npos)
+      << why << ": " << decoded.error().ToString();
+}
+
+// A payload whose qname is replaced by `qname_wire`.
+Bytes WithQname(const Bytes& qname_wire) {
+  Bytes payload = Payload(SampleRecord());
+  payload.resize(kQnameOffset);
+  payload.insert(payload.end(), qname_wire.begin(), qname_wire.end());
+  return payload;
+}
+
+TEST(BinaryFormat, DecodeRejectsEachCorruptionWithTheRecordIndex) {
+  Bytes good = Payload(SampleRecord());
+
+  std::vector<QueryRecord> two(2, SampleRecord());
+  Bytes half_prefix = EncodeBinaryTrace(two);
+  half_prefix.push_back(0x00);
+  ExpectRejectsThird(half_prefix, "truncated length prefix");
+
+  ExpectRejectsThird(StreamWithThird(good, good.size() + 5),
+                     "truncated payload");
+
+  Bytes bad_protocol = good;
+  bad_protocol[kProtocolOffset] = 3;
+  ExpectRejectsThird(StreamWithThird(bad_protocol, bad_protocol.size()),
+                     "bad protocol byte");
+
+  for (uint8_t label_type : {0x40, 0x80}) {
+    Bytes reserved = WithQname({label_type, 'a', 0});
+    ExpectRejectsThird(StreamWithThird(reserved, reserved.size()),
+                       "reserved label type " + std::to_string(label_type));
+  }
+
+  // A pointer to an offset after itself, inside the payload.
+  Bytes forward = WithQname({0xc0, kQnameOffset + 3, 0, 1, 'a', 0});
+  ExpectRejectsThird(StreamWithThird(forward, forward.size()),
+                     "forward compression pointer");
+
+  // Three 63-octet labels and one of 62: 256 octets with the root.
+  Bytes long_name;
+  for (size_t len : {63, 63, 63, 62}) {
+    long_name.push_back(static_cast<uint8_t>(len));
+    long_name.insert(long_name.end(), len, 'x');
+  }
+  long_name.push_back(0);
+  Bytes too_long = WithQname(long_name);
+  ExpectRejectsThird(StreamWithThird(too_long, too_long.size()),
+                     "name over 255 octets");
+
+  Bytes trailing = good;
+  trailing.push_back(0);
+  ExpectRejectsThird(StreamWithThird(trailing, trailing.size()),
+                     "trailing bytes");
+}
+
+TEST(BinaryFormat, DecodeRoundTripsNameShapesWithCasePreserved) {
+  std::vector<dns::Name> names = {
+      dns::Name::Root(),
+      *dns::Name::FromLabels({std::string(63, 'a'), std::string(63, 'B')}),
+      // 255 octets on the wire: three 63-octet labels, one of 61, the root.
+      *dns::Name::FromLabels({std::string(63, 'x'), std::string(63, 'Y'),
+                              std::string(63, 'z'), std::string(61, 'w')}),
+      *dns::Name::Parse("WwW.ExAmPlE.CoM"),
+      *dns::Name::Parse("MiXeD\\.dot\\000.Example."),
+  };
+  std::vector<QueryRecord> records;
+  for (const auto& name : names) {
+    QueryRecord record = SampleRecord();
+    record.qname = name;
+    records.push_back(record);
+  }
+  auto back = DecodeBinaryTrace(EncodeBinaryTrace(records));
+  ASSERT_TRUE(back.ok()) << back.error().ToString();
+  ASSERT_EQ(back->size(), records.size());
+  EXPECT_EQ(*back, records);
+  for (size_t i = 0; i < records.size(); ++i) {
+    // == folds case; the text and the wire octets do not.
+    EXPECT_EQ((*back)[i].qname.ToString(), names[i].ToString());
+    auto wire = (*back)[i].qname.wire();
+    EXPECT_EQ(Bytes(wire.begin(), wire.end()),
+              Bytes(names[i].wire().begin(), names[i].wire().end()));
+  }
+  EXPECT_EQ((*back)[2].qname.WireLength(), 255u);
+}
+
+// The binary trace format is a file format: these bytes must not change.
+TEST(BinaryFormat, GoldenBytes) {
+  QueryRecord tcp;
+  tcp.timestamp = 1;
+  tcp.src = IpAddress(192, 0, 2, 1);
+  tcp.src_port = 1053;
+  tcp.dst = IpAddress(198, 51, 100, 7);
+  tcp.protocol = Protocol::kTcp;
+  tcp.id = 0xbeef;
+  tcp.qtype = dns::RRType::kNS;
+  QueryRecord tls = SampleRecord();
+  tls.protocol = Protocol::kTls;
+  tls.qname = *dns::Name::Parse("Ab.c");
+  tls.cd = true;
+  tls.qclass = dns::RRClass::kCH;
+  Bytes encoded = EncodeBinaryTrace({SampleRecord(), tcp, tls});
+  EXPECT_EQ(HexDump(encoded),
+            "00 2f 00 00 00 02 df dc 1c 35 ac 10 00 05 82 35 "
+            "0a 00 00 01 00 35 00 10 92 0d 10 00 00 1c 00 01 "
+            "03 77 77 77 07 65 78 61 6d 70 6c 65 03 63 6f 6d "
+            "00 00 1f 00 00 00 00 00 00 00 01 c0 00 02 01 04 "
+            "1d c6 33 64 07 00 35 01 be ef 00 00 00 00 02 00 "
+            "01 00 00 24 00 00 00 02 df dc 1c 35 ac 10 00 05 "
+            "82 35 0a 00 00 01 00 35 02 10 92 0f 10 00 00 1c "
+            "00 03 02 41 62 01 63 00");
+}
+
 TEST(BinaryFormat, FileStreaming) {
   std::vector<QueryRecord> records(10, SampleRecord());
   for (size_t i = 0; i < records.size(); ++i) {
@@ -226,16 +370,11 @@ TEST(BinaryFormat, FileStreaming) {
   std::string path = ::testing::TempDir() + "/ldp_binary_trace_test.bin";
   ASSERT_TRUE(WriteBinaryTraceFile(records, path).ok());
 
-  auto reader = BinaryTraceReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  std::vector<QueryRecord> streamed;
-  while (!reader->AtEnd()) {
-    auto record = reader->Next();
-    ASSERT_TRUE(record.ok()) << record.error().ToString();
-    streamed.push_back(std::move(*record));
-  }
-  EXPECT_EQ(streamed, records);
+  auto loaded = ReadTraceFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
+  EXPECT_EQ(*loaded, records);
   std::remove(path.c_str());
+  EXPECT_FALSE(ReadTraceFile(path).ok());
 }
 
 TEST(Pcap, UdpRoundTrip) {

@@ -38,17 +38,6 @@ Attack overlay (after the passes; see src/mutate/attack.h):
 Passes apply in the order listed above; --sample 0 --attack KIND emits an
 attack-only trace. Formats by extension (.txt/.bin).)";
 
-Result<std::vector<trace::QueryRecord>> Load(const std::string& path) {
-  if (EndsWith(path, ".txt")) return trace::ReadTextTraceFile(path);
-  LDP_ASSIGN_OR_RETURN(auto reader, trace::BinaryTraceReader::Open(path));
-  std::vector<trace::QueryRecord> records;
-  while (!reader.AtEnd()) {
-    LDP_ASSIGN_OR_RETURN(auto record, reader.Next());
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,7 +62,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto records = Load(flags.GetString("in", ""));
+  auto records = trace::ReadTraceFile(flags.GetString("in", ""));
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.error().ToString().c_str());
     return 1;

@@ -15,7 +15,6 @@
 #include "stats/summary.h"
 #include "datapath_flags.h"
 #include "trace/binary.h"
-#include "trace/text.h"
 
 using namespace ldp;
 
@@ -230,18 +229,7 @@ int main(int argc, char** argv) {
 
   std::string path = flags.GetString("trace", "");
   Result<std::vector<trace::QueryRecord>> records =
-      EndsWith(path, ".txt")
-          ? trace::ReadTextTraceFile(path)
-          : [&]() -> Result<std::vector<trace::QueryRecord>> {
-              LDP_ASSIGN_OR_RETURN(auto reader,
-                                   trace::BinaryTraceReader::Open(path));
-              std::vector<trace::QueryRecord> out;
-              while (!reader.AtEnd()) {
-                LDP_ASSIGN_OR_RETURN(auto record, reader.Next());
-                out.push_back(std::move(record));
-              }
-              return out;
-            }();
+      trace::ReadTraceFile(path);
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.error().ToString().c_str());
     return 1;

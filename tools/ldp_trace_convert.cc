@@ -37,15 +37,7 @@ std::string InferFormat(const std::string& path, const std::string& forced) {
 Result<std::vector<trace::QueryRecord>> Load(const std::string& path,
                                              const std::string& format) {
   if (format == "text") return trace::ReadTextTraceFile(path);
-  if (format == "binary") {
-    LDP_ASSIGN_OR_RETURN(auto reader, trace::BinaryTraceReader::Open(path));
-    std::vector<trace::QueryRecord> records;
-    while (!reader.AtEnd()) {
-      LDP_ASSIGN_OR_RETURN(auto record, reader.Next());
-      records.push_back(std::move(record));
-    }
-    return records;
-  }
+  if (format == "binary") return trace::ReadBinaryTraceFile(path);
   if (format == "pcap") {
     LDP_ASSIGN_OR_RETURN(auto packets, trace::ReadPcapFile(path));
     std::vector<trace::QueryRecord> records;

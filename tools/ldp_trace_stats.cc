@@ -11,10 +11,8 @@
 #include <unordered_map>
 
 #include "common/flags.h"
-#include "common/strings.h"
 #include "stats/snapshot_io.h"
 #include "trace/binary.h"
-#include "trace/text.h"
 #include "trace/tracestats.h"
 
 using namespace ldp;
@@ -167,18 +165,7 @@ int main(int argc, char** argv) {
   const std::string& path = flags.positional()[0];
 
   Result<std::vector<trace::QueryRecord>> records =
-      EndsWith(path, ".txt")
-          ? trace::ReadTextTraceFile(path)
-          : [&]() -> Result<std::vector<trace::QueryRecord>> {
-              LDP_ASSIGN_OR_RETURN(auto reader,
-                                   trace::BinaryTraceReader::Open(path));
-              std::vector<trace::QueryRecord> out;
-              while (!reader.AtEnd()) {
-                LDP_ASSIGN_OR_RETURN(auto record, reader.Next());
-                out.push_back(std::move(record));
-              }
-              return out;
-            }();
+      trace::ReadTraceFile(path);
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.error().ToString().c_str());
     return 1;
