@@ -377,7 +377,7 @@ else
   echo "tls smoke: skipped ($(cat "$SMOKE/tls_probe.out"))"
 fi
 
-echo "== docs: EXPERIMENTS.md command lines match tool --help =="
+echo "== docs: EXPERIMENTS.md command lines match tool --help, Fig 9 matches its JSON =="
 python3 - <<'EOF'
 import re, subprocess, sys
 
@@ -407,10 +407,36 @@ for needed in ["--attack", "--sites", "--catchment", "--by-site",
     if needed not in text:
         failures.append("EXPERIMENTS.md: scenario cookbook no longer uses "
                         + needed)
+# Headline figures quoted from a committed bench JSON must be the JSON's.
+# Fig 9: the summary row's measured cell and the first paragraph of its
+# section quote the served and send-window rates, rounded to 0.1k q/s,
+# with the host CPU count they were measured on.
+import json
+fig9 = json.load(open("BENCH_fig9.json"))
+rates = {"%.1fk q/s" % (fig9[key] / 1000)
+         for key in ("after_served_rate_qps", "after_send_window_rate_qps")}
+cpus = "%d host CPU" % fig9["host_cpus"]
+row = next((l for l in text.splitlines() if l.startswith("| Fig 9 ")), "")
+cell = row.split("|")[3] if row.count("|") > 3 else ""
+section = text.split("### Figure 9", 1)[-1].split("\n\n")[1]
+for where, quoted in (("summary row", cell), ("Figure 9 section", section)):
+    for rate in sorted(rates):
+        if rate not in quoted:
+            failures.append("EXPERIMENTS.md Fig 9 %s does not quote %s "
+                            "(BENCH_fig9.json)" % (where, rate))
+    if cpus not in quoted:
+        failures.append("EXPERIMENTS.md Fig 9 %s does not say '%s'"
+                        % (where, cpus))
+    # Any other rate there is stale, except the paper's own figure.
+    stale = set(re.findall(r"(?<!paper's )\b[\d.]+k q/s", quoted)) - rates
+    if stale:
+        failures.append("EXPERIMENTS.md Fig 9 %s quotes %s, not in "
+                        "BENCH_fig9.json" % (where, ", ".join(sorted(stale))))
 if failures:
     print("\n".join(failures))
     sys.exit(1)
-print("docs: %d tool invocations checked against --help" % len(known))
+print("docs: %d tool invocations checked against --help; Fig 9 rates match "
+      "BENCH_fig9.json" % len(known))
 EOF
 
 echo "== fuzz: ASan harnesses, corpus replay + bounded runs =="
@@ -458,8 +484,8 @@ cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
   tls_test sharded_server_test compiled_answer_test \
-  dns_name_test name_oracle_test trace_test zone_test
+  dns_name_test name_oracle_test trace_test zone_test dns_message_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test'
 
 echo "verify: OK"

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstring>
 
+#include "dns/wire.h"
+
 namespace ldp::dns {
 namespace {
 
@@ -15,25 +17,22 @@ uint8_t FoldCase(uint8_t c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<uint8_t>(c + ('a' - 'A')) : c;
 }
 
-bool FoldedEqual(const char* a, const char* b, size_t n) {
+bool FoldedEqual(const uint8_t* a, const uint8_t* b, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    if (FoldCase(static_cast<uint8_t>(a[i])) !=
-        FoldCase(static_cast<uint8_t>(b[i]))) {
-      return false;
-    }
+    if (FoldCase(a[i]) != FoldCase(b[i])) return false;
   }
   return true;
 }
 
 // memcmp-style comparison of the case-folded labels starting at the length
 // octets `a` and `b` (RFC 4034 §6.1).
-int LabelCompare(const char* a, const char* b) {
-  size_t a_len = static_cast<uint8_t>(a[0]);
-  size_t b_len = static_cast<uint8_t>(b[0]);
+int LabelCompare(const uint8_t* a, const uint8_t* b) {
+  size_t a_len = a[0];
+  size_t b_len = b[0];
   size_t n = std::min(a_len, b_len);
   for (size_t i = 1; i <= n; ++i) {
-    uint8_t ca = FoldCase(static_cast<uint8_t>(a[i]));
-    uint8_t cb = FoldCase(static_cast<uint8_t>(b[i]));
+    uint8_t ca = FoldCase(a[i]);
+    uint8_t cb = FoldCase(b[i]);
     if (ca != cb) return ca < cb ? -1 : 1;
   }
   if (a_len != b_len) return a_len < b_len ? -1 : 1;
@@ -41,13 +40,31 @@ int LabelCompare(const char* a, const char* b) {
 }
 
 // Fills `offsets` with where each label of `wire` starts; returns the count.
-size_t LabelOffsets(const std::string& wire, uint8_t* offsets) {
+size_t LabelOffsets(std::span<const uint8_t> wire, uint8_t* offsets) {
   size_t labels = 0;
-  for (size_t pos = 0; pos < wire.size();
-       pos += 1 + static_cast<uint8_t>(wire[pos])) {
+  for (size_t pos = 0; wire[pos] != 0; pos += 1 + wire[pos]) {
     offsets[labels++] = static_cast<uint8_t>(pos);
   }
   return labels;
+}
+
+// True when the name written at `offset` of `out`, followed through its
+// compression pointers (which only point backwards), is the case-folded
+// wire form `folded`.
+bool WrittenNameIs(const Bytes& out, size_t offset, const uint8_t* folded) {
+  for (size_t i = 0;; i += 1 + folded[i]) {
+    while ((out[offset] & 0xc0) == 0xc0) {
+      offset = (static_cast<size_t>(out[offset] & 0x3f) << 8) |
+               out[offset + 1];
+    }
+    uint8_t len = out[offset];
+    if (len != folded[i]) return false;
+    if (len == 0) return true;
+    for (size_t k = 1; k <= len; ++k) {
+      if (FoldCase(out[offset + k]) != folded[i + k]) return false;
+    }
+    offset += 1 + len;
+  }
 }
 
 // Does a label need escaping in presentation format? Beyond the RFC 1035
@@ -71,6 +88,17 @@ bool NeedsDddEscape(char c) {
 
 }  // namespace
 
+uint8_t* Name::Init(size_t wire_length) {
+  // Allocated before the old storage is released, so a failed allocation
+  // leaves the name as it was.
+  uint8_t* buffer =
+      wire_length > kInlineWire ? new uint8_t[wire_length] : bytes_;
+  Release();
+  size_ = static_cast<uint8_t>(wire_length);
+  if (on_heap()) std::memcpy(bytes_, &buffer, sizeof(buffer));
+  return buffer;
+}
+
 Result<Name> Name::Parse(std::string_view text) {
   Name name;
   if (text.empty()) {
@@ -78,15 +106,21 @@ Result<Name> Name::Parse(std::string_view text) {
   }
   if (text == ".") return name;
 
-  // Labels are written straight into the wire form: a placeholder length
-  // octet at `label_start`, patched when the label ends.
-  std::string& wire = name.wire_;
-  wire.reserve(text.size() + 1);
+  // Labels are written straight into a wire buffer: a placeholder length
+  // octet at `label_start`, patched when the label ends. Octets past the
+  // buffer are counted but not kept: such a name is over 255 octets, which
+  // is reported once the labels are checked.
+  uint8_t wire[kMaxNameWireLength] = {};
+  size_t size = 0;
+  auto push = [&](char c) {
+    if (size < sizeof(wire)) wire[size] = static_cast<uint8_t>(c);
+    ++size;
+  };
   size_t label_start = 0;
-  wire.push_back('\0');
+  push('\0');
   size_t i = 0;
   auto flush_label = [&]() -> Status {
-    size_t len = wire.size() - label_start - 1;
+    size_t len = size - label_start - 1;
     if (len == 0) {
       return Error(ErrorCode::kParseError,
                    "empty label in name: " + std::string(text));
@@ -95,9 +129,11 @@ Result<Name> Name::Parse(std::string_view text) {
       return Error(ErrorCode::kParseError,
                    "label longer than 63 octets in: " + std::string(text));
     }
-    wire[label_start] = static_cast<char>(len);
-    label_start = wire.size();
-    wire.push_back('\0');
+    if (label_start < sizeof(wire)) {
+      wire[label_start] = static_cast<uint8_t>(len);
+    }
+    label_start = size;
+    push('\0');
     return Status::Ok();
   };
 
@@ -127,24 +163,25 @@ Result<Name> Name::Parse(std::string_view text) {
         if (value > 255) {
           return Error(ErrorCode::kParseError, "\\DDD escape > 255");
         }
-        wire.push_back(static_cast<char>(value));
+        push(static_cast<char>(value));
         i += 4;
       } else {
-        wire.push_back(next);
+        push(next);
         i += 2;
       }
       continue;
     }
-    wire.push_back(c);
+    push(c);
     ++i;
   }
-  if (wire.size() > label_start + 1) LDP_RETURN_IF_ERROR(flush_label());
-  wire.pop_back();  // the placeholder of the label that never started
-
-  if (name.WireLength() > kMaxNameWireLength) {
+  if (size > label_start + 1) LDP_RETURN_IF_ERROR(flush_label());
+  // The placeholder of the label that never started becomes the root octet.
+  if (size > kMaxNameWireLength) {
     return Error(ErrorCode::kParseError,
                  "name exceeds 255 octets: " + std::string(text));
   }
+  wire[size - 1] = 0;
+  std::memcpy(name.Init(size), wire, size);
   return name;
 }
 
@@ -163,11 +200,13 @@ Result<Name> Name::FromLabels(const std::vector<std::string>& labels) {
     return Error(ErrorCode::kInvalidArgument, "name exceeds 255 octets");
   }
   Name name;
-  name.wire_.reserve(wire_length - 1);
+  uint8_t* out = name.Init(wire_length);
   for (const auto& label : labels) {
-    name.wire_.push_back(static_cast<char>(label.size()));
-    name.wire_.append(label);
+    *out++ = static_cast<uint8_t>(label.size());
+    std::memcpy(out, label.data(), label.size());
+    out += label.size();
   }
+  *out = 0;
   return name;
 }
 
@@ -186,15 +225,15 @@ Result<Name> Name::FromWire(std::span<const uint8_t> wire) {
     return Error(ErrorCode::kInvalidArgument,
                  "wire name does not end in exactly one root octet");
   }
-  return Name(std::string(reinterpret_cast<const char*>(wire.data()), pos));
+  Name name;
+  std::memcpy(name.Init(wire.size()), wire.data(), wire.size());
+  return name;
 }
 
 size_t Name::label_count() const {
+  const uint8_t* wire = data();
   size_t count = 0;
-  for (size_t pos = 0; pos < wire_.size();
-       pos += 1 + static_cast<uint8_t>(wire_[pos])) {
-    ++count;
-  }
+  for (size_t pos = 0; wire[pos] != 0; pos += 1 + wire[pos]) ++count;
   return count;
 }
 
@@ -207,7 +246,7 @@ std::vector<std::string> Name::labels() const {
 std::string Name::ToString() const {
   if (IsRoot()) return ".";
   std::string out;
-  out.reserve(wire_.size());
+  out.reserve(size_);
   for (std::string_view label : label_views()) {
     for (char c : label) {
       if (NeedsEscape(c)) {
@@ -234,7 +273,11 @@ Result<Name> Name::Parent() const {
   if (IsRoot()) {
     return Error(ErrorCode::kInvalidArgument, "root has no parent");
   }
-  return Name(wire_.substr(1 + static_cast<uint8_t>(wire_[0])));
+  const uint8_t* wire = data();
+  size_t skip = 1 + wire[0];
+  Name parent;
+  std::memcpy(parent.Init(size_ - skip), wire + skip, size_ - skip);
+  return parent;
 }
 
 Result<Name> Name::Child(std::string_view label) const {
@@ -247,51 +290,53 @@ Result<Name> Name::Child(std::string_view label) const {
   if (WireLength() + 1 + label.size() > kMaxNameWireLength) {
     return Error(ErrorCode::kInvalidArgument, "name exceeds 255 octets");
   }
-  std::string wire;
-  wire.reserve(1 + label.size() + wire_.size());
-  wire.push_back(static_cast<char>(label.size()));
-  wire.append(label);
-  wire.append(wire_);
-  return Name(std::move(wire));
+  Name child;
+  uint8_t* out = child.Init(1 + label.size() + size_);
+  out[0] = static_cast<uint8_t>(label.size());
+  std::memcpy(out + 1, label.data(), label.size());
+  std::memcpy(out + 1 + label.size(), data(), size_);
+  return child;
 }
 
 bool Name::IsSubdomainOf(const Name& ancestor) const {
-  if (ancestor.wire_.size() > wire_.size()) return false;
+  if (ancestor.size_ > size_) return false;
   // The ancestor must start on a label boundary of this name.
-  size_t skip = wire_.size() - ancestor.wire_.size();
+  const uint8_t* wire = data();
+  size_t skip = size_ - ancestor.size_;
   size_t pos = 0;
-  while (pos < skip) pos += 1 + static_cast<uint8_t>(wire_[pos]);
-  return pos == skip && FoldedEqual(wire_.data() + pos, ancestor.wire_.data(),
-                                    ancestor.wire_.size());
+  while (pos < skip) pos += 1 + wire[pos];
+  return pos == skip &&
+         FoldedEqual(wire + pos, ancestor.data(), ancestor.size_ - 1);
 }
 
 Result<Name> Name::AsWildcardSibling() const {
   if (IsRoot()) {
     return Error(ErrorCode::kInvalidArgument, "root has no wildcard sibling");
   }
-  size_t parent = 1 + static_cast<uint8_t>(wire_[0]);
-  std::string wire;
-  wire.reserve(2 + wire_.size() - parent);
-  wire.append("\1*", 2);
-  wire.append(wire_, parent);
-  return Name(std::move(wire));
+  const uint8_t* wire = data();
+  size_t parent = 1 + wire[0];
+  Name sibling;
+  uint8_t* out = sibling.Init(2 + size_ - parent);
+  out[0] = 1;
+  out[1] = '*';
+  std::memcpy(out + 2, wire + parent, size_ - parent);
+  return sibling;
 }
 
 bool Name::operator==(const Name& other) const {
-  return wire_.size() == other.wire_.size() &&
-         FoldedEqual(wire_.data(), other.wire_.data(), wire_.size());
+  return size_ == other.size_ && FoldedEqual(data(), other.data(), size_ - 1);
 }
 
 bool Name::operator<(const Name& other) const {
   // Canonical order: compare from the rightmost label.
   uint8_t mine[kMaxLabels];
   uint8_t theirs[kMaxLabels];
-  size_t my_labels = LabelOffsets(wire_, mine);
-  size_t their_labels = LabelOffsets(other.wire_, theirs);
+  size_t my_labels = LabelOffsets(wire(), mine);
+  size_t their_labels = LabelOffsets(other.wire(), theirs);
   size_t n = std::min(my_labels, their_labels);
   for (size_t i = 1; i <= n; ++i) {
-    int cmp = LabelCompare(wire_.data() + mine[my_labels - i],
-                           other.wire_.data() + theirs[their_labels - i]);
+    int cmp = LabelCompare(data() + mine[my_labels - i],
+                           other.data() + theirs[their_labels - i]);
     if (cmp != 0) return cmp < 0;
   }
   return my_labels < their_labels;
@@ -318,22 +363,24 @@ size_t Name::Hash() const {
 
 void NameCompressor::Encode(const Name& name, ByteWriter& writer) {
   std::span<const uint8_t> wire = name.wire();
-  size_t labels_end = wire.size() - 1;
-  // Suffix keys are case-folded wire octets without the root octet.
-  std::string folded(labels_end, '\0');
-  for (size_t i = 0; i < labels_end; ++i) {
-    folded[i] = static_cast<char>(FoldCase(wire[i]));
-  }
-  for (size_t pos = 0; pos < labels_end; pos += 1 + wire[pos]) {
-    std::string key = folded.substr(pos);
-    auto it = suffix_offsets_.find(key);
-    if (it != suffix_offsets_.end()) {
-      writer.WriteU16(static_cast<uint16_t>(0xc000 | it->second));
-      return;
+  uint8_t folded[kMaxNameWireLength] = {};
+  uint8_t offsets[kMaxWireLabels + 1] = {};
+  uint64_t hashes[kMaxWireLabels + 1] = {};
+  size_t labels = IndexWireName(wire, folded, offsets, hashes);
+  for (size_t i = 0; i < labels; ++i) {
+    size_t pos = offsets[i];
+    size_t length = wire.size() - pos;
+    for (const Suffix& suffix : suffixes_) {
+      if (suffix.hash == hashes[i] && suffix.length == length &&
+          WrittenNameIs(writer.data(), suffix.offset, folded + pos)) {
+        writer.WriteU16(static_cast<uint16_t>(0xc000 | suffix.offset));
+        return;
+      }
     }
     if (writer.size() <= 0x3fff) {
-      suffix_offsets_.emplace(std::move(key),
-                              static_cast<uint16_t>(writer.size()));
+      if (suffixes_.empty()) suffixes_.reserve(16);
+      suffixes_.push_back(Suffix{hashes[i], static_cast<uint16_t>(length),
+                                 static_cast<uint16_t>(writer.size())});
     }
     writer.WriteBytes(wire.subspan(pos, 1 + wire[pos]));
   }
@@ -397,10 +444,12 @@ Result<Name> DecodeName(ByteReader& reader) {
     pos += 1 + len;
   }
   LDP_RETURN_IF_ERROR(reader.Seek(jumped ? end : pos + 1));
-  const char* labels = reinterpret_cast<const char*>(buf.data());
-  if (!jumped) return Name(std::string(labels + run, wire_len));
-  std::memcpy(wire + copied, labels + run, pos - run);
-  return Name(std::string(wire, wire_len));
+  // The runs already gathered, then the last one with its root octet.
+  Name name;
+  uint8_t* out = name.Init(wire_len + 1);
+  std::memcpy(out, wire, copied);
+  std::memcpy(out + copied, buf.data() + run, pos + 1 - run);
+  return name;
 }
 
 }  // namespace ldp::dns

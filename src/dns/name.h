@@ -1,19 +1,20 @@
 // Domain names (RFC 1035 §3.1): an ordered list of labels, case-preserving
 // but case-insensitive for comparison, with wire-format compression support.
 //
-// A Name is stored as its uncompressed wire form in one string: each label
-// as a length octet and its octets, case preserved. The root octet that
-// ends the wire form is the string's own terminating NUL, so the empty
-// string is the root and wire() always ends in the zero octet.
+// A Name is stored as its uncompressed wire form: each label as a length
+// octet and its octets, case preserved, then the root octet. The object is
+// 24 bytes; a wire form of up to 23 octets lives inline, a longer one in
+// one exact-size heap buffer.
 #ifndef LDPLAYER_DNS_NAME_H
 #define LDPLAYER_DNS_NAME_H
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -50,8 +51,39 @@ class Name {
     LabelIterator end() const { return last; }
   };
 
-  // The root name (zero labels).
+  // The root name (zero labels); allocates nothing.
   Name() = default;
+  Name(const Name& other) : size_(other.size_) {
+    std::memcpy(bytes_, other.bytes_, kInlineWire);
+    if (on_heap()) {
+      uint8_t* buffer = new uint8_t[size_];
+      std::memcpy(buffer, other.heap(), size_);
+      std::memcpy(bytes_, &buffer, sizeof(buffer));
+    }
+  }
+  // A moved-from name is the root.
+  Name(Name&& other) noexcept : size_(other.size_) {
+    std::memcpy(bytes_, other.bytes_, kInlineWire);
+    other.bytes_[0] = 0;
+    other.size_ = 1;
+  }
+  Name& operator=(const Name& other) {
+    if (this != &other) {
+      std::memcpy(Init(other.size_), other.data(), other.size_);
+    }
+    return *this;
+  }
+  Name& operator=(Name&& other) noexcept {
+    if (this != &other) {
+      Release();
+      size_ = other.size_;
+      std::memcpy(bytes_, other.bytes_, kInlineWire);
+      other.bytes_[0] = 0;
+      other.size_ = 1;
+    }
+    return *this;
+  }
+  ~Name() { Release(); }
 
   // Parses presentation format ("www.example.com", trailing dot optional,
   // "." is the root). Supports \DDD and \X escapes per RFC 1035 §5.1.
@@ -67,23 +99,21 @@ class Name {
   // octet, at most 255 octets (e.g. a tail of another name's wire()).
   static Result<Name> FromWire(std::span<const uint8_t> wire);
 
-  bool IsRoot() const { return wire_.empty(); }
+  bool IsRoot() const { return size_ == 1; }
   size_t label_count() const;
   // A copy of the labels; label_views() reads them without allocating.
   std::vector<std::string> labels() const;
   LabelRange label_views() const {
-    return {LabelIterator(wire_.data()),
-            LabelIterator(wire_.data() + wire_.size())};
+    const char* labels = reinterpret_cast<const char*>(data());
+    return {LabelIterator(labels), LabelIterator(labels + size_ - 1)};
   }
 
   // The uncompressed wire encoding, case preserved, root octet included.
-  std::span<const uint8_t> wire() const {
-    return {reinterpret_cast<const uint8_t*>(wire_.data()), wire_.size() + 1};
-  }
+  std::span<const uint8_t> wire() const { return {data(), size_}; }
 
   // Length of the wire encoding without compression (labels + length octets
   // + terminal zero octet).
-  size_t WireLength() const { return wire_.size() + 1; }
+  size_t WireLength() const { return size_; }
 
   // Presentation format, always with a trailing dot ("www.example.com.",
   // root is ".").
@@ -101,7 +131,7 @@ class Name {
 
   // True iff the leftmost label is "*" (wildcard owner name, RFC 4592).
   bool IsWildcard() const {
-    return wire_.size() >= 2 && wire_[0] == 1 && wire_[1] == '*';
+    return size_ >= 3 && data()[0] == 1 && data()[1] == '*';
   }
 
   // The wildcard name covering this name's immediate parent domain:
@@ -124,14 +154,38 @@ class Name {
  private:
   friend Result<Name> DecodeName(ByteReader& reader);
 
-  explicit Name(std::string wire) : wire_(std::move(wire)) {}
+  // The longest wire form (root octet included) kept inline.
+  static constexpr size_t kInlineWire = 23;
 
-  std::string wire_;  // length-prefixed labels, leftmost first; no root octet
+  bool on_heap() const { return size_ > kInlineWire; }
+  uint8_t* heap() const {
+    uint8_t* buffer = nullptr;
+    std::memcpy(&buffer, bytes_, sizeof(buffer));
+    return buffer;
+  }
+  const uint8_t* data() const { return on_heap() ? heap() : bytes_; }
+
+  // Sizes the storage for a wire form of `wire_length` octets (1..255) and
+  // returns where the caller writes it; the old contents are dropped.
+  uint8_t* Init(size_t wire_length);
+  void Release() {
+    if (on_heap()) delete[] heap();
+  }
+
+  // The wire form, root octet included: in bytes_ up to kInlineWire
+  // octets, else in a heap buffer of exactly size_ octets whose address is
+  // stored in bytes_'s first 8 octets.
+  alignas(uint8_t*) uint8_t bytes_[kInlineWire] = {};
+  uint8_t size_ = 1;  // wire length, root octet included
 };
 
+static_assert(sizeof(Name) == 24);
+
 // Tracks name→offset mappings while encoding a message so later names can
-// emit compression pointers (RFC 1035 §4.1.4). One compressor per message.
-// Suffixes are keyed by their case-folded wire form.
+// emit compression pointers (RFC 1035 §4.1.4). One compressor per message,
+// always used with the same writer. A suffix is recorded by the hash of its
+// case-folded wire form, its length and its offset; a candidate match is
+// confirmed against the bytes already written there.
 class NameCompressor {
  public:
   // Appends the wire form of `name` to `writer`, emitting a pointer to a
@@ -140,7 +194,12 @@ class NameCompressor {
   void Encode(const Name& name, ByteWriter& writer);
 
  private:
-  std::unordered_map<std::string, uint16_t> suffix_offsets_;
+  struct Suffix {
+    uint64_t hash;
+    uint16_t length;  // wire octets, root octet included
+    uint16_t offset;
+  };
+  std::vector<Suffix> suffixes_;
 };
 
 // Decodes a wire-format name starting at the reader's cursor, following

@@ -8,7 +8,7 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <deque>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -35,11 +35,18 @@ class NotifyQueue {
     Notify();
   }
 
+  // Takes the batch's buffer whole when nothing is pending, so handing
+  // over a batch allocates nothing per item.
   void PushBatch(std::vector<T>&& items) {
     if (items.empty()) return;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      for (auto& item : items) items_.push_back(std::move(item));
+      if (items_.empty()) {
+        items_.swap(items);
+      } else {
+        items_.insert(items_.end(), std::make_move_iterator(items.begin()),
+                      std::make_move_iterator(items.end()));
+      }
     }
     Notify();
   }
@@ -65,9 +72,7 @@ class NotifyQueue {
     }
     DrainResult result;
     std::lock_guard<std::mutex> lock(mutex_);
-    result.items.assign(std::make_move_iterator(items_.begin()),
-                        std::make_move_iterator(items_.end()));
-    items_.clear();
+    result.items.swap(items_);
     result.closed = closed_;
     return result;
   }
@@ -85,7 +90,7 @@ class NotifyQueue {
 
   int event_fd_;
   mutable std::mutex mutex_;
-  std::deque<T> items_;
+  std::vector<T> items_;
   bool closed_ = false;
 };
 

@@ -1244,6 +1244,7 @@ struct ReplayPipeline::Impl {
   // keeps feeding. Only the feeder thread touches the deque itself.
   std::deque<std::vector<SendOutcome>> chunks;
   std::vector<std::vector<QueryJob>> batches;
+  std::vector<uint32_t> targets;  // distributor of each record of a Feed
   uint64_t fed = 0;
   bool input_closed = false;
   bool joined = false;
@@ -1286,15 +1287,20 @@ void ReplayPipeline::Feed(std::span<const trace::QueryRecord> records) {
   if (records.empty()) return;
   Impl& impl = *impl_;
   auto& chunk = impl.chunks.emplace_back(records.size());
+  // Route every record first, so each distributor's batch is sized once.
+  impl.targets.clear();
+  for (const trace::QueryRecord& record : records) {
+    impl.targets.push_back(
+        static_cast<uint32_t>(impl.postman.Assign(record.src)));
+  }
+  for (uint32_t i = 0; i < impl.batches.size(); ++i) {
+    impl.batches[i].reserve(static_cast<size_t>(
+        std::count(impl.targets.begin(), impl.targets.end(), i)));
+  }
   for (size_t i = 0; i < records.size(); ++i) {
-    QueryJob job;
-    job.trace_index = impl.fed;
-    job.trace_time = records[i].timestamp - impl.trace_epoch;
-    job.record = records[i];
-    job.outcome = &chunk[i];
-    size_t target = impl.postman.Assign(job.record.src);
-    impl.batches[target].push_back(std::move(job));
-    ++impl.fed;
+    impl.batches[impl.targets[i]].push_back(
+        QueryJob{impl.fed++, records[i].timestamp - impl.trace_epoch,
+                 records[i], &chunk[i]});
   }
   for (size_t i = 0; i < impl.distributors.size(); ++i) {
     if (impl.batches[i].empty()) continue;

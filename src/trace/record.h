@@ -23,8 +23,8 @@ std::string_view ProtocolName(Protocol protocol);
 Result<Protocol> ProtocolFromString(std::string_view text);
 
 struct QueryRecord {
-  // Field order packs the small fields behind the name: 72 bytes with a
-  // 32-byte std::string. A decoded trace holds one record per query.
+  // Field order packs the small fields behind the 24-byte name: 64 bytes,
+  // one cache line. A decoded trace holds one record per query.
   NanoTime timestamp = 0;  // nanoseconds since trace epoch
   dns::Name qname;
   IpAddress src;
@@ -59,6 +59,8 @@ struct QueryRecord {
                                  IpAddress dst, uint16_t dst_port,
                                  Protocol protocol);
 };
+
+static_assert(sizeof(QueryRecord) == 64);
 
 }  // namespace ldp::trace
 

@@ -1,5 +1,6 @@
 #include "zone/masterfile.h"
 
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -107,12 +108,15 @@ Result<dns::Name> ParseNameToken(std::string_view token,
     return dns::Name::Parse(token);
   }
   LDP_ASSIGN_OR_RETURN(dns::Name relative, dns::Name::Parse(token));
-  // The relative labels (without their root octet), then origin's wire form.
+  // The relative labels (without their root octet), then origin's wire
+  // form; FromWire rejects a joined name over 255 octets.
   std::span<const uint8_t> head = relative.wire();
   std::span<const uint8_t> tail = origin.wire();
-  Bytes wire(head.begin(), head.end() - 1);
-  wire.insert(wire.end(), tail.begin(), tail.end());
-  return dns::Name::FromWire(wire);
+  uint8_t wire[2 * dns::kMaxNameWireLength];
+  std::memcpy(wire, head.data(), head.size() - 1);
+  std::memcpy(wire + head.size() - 1, tail.data(), tail.size());
+  return dns::Name::FromWire(
+      std::span<const uint8_t>(wire, head.size() - 1 + tail.size()));
 }
 
 bool IsTtlToken(std::string_view token) {

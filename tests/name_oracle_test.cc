@@ -481,6 +481,156 @@ std::vector<std::string> LabelPool(Rng& rng) {
   return pool;
 }
 
+// ---- The inline/heap boundary: wire forms of up to 23 octets (root
+// octet included) are kept inside the Name, longer ones on the heap. ----
+
+// Labels whose wire form, root octet included, is `wire_length` octets.
+std::vector<std::string> LabelsOfWireLength(size_t wire_length, char fill) {
+  std::vector<std::string> labels;
+  size_t left = wire_length - 1;  // octets of length-prefixed labels
+  while (left > 0) {
+    size_t len = std::min<size_t>(kMaxLabelLength, left - 1);
+    if (left - 1 - len == 1) --len;  // never leave one octet over
+    labels.emplace_back(len, fill);
+    left -= 1 + len;
+  }
+  return labels;
+}
+
+Name NameOfWireLength(size_t wire_length, char fill) {
+  return *Name::FromLabels(LabelsOfWireLength(wire_length, fill));
+}
+
+TEST(NameOracle, WireLengthsAroundTheInlineLimit) {
+  for (size_t length : {1, 3, 22, 23, 24, 25, 254, 255}) {
+    std::vector<std::string> labels = LabelsOfWireLength(length, 'K');
+    auto mine = Name::FromLabels(labels);
+    ASSERT_TRUE(mine.ok()) << length;
+    ASSERT_EQ(mine->WireLength(), length);
+    ASSERT_EQ(mine->wire().size(), length);
+    EXPECT_EQ(mine->wire().back(), 0) << length;
+    ExpectSameName(*mine, *RefName::FromLabels(labels));
+    if (HasFatalFailure()) return;
+    auto parsed = Name::Parse(mine->ToString());
+    ASSERT_TRUE(parsed.ok()) << length;
+    EXPECT_EQ(Bytes(parsed->wire().begin(), parsed->wire().end()),
+              Bytes(mine->wire().begin(), mine->wire().end()));
+    auto from_wire = Name::FromWire(mine->wire());
+    ASSERT_TRUE(from_wire.ok()) << length;
+    EXPECT_EQ(*from_wire, *mine);
+  }
+  // One octet past the limit fails the same way on every path.
+  std::vector<std::string> too_long = LabelsOfWireLength(255, 'K');
+  too_long.back().push_back('K');
+  EXPECT_FALSE(Name::FromLabels(too_long).ok());
+  EXPECT_FALSE(RefName::FromLabels(too_long).ok());
+  std::string text;
+  for (const std::string& label : too_long) text += label + ".";
+  ExpectSameOutcome(Name::Parse(text), RefName::Parse(text), text);
+}
+
+TEST(NameOracle, DefaultNameIsTheRoot) {
+  Name root;
+  EXPECT_TRUE(root.IsRoot());
+  EXPECT_EQ(root.ToString(), ".");
+  ASSERT_EQ(root.wire().size(), 1u);
+  EXPECT_EQ(root.wire()[0], 0);
+  EXPECT_EQ(root, Name::Root());
+}
+
+// Copies and moves in every direction between an inline name (22 and 23
+// octets) and a heap name (24 and 25 octets): the target ends up equal to
+// the source's old value, the source of a copy is untouched, and a
+// moved-from name is a usable root. Under ASan this also checks that no
+// buffer leaks or is freed twice.
+TEST(NameOracle, CopyAndMoveAcrossTheInlineLimit) {
+  const std::vector<Name> samples = {
+      NameOfWireLength(1, 'r'),  NameOfWireLength(22, 'a'),
+      NameOfWireLength(23, 'b'), NameOfWireLength(24, 'c'),
+      NameOfWireLength(25, 'd'), NameOfWireLength(255, 'e')};
+  auto same_bytes = [](const Name& a, const Name& b) {
+    return std::equal(a.wire().begin(), a.wire().end(), b.wire().begin(),
+                      b.wire().end());
+  };
+  for (const Name& from : samples) {
+    Name copied(from);
+    EXPECT_TRUE(same_bytes(copied, from)) << from.ToString();
+    Name source(from);
+    Name moved(std::move(source));
+    EXPECT_TRUE(same_bytes(moved, from)) << from.ToString();
+    EXPECT_TRUE(source.IsRoot());  // NOLINT(bugprone-use-after-move)
+    source = from;                 // a moved-from name is reusable
+    EXPECT_TRUE(same_bytes(source, from)) << from.ToString();
+
+    for (const Name& to : samples) {
+      std::string what = to.ToString() + " <- " + from.ToString();
+      Name target(to);
+      target = from;
+      EXPECT_TRUE(same_bytes(target, from)) << what;
+      EXPECT_TRUE(same_bytes(copied, from)) << what;
+
+      Name move_target(to);
+      Name move_source(from);
+      move_target = std::move(move_source);
+      EXPECT_TRUE(same_bytes(move_target, from)) << what;
+      EXPECT_TRUE(move_source.IsRoot()) << what;  // NOLINT
+      move_source = to;
+      EXPECT_TRUE(same_bytes(move_source, to)) << what;
+      move_source = std::move(move_target);
+      EXPECT_TRUE(same_bytes(move_source, from)) << what;
+      if (from.WireLength() + 2 <= kMaxNameWireLength) {
+        move_target = *move_source.Child("x");
+        EXPECT_EQ(move_target.Parent()->ToString(), from.ToString()) << what;
+      }
+    }
+
+    Name self(from);
+    Name& alias = self;
+    self = alias;
+    EXPECT_TRUE(same_bytes(self, from)) << from.ToString();
+    self = std::move(alias);
+    EXPECT_TRUE(same_bytes(self, from)) << from.ToString();
+  }
+
+  // Names in a growing vector move on every reallocation.
+  std::vector<Name> grown;
+  for (int i = 0; i < 100; ++i) grown.push_back(samples[i % samples.size()]);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(same_bytes(grown[i], samples[i % samples.size()])) << i;
+  }
+}
+
+// Parent and Child cross the limit in both directions: a 24-octet heap
+// name's parent is inline, and a 23-octet inline name's child is on the
+// heap; wildcard siblings land on both sides as well.
+TEST(NameOracle, ParentAndChildAcrossTheInlineLimit) {
+  for (size_t length = 1; length <= 40; length += length == 1 ? 2 : 1) {
+    std::vector<std::string> labels = LabelsOfWireLength(length, 'm');
+    labels.insert(labels.begin(), "Z");  // a 2-octet leftmost label
+    Name name = *Name::FromLabels(labels);
+    RefName ref = *RefName::FromLabels(labels);
+    ExpectSameName(name, ref);
+    if (HasFatalFailure()) return;
+    Name parent = *name.Parent();
+    EXPECT_EQ(parent.WireLength(), name.WireLength() - 2);
+    EXPECT_EQ(parent.ToString(), ref.Parent()->ToString());
+    Name back = *parent.Child("Z");
+    EXPECT_EQ(back, name);
+    EXPECT_TRUE(std::equal(back.wire().begin(), back.wire().end(),
+                           name.wire().begin(), name.wire().end()));
+    for (size_t grow : {1, 5, 20}) {
+      std::string label(grow, 'w');
+      auto child = name.Child(label);
+      ASSERT_TRUE(child.ok());
+      EXPECT_EQ(child->WireLength(), name.WireLength() + 1 + grow);
+      EXPECT_EQ(child->ToString(), ref.Child(label)->ToString());
+      EXPECT_EQ(*child->Parent(), name);
+      EXPECT_TRUE(child->IsSubdomainOf(name));
+      EXPECT_FALSE(name.IsSubdomainOf(*child));
+    }
+  }
+}
+
 constexpr int kNames = 100000;
 
 TEST(NameOracle, RandomNamesMatchTheLabelVectorReference) {

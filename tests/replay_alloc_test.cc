@@ -1,12 +1,14 @@
-// Steady-state heap allocation on the replay distributor thread. A timed
-// UDP replay through ReplayPipeline against a local responder must cost at
-// most one heap allocation per query on the distributor thread, once
-// queues, inflight slots and buffers have grown to their working size.
+// Steady-state heap allocation on both sides of ReplayPipeline. A timed
+// UDP replay against a local responder must cost at most one heap
+// allocation per query on the distributor thread, once queues, inflight
+// slots and buffers have grown to their working size; and Feed must cost
+// the feeder a few allocations per call, not one per record.
 //
 // A counting global operator new counts every allocation made on a thread
 // that has not opted out; the test's own threads (this feeder and the
 // responder) opt out, which leaves exactly the pipeline's distributor.
-// The binary is separate because replacing operator new is global.
+// Each thread also counts its own allocations, opted out or not. The
+// binary is separate because replacing operator new is global.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -27,8 +29,10 @@ namespace {
 
 std::atomic<uint64_t> g_allocations{0};
 thread_local bool t_uncounted = false;
+thread_local uint64_t t_allocations = 0;
 
 void* CountedAlloc(size_t size) {
+  ++t_allocations;
   if (!t_uncounted) g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -167,6 +171,62 @@ TEST(ReplayAllocation, DistributorAllocatesAtMostOncePerQuery) {
               static_cast<unsigned long long>(sent1 - sent0));
   EXPECT_LE(per_query, 1.0) << (allocs1 - allocs0) << " allocations over "
                             << (sent1 - sent0) << " queries";
+}
+
+// The feeder's side: every record's qname fits inside its dns::Name, so
+// copying records into QueryJobs allocates nothing, and handing a batch to
+// a distributor's queue moves the batch whole. A Feed call then costs its
+// outcome chunk and one vector per distributor batch.
+TEST(ReplayAllocation, FeedAllocatesPerCallNotPerRecord) {
+  t_uncounted = true;
+  EchoResponder responder;
+  ASSERT_TRUE(responder.ok());
+
+  constexpr size_t kPerFeed = 1'000;
+  constexpr size_t kFeeds = 20;
+  std::vector<dns::Name> names;
+  for (int i = 0; i < 64; ++i) {
+    names.push_back(*dns::Name::Parse("host" + std::to_string(i) +
+                                      ".example.com"));
+    ASSERT_LE(names.back().WireLength(), 23u);
+  }
+  std::vector<trace::QueryRecord> records(kPerFeed * (kFeeds + 1));
+  for (size_t i = 0; i < records.size(); ++i) {
+    trace::QueryRecord& record = records[i];
+    record.src = IpAddress(10, 0, static_cast<uint8_t>(i % 500 / 250),
+                           static_cast<uint8_t>(i % 250 + 1));
+    record.qname = names[i % names.size()];
+  }
+
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 2;
+  config.queriers_per_distributor = 1;
+  config.fast_mode = true;
+  config.query_timeout = Seconds(1);
+  auto pipeline = ReplayPipeline::Start(config, MonotonicNow(), 0);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().ToString();
+  std::span<const trace::QueryRecord> all(records);
+  // The first call meets every source, which the sticky router records.
+  (*pipeline)->Feed(all.first(kPerFeed));
+  const uint64_t before = t_allocations;
+  for (size_t feed = 1; feed <= kFeeds; ++feed) {
+    (*pipeline)->Feed(all.subspan(feed * kPerFeed, kPerFeed));
+  }
+  const uint64_t allocations = t_allocations - before;
+  (*pipeline)->CloseInput();
+  auto report = (*pipeline)->Finish();
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, records.size());
+  EXPECT_EQ(report->queries_sent,
+            report->answered + report->timed_out + report->send_failed);
+
+  std::printf("feeder: %.2f allocations per Feed of %zu records\n",
+              static_cast<double>(allocations) / kFeeds, kPerFeed);
+  // The outcome chunk, an occasional block of the chunk deque, and per
+  // distributor its batch plus, when the distributor has not yet drained
+  // the previous batch, the growth of its queue.
+  EXPECT_LE(allocations, kFeeds * (2 + 2 * config.n_distributors));
 }
 
 }  // namespace

@@ -810,10 +810,16 @@ TEST(RealtimeTransport, ReplyWaitingInDisarmedSocketIsAnswered) {
 // probe (counting collisions) and, when all 65536 IDs are inflight at
 // once, fail the overflow sends — never clobber a live entry, which is
 // what the seed code did on wrap.
+//
+// The premise is that the first 65537 sends land inside one query timeout.
+// The 800 ms default holds for an optimised build; a slower one (ASan,
+// TSan) is re-run with a timeout of three times the fill time it measured,
+// so the ID space fills on every build.
 TEST(RealtimeTransport, IdWrapUnderSustainedLossKeepsAccounting) {
   BlackholeUdp blackhole;
   ASSERT_TRUE(blackhole.ok());
   const size_t kQueries = 70000;
+  const size_t kIdSpace = 65536;
   auto records = MakeTraceTo(blackhole.endpoint(), kQueries, Micros(1));
 
   RealtimeConfig config;
@@ -824,17 +830,30 @@ TEST(RealtimeTransport, IdWrapUnderSustainedLossKeepsAccounting) {
   config.query_timeout = Millis(800);
   config.max_retransmits = 0;
 
-  auto report = RunRealtimeReplay(records, config);
-  ASSERT_TRUE(report.ok()) << report.error().ToString();
-  EXPECT_EQ(report->queries_sent, kQueries);
-  EXPECT_EQ(report->answered, 0u);
-  EXPECT_EQ(report->timed_out + report->send_failed, kQueries);
-  ExpectTerminalAccounting(*report);
-  if (!kUnderTsan) {
-    // The burst outruns the 800 ms timeout, so the ID space fills: the
-    // overflow must surface as collisions and/or explicit send failures.
-    // (Under TSan the send rate is too slow for the inflight set to fill.)
-    EXPECT_GT(report->id_collisions + report->send_failed, 0u);
+  for (int attempt = 1;; ++attempt) {
+    auto report = RunRealtimeReplay(records, config);
+    ASSERT_TRUE(report.ok()) << report.error().ToString();
+    EXPECT_EQ(report->queries_sent, kQueries);
+    EXPECT_EQ(report->answered, 0u);
+    EXPECT_EQ(report->timed_out + report->send_failed, kQueries);
+    ExpectTerminalAccounting(*report);
+    // How long the first query had been inflight when query 65536 wanted
+    // an ID; a query that found every ID taken is never stamped.
+    const SendOutcome& wrap = report->sends[kIdSpace];
+    NanoDuration fill = wrap.state == SendOutcome::State::kSendFailed
+                            ? 0
+                            : wrap.sent - report->sends[0].sent;
+    if (2 * fill < config.query_timeout) {
+      // The ID space filled: the overflow must surface as collisions
+      // and/or explicit send failures.
+      EXPECT_GT(report->id_collisions + report->send_failed, 0u);
+      break;
+    }
+    ASSERT_LT(attempt, 3) << "65537 sends took " << fill / 1'000'000
+                          << " ms against a "
+                          << config.query_timeout / 1'000'000
+                          << " ms timeout";
+    config.query_timeout = 3 * fill;
   }
 }
 
