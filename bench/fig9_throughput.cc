@@ -34,7 +34,6 @@ struct PhaseResult {
   double send_window_rate_qps = 0;  // sends / (last send - first send)
   double served_rate_qps = 0;   // queries the server answered / wall time
   uint64_t queries_sent = 0;
-  uint64_t replies = 0;
   // Terminal-outcome accounting: sent == answered + timed_out + send_failed,
   // so client-side loss under overload is explicit, not inferred.
   uint64_t answered = 0;
@@ -89,7 +88,6 @@ std::optional<PhaseResult> RunPhase(
 
   PhaseResult result;
   result.queries_sent = report->queries_sent;
-  result.replies = report->replies;
   result.answered = report->answered;
   result.timed_out = report->timed_out;
   result.send_failed = report->send_failed;

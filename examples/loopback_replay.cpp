@@ -75,9 +75,9 @@ int main() {
     return 1;
   }
 
-  std::printf("sent %llu, replied %llu, wall time %.2f s\n",
+  std::printf("sent %llu, answered %llu, wall time %.2f s\n",
               static_cast<unsigned long long>(report->queries_sent),
-              static_cast<unsigned long long>(report->replies),
+              static_cast<unsigned long long>(report->answered),
               ToSeconds(report->wall_duration));
 
   stats::Summary timing;

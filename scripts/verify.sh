@@ -7,9 +7,11 @@
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
 # timeout expiry, TLS handshake/resumption, sharded TCP accept), the
-# compiled-answer differential test and the name and trace codecs (their
-# own offset arithmetic over wire-form names, with the name oracle) under
-# AddressSanitizer (-DLDP_SANITIZE=address).
+# registry cells the server, proxy and replay count into (read after
+# Stop() for the final snapshot), the compiled-answer differential test
+# and the name and trace codecs (their own offset arithmetic over
+# wire-form names, with the name oracle) under AddressSanitizer
+# (-DLDP_SANITIZE=address).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips both sanitizer stages
 set -eu
@@ -66,6 +68,14 @@ grep -q "reconcile: OK" "$SMOKE/replay.out" || {
   echo "metrics smoke: replay reconcile failed"; cat "$SMOKE/replay.out"
   exit 1
 }
+# Without a query timeout no query could time out, so the tool refuses.
+if ./build/tools/ldp_replay_trace --trace "$SMOKE/trace.txt" \
+     --server "127.0.0.1:$PORT" --timeout-ms 0 > "$SMOKE/no_timeout.out" 2>&1 \
+   || ! grep -q -- "--timeout-ms" "$SMOKE/no_timeout.out"; then
+  echo "metrics smoke: --timeout-ms 0 was not refused by name"
+  cat "$SMOKE/no_timeout.out"
+  exit 1
+fi
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
@@ -479,13 +489,14 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths, name offset arithmetic =="
+echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
   tls_test sharded_server_test compiled_answer_test \
-  dns_name_test name_oracle_test trace_test zone_test dns_message_test
+  dns_name_test name_oracle_test trace_test zone_test dns_message_test \
+  proxy_relay_test metrics_test server_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test'
 
 echo "verify: OK"

@@ -177,12 +177,8 @@ void AgentServer::Pump() {
           : (MonotonicNow() - epoch_mono_) + config_.lookahead;
   while (!staging_.empty()) {
     StagedChunk& chunk = staging_.front();
-    // Engine backlog: queries fed but not yet terminal (with timeouts off,
-    // not yet sent — terminal outcomes never arrive in that mode).
-    const uint64_t backlog =
-        config_.query_timeout > 0
-            ? pipeline_->fed() - pipeline_->TerminalCount()
-            : pipeline_->fed() - pipeline_->SentCount();
+    // Engine backlog: queries fed but not yet terminal.
+    const uint64_t backlog = pipeline_->fed() - pipeline_->TerminalCount();
     if (backlog >= options_.max_outstanding) return;
     const uint64_t room = options_.max_outstanding - backlog;
     size_t end = chunk.cursor;

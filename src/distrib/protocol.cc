@@ -73,7 +73,6 @@ replay::RealtimeConfig HelloFrame::ToRealtimeConfig() const {
   config.n_distributors = n_distributors;
   config.queriers_per_distributor = queriers_per_distributor;
   config.lookahead = lookahead;
-  config.drain_grace = drain_grace;
   config.seed = seed;
   config.query_timeout = query_timeout;
   config.max_retransmits = max_retransmits;
@@ -98,7 +97,6 @@ HelloFrame HelloFrame::FromConfig(const replay::RealtimeConfig& config) {
   hello.queriers_per_distributor =
       static_cast<uint16_t>(config.queriers_per_distributor);
   hello.lookahead = config.lookahead;
-  hello.drain_grace = config.drain_grace;
   hello.seed = config.seed;
   hello.query_timeout = config.query_timeout;
   hello.max_retransmits = static_cast<uint16_t>(
@@ -132,7 +130,7 @@ Bytes EncodeHello(const HelloFrame& hello) {
   body.WriteU16(hello.n_distributors);
   body.WriteU16(hello.queriers_per_distributor);
   WriteDuration(body, hello.lookahead);
-  WriteDuration(body, hello.drain_grace);
+  WriteDuration(body, 0);  // retired drain-grace slot, kept for the layout
   body.WriteU64(hello.seed);
   WriteDuration(body, hello.query_timeout);
   body.WriteU16(hello.max_retransmits);
@@ -177,7 +175,8 @@ Result<HelloFrame> DecodeHello(const Frame& frame) {
   LDP_ASSIGN_OR_RETURN(hello.n_distributors, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(hello.queriers_per_distributor, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(hello.lookahead, ReadDuration(reader));
-  LDP_ASSIGN_OR_RETURN(hello.drain_grace, ReadDuration(reader));
+  // The retired drain-grace slot: read past, ignored.
+  LDP_RETURN_IF_ERROR(reader.ReadU64());
   LDP_ASSIGN_OR_RETURN(hello.seed, reader.ReadU64());
   LDP_ASSIGN_OR_RETURN(hello.query_timeout, ReadDuration(reader));
   LDP_ASSIGN_OR_RETURN(hello.max_retransmits, reader.ReadU16());
@@ -200,6 +199,10 @@ Result<HelloFrame> DecodeHello(const Frame& frame) {
       hello.credit_window == 0) {
     return Error(ErrorCode::kInvalidArgument,
                  "HELLO with zero distributors/queriers/credits");
+  }
+  if (hello.query_timeout <= 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "HELLO with a query timeout that is not positive");
   }
   return hello;
 }
@@ -456,10 +459,7 @@ AgentReport AgentReport::FromRealtime(const replay::RealtimeReport& report) {
   out.tcp_idle_closes = report.tcp_idle_closes;
   out.wall_duration = report.wall_duration;
   for (const auto& send : report.sends) {
-    if (send.sent == 0 ||
-        send.state == replay::SendOutcome::State::kSendFailed) {
-      continue;
-    }
+    if (!send.reached_wire()) continue;
     if (out.first_send < 0 || send.sent < out.first_send) {
       out.first_send = send.sent;
     }

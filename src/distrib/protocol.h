@@ -79,9 +79,8 @@ struct HelloFrame {
   uint16_t n_distributors = 1;
   uint16_t queriers_per_distributor = 3;
   NanoDuration lookahead = Millis(500);
-  NanoDuration drain_grace = Millis(500);
   uint64_t seed = 99;
-  NanoDuration query_timeout = Seconds(2);
+  NanoDuration query_timeout = Seconds(2);  // > 0; DecodeHello checks
   uint16_t max_retransmits = 0;
   NanoDuration tcp_idle_timeout = 0;
   uint16_t tcp_max_reconnects = 3;

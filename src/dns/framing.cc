@@ -38,9 +38,6 @@ Status StreamAssembler::Feed(std::span<const uint8_t> chunk) {
     if (ready_.size() >= limits_.max_ready_messages ||
         ready_bytes_ + len > limits_.max_ready_bytes) {
       ++dropped_messages_;
-      if (drop_counter_ != nullptr) {
-        drop_counter_->fetch_add(1, std::memory_order_relaxed);
-      }
     } else {
       ready_.emplace_back(buffer_.begin() + cursor + 2,
                           buffer_.begin() + cursor + 2 + len);

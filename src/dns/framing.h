@@ -4,7 +4,6 @@
 #ifndef LDPLAYER_DNS_FRAMING_H
 #define LDPLAYER_DNS_FRAMING_H
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -55,11 +54,6 @@ class StreamAssembler {
   uint64_t dropped_messages() const { return dropped_messages_; }
 
   void set_limits(const Limits& limits) { limits_ = limits; }
-  // Optional shared drop counter (e.g. a metrics-registry counter); bumped
-  // relaxed alongside dropped_messages(). Must outlive the assembler.
-  void set_drop_counter(std::atomic<uint64_t>* counter) {
-    drop_counter_ = counter;
-  }
 
  private:
   Bytes buffer_;
@@ -67,7 +61,6 @@ class StreamAssembler {
   Limits limits_;
   size_t ready_bytes_ = 0;
   uint64_t dropped_messages_ = 0;
-  std::atomic<uint64_t>* drop_counter_ = nullptr;
   std::optional<Error> poisoned_;
 };
 

@@ -1,19 +1,6 @@
 #include "proxy/proxy.h"
 
 namespace ldp::proxy {
-namespace {
-
-void ExportProxyCounters(stats::MetricsRegistry& metrics,
-                         std::shared_ptr<ProxyStats> stats) {
-  metrics.AddCounterFn("proxy.rewritten", [stats] {
-    return stats->rewritten.load(std::memory_order_relaxed);
-  });
-  metrics.AddCounterFn("proxy.passed_through", [stats] {
-    return stats->passed_through.load(std::memory_order_relaxed);
-  });
-}
-
-}  // namespace
 
 RecursiveProxy::RecursiveProxy(sim::SimNetwork& net, IpAddress recursive,
                                IpAddress meta_server)
@@ -22,13 +9,13 @@ RecursiveProxy::RecursiveProxy(sim::SimNetwork& net, IpAddress recursive,
     // Port-based capture, as with the iptables mangle rule: every UDP
     // packet leaving the recursive for port 53 is a hierarchy query.
     if (packet.kind != sim::SegmentKind::kUdp || packet.dst_port != 53) {
-      stats_->passed_through.fetch_add(1, std::memory_order_relaxed);
+      ledger_.Add<&ProxyStats::passed_through>();
       return false;
     }
     // OQDA into the source; meta server into the destination.
     packet.src = packet.dst;
     packet.dst = meta_server_;
-    stats_->rewritten.fetch_add(1, std::memory_order_relaxed);
+    ledger_.Add<&ProxyStats::rewritten>();
     net_.Inject(std::move(packet));
     return true;
   });
@@ -36,17 +23,13 @@ RecursiveProxy::RecursiveProxy(sim::SimNetwork& net, IpAddress recursive,
 
 RecursiveProxy::~RecursiveProxy() { net_.ClearEgressHook(recursive_); }
 
-void RecursiveProxy::RegisterMetrics(stats::MetricsRegistry& metrics) {
-  ExportProxyCounters(metrics, stats_);
-}
-
 AuthoritativeProxy::AuthoritativeProxy(sim::SimNetwork& net,
                                        IpAddress meta_server,
                                        IpAddress recursive)
     : net_(net), meta_server_(meta_server), recursive_(recursive) {
   net_.SetEgressHook(meta_server_, [this](sim::SimPacket& packet) {
     if (packet.kind != sim::SegmentKind::kUdp || packet.src_port != 53) {
-      stats_->passed_through.fetch_add(1, std::memory_order_relaxed);
+      ledger_.Add<&ProxyStats::passed_through>();
       return false;
     }
     // The server replied toward the OQDA (the rewritten query source).
@@ -54,7 +37,7 @@ AuthoritativeProxy::AuthoritativeProxy(sim::SimNetwork& net,
     // recursive, which then matches reply source == query destination.
     packet.src = packet.dst;
     packet.dst = recursive_;
-    stats_->rewritten.fetch_add(1, std::memory_order_relaxed);
+    ledger_.Add<&ProxyStats::rewritten>();
     net_.Inject(std::move(packet));
     return true;
   });
@@ -62,10 +45,6 @@ AuthoritativeProxy::AuthoritativeProxy(sim::SimNetwork& net,
 
 AuthoritativeProxy::~AuthoritativeProxy() {
   net_.ClearEgressHook(meta_server_);
-}
-
-void AuthoritativeProxy::RegisterMetrics(stats::MetricsRegistry& metrics) {
-  ExportProxyCounters(metrics, stats_);
 }
 
 }  // namespace ldp::proxy

@@ -25,7 +25,7 @@
 #ifndef LDPLAYER_PROXY_PROXY_H
 #define LDPLAYER_PROXY_PROXY_H
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -35,13 +35,19 @@
 
 namespace ldp::proxy {
 
-// Relaxed atomics so a MetricsRegistry snapshot thread may poll these
-// while the (single-threaded) simulation increments them. Reads in tests
-// go through the implicit atomic load.
+// One proxy's counters, read from the cells of its private registry.
 struct ProxyStats {
-  std::atomic<uint64_t> rewritten{0};
-  std::atomic<uint64_t> passed_through{0};
+  uint64_t rewritten = 0;
+  uint64_t passed_through = 0;
 };
+
+// The same proxy.* names the real-socket relay (relay.h) counts under, so
+// sim and real-socket hierarchy proxies are interchangeable in dashboards.
+inline constexpr auto kProxyLedger = std::to_array<
+    stats::LedgerRow<ProxyStats>>({
+    {"proxy.rewritten", &ProxyStats::rewritten},
+    {"proxy.passed_through", &ProxyStats::passed_through},
+});
 
 class RecursiveProxy {
  public:
@@ -53,19 +59,14 @@ class RecursiveProxy {
   RecursiveProxy(const RecursiveProxy&) = delete;
   RecursiveProxy& operator=(const RecursiveProxy&) = delete;
 
-  const ProxyStats& stats() const { return *stats_; }
-
-  // Exports the shared proxy.* counter names (proxy.rewritten,
-  // proxy.passed_through) as polled metrics, so sim and real-socket
-  // hierarchy proxies (relay.h) are interchangeable in dashboards. The
-  // polled lambdas keep the counter cells alive past the proxy itself.
-  void RegisterMetrics(stats::MetricsRegistry& metrics);
+  ProxyStats stats() const { return ledger_.Read(); }
 
  private:
   sim::SimNetwork& net_;
   IpAddress recursive_;
   IpAddress meta_server_;
-  std::shared_ptr<ProxyStats> stats_ = std::make_shared<ProxyStats>();
+  stats::MetricsRegistry metrics_;
+  stats::Ledger<kProxyLedger> ledger_{metrics_};
 };
 
 class AuthoritativeProxy {
@@ -78,16 +79,14 @@ class AuthoritativeProxy {
   AuthoritativeProxy(const AuthoritativeProxy&) = delete;
   AuthoritativeProxy& operator=(const AuthoritativeProxy&) = delete;
 
-  const ProxyStats& stats() const { return *stats_; }
-
-  // Same proxy.* export as RecursiveProxy::RegisterMetrics.
-  void RegisterMetrics(stats::MetricsRegistry& metrics);
+  ProxyStats stats() const { return ledger_.Read(); }
 
  private:
   sim::SimNetwork& net_;
   IpAddress meta_server_;
   IpAddress recursive_;
-  std::shared_ptr<ProxyStats> stats_ = std::make_shared<ProxyStats>();
+  stats::MetricsRegistry metrics_;
+  stats::Ledger<kProxyLedger> ledger_{metrics_};
 };
 
 }  // namespace ldp::proxy

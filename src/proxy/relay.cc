@@ -37,78 +37,6 @@ struct FlowKeyHash {
   }
 };
 
-// Relaxed-atomic counters shared with polled-metric lambdas: held by
-// shared_ptr so a registry snapshot taken after the proxy is destroyed
-// still reads the final totals (same pattern as replay's
-// TransportCounters).
-struct ShardCounters {
-  // Per-site attribution; deque because Counter is pinned in place.
-  // Sized once at Start (before any metric lambda captures the pointer),
-  // immutable after.
-  struct SiteCounters {
-    stats::Counter queries_in;
-    stats::Counter responses_out;
-  };
-  std::deque<SiteCounters> sites;
-
-  stats::Counter rewritten;
-  stats::Counter passed_through;
-  stats::Counter queries_in;
-  stats::Counter responses_in;
-  stats::Counter responses_out;
-  stats::Counter flows_created;
-  stats::Counter flows_evicted;
-  stats::Counter flows_expired;
-  stats::Counter evicted_drops;
-  stats::Counter port_fallbacks;
-  stats::Counter meta_send_errors;
-  stats::Counter tcp_accepted;
-  stats::Counter tcp_queries;
-  stats::Counter tcp_responses;
-  stats::Counter tcp_reconnects;
-  stats::Counter tcp_failed;
-  std::atomic<int64_t> active_flows{0};
-};
-
-void RegisterRelayMetrics(stats::MetricsRegistry* metrics,
-                          std::shared_ptr<ShardCounters> counters,
-                          const std::vector<SiteSpec>& sites) {
-  for (size_t i = 0; i < sites.size(); ++i) {
-    metrics->AddCounterFn("proxy.site." + sites[i].name + ".queries",
-                          [counters, i] {
-                            return counters->sites[i].queries_in.Get();
-                          });
-    metrics->AddCounterFn("proxy.site." + sites[i].name + ".responses",
-                          [counters, i] {
-                            return counters->sites[i].responses_out.Get();
-                          });
-  }
-  auto counter = [&](const char* name,
-                     stats::Counter ShardCounters::*field) {
-    metrics->AddCounterFn(
-        name, [counters, field] { return (counters.get()->*field).Get(); });
-  };
-  counter("proxy.rewritten", &ShardCounters::rewritten);
-  counter("proxy.passed_through", &ShardCounters::passed_through);
-  counter("proxy.queries_in", &ShardCounters::queries_in);
-  counter("proxy.responses_in", &ShardCounters::responses_in);
-  counter("proxy.responses_out", &ShardCounters::responses_out);
-  counter("proxy.flows_created", &ShardCounters::flows_created);
-  counter("proxy.flows_evicted", &ShardCounters::flows_evicted);
-  counter("proxy.flows_expired", &ShardCounters::flows_expired);
-  counter("proxy.evicted_drops", &ShardCounters::evicted_drops);
-  counter("proxy.port_fallbacks", &ShardCounters::port_fallbacks);
-  counter("proxy.meta_send_errors", &ShardCounters::meta_send_errors);
-  counter("proxy.tcp_accepted", &ShardCounters::tcp_accepted);
-  counter("proxy.tcp_queries", &ShardCounters::tcp_queries);
-  counter("proxy.tcp_responses", &ShardCounters::tcp_responses);
-  counter("proxy.tcp_reconnects", &ShardCounters::tcp_reconnects);
-  counter("proxy.tcp_failed", &ShardCounters::tcp_failed);
-  metrics->AddGaugeFn("proxy.flow_table", [counters] {
-    return counters->active_flows.load(std::memory_order_relaxed);
-  });
-}
-
 constexpr size_t kDnsHeaderBytes = 12;
 
 NanoDuration RelayTickFor(const RelayConfig& config) {
@@ -122,9 +50,12 @@ NanoDuration RelayTickFor(const RelayConfig& config) {
 }  // namespace
 
 // One worker shard: event loop, its SO_REUSEPORT wildcard ingress path,
-// and a private flow table + wheel + counters. Everything except the
-// counters is loop-thread-only after Start.
+// and a private flow table + wheel + registry cells. Everything except the
+// cells is loop-thread-only after Start.
 struct HierarchyProxy::Shard {
+  explicit Shard(stats::MetricsRegistry& metrics)
+      : ledger(metrics), flow_table(metrics.AddGauge("proxy.flow_table")) {}
+
   struct Flow {
     uint64_t id = 0;
     FlowKey key;
@@ -168,8 +99,14 @@ struct HierarchyProxy::Shard {
   std::unique_ptr<net::DatagramPath> ingress;
   std::unordered_set<IpAddress> emulated;
   std::unique_ptr<net::TcpListener> tcp_listener;  // shard 0, same address
-  std::shared_ptr<ShardCounters> counters =
-      std::make_shared<ShardCounters>();
+  stats::Ledger<kRelayLedger> ledger;
+  stats::Gauge* flow_table;  // RelayStats::active_flows
+  // Per-site load, one pair per RelayConfig::sites entry.
+  struct SiteCells {
+    stats::Counter* queries_in;
+    stats::Counter* responses_out;
+  };
+  std::vector<SiteCells> sites;
   std::thread thread;
 
   // Flow table.
@@ -241,15 +178,16 @@ struct HierarchyProxy::Shard {
 
   // Active -> draining: unreachable by key, excluded from the LRU, socket
   // kept open for flow_linger so late replies are counted, not invisible.
-  void MoveToDraining(Flow& flow, stats::Counter& reason, NanoTime now) {
+  template <uint64_t RelayStats::*kReason>
+  void MoveToDraining(Flow& flow, NanoTime now) {
     flow.draining = true;
     lru.erase(flow.lru_it);
-    counters->active_flows.fetch_sub(1, std::memory_order_relaxed);
+    flow_table->Add(-1);
     auto by_key = flows_by_key.find(flow.key);
     if (by_key != flows_by_key.end() && by_key->second == flow.id) {
       flows_by_key.erase(by_key);
     }
-    reason.Add();
+    ledger.Add<kReason>();
     wheel.Schedule(flow.id, now + config.flow_linger);
     ArmTick();
   }
@@ -260,7 +198,7 @@ struct HierarchyProxy::Shard {
     if (it != flows_by_key.end()) return &flows.at(it->second);
 
     if (lru.size() >= config.flow_capacity && !lru.empty()) {
-      MoveToDraining(flows.at(lru.front()), counters->flows_evicted, now);
+      MoveToDraining<&RelayStats::flows_evicted>(flows.at(lru.front()), now);
     }
 
     uint64_t id = next_flow_id++;
@@ -273,7 +211,7 @@ struct HierarchyProxy::Shard {
     auto sock = net::UdpSocket::BindBatch(
         *loop, Endpoint{oqda, client.port}, handler);
     if (!sock.ok()) {
-      counters->port_fallbacks.Add();
+      ledger.Add<&RelayStats::port_fallbacks>();
       sock = net::UdpSocket::BindBatch(*loop, Endpoint{oqda, 0}, handler);
       if (!sock.ok()) {
         LDP_DEBUG << "relay bind failed: " << sock.error().ToString();
@@ -297,8 +235,8 @@ struct HierarchyProxy::Shard {
     flow.lru_it = lru.insert(lru.end(), id);
     auto emplaced = flows.emplace(id, std::move(flow));
     flows_by_key.emplace(key, id);
-    counters->flows_created.Add();
-    counters->active_flows.fetch_add(1, std::memory_order_relaxed);
+    ledger.Add<&RelayStats::flows_created>();
+    flow_table->Add(1);
     wheel.Schedule(id, now + config.flow_idle_timeout);
     ArmTick();
     return &emplaced.first->second;
@@ -325,7 +263,7 @@ struct HierarchyProxy::Shard {
       } else if (idle_at > now) {
         wheel.Schedule(id, idle_at);  // touched since it was filed
       } else {
-        MoveToDraining(flow, counters->flows_expired, now);
+        MoveToDraining<&RelayStats::flows_expired>(flow, now);
       }
     }
     ArmTick();
@@ -342,28 +280,28 @@ struct HierarchyProxy::Shard {
     const NanoTime t0 = MonotonicNow();
     if (udp_batch != nullptr) udp_batch->Record(items.size());
     for (const auto& item : items) {
-      counters->queries_in.Add();
+      ledger.Add<&RelayStats::queries_in>();
       IpAddress oqda = item.to.addr;
       if (item.payload.size() < kDnsHeaderBytes || !emulated.contains(oqda)) {
         // Not a DNS message — or a datagram for a local address we don't
         // emulate that happens to share the service port. Nothing to
         // rewrite; the iptables analogue would never have captured it.
-        counters->passed_through.Add();
+        ledger.Add<&RelayStats::passed_through>();
         continue;
       }
       Flow* flow = FlowFor(item.from, oqda, t0);
       if (flow == nullptr) {
-        counters->meta_send_errors.Add();
+        ledger.Add<&RelayStats::meta_send_errors>();
         continue;
       }
-      if (flow->site < counters->sites.size()) {
-        counters->sites[flow->site].queries_in.Add();
+      if (flow->site < sites.size()) {
+        sites[flow->site].queries_in->Add();
       }
       auto status = flow->sock->Send(item.payload);
       if (status.ok()) {
-        counters->rewritten.Add();
+        ledger.Add<&RelayStats::rewritten>();
       } else {
-        counters->meta_send_errors.Add();
+        ledger.Add<&RelayStats::meta_send_errors>();
       }
       Touch(*flow, t0);
     }
@@ -386,10 +324,10 @@ struct HierarchyProxy::Shard {
     if (flow.draining) {
       // The flow was evicted/expired before the meta server answered:
       // accountable loss, not silence.
-      counters->evicted_drops.Add(items.size());
+      ledger.Add<&RelayStats::evicted_drops>(items.size());
       return;
     }
-    counters->responses_in.Add(items.size());
+    ledger.Add<&RelayStats::responses_in>(items.size());
     // `from` makes the reply leave from the queried address: an IP_PKTINFO
     // source on the epoll backend, the IPv4 header on the afpacket ring.
     Endpoint reply_source{flow.key.oqda, ingress->local().port};
@@ -430,10 +368,10 @@ struct HierarchyProxy::Shard {
   // Flushes reply_items through the ingress path, attributing to `site`.
   void SendReplies(size_t site) {
     size_t accepted = ingress->SendBatch(reply_items);
-    counters->responses_out.Add(accepted);
-    counters->rewritten.Add(accepted);
-    if (site < counters->sites.size()) {
-      counters->sites[site].responses_out.Add(accepted);
+    ledger.Add<&RelayStats::responses_out>(accepted);
+    ledger.Add<&RelayStats::rewritten>(accepted);
+    if (site < sites.size()) {
+      sites[site].responses_out->Add(accepted);
     }
   }
 
@@ -443,10 +381,10 @@ struct HierarchyProxy::Shard {
     // The wildcard listener accepts on every local address at the service
     // port; a stream to one we don't emulate is closed, not spliced.
     if (!emulated.contains(conn->local().addr)) {
-      counters->passed_through.Add();
+      ledger.Add<&RelayStats::passed_through>();
       return;
     }
-    counters->tcp_accepted.Add();
+    ledger.Add<&RelayStats::tcp_accepted>();
     uint64_t id = next_splice_id++;
     auto splice = std::make_unique<Splice>();
     splice->oqda = conn->local().addr;  // the address the client dialed
@@ -486,7 +424,7 @@ struct HierarchyProxy::Shard {
         },
         [this, id](Status) { OnUpstreamClosed(id); }, options);
     if (!conn.ok() && port_preserving) {
-      counters->port_fallbacks.Add();
+      ledger.Add<&RelayStats::port_fallbacks>();
       options.local.port = 0;
       conn = net::TcpConnection::Connect(
           *loop, config.meta_server,
@@ -513,10 +451,10 @@ struct HierarchyProxy::Shard {
     }
     while (auto wire = splice.from_client.NextMessage()) {
       if (wire->size() < kDnsHeaderBytes) {
-        counters->passed_through.Add();
+        ledger.Add<&RelayStats::passed_through>();
         continue;
       }
-      counters->tcp_queries.Add();
+      ledger.Add<&RelayStats::tcp_queries>();
       uint16_t dns_id =
           static_cast<uint16_t>(((*wire)[0] << 8) | (*wire)[1]);
       Splice::Entry entry;
@@ -529,7 +467,7 @@ struct HierarchyProxy::Shard {
       if (splice.up_connected && splice.backlog.empty()) {
         auto status = splice.upstream->Send(splice.inflight[dns_id].frame);
         if (status.ok()) {
-          counters->rewritten.Add();
+          ledger.Add<&RelayStats::rewritten>();
         } else {
           splice.backlog.push_back(dns_id);  // close event will re-queue
         }
@@ -554,7 +492,7 @@ struct HierarchyProxy::Shard {
       auto entry = splice.inflight.find(dns_id);
       if (entry != splice.inflight.end()) {
         if (!splice.upstream->Send(entry->second.frame).ok()) break;
-        counters->rewritten.Add();
+        ledger.Add<&RelayStats::rewritten>();
       }
       splice.backlog.pop_front();
     }
@@ -571,8 +509,8 @@ struct HierarchyProxy::Shard {
           static_cast<uint16_t>(((*wire)[0] << 8) | (*wire)[1]);
       splice.inflight.erase(dns_id);
       splice.attempts = 0;  // a live reply refills the reconnect budget
-      counters->tcp_responses.Add();
-      counters->rewritten.Add();
+      ledger.Add<&RelayStats::tcp_responses>();
+      ledger.Add<&RelayStats::rewritten>();
       Bytes framed = std::move(dns::FrameMessage(*wire)).value();
       auto status = splice.client->Send(framed);
       (void)status;  // client gone => its close callback disposes us
@@ -603,7 +541,7 @@ struct HierarchyProxy::Shard {
     if (it == splices.end()) return;
     Splice& splice = *it->second;
     if (splice.attempts >= config.tcp_max_reconnects) {
-      counters->tcp_failed.Add();
+      ledger.Add<&RelayStats::tcp_failed>();
       DisposeSplice(id);
       return;
     }
@@ -619,7 +557,7 @@ struct HierarchyProxy::Shard {
     NanoDuration delay = config.tcp_reconnect_backoff
                          << std::min(splice.attempts, 10);
     ++splice.attempts;
-    counters->tcp_reconnects.Add();
+    ledger.Add<&RelayStats::tcp_reconnects>();
     splice.reconnect_timer = loop->ScheduleAfter(delay, [this, id]() {
       StartUpstream(id, /*port_preserving=*/false);
     });
@@ -672,22 +610,26 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
                  "catchment default site out of range");
   }
   auto proxy = std::unique_ptr<HierarchyProxy>(new HierarchyProxy());
+  stats::MetricsRegistry& metrics =
+      stats::RegistryOrOwn(config.metrics, proxy->own_metrics_);
   size_t n_shards = config.n_shards > 0 ? config.n_shards : 1;
   uint16_t port = config.port;
 
   for (size_t i = 0; i < n_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(metrics);
     shard->config = config;
     shard->config.n_shards = n_shards;
     shard->tick_interval = RelayTickFor(config);
     shard->wheel = replay::TimerWheel(shard->tick_interval, 512);
     LDP_ASSIGN_OR_RETURN(shard->loop, net::EventLoop::Create());
-    for (size_t s = 0; s < config.sites.size(); ++s) {
-      shard->counters->sites.emplace_back();
+    for (const SiteSpec& site : config.sites) {
+      const std::string prefix = "proxy.site." + site.name;
+      shard->sites.push_back(
+          Shard::SiteCells{metrics.AddCounter(prefix + ".queries"),
+                           metrics.AddCounter(prefix + ".responses")});
     }
 
     if (config.metrics != nullptr) {
-      RegisterRelayMetrics(config.metrics, shard->counters, config.sites);
       shard->rewrite_ns = config.metrics->AddHistogram("proxy.rewrite_ns");
       shard->udp_batch = config.metrics->AddHistogram("proxy.udp_batch");
       shard->loop->SetMetrics(
@@ -749,28 +691,11 @@ RelayStats HierarchyProxy::TotalStats() const {
     }
   }
   for (const auto& shard : shards_) {
-    const ShardCounters& c = *shard->counters;
-    total.rewritten += c.rewritten.Get();
-    total.passed_through += c.passed_through.Get();
-    total.queries_in += c.queries_in.Get();
-    total.responses_in += c.responses_in.Get();
-    total.responses_out += c.responses_out.Get();
-    total.flows_created += c.flows_created.Get();
-    total.flows_evicted += c.flows_evicted.Get();
-    total.flows_expired += c.flows_expired.Get();
-    total.evicted_drops += c.evicted_drops.Get();
-    total.port_fallbacks += c.port_fallbacks.Get();
-    total.meta_send_errors += c.meta_send_errors.Get();
-    total.tcp_accepted += c.tcp_accepted.Get();
-    total.tcp_queries += c.tcp_queries.Get();
-    total.tcp_responses += c.tcp_responses.Get();
-    total.tcp_reconnects += c.tcp_reconnects.Get();
-    total.tcp_failed += c.tcp_failed.Get();
-    total.active_flows +=
-        c.active_flows.load(std::memory_order_relaxed);
-    for (size_t i = 0; i < c.sites.size() && i < total.sites.size(); ++i) {
-      total.sites[i].queries_in += c.sites[i].queries_in.Get();
-      total.sites[i].responses_out += c.sites[i].responses_out.Get();
+    shard->ledger.AddTo(total);
+    total.active_flows += shard->flow_table->Get();
+    for (size_t i = 0; i < shard->sites.size(); ++i) {
+      total.sites[i].queries_in += shard->sites[i].queries_in->Get();
+      total.sites[i].responses_out += shard->sites[i].responses_out->Get();
     }
   }
   return total;

@@ -47,6 +47,7 @@
 #ifndef LDPLAYER_PROXY_RELAY_H
 #define LDPLAYER_PROXY_RELAY_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,14 +105,16 @@ struct RelayConfig {
   std::vector<SiteSpec> sites;
   CatchmentMap catchment;
 
-  // Optional live metrics: proxy.* counters, flow-table occupancy gauge,
-  // rewrite-latency and ingress-batch histograms. The registry must
-  // outlive the proxy; polled-counter lambdas keep the counter cells
-  // alive, so snapshots taken after Stop() still read final totals.
+  // Optional live metrics: each shard counts proxy.* and the flow-table
+  // occupancy gauge into its own cells there (in a private registry
+  // without one), and records rewrite-latency and ingress-batch
+  // histograms. The registry must outlive the proxy; its cells keep the
+  // final totals for snapshots taken after Stop().
   stats::MetricsRegistry* metrics = nullptr;
 };
 
-// Aggregate across shards; all counters monotonic except active_flows.
+// Sums of every shard's registry cells; all counters monotonic except
+// active_flows.
 struct RelayStats {
   uint64_t rewritten = 0;       // address-rewritten packets, both legs
   uint64_t passed_through = 0;  // seen but not rewritable: not DNS-sized,
@@ -141,6 +144,29 @@ struct RelayStats {
   std::vector<SiteLoad> sites;
 };
 
+// The relay's ledger: each counter's metric name and RelayStats field.
+// active_flows is the proxy.flow_table gauge; each site's load is
+// proxy.site.<name>.queries and .responses.
+inline constexpr auto kRelayLedger = std::to_array<
+    stats::LedgerRow<RelayStats>>({
+    {"proxy.rewritten", &RelayStats::rewritten},
+    {"proxy.passed_through", &RelayStats::passed_through},
+    {"proxy.queries_in", &RelayStats::queries_in},
+    {"proxy.responses_in", &RelayStats::responses_in},
+    {"proxy.responses_out", &RelayStats::responses_out},
+    {"proxy.flows_created", &RelayStats::flows_created},
+    {"proxy.flows_evicted", &RelayStats::flows_evicted},
+    {"proxy.flows_expired", &RelayStats::flows_expired},
+    {"proxy.evicted_drops", &RelayStats::evicted_drops},
+    {"proxy.port_fallbacks", &RelayStats::port_fallbacks},
+    {"proxy.meta_send_errors", &RelayStats::meta_send_errors},
+    {"proxy.tcp_accepted", &RelayStats::tcp_accepted},
+    {"proxy.tcp_queries", &RelayStats::tcp_queries},
+    {"proxy.tcp_responses", &RelayStats::tcp_responses},
+    {"proxy.tcp_reconnects", &RelayStats::tcp_reconnects},
+    {"proxy.tcp_failed", &RelayStats::tcp_failed},
+});
+
 class HierarchyProxy {
  public:
   using Config = RelayConfig;
@@ -162,13 +188,14 @@ class HierarchyProxy {
   uint16_t port() const { return port_; }
   size_t n_shards() const { return shards_.size(); }
 
-  // Lock-free aggregate of the per-shard counter snapshots.
+  // Lock-free sums of the per-shard registry cells.
   RelayStats TotalStats() const;
 
  private:
   struct Shard;
   HierarchyProxy() = default;
 
+  std::unique_ptr<stats::MetricsRegistry> own_metrics_;
   uint16_t port_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   bool stopped_ = false;

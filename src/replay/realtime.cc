@@ -30,44 +30,9 @@ struct QueryJob {
   SendOutcome* outcome;
 };
 
-// Shared across all distributor threads; snapshotted into the report after
-// they join. Held by shared_ptr so polled-metric lambdas registered in a
-// caller-owned registry stay valid after the replay returns.
-struct TransportCounters {
-  stats::Counter sent;
-  stats::Counter answered;
-  stats::Counter timed_out;
-  stats::Counter send_failed;
-  stats::Counter retransmits;
-  stats::Counter id_collisions;
-  stats::Counter unmatched_replies;
-  stats::Counter tcp_reconnects;
-  stats::Counter tcp_idle_closes;
-  stats::Counter tls_handshakes;
-  stats::Counter tls_resumptions;
-  stats::Counter tls_aborts;
-};
-
-void RegisterTransportMetrics(stats::MetricsRegistry* metrics,
-                              std::shared_ptr<TransportCounters> counters) {
-  auto counter = [&](const char* name,
-                     stats::Counter TransportCounters::*field) {
-    metrics->AddCounterFn(
-        name, [counters, field] { return (counters.get()->*field).Get(); });
-  };
-  counter("replay.sent", &TransportCounters::sent);
-  counter("replay.answered", &TransportCounters::answered);
-  counter("replay.timed_out", &TransportCounters::timed_out);
-  counter("replay.send_failed", &TransportCounters::send_failed);
-  counter("replay.retransmits", &TransportCounters::retransmits);
-  counter("replay.id_collisions", &TransportCounters::id_collisions);
-  counter("replay.unmatched_replies", &TransportCounters::unmatched_replies);
-  counter("replay.tcp_reconnects", &TransportCounters::tcp_reconnects);
-  counter("replay.tcp_idle_closes", &TransportCounters::tcp_idle_closes);
-  counter("replay.tls_handshakes", &TransportCounters::tls_handshakes);
-  counter("replay.tls_resumptions", &TransportCounters::tls_resumptions);
-  counter("replay.tls_aborts", &TransportCounters::tls_aborts);
-}
+// One distributor's transport cells: its queriers count into them from
+// the distributor thread, and the feeder thread sums them.
+using TransportLedger = stats::Ledger<kTransportLedger>;
 
 // Per-querier live-metric instances (all nullptr when metrics are off).
 // Each querier gets its own instances under shared names; the registry
@@ -112,7 +77,6 @@ struct ConnKeyHash {
 // ~1/8 of its length, floored so short test timeouts do not busy-spin the
 // loop.
 NanoDuration ExpiryTickFor(NanoDuration query_timeout) {
-  if (query_timeout <= 0) return Millis(8);
   return std::clamp<NanoDuration>(query_timeout / 8, Millis(1), Millis(16));
 }
 
@@ -131,19 +95,18 @@ constexpr int kMaxBackoffShift = 10;
 
 // One logical querier: a UDP socket plus per-source TCP connections. Every
 // accepted query is tracked until it reaches a terminal outcome (answered /
-// timed out / send-failed); see realtime.h. With timeouts on, each live
-// query has one entry in the timeout FIFO of its retransmit level: every
-// entry of level k waits the same query_timeout << k, so pushing in send
-// order keeps each FIFO in deadline order with no heap or wheel. An
-// answered query leaves its entry behind, and the entry is dropped when it
-// reaches the front.
+// timed out / send-failed); see realtime.h. Each live query has one entry
+// in the timeout FIFO of its retransmit level: every entry of level k
+// waits the same query_timeout << k, so pushing in send order keeps each
+// FIFO in deadline order with no heap or wheel. An answered query leaves
+// its entry behind, and the entry is dropped when it reaches the front.
 class Querier {
  public:
   Querier(net::EventLoop& loop, const RealtimeConfig& config,
-          TransportCounters& counters, QuerierMetrics metrics = {})
+          const TransportLedger& ledger, QuerierMetrics metrics = {})
       : loop_(loop),
         config_(config),
-        counters_(counters),
+        ledger_(ledger),
         metrics_(metrics),
         tick_interval_(ExpiryTickFor(config.query_timeout)),
         timeouts_(std::clamp(config.max_retransmits, 0, kMaxBackoffShift) +
@@ -315,9 +278,9 @@ class Querier {
     if (outcome.state != SendOutcome::State::kPending) return;
     outcome.state = state;
     if (state == SendOutcome::State::kTimedOut) {
-      counters_.timed_out.Add();
+      ledger_.Add<&RealtimeReport::timed_out>();
     } else if (state == SendOutcome::State::kSendFailed) {
-      counters_.send_failed.Add();
+      ledger_.Add<&RealtimeReport::send_failed>();
     }
     if (metrics_.inflight != nullptr) metrics_.inflight->Add(-1);
   }
@@ -328,7 +291,7 @@ class Querier {
     if (outcome.state != SendOutcome::State::kPending) return;
     outcome.state = SendOutcome::State::kAnswered;
     outcome.replied = replied;
-    counters_.answered.Add();
+    ledger_.Add<&RealtimeReport::answered>();
     if (metrics_.inflight != nullptr) metrics_.inflight->Add(-1);
     if (metrics_.latency != nullptr && outcome.replied > outcome.sent) {
       metrics_.latency->Record(
@@ -351,7 +314,6 @@ class Querier {
   // --- timeouts ---
 
   void ScheduleTimeout(uint64_t key, uint64_t seq, int tries, NanoTime now) {
-    if (config_.query_timeout <= 0) return;
     const int level = std::min(tries, kMaxBackoffShift);
     timeouts_[static_cast<size_t>(level)].push_back(
         Timeout{now + (config_.query_timeout << level), key, seq});
@@ -400,7 +362,7 @@ class Querier {
       ++entry->tries;
       entry->outcome->retransmits =
           static_cast<uint8_t>(std::min(entry->tries, 255));
-      counters_.retransmits.Add();
+      ledger_.Add<&RealtimeReport::retransmits>();
       auto status = udp_->SendTo(entry->wire, entry->target);
       (void)status;  // a full buffer just leaves it to the next expiry
       ScheduleTimeout(timeout.key, entry->seq, entry->tries, now);
@@ -434,30 +396,17 @@ class Querier {
   // --- UDP ---
 
   void SendUdp(const QueryJob& job, NanoTime now) {
-    uint16_t id = 0;
     bool collided = false;
-    if (config_.query_timeout > 0) {
-      auto allocated = AllocateQueryId(next_udp_id_, udp_inflight_, &collided);
-      if (!allocated) {
-        // All 65536 IDs inflight: this query cannot be matched to a reply.
-        counters_.id_collisions.Add();
-        Terminal(job.outcome, SendOutcome::State::kSendFailed);
-        MaybeIdle();
-        return;
-      }
-      id = *allocated;
-    } else {
-      // Legacy mode (no timeouts): nothing ever ages out, so probing would
-      // deadlock once the trace exceeds 64k unanswered queries. Keep the
-      // historical wrap but evict the stale entry and count the collision
-      // instead of silently clobbering it.
-      id = next_udp_id_++;
-      if (udp_inflight_.contains(id)) {
-        collided = true;
-        udp_inflight_.Erase(id);
-      }
+    auto allocated = AllocateQueryId(next_udp_id_, udp_inflight_, &collided);
+    if (!allocated) {
+      // All 65536 IDs inflight: this query cannot be matched to a reply.
+      ledger_.Add<&RealtimeReport::id_collisions>();
+      Terminal(job.outcome, SendOutcome::State::kSendFailed);
+      MaybeIdle();
+      return;
     }
-    if (collided) counters_.id_collisions.Add();
+    const uint16_t id = *allocated;
+    if (collided) ledger_.Add<&RealtimeReport::id_collisions>();
 
     UdpEntry& entry = udp_inflight_.Insert(id);
     entry.outcome = job.outcome;
@@ -515,7 +464,7 @@ class Querier {
     UdpEntry* entry = payload.size() < 2 ? nullptr : udp_inflight_.find(id);
     if (entry == nullptr || item.from != entry->target ||
         !dns::SameFirstQuestion(payload, entry->wire)) {
-      counters_.unmatched_replies.Add();
+      ledger_.Add<&RealtimeReport::unmatched_replies>();
       return;
     }
     // The kernel's receive stamp, kept between the send and the read so a
@@ -547,7 +496,7 @@ class Querier {
         LDP_WARN << "trace carries TLS queries but this build has no "
                     "OpenSSL; counting them as send_failed";
       }
-      counters_.tls_aborts.Add();
+      ledger_.Add<&RealtimeReport::tls_aborts>();
       Terminal(job.outcome, SendOutcome::State::kSendFailed);
       MaybeIdle();
       return;
@@ -575,7 +524,7 @@ class Querier {
 
     bool collided = false;
     auto allocated = AllocateQueryId(state.next_id, state.inflight, &collided);
-    if (collided) counters_.id_collisions.Add();
+    if (collided) ledger_.Add<&RealtimeReport::id_collisions>();
     if (!allocated) {
       Terminal(job.outcome, SendOutcome::State::kSendFailed);
       MaybeIdle();
@@ -675,14 +624,16 @@ class Querier {
     if (it == tcp_.end()) return;
     TcpState& state = *it->second;
     if (!status.ok()) {
-      if (key.tls) counters_.tls_aborts.Add();
+      if (key.tls) ledger_.Add<&RealtimeReport::tls_aborts>();
       BuryConn(state);
       RetryOrFail(state);
       return;
     }
     if (key.tls && state.tls_conn != nullptr) {
-      counters_.tls_handshakes.Add();
-      if (state.tls_conn->session_reused()) counters_.tls_resumptions.Add();
+      ledger_.Add<&RealtimeReport::tls_handshakes>();
+      if (state.tls_conn->session_reused()) {
+        ledger_.Add<&RealtimeReport::tls_resumptions>();
+      }
       if (metrics_.tls_handshake != nullptr) {
         metrics_.tls_handshake->Record(
             static_cast<uint64_t>(state.tls_conn->handshake_duration()));
@@ -744,7 +695,7 @@ class Querier {
     NanoDuration delay = config_.tcp_reconnect_backoff
                          << std::min(state.attempts, 10);
     ++state.attempts;
-    counters_.tcp_reconnects.Add();
+    ledger_.Add<&RealtimeReport::tcp_reconnects>();
     ConnKey key = state.key;
     state.reconnect_timer = loop_.ScheduleAfter(delay, [this, key]() {
       auto it = tcp_.find(key);
@@ -830,7 +781,7 @@ class Querier {
           TcpState& state = *it->second;
           NanoTime deadline = state.last_activity + config_.tcp_idle_timeout;
           if (MonotonicNow() >= deadline && state.inflight.empty()) {
-            counters_.tcp_idle_closes.Add();
+            ledger_.Add<&RealtimeReport::tcp_idle_closes>();
             DisposeState(key);  // active close: destruction sends FIN
             return;
           }
@@ -851,7 +802,7 @@ class Querier {
       if (it == state.inflight.end() ||
           !dns::SameFirstQuestion(
               *wire, std::span<const uint8_t>(it->second.frame).subspan(2))) {
-        counters_.unmatched_replies.Add();
+        ledger_.Add<&RealtimeReport::unmatched_replies>();
         continue;
       }
       RecordAnswer(it->second.outcome, state.last_activity - epoch_mono_);
@@ -863,7 +814,7 @@ class Querier {
 
   net::EventLoop& loop_;
   const RealtimeConfig config_;
-  TransportCounters& counters_;
+  const TransportLedger& ledger_;
   QuerierMetrics metrics_;
   std::function<void()> on_idle_;
 
@@ -923,18 +874,20 @@ constexpr NanoDuration kPreWake = Micros(500);
 // at epoch_mono + t, or at once if that has passed.
 class Distributor {
  public:
+  // Registers the distributor's transport cells in `metrics`.
   Distributor(const RealtimeConfig& config, NanoTime epoch_mono,
-              TransportCounters& counters, uint64_t seed,
+              stats::MetricsRegistry& metrics, uint64_t seed,
               stats::MetricsSnapshotter* snapshotter,
               std::atomic<size_t>* finished)
       : config_(config),
         epoch_mono_(epoch_mono),
-        counters_(counters),
+        ledger_(metrics),
         snapshotter_(snapshotter),
         finished_(finished),
         assigner_(config.queriers_per_distributor, seed) {}
 
   NotifyQueue<QueryJob>& queue() { return queue_; }
+  const TransportLedger& ledger() const { return ledger_; }
 
   void Start() {
     thread_ = std::thread([this]() { ThreadMain(); });
@@ -977,7 +930,7 @@ class Distributor {
             config_.metrics->AddHistogram("replay.tls_handshake_ns");
       }
       queriers_.push_back(
-          std::make_unique<Querier>(*loop_, config_, counters_, qm));
+          std::make_unique<Querier>(*loop_, config_, ledger_, qm));
       auto status = queriers_.back()->Init();
       if (!status.ok()) {
         status_ = status;
@@ -1110,32 +1063,25 @@ class Distributor {
 
   void Dispatch(size_t querier, const QueryJob& job, NanoTime now) {
     queriers_[querier]->Send(job, epoch_mono_, now);
-    counters_.sent.Add();
+    ledger_.Add<&RealtimeReport::queries_sent>();
     --outstanding_;
     MaybeFinish();
   }
 
+  // Timeouts make every outcome terminal: stop the instant all queriers
+  // are idle — there is nothing left to wait for.
   void MaybeFinish() {
     if (!input_closed_ || outstanding_ != 0 || stopping_) return;
-    if (config_.query_timeout > 0) {
-      // Timeouts make every outcome terminal: stop the instant all
-      // queriers are idle — there is nothing left to wait for.
-      for (auto& querier : queriers_) {
-        if (!querier->idle()) return;
-      }
-      stopping_ = true;
-      loop_->Stop();
-      return;
+    for (auto& querier : queriers_) {
+      if (!querier->idle()) return;
     }
-    // Legacy mode: unanswered queries never resolve, so wait a fixed
-    // grace period for trailing replies.
     stopping_ = true;
-    loop_->ScheduleAfter(config_.drain_grace, [this]() { loop_->Stop(); });
+    loop_->Stop();
   }
 
   RealtimeConfig config_;
   NanoTime epoch_mono_;
-  TransportCounters& counters_;
+  TransportLedger ledger_;
   stats::MetricsSnapshotter* snapshotter_;
   std::atomic<size_t>* finished_;
   StickyAssigner assigner_;
@@ -1164,7 +1110,7 @@ std::vector<double> RealtimeReport::TimingErrorsMs(size_t skip_first) const {
   // send time into every error.)
   const SendOutcome* first = nullptr;
   for (const auto& send : sends) {
-    if (send.sent != 0 && send.state != SendOutcome::State::kSendFailed) {
+    if (send.reached_wire()) {
       first = &send;
       break;
     }
@@ -1173,9 +1119,7 @@ std::vector<double> RealtimeReport::TimingErrorsMs(size_t skip_first) const {
   for (size_t i = 0; i < sends.size(); ++i) {
     if (i < skip_first) continue;
     const auto& send = sends[i];
-    if (send.sent == 0 || send.state == SendOutcome::State::kSendFailed) {
-      continue;  // never reached the wire: no replay time to compare
-    }
+    if (!send.reached_wire()) continue;  // no replay time to compare
     double replay_offset = ToMillis(send.sent - first->sent);
     double trace_offset = ToMillis(send.trace_time - first->trace_time);
     errors.push_back(replay_offset - trace_offset);
@@ -1187,9 +1131,7 @@ std::vector<double> RealtimeReport::ReplayInterarrivalsS() const {
   std::vector<NanoTime> times;
   times.reserve(sends.size());
   for (const auto& send : sends) {
-    if (send.sent == 0 || send.state == SendOutcome::State::kSendFailed) {
-      continue;  // unsent records have no arrival to measure
-    }
+    if (!send.reached_wire()) continue;  // no arrival to measure
     times.push_back(send.sent);
   }
   std::sort(times.begin(), times.end());
@@ -1205,9 +1147,8 @@ std::vector<double> RealtimeReport::RateErrors() const {
   stats::RateCounter original, replayed;
   for (const auto& send : sends) {
     original.Record(send.trace_time);
-    if (send.sent == 0 || send.state == SendOutcome::State::kSendFailed) {
-      continue;  // lost queries depress the replayed rate; they are not in it
-    }
+    // Unsent queries depress the replayed rate; they are not in it.
+    if (!send.reached_wire()) continue;
     replayed.Record(send.sent);
   }
   auto orig = original.BucketCounts();
@@ -1233,7 +1174,7 @@ struct ReplayPipeline::Impl {
   NanoTime epoch_mono = 0;
   NanoTime trace_epoch = 0;
   NanoTime wall_start = 0;
-  std::shared_ptr<TransportCounters> counters;
+  std::unique_ptr<stats::MetricsRegistry> own_metrics;
   // Postman: sticky same-source assignment of queries to distributors.
   StickyAssigner postman;
   std::vector<std::unique_ptr<Distributor>> distributors;
@@ -1248,6 +1189,9 @@ struct ReplayPipeline::Impl {
   uint64_t fed = 0;
   bool input_closed = false;
   bool joined = false;
+
+  // Sums every distributor's transport cells; safe while they run.
+  RealtimeReport Counts() const;
 };
 
 Result<std::unique_ptr<ReplayPipeline>> ReplayPipeline::Start(
@@ -1256,20 +1200,21 @@ Result<std::unique_ptr<ReplayPipeline>> ReplayPipeline::Start(
     return Error(ErrorCode::kInvalidArgument,
                  "need at least one distributor and querier");
   }
+  if (config.query_timeout <= 0) {
+    return Error(ErrorCode::kInvalidArgument, "query_timeout must be > 0");
+  }
   auto pipeline = std::unique_ptr<ReplayPipeline>(new ReplayPipeline());
   pipeline->impl_ = std::make_unique<Impl>(config);
   Impl& impl = *pipeline->impl_;
   impl.epoch_mono = epoch_mono;
   impl.trace_epoch = trace_epoch;
-  impl.counters = std::make_shared<TransportCounters>();
-  if (config.metrics != nullptr) {
-    RegisterTransportMetrics(config.metrics, impl.counters);
-  }
+  stats::MetricsRegistry& metrics =
+      stats::RegistryOrOwn(config.metrics, impl.own_metrics);
   // Distributor 0 drives the snapshotter so rows come from exactly one
   // thread.
   for (size_t i = 0; i < config.n_distributors; ++i) {
     impl.distributors.push_back(std::make_unique<Distributor>(
-        config, epoch_mono, *impl.counters, config.seed + 1 + i,
+        config, epoch_mono, metrics, config.seed + 1 + i,
         i == 0 ? config.snapshotter : nullptr, &impl.finished));
     impl.distributors.back()->Start();
   }
@@ -1324,13 +1269,21 @@ bool ReplayPipeline::Done() const {
          impl_->distributors.size();
 }
 
+RealtimeReport ReplayPipeline::Impl::Counts() const {
+  RealtimeReport counts;
+  for (const auto& distributor : distributors) {
+    distributor->ledger().AddTo(counts);
+  }
+  return counts;
+}
+
 uint64_t ReplayPipeline::SentCount() const {
-  return impl_->counters->sent.Get();
+  return impl_->Counts().queries_sent;
 }
 
 uint64_t ReplayPipeline::TerminalCount() const {
-  const TransportCounters& c = *impl_->counters;
-  return c.answered.Get() + c.timed_out.Get() + c.send_failed.Get();
+  const RealtimeReport counts = impl_->Counts();
+  return counts.answered + counts.timed_out + counts.send_failed;
 }
 
 Result<RealtimeReport> ReplayPipeline::Finish() {
@@ -1342,25 +1295,12 @@ Result<RealtimeReport> ReplayPipeline::Finish() {
     if (!distributor->status().ok()) return distributor->status().error();
   }
 
-  RealtimeReport report;
+  RealtimeReport report = impl.Counts();
   report.sends.reserve(impl.fed);
   for (auto& chunk : impl.chunks) {
     for (auto& outcome : chunk) report.sends.push_back(outcome);
   }
   impl.chunks.clear();
-  report.queries_sent = impl.counters->sent.Get();
-  report.answered = impl.counters->answered.Get();
-  report.replies = report.answered;
-  report.timed_out = impl.counters->timed_out.Get();
-  report.send_failed = impl.counters->send_failed.Get();
-  report.retransmits = impl.counters->retransmits.Get();
-  report.id_collisions = impl.counters->id_collisions.Get();
-  report.unmatched_replies = impl.counters->unmatched_replies.Get();
-  report.tcp_reconnects = impl.counters->tcp_reconnects.Get();
-  report.tcp_idle_closes = impl.counters->tcp_idle_closes.Get();
-  report.tls_handshakes = impl.counters->tls_handshakes.Get();
-  report.tls_resumptions = impl.counters->tls_resumptions.Get();
-  report.tls_aborts = impl.counters->tls_aborts.Get();
   report.wall_duration = MonotonicNow() - impl.wall_start;
   // Final row after every distributor joined: cumulative counters are
   // settled, so this row reconciles exactly with the returned report.

@@ -24,6 +24,7 @@
 #ifndef LDPLAYER_REPLAY_REALTIME_H
 #define LDPLAYER_REPLAY_REALTIME_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -68,18 +69,13 @@ struct RealtimeConfig {
   NanoDuration lookahead = Millis(500);
   // Delay before the synchronized start (lets threads spin up).
   NanoDuration start_delay = Millis(100);
-  // Wait after the last send for trailing replies. Only used when
-  // query_timeout == 0; with timeouts enabled the replay ends as soon as
-  // every query has reached a terminal outcome.
-  NanoDuration drain_grace = Millis(500);
   uint64_t seed = 99;
 
   // --- Robust transport: timeouts, retransmit, TCP lifecycle ---
 
   // Inflight queries age out after this long without a reply and count as
-  // timed_out. 0 disables aging: unanswered queries stay unresolved
-  // (state kPending) and the replay ends after drain_grace — the legacy
-  // behavior, where loss is invisible.
+  // timed_out; must be positive. The replay ends as soon as every query
+  // has reached a terminal outcome.
   NanoDuration query_timeout = Seconds(2);
   // UDP retransmits before declaring a timeout; retry k waits
   // query_timeout << k (exponential backoff). TCP queries are never
@@ -122,10 +118,11 @@ struct RealtimeConfig {
 
   // --- Live metrics (both optional) ---
 
-  // Registry for live counters/histograms: transport outcome counters
-  // (replay.sent/answered/timed_out/send_failed/...), per-querier
-  // send→answer latency histograms, inflight-depth gauges, and
-  // per-distributor loop-lag / epoll-batch histograms.
+  // Registry for live counters/histograms: each distributor's transport
+  // outcome cells (replay.sent/answered/timed_out/send_failed/..., kept
+  // in a private registry without one), per-querier send→answer latency
+  // histograms, inflight-depth gauges, and per-distributor loop-lag /
+  // epoll-batch histograms.
   // Must outlive the replay call AND any snapshots taken after it.
   stats::MetricsRegistry* metrics = nullptr;
   // When set, distributor 0 drives it: one JSONL row per interval() from
@@ -137,7 +134,7 @@ struct RealtimeConfig {
 struct SendOutcome {
   // Terminal outcome of one replayed query.
   enum class State : uint8_t {
-    kPending = 0,  // not yet (or, with query_timeout == 0, never) resolved
+    kPending = 0,  // not yet resolved
     kAnswered,
     kTimedOut,    // reached the wire, aged out without a reply
     kSendFailed,  // never reached the wire (kernel refused the datagram,
@@ -153,14 +150,18 @@ struct SendOutcome {
   uint8_t retransmits = 0;   // UDP re-sends attempted for this query
   State state = State::kPending;
   bool answered() const { return state == State::kAnswered; }
+  // Whether the query left on the wire. The state decides: a send stamp
+  // of 0 is a real time (a query sent at the replay epoch itself).
+  bool reached_wire() const {
+    return state == State::kAnswered || state == State::kTimedOut;
+  }
 };
 
 struct RealtimeReport {
   std::vector<SendOutcome> sends;  // trace order
   uint64_t queries_sent = 0;
-  uint64_t replies = 0;  // == answered; kept for existing callers
 
-  // Terminal-outcome accounting. With query_timeout > 0,
+  // Terminal-outcome accounting:
   //   queries_sent == answered + timed_out + send_failed
   // holds once RunRealtimeReplay returns.
   uint64_t answered = 0;
@@ -192,6 +193,24 @@ struct RealtimeReport {
   // records count toward the original series only.
   std::vector<double> RateErrors() const;
 };
+
+// The transport's ledger: each counter's metric name and RealtimeReport
+// field. Every distributor counts into its own cells.
+inline constexpr auto kTransportLedger = std::to_array<
+    stats::LedgerRow<RealtimeReport>>({
+    {"replay.sent", &RealtimeReport::queries_sent},
+    {"replay.answered", &RealtimeReport::answered},
+    {"replay.timed_out", &RealtimeReport::timed_out},
+    {"replay.send_failed", &RealtimeReport::send_failed},
+    {"replay.retransmits", &RealtimeReport::retransmits},
+    {"replay.id_collisions", &RealtimeReport::id_collisions},
+    {"replay.unmatched_replies", &RealtimeReport::unmatched_replies},
+    {"replay.tcp_reconnects", &RealtimeReport::tcp_reconnects},
+    {"replay.tcp_idle_closes", &RealtimeReport::tcp_idle_closes},
+    {"replay.tls_handshakes", &RealtimeReport::tls_handshakes},
+    {"replay.tls_resumptions", &RealtimeReport::tls_resumptions},
+    {"replay.tls_aborts", &RealtimeReport::tls_aborts},
+});
 
 // Replays `records` (timestamps must ascend) and blocks until done.
 Result<RealtimeReport> RunRealtimeReplay(
@@ -226,7 +245,7 @@ class ReplayPipeline {
   // it is due; ascending order is the cheap case.
   void Feed(std::span<const trace::QueryRecord> records);
   // After the last Feed. Distributors finish once every fed query reaches
-  // a terminal outcome (or, with query_timeout == 0, after drain_grace).
+  // a terminal outcome.
   void CloseInput();
 
   uint64_t fed() const;

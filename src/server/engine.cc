@@ -7,16 +7,6 @@ namespace {
 // real servers batch a few hundred records per message.
 constexpr size_t kAxfrMessageBudget = 32 * 1024;
 
-// Counter increments are relaxed: each shard's engine is mutated by one
-// thread only; atomics exist so cross-thread stat snapshots are race-free.
-void Bump(std::atomic<uint64_t>& counter, uint64_t n = 1) {
-  counter.fetch_add(n, std::memory_order_relaxed);
-}
-
-uint64_t Load(const std::atomic<uint64_t>& counter) {
-  return counter.load(std::memory_order_relaxed);
-}
-
 // The effective UDP ceiling: the client's EDNS advertisement, else the
 // classic 512 bytes (RFC 1035 §4.2.1), both capped by the transport.
 // udp_limit == 0 means a stream transport: no truncation.
@@ -31,63 +21,29 @@ size_t EffectiveLimit(size_t udp_limit, bool has_edns, uint32_t advertised) {
 
 }  // namespace
 
-EngineStats& EngineStats::operator+=(const EngineStats& other) {
-  queries += other.queries;
-  responses += other.responses;
-  dropped += other.dropped;
-  refused += other.refused;
-  nxdomain += other.nxdomain;
-  truncated += other.truncated;
-  response_bytes += other.response_bytes;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_bypass += other.cache_bypass;
-  cache_evictions += other.cache_evictions;
-  cache_size += other.cache_size;
-  return *this;
-}
-
 AuthServerEngine::AuthServerEngine(
-    std::shared_ptr<const zone::ViewTable> views, EngineOptions options)
-    : views_(std::move(views)) {
+    std::shared_ptr<const zone::ViewTable> views, EngineOptions options,
+    stats::MetricsRegistry* metrics)
+    : views_(std::move(views)),
+      metrics_(stats::RegistryOrOwn(metrics, own_metrics_)),
+      ledger_(metrics_) {
   if (options.response_cache_entries > 0) {
     cache_ =
         std::make_unique<ResponseCache>(options.response_cache_entries);
   }
 }
 
-EngineStats AuthServerEngine::stats() const {
-  EngineStats snapshot;
-  snapshot.queries = Load(stats_.queries);
-  snapshot.responses = Load(stats_.responses);
-  snapshot.dropped = Load(stats_.dropped);
-  snapshot.refused = Load(stats_.refused);
-  snapshot.nxdomain = Load(stats_.nxdomain);
-  snapshot.truncated = Load(stats_.truncated);
-  snapshot.response_bytes = Load(stats_.response_bytes);
-  snapshot.cache_hits = Load(stats_.cache_hits);
-  snapshot.cache_misses = Load(stats_.cache_misses);
-  snapshot.cache_bypass = Load(stats_.cache_bypass);
-  snapshot.cache_evictions = Load(stats_.cache_evictions);
-  snapshot.cache_size = Load(stats_.cache_size);
-  return snapshot;
-}
-
-void AuthServerEngine::BumpRcode(dns::Rcode rcode) {
-  if (rcode == dns::Rcode::kNxDomain) Bump(stats_.nxdomain);
-  if (rcode == dns::Rcode::kRefused) Bump(stats_.refused);
-}
-
 void AuthServerEngine::CountResponse(dns::Rcode rcode, size_t bytes) {
-  Bump(stats_.queries);
-  Bump(stats_.responses);
-  BumpRcode(rcode);
-  Bump(stats_.response_bytes, bytes);
+  ledger_.Add<&EngineStats::queries>();
+  ledger_.Add<&EngineStats::responses>();
+  if (rcode == dns::Rcode::kNxDomain) ledger_.Add<&EngineStats::nxdomain>();
+  if (rcode == dns::Rcode::kRefused) ledger_.Add<&EngineStats::refused>();
+  ledger_.Add<&EngineStats::response_bytes>(bytes);
 }
 
 dns::Message AuthServerEngine::AnswerDecoded(const dns::Message& query,
                                              IpAddress source) {
-  Bump(stats_.queries);
+  ledger_.Add<&EngineStats::queries>();
 
   const zone::ZoneSet* zones = views_->Match(source);
   const zone::Zone* zone = nullptr;
@@ -112,20 +68,24 @@ dns::Message AuthServerEngine::AnswerDecoded(const dns::Message& query,
       response.edns =
           dns::Edns{.udp_payload_size = query.edns->udp_payload_size};
     }
-    Bump(stats_.refused);
+    ledger_.Add<&EngineStats::refused>();
   } else {
     bool want_dnssec = query.edns.has_value() && query.edns->do_bit;
     response = zone::BuildResponse(*zone, query, want_dnssec);
-    if (response.rcode == dns::Rcode::kNxDomain) Bump(stats_.nxdomain);
-    if (response.rcode == dns::Rcode::kRefused) Bump(stats_.refused);
+    if (response.rcode == dns::Rcode::kNxDomain) {
+      ledger_.Add<&EngineStats::nxdomain>();
+    }
+    if (response.rcode == dns::Rcode::kRefused) {
+      ledger_.Add<&EngineStats::refused>();
+    }
   }
-  Bump(stats_.responses);
+  ledger_.Add<&EngineStats::responses>();
   return response;
 }
 
 Result<std::vector<Bytes>> AuthServerEngine::HandleAxfr(
     const dns::Message& query, IpAddress source) {
-  Bump(stats_.queries);
+  ledger_.Add<&EngineStats::queries>();
   if (query.questions.empty()) {
     return Error(ErrorCode::kInvalidArgument, "AXFR without a question");
   }
@@ -147,8 +107,8 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleAxfr(
     dns::Message refused = make_base();
     refused.aa = false;
     refused.rcode = dns::Rcode::kNotAuth;
-    Bump(stats_.refused);
-    Bump(stats_.responses);
+    ledger_.Add<&EngineStats::refused>();
+    ledger_.Add<&EngineStats::responses>();
     return std::vector<Bytes>{refused.Encode()};
   }
 
@@ -160,8 +120,8 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleAxfr(
   auto flush = [&]() {
     if (current.answers.empty() && !messages.empty()) return;
     messages.push_back(current.Encode());
-    Bump(stats_.response_bytes, messages.back().size());
-    Bump(stats_.responses);
+    ledger_.Add<&EngineStats::response_bytes>(messages.back().size());
+    ledger_.Add<&EngineStats::responses>();
     current = make_base();
     current.questions.clear();  // only the first message carries it
     current_size = 0;
@@ -200,7 +160,7 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleStream(
   }
   auto query = dns::Message::Decode(wire);
   if (!query.ok()) {
-    Bump(stats_.dropped);
+    ledger_.Add<&EngineStats::dropped>();
     return query.error();
   }
   if (!query->questions.empty() &&
@@ -209,7 +169,7 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleStream(
   }
   dns::Message response = AnswerDecoded(*query, source);
   Bytes encoded = response.Encode(dns::kMaxMessageSize);
-  Bump(stats_.response_bytes, encoded.size());
+  ledger_.Add<&EngineStats::response_bytes>(encoded.size());
   return std::vector<Bytes>{std::move(encoded)};
 }
 
@@ -232,7 +192,7 @@ Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
   uint64_t hash = 0;
   if (cache_ != nullptr) {
     if (!plain) {
-      Bump(stats_.cache_bypass);
+      ledger_.Add<&EngineStats::cache_bypass>();
     } else {
       key = ResponseCacheKey{.view = &zones,
                              .question = info.question,
@@ -242,24 +202,26 @@ Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
                              .limit = static_cast<uint32_t>(limit)};
       hash = ResponseCache::Hash(key);
       if (const ResponseCache::Entry* entry = cache_->Lookup(key, hash)) {
-        Bump(stats_.cache_hits);
+        ledger_.Add<&EngineStats::cache_hits>();
         CountResponse(entry->rcode, entry->wire.size());
         return ResponseCache::PatchedCopy(entry->wire, info.id, info.rd);
       }
-      Bump(stats_.cache_misses);
+      ledger_.Add<&EngineStats::cache_misses>();
     }
   }
   if (!plain) return HandleDecoded(wire, source, udp_limit);
 
   auto answer = answerer_.Respond(zones, info, limit);
   CountResponse(answer.rcode, answer.wire.size());
-  if (answer.truncated) Bump(stats_.truncated);
+  if (answer.truncated) ledger_.Add<&EngineStats::truncated>();
   if (cache_ != nullptr && !answer.truncated) {
     // One copy into the entry's reused buffer.
+    const uint64_t evictions = cache_->evictions();
     cache_->Insert(key, hash, answer.wire, answer.rcode);
-    stats_.cache_evictions.store(cache_->evictions(),
-                                 std::memory_order_relaxed);
-    stats_.cache_size.store(cache_->size(), std::memory_order_relaxed);
+    ledger_.Add<&EngineStats::cache_evictions>(cache_->evictions() -
+                                               evictions);
+    ledger_.gauge<&EngineStats::cache_size>().Set(
+        static_cast<int64_t>(cache_->size()));
   }
   return Bytes(answer.wire.begin(), answer.wire.end());
 }
@@ -269,16 +231,16 @@ Result<Bytes> AuthServerEngine::HandleDecoded(std::span<const uint8_t> wire,
                                               size_t udp_limit) {
   auto query = dns::Message::Decode(wire);
   if (!query.ok()) {
-    Bump(stats_.dropped);
+    ledger_.Add<&EngineStats::dropped>();
     return query.error();
   }
   if (!query->questions.empty() &&
       query->questions.front().type == dns::RRType::kAXFR) {
     // AXFR needs a stream; over UDP it is refused (RFC 5936 §4.2). Stream
     // transports special-case AXFR before calling HandleWire.
-    Bump(stats_.queries);
-    Bump(stats_.responses);
-    Bump(stats_.refused);
+    ledger_.Add<&EngineStats::queries>();
+    ledger_.Add<&EngineStats::responses>();
+    ledger_.Add<&EngineStats::refused>();
     dns::Message refused;
     refused.id = query->id;
     refused.qr = true;
@@ -295,8 +257,10 @@ Result<Bytes> AuthServerEngine::HandleDecoded(std::span<const uint8_t> wire,
   Bytes encoded = response.Encode(limit);
   // TC is patched into the wire during truncation; detect via re-check of
   // the flags byte rather than re-decoding the whole message.
-  if (encoded.size() >= 4 && (encoded[2] & 0x02)) Bump(stats_.truncated);
-  Bump(stats_.response_bytes, encoded.size());
+  if (encoded.size() >= 4 && (encoded[2] & 0x02)) {
+    ledger_.Add<&EngineStats::truncated>();
+  }
+  ledger_.Add<&EngineStats::response_bytes>(encoded.size());
   return encoded;
 }
 

@@ -10,22 +10,23 @@
 #ifndef LDPLAYER_SERVER_ENGINE_H
 #define LDPLAYER_SERVER_ENGINE_H
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
 
 #include "common/ip.h"
 #include "common/result.h"
 #include "server/response_cache.h"
+#include "stats/metrics.h"
 #include "zone/compiled.h"
 #include "zone/lookup.h"
 #include "zone/view.h"
 
 namespace ldp::server {
 
-// A point-in-time snapshot of one engine's counters (see
-// AuthServerEngine::stats). Plain integers: snapshots add and compare like
-// values, which is how sharded servers aggregate across workers.
+// One engine's counters, read from its registry cells (see
+// AuthServerEngine::stats). Plain integers, so perfbench and tests read
+// them through member pointers.
 struct EngineStats {
   uint64_t queries = 0;
   uint64_t responses = 0;
@@ -40,9 +41,24 @@ struct EngineStats {
   uint64_t cache_bypass = 0;    // queries ineligible for caching
   uint64_t cache_evictions = 0;
   uint64_t cache_size = 0;      // entries at snapshot time
-
-  EngineStats& operator+=(const EngineStats& other);
 };
+
+// The engine's ledger: each counter's metric name and EngineStats field.
+inline constexpr auto kEngineLedger = std::to_array<
+    stats::LedgerRow<EngineStats>>({
+    {"server.queries", &EngineStats::queries},
+    {"server.responses", &EngineStats::responses},
+    {"server.dropped", &EngineStats::dropped},
+    {"server.refused", &EngineStats::refused},
+    {"server.nxdomain", &EngineStats::nxdomain},
+    {"server.truncated", &EngineStats::truncated},
+    {"server.response_bytes", &EngineStats::response_bytes},
+    {"server.cache_hits", &EngineStats::cache_hits},
+    {"server.cache_misses", &EngineStats::cache_misses},
+    {"server.cache_bypass", &EngineStats::cache_bypass},
+    {"server.cache_evictions", &EngineStats::cache_evictions},
+    {"server.cache_size", &EngineStats::cache_size, /*level=*/true},
+});
 
 struct EngineOptions {
   // Capacity (entries) of the wire-level response cache; 0 disables it.
@@ -52,9 +68,12 @@ struct EngineOptions {
 class AuthServerEngine {
  public:
   // The view table is shared so sharded servers can run one engine (and
-  // one private response cache) per worker over the same zones.
+  // one private response cache) per worker over the same zones. The
+  // engine counts into its own cells of `metrics` (which must outlive
+  // it), or of a private registry when none is given.
   explicit AuthServerEngine(std::shared_ptr<const zone::ViewTable> views,
-                            EngineOptions options = {});
+                            EngineOptions options = {},
+                            stats::MetricsRegistry* metrics = nullptr);
   explicit AuthServerEngine(zone::ViewTable views, EngineOptions options = {})
       : AuthServerEngine(std::make_shared<const zone::ViewTable>(
                              std::move(views)),
@@ -87,7 +106,11 @@ class AuthServerEngine {
   // thread may snapshot a shard's stats while the shard serves — no locks,
   // no torn reads (each counter individually exact; the set is only
   // loosely consistent, which aggregation tolerates).
-  EngineStats stats() const;
+  EngineStats stats() const { return ledger_.Read(); }
+  const stats::Ledger<kEngineLedger>& ledger() const { return ledger_; }
+  // The registry the engine counts into; transports serving this engine
+  // register their own cells there.
+  stats::MetricsRegistry& metrics() const { return metrics_; }
 
   const zone::ViewTable& views() const { return *views_; }
   std::shared_ptr<const zone::ViewTable> shared_views() const {
@@ -96,24 +119,6 @@ class AuthServerEngine {
   bool response_cache_enabled() const { return cache_ != nullptr; }
 
  private:
-  // Counters mirrored by EngineStats; mutated only by the owning thread,
-  // read from anywhere.
-  struct Counters {
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> responses{0};
-    std::atomic<uint64_t> dropped{0};
-    std::atomic<uint64_t> refused{0};
-    std::atomic<uint64_t> nxdomain{0};
-    std::atomic<uint64_t> truncated{0};
-    std::atomic<uint64_t> response_bytes{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> cache_bypass{0};
-    std::atomic<uint64_t> cache_evictions{0};
-    std::atomic<uint64_t> cache_size{0};
-  };
-
-  void BumpRcode(dns::Rcode rcode);
   // Counts one answered query whose response has `rcode` and `bytes`.
   void CountResponse(dns::Rcode rcode, size_t bytes);
   // The decode path, for queries dns::ParseWireQuery rejects.
@@ -123,7 +128,10 @@ class AuthServerEngine {
 
   std::shared_ptr<const zone::ViewTable> views_;
   std::unique_ptr<ResponseCache> cache_;  // nullptr = disabled
-  Counters stats_;
+  std::unique_ptr<stats::MetricsRegistry> own_metrics_;
+  stats::MetricsRegistry& metrics_;
+  // Bumped only by the owning thread, read from anywhere.
+  stats::Ledger<kEngineLedger> ledger_;
   // Builds compiled answers (single-threaded, like the engine).
   zone::WireAnswerer answerer_;
 };

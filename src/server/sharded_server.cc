@@ -4,65 +4,6 @@
 
 namespace ldp::server {
 
-namespace {
-
-// Registers one polled counter per engine stat under shared names; the
-// registry merges same-named entries across shards at snapshot time. The
-// lambdas capture the engine shared_ptr, so they stay valid even if the
-// server stops before the registry's last snapshot.
-void RegisterEngineMetrics(stats::MetricsRegistry* metrics,
-                           std::shared_ptr<AuthServerEngine> engine) {
-  auto counter = [&](const char* name, uint64_t EngineStats::*field) {
-    metrics->AddCounterFn(name,
-                          [engine, field] { return engine->stats().*field; });
-  };
-  counter("server.queries", &EngineStats::queries);
-  counter("server.responses", &EngineStats::responses);
-  counter("server.dropped", &EngineStats::dropped);
-  counter("server.refused", &EngineStats::refused);
-  counter("server.nxdomain", &EngineStats::nxdomain);
-  counter("server.truncated", &EngineStats::truncated);
-  counter("server.response_bytes", &EngineStats::response_bytes);
-  counter("server.cache_hits", &EngineStats::cache_hits);
-  counter("server.cache_misses", &EngineStats::cache_misses);
-  counter("server.cache_bypass", &EngineStats::cache_bypass);
-  counter("server.cache_evictions", &EngineStats::cache_evictions);
-  metrics->AddGaugeFn("server.cache_size", [engine] {
-    return static_cast<int64_t>(engine->stats().cache_size);
-  });
-}
-
-// Stream-lane counters, registered per shard under shared names (the
-// registry merges at snapshot time). The shared_ptr captures keep the
-// counters alive past server teardown, like the engine captures above.
-void RegisterTcpMetrics(stats::MetricsRegistry* metrics,
-                        std::shared_ptr<TcpCounters> counters, bool tls) {
-  auto counter = [&](const char* name,
-                     std::atomic<uint64_t> TcpCounters::*field) {
-    metrics->AddCounterFn(name, [counters, field] {
-      return (counters.get()->*field).load(std::memory_order_relaxed);
-    });
-  };
-  counter("server.tcp_accepted", &TcpCounters::accepted);
-  counter("server.tcp_accept_rejected", &TcpCounters::rejected);
-  counter("server.tcp_idle_closed", &TcpCounters::idle_closed);
-  metrics->AddGaugeFn("server.tcp_open", [counters] {
-    return static_cast<int64_t>(
-        counters->open.load(std::memory_order_relaxed));
-  });
-  if (tls) {
-    counter("tls.handshakes", &TcpCounters::tls_handshakes);
-    counter("tls.resumptions", &TcpCounters::tls_resumptions);
-    counter("tls.aborts", &TcpCounters::tls_aborts);
-    metrics->AddGaugeFn("tls.open_connections", [counters] {
-      return static_cast<int64_t>(
-          counters->tls_open.load(std::memory_order_relaxed));
-    });
-  }
-}
-
-}  // namespace
-
 Result<std::unique_ptr<ShardedDnsServer>> ShardedDnsServer::Start(
     std::shared_ptr<const zone::ViewTable> views, const Config& config) {
   size_t n_shards = config.n_shards;
@@ -82,8 +23,8 @@ Result<std::unique_ptr<ShardedDnsServer>> ShardedDnsServer::Start(
   for (size_t i = 0; i < n_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     LDP_ASSIGN_OR_RETURN(shard->loop, net::EventLoop::Create());
-    shard->engine =
-        std::make_shared<AuthServerEngine>(views, config.engine);
+    shard->engine = std::make_shared<AuthServerEngine>(views, config.engine,
+                                                       config.metrics);
 
     SocketDnsServer::Config shard_config;
     shard_config.listen = listen;
@@ -104,7 +45,6 @@ Result<std::unique_ptr<ShardedDnsServer>> ShardedDnsServer::Start(
         config.datapath == net::DatapathKind::kAfPacket && n_shards > 1;
     shard_config.datapath.metrics = config.metrics;
     if (config.metrics != nullptr) {
-      RegisterEngineMetrics(config.metrics, shard->engine);
       shard->loop->SetMetrics(config.metrics->AddHistogram("server.loop_lag_ns"),
                               config.metrics->AddHistogram("server.epoll_batch"));
       shard_config.udp_batch_hist =
@@ -117,24 +57,12 @@ Result<std::unique_ptr<ShardedDnsServer>> ShardedDnsServer::Start(
     LDP_ASSIGN_OR_RETURN(
         shard->server,
         SocketDnsServer::Start(*shard->loop, shard->engine, shard_config));
-    if (config.metrics != nullptr &&
-        (shard_config.serve_tcp || shard_config.serve_tls)) {
-      // TCP frames dropped by backlog backpressure; the shared_ptr capture
-      // keeps the counter alive past server teardown.
-      config.metrics->AddCounterFn(
-          "framing.stream_drops",
-          [drops = shard->server->framing_drops()] {
-            return drops->load(std::memory_order_relaxed);
-          });
-      RegisterTcpMetrics(config.metrics, shard->server->tcp_counters(),
-                         config.serve_tls);
-      if (config.serve_tls && i == 0) {
-        // Process-wide OpenSSL live bytes (see TlsEnableMemoryAccounting);
-        // registered once, not per shard — it is already a global sum.
-        config.metrics->AddGaugeFn("tls.mem_bytes", [] {
-          return static_cast<int64_t>(net::TlsAllocatedBytes());
-        });
-      }
+    if (config.metrics != nullptr && config.serve_tls && i == 0) {
+      // Process-wide OpenSSL live bytes (see TlsEnableMemoryAccounting);
+      // registered once, not per shard — it is already a global sum.
+      config.metrics->AddGaugeFn("tls.mem_bytes", [] {
+        return static_cast<int64_t>(net::TlsAllocatedBytes());
+      });
     }
     if (i == 0) {
       // Shard 0 resolves port 0; the rest bind the concrete ports so
@@ -170,7 +98,7 @@ void ShardedDnsServer::Stop() {
 
 EngineStats ShardedDnsServer::TotalStats() const {
   EngineStats total;
-  for (const auto& shard : shards_) total += shard->engine->stats();
+  for (const auto& shard : shards_) shard->engine->ledger().AddTo(total);
   return total;
 }
 
@@ -183,14 +111,15 @@ std::vector<EngineStats> ShardedDnsServer::ShardStats() const {
 
 TcpStats ShardedDnsServer::TotalTcpStats() const {
   TcpStats total;
-  for (const auto& shard : shards_) total += shard->server->tcp_stats();
+  for (const auto& shard : shards_) shard->server->AddTcpStatsTo(total);
   return total;
 }
 
 std::vector<TcpStats> ShardedDnsServer::ShardTcpStats() const {
-  std::vector<TcpStats> stats;
-  stats.reserve(shards_.size());
-  for (const auto& shard : shards_) stats.push_back(shard->server->tcp_stats());
+  std::vector<TcpStats> stats(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i]->server->AddTcpStatsTo(stats[i]);
+  }
   return stats;
 }
 

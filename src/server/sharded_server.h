@@ -3,7 +3,7 @@
 // AuthServerEngine (own stats, own response cache) over a shared, immutable
 // ViewTable. The kernel shards incoming datagrams across the sockets, so
 // the hot path shares no mutable state between workers at all; aggregate
-// counters come from per-shard snapshots (relaxed atomics, no locks).
+// counters sum each shard's registry cells (relaxed atomics, no locks).
 //
 // The stream lanes (TCP, and DNS-over-TLS with serve_tls) shard the same
 // way: every shard binds its own SO_REUSEPORT listener and the kernel
@@ -47,9 +47,9 @@ class ShardedDnsServer {
     net::AfPacketOptions afpacket;  // used when datapath == kAfPacket
     EngineOptions engine;   // per-shard engine options (response cache)
     // Optional live-metrics registry (must outlive the server). Each shard
-    // registers polled counters over its engine's existing relaxed-atomic
-    // stats (zero added hot-path cost) plus loop-lag / epoll-batch /
-    // udp-batch histograms on its own EventLoop.
+    // counts into its own engine and stream-lane cells there (a private
+    // registry per shard without one) and, with a registry, records
+    // loop-lag / epoll-batch / udp-batch histograms on its own EventLoop.
     stats::MetricsRegistry* metrics = nullptr;
   };
 
@@ -71,7 +71,7 @@ class ShardedDnsServer {
   Endpoint tls_endpoint() const { return tls_endpoint_; }
   size_t n_shards() const { return shards_.size(); }
 
-  // Lock-free aggregate of the per-shard counter snapshots.
+  // Lock-free sums of the per-shard registry cells.
   EngineStats TotalStats() const;
   std::vector<EngineStats> ShardStats() const;
   // Per-shard stream-connection counters; the cross-shard accept

@@ -14,6 +14,12 @@ Result<std::unique_ptr<SocketDnsServer>> SocketDnsServer::Start(
   auto server = std::unique_ptr<SocketDnsServer>(
       new SocketDnsServer(loop, std::move(engine), config));
   SocketDnsServer* raw = server.get();
+  stats::MetricsRegistry& metrics = raw->engine_->metrics();
+  if (config.serve_tcp || config.serve_tls) {
+    raw->tcp_ledger_.emplace(metrics);
+    raw->framing_drops_ = metrics.AddCounter("framing.stream_drops");
+  }
+  if (config.serve_tls) raw->tls_ledger_.emplace(metrics);
 
   net::TcpListenOptions listen_options;
   listen_options.reuse_port = config.tcp_reuse_port;
@@ -57,21 +63,9 @@ Result<std::unique_ptr<SocketDnsServer>> SocketDnsServer::Start(
   return server;
 }
 
-TcpStats SocketDnsServer::tcp_stats() const {
-  TcpStats stats;
-  stats.accepted = tcp_counters_->accepted.load(std::memory_order_relaxed);
-  stats.rejected = tcp_counters_->rejected.load(std::memory_order_relaxed);
-  stats.idle_closed =
-      tcp_counters_->idle_closed.load(std::memory_order_relaxed);
-  stats.open = tcp_counters_->open.load(std::memory_order_relaxed);
-  stats.tls_open = tcp_counters_->tls_open.load(std::memory_order_relaxed);
-  stats.tls_handshakes =
-      tcp_counters_->tls_handshakes.load(std::memory_order_relaxed);
-  stats.tls_resumptions =
-      tcp_counters_->tls_resumptions.load(std::memory_order_relaxed);
-  stats.tls_aborts =
-      tcp_counters_->tls_aborts.load(std::memory_order_relaxed);
-  return stats;
+void SocketDnsServer::AddTcpStatsTo(TcpStats& stats) const {
+  if (tcp_ledger_) tcp_ledger_->AddTo(stats);
+  if (tls_ledger_) tls_ledger_->AddTo(stats);
 }
 
 void SocketDnsServer::OnUdpBatch(
@@ -107,7 +101,7 @@ void SocketDnsServer::OnAccept(std::unique_ptr<net::TcpConnection> conn,
       conns_.size() >= config_.max_tcp_connections) {
     // At the cap: close this connection (the client sees an immediate EOF
     // and can back off) and stop accepting until evictions make room.
-    tcp_counters_->rejected.fetch_add(1, std::memory_order_relaxed);
+    tcp_ledger_->Add<&TcpStats::rejected>();
     PauseAccept();
     return;  // `conn` destroyed: active close
   }
@@ -116,7 +110,7 @@ void SocketDnsServer::OnAccept(std::unique_ptr<net::TcpConnection> conn,
   if (tls) {
     auto tls_conn = net::TlsConnection::Accept(*config_.tls, std::move(conn));
     if (!tls_conn.ok()) {
-      tcp_counters_->tls_aborts.fetch_add(1, std::memory_order_relaxed);
+      tls_ledger_->Add<&TcpStats::tls_aborts>();
       return;
     }
     key = tls_conn->get();
@@ -125,24 +119,22 @@ void SocketDnsServer::OnAccept(std::unique_ptr<net::TcpConnection> conn,
     state.tls = true;
     state.last_activity = MonotonicNow();
     state.assembler.set_limits(config_.stream_limits);
-    state.assembler.set_drop_counter(framing_drops_.get());
     auto status = static_cast<net::TlsConnection*>(key)->Start(
         [this, key](Status ready) { OnTlsReady(key, std::move(ready)); },
         [this, key](std::span<const uint8_t> data) { OnTcpData(key, data); },
         [this, key](Status) { CloseConn(key); });
     if (!status.ok()) {
-      tcp_counters_->tls_aborts.fetch_add(1, std::memory_order_relaxed);
+      tls_ledger_->Add<&TcpStats::tls_aborts>();
       conns_.erase(key);
       return;
     }
-    tcp_counters_->tls_open.fetch_add(1, std::memory_order_relaxed);
+    tls_ledger_->gauge<&TcpStats::tls_open>().Add(1);
   } else {
     key = conn.get();
     ConnState& state = conns_[key];
     state.conn = std::move(conn);
     state.last_activity = MonotonicNow();
     state.assembler.set_limits(config_.stream_limits);
-    state.assembler.set_drop_counter(framing_drops_.get());
     auto status = net::TcpListener::AdoptHandlers(
         static_cast<net::TcpConnection&>(*key),
         [this, key](std::span<const uint8_t> data) { OnTcpData(key, data); },
@@ -152,8 +144,9 @@ void SocketDnsServer::OnAccept(std::unique_ptr<net::TcpConnection> conn,
       return;
     }
   }
-  tcp_counters_->accepted.fetch_add(1, std::memory_order_relaxed);
-  tcp_counters_->open.store(conns_.size(), std::memory_order_relaxed);
+  tcp_ledger_->Add<&TcpStats::accepted>();
+  tcp_ledger_->gauge<&TcpStats::open>().Set(
+      static_cast<int64_t>(conns_.size()));
   // The idle timer also reaps connections whose TLS handshake never
   // completes (last_activity only advances on decrypted query bytes).
   if (config_.tcp_idle_timeout > 0) ArmIdleTimer(key);
@@ -163,14 +156,14 @@ void SocketDnsServer::OnTlsReady(net::StreamConn* key, Status status) {
   auto it = conns_.find(key);
   if (it == conns_.end()) return;
   if (!status.ok()) {
-    tcp_counters_->tls_aborts.fetch_add(1, std::memory_order_relaxed);
+    tls_ledger_->Add<&TcpStats::tls_aborts>();
     CloseConn(key);
     return;
   }
   auto* tls = static_cast<net::TlsConnection*>(key);
-  tcp_counters_->tls_handshakes.fetch_add(1, std::memory_order_relaxed);
+  tls_ledger_->Add<&TcpStats::tls_handshakes>();
   if (tls->session_reused()) {
-    tcp_counters_->tls_resumptions.fetch_add(1, std::memory_order_relaxed);
+    tls_ledger_->Add<&TcpStats::tls_resumptions>();
   }
   if (config_.tls_handshake_hist != nullptr) {
     config_.tls_handshake_hist->Record(
@@ -186,7 +179,10 @@ void SocketDnsServer::OnTcpData(net::StreamConn* key,
   ConnState& state = it->second;
   state.last_activity = MonotonicNow();
 
-  if (!state.assembler.Feed(data).ok()) {
+  const uint64_t dropped = state.assembler.dropped_messages();
+  const bool framed = state.assembler.Feed(data).ok();
+  framing_drops_->Add(state.assembler.dropped_messages() - dropped);
+  if (!framed) {
     CloseConn(key);
     return;
   }
@@ -215,7 +211,7 @@ void SocketDnsServer::ArmIdleTimer(net::StreamConn* key) {
         NanoTime deadline =
             conn_it->second.last_activity + config_.tcp_idle_timeout;
         if (MonotonicNow() >= deadline) {
-          tcp_counters_->idle_closed.fetch_add(1, std::memory_order_relaxed);
+          tcp_ledger_->Add<&TcpStats::idle_closed>();
           CloseConn(key);
         } else {
           ArmIdleTimer(key);  // activity since arming: re-check later
@@ -233,13 +229,14 @@ void SocketDnsServer::RemoveConn(
     std::unordered_map<net::StreamConn*, ConnState>::iterator it) {
   it->second.idle_timer.Cancel();
   if (it->second.tls) {
-    tcp_counters_->tls_open.fetch_sub(1, std::memory_order_relaxed);
+    tls_ledger_->gauge<&TcpStats::tls_open>().Add(-1);
   }
   // Detach first and let `node` destroy the connection after the counters
   // are updated: destroying it closes the socket, and a client that sees
   // that EOF must not be able to read a stale `open` gauge.
   auto node = conns_.extract(it);
-  tcp_counters_->open.store(conns_.size(), std::memory_order_relaxed);
+  tcp_ledger_->gauge<&TcpStats::open>().Set(
+      static_cast<int64_t>(conns_.size()));
   MaybeResumeAccept();
 }
 

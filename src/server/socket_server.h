@@ -4,8 +4,9 @@
 #ifndef LDPLAYER_SERVER_SOCKET_SERVER_H
 #define LDPLAYER_SERVER_SOCKET_SERVER_H
 
-#include <atomic>
+#include <array>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "dns/framing.h"
@@ -17,43 +18,33 @@
 
 namespace ldp::server {
 
-// Per-server connection-lane counters (relaxed atomics, written only from
-// the server's loop thread, read from anywhere). Held in a shared_ptr so
-// metrics-registry lambdas can outlive the server.
-struct TcpCounters {
-  std::atomic<uint64_t> accepted{0};   // admitted connections (TCP + TLS)
-  std::atomic<uint64_t> rejected{0};   // closed at max_tcp_connections
-  std::atomic<uint64_t> idle_closed{0};
-  std::atomic<uint64_t> open{0};       // current connections (gauge)
-  std::atomic<uint64_t> tls_open{0};   // current TLS connections (gauge)
-  std::atomic<uint64_t> tls_handshakes{0};   // completed handshakes
-  std::atomic<uint64_t> tls_resumptions{0};  // of which session-resumed
-  std::atomic<uint64_t> tls_aborts{0};       // failed/aborted handshakes
-};
-
-// Plain-value snapshot of TcpCounters, summable across shards.
+// Connection-lane counters, read from a server's registry cells (see
+// SocketDnsServer::AddTcpStatsTo).
 struct TcpStats {
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
+  uint64_t accepted = 0;   // admitted connections (TCP + TLS)
+  uint64_t rejected = 0;   // closed at max_tcp_connections
   uint64_t idle_closed = 0;
-  uint64_t open = 0;
-  uint64_t tls_open = 0;
-  uint64_t tls_handshakes = 0;
-  uint64_t tls_resumptions = 0;
-  uint64_t tls_aborts = 0;
-
-  TcpStats& operator+=(const TcpStats& other) {
-    accepted += other.accepted;
-    rejected += other.rejected;
-    idle_closed += other.idle_closed;
-    open += other.open;
-    tls_open += other.tls_open;
-    tls_handshakes += other.tls_handshakes;
-    tls_resumptions += other.tls_resumptions;
-    tls_aborts += other.tls_aborts;
-    return *this;
-  }
+  uint64_t open = 0;       // current connections (gauge)
+  uint64_t tls_open = 0;   // current TLS connections (gauge)
+  uint64_t tls_handshakes = 0;   // completed handshakes
+  uint64_t tls_resumptions = 0;  // of which session-resumed
+  uint64_t tls_aborts = 0;       // failed/aborted handshakes
 };
+
+// The stream lanes' ledgers: the TCP lane's cells exist when the server
+// serves TCP or TLS, the TLS lane's only with TLS.
+inline constexpr auto kTcpLedger = std::to_array<stats::LedgerRow<TcpStats>>({
+    {"server.tcp_accepted", &TcpStats::accepted},
+    {"server.tcp_accept_rejected", &TcpStats::rejected},
+    {"server.tcp_idle_closed", &TcpStats::idle_closed},
+    {"server.tcp_open", &TcpStats::open, /*level=*/true},
+});
+inline constexpr auto kTlsLedger = std::to_array<stats::LedgerRow<TcpStats>>({
+    {"tls.handshakes", &TcpStats::tls_handshakes},
+    {"tls.resumptions", &TcpStats::tls_resumptions},
+    {"tls.aborts", &TcpStats::tls_aborts},
+    {"tls.open_connections", &TcpStats::tls_open, /*level=*/true},
+});
 
 class SocketDnsServer {
  public:
@@ -71,7 +62,7 @@ class SocketDnsServer {
     NanoDuration tcp_idle_timeout = Seconds(20);
     // Upper bound on concurrent stream connections (TCP + TLS together);
     // 0 = unbounded. At the cap, newly accepted connections are closed
-    // immediately (counted in TcpCounters::rejected) and both listeners
+    // immediately (counted in TcpStats::rejected) and both listeners
     // pause, leaving further SYNs in the kernel backlog until idle eviction
     // or client closes make room — the flow-table bounding discipline
     // applied to the connection map.
@@ -92,10 +83,11 @@ class SocketDnsServer {
     // server (owned by a MetricsRegistry).
     stats::LogHistogram* tls_handshake_hist = nullptr;
     // Backpressure bounds applied to every TCP connection's reassembly
-    // backlog; drops are visible via framing_drops().
+    // backlog; drops are counted as framing.stream_drops.
     dns::StreamAssembler::Limits stream_limits;
   };
 
+  // The stream lanes count into the engine's registry.
   static Result<std::unique_ptr<SocketDnsServer>> Start(
       net::EventLoop& loop, std::shared_ptr<AuthServerEngine> engine,
       const Config& config);
@@ -108,13 +100,8 @@ class SocketDnsServer {
   }
   const AuthServerEngine& engine() const { return *engine_; }
   size_t open_tcp_connections() const { return conns_.size(); }
-  // Complete TCP frames dropped because a connection's ready backlog was
-  // full. Shared so a metrics registry lambda can outlive the server.
-  std::shared_ptr<const std::atomic<uint64_t>> framing_drops() const {
-    return framing_drops_;
-  }
-  std::shared_ptr<TcpCounters> tcp_counters() const { return tcp_counters_; }
-  TcpStats tcp_stats() const;
+  // Adds this server's stream-lane counters into `stats`.
+  void AddTcpStatsTo(TcpStats& stats) const;
 
  private:
   SocketDnsServer(net::EventLoop& loop,
@@ -143,10 +130,13 @@ class SocketDnsServer {
   net::EventLoop& loop_;
   std::shared_ptr<AuthServerEngine> engine_;
   Config config_;
-  std::shared_ptr<std::atomic<uint64_t>> framing_drops_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
-  std::shared_ptr<TcpCounters> tcp_counters_ =
-      std::make_shared<TcpCounters>();
+  // Cells in the engine's registry; unset for a lane the server does not
+  // serve. Bumped only from the loop thread.
+  std::optional<stats::Ledger<kTcpLedger>> tcp_ledger_;
+  std::optional<stats::Ledger<kTlsLedger>> tls_ledger_;
+  // Complete TCP frames dropped because a connection's ready backlog was
+  // full.
+  stats::Counter* framing_drops_ = nullptr;
   std::unique_ptr<net::DatagramPath> udp_;
   std::unique_ptr<net::TcpListener> listener_;
   std::unique_ptr<net::TcpListener> tls_listener_;

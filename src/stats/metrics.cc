@@ -172,6 +172,13 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
+MetricsRegistry& RegistryOrOwn(MetricsRegistry* given,
+                               std::unique_ptr<MetricsRegistry>& own) {
+  if (given != nullptr) return *given;
+  own = std::make_unique<MetricsRegistry>();
+  return *own;
+}
+
 MetricsSnapshotter::MetricsSnapshotter(const MetricsRegistry& registry,
                                        Options options)
     : registry_(registry), options_(std::move(options)) {

@@ -16,7 +16,8 @@
 // Per-shard / per-querier pattern: every Add*() call creates a NEW metric
 // instance registered under the given name; instances sharing a name are
 // merged at snapshot time (counters and histogram buckets sum, gauges
-// sum). Writers therefore never share a cache line across threads.
+// sum). Counter and Gauge cells are cache-line aligned, so writers never
+// share a cache line across threads.
 #ifndef LDPLAYER_STATS_METRICS_H
 #define LDPLAYER_STATS_METRICS_H
 
@@ -26,9 +27,11 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,7 +41,7 @@
 namespace ldp::stats {
 
 // Monotonic event counter.
-class Counter {
+class alignas(64) Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
@@ -52,7 +55,7 @@ class Counter {
 };
 
 // A level that moves both ways: inflight depth, backlog length, occupancy.
-class Gauge {
+class alignas(64) Gauge {
  public:
   Gauge() = default;
   Gauge(const Gauge&) = delete;
@@ -196,10 +199,11 @@ class MetricsRegistry {
   Gauge* AddGauge(const std::string& name);
   LogHistogram* AddHistogram(const std::string& name);
 
-  // Polled metrics: read an existing subsystem's own counters at snapshot
-  // time — zero added hot-path cost. The function runs on the snapshot
-  // thread, so it must only read data that is safe to read from there
-  // (relaxed atomics, or single-threaded sim state snapshotted in-thread).
+  // Polled metrics, for values the program does not count itself (a
+  // library's allocation total, simulated CPU time). The function runs on
+  // the snapshot thread, so it must only read data that is safe to read
+  // from there (relaxed atomics, or single-threaded sim state snapshotted
+  // in-thread).
   void AddCounterFn(const std::string& name, std::function<uint64_t()> fn);
   void AddGaugeFn(const std::string& name, std::function<int64_t()> fn);
 
@@ -212,6 +216,85 @@ class MetricsRegistry {
   std::deque<std::pair<std::string, LogHistogram>> histograms_;
   std::vector<std::pair<std::string, std::function<uint64_t()>>> counter_fns_;
   std::vector<std::pair<std::string, std::function<int64_t()>>> gauge_fns_;
+};
+
+// The registry a component counts into: `given` when the caller passed
+// one, else a private registry created in `own`, which the component
+// keeps for as long as it uses the registry's cells.
+MetricsRegistry& RegistryOrOwn(MetricsRegistry* given,
+                               std::unique_ptr<MetricsRegistry>& own);
+
+// One row of a subsystem's ledger table: the metric name of a cell and
+// the field of the subsystem's value struct (its view) that reads it.
+// `level` rows are Gauges, which move both ways; the rest are Counters.
+template <typename View>
+struct LedgerRow {
+  using ViewType = View;
+  const char* name;
+  uint64_t View::*field;
+  bool level = false;
+};
+
+// One instance's cells (a shard, a distributor) for the rows of `kRows`,
+// a constexpr array of LedgerRow. The table names every counter once:
+// registration, the instance's view and the sum over instances all
+// iterate it. Hot paths reach a cell by its view field, resolved to an
+// index at compile time:
+//
+//   ledger.Add<&EngineStats::queries>();
+template <const auto& kRows>
+class Ledger {
+ public:
+  using View = typename std::remove_cvref_t<decltype(kRows)>::value_type::
+      ViewType;
+
+  explicit Ledger(MetricsRegistry& registry) {
+    for (size_t i = 0; i < kSize; ++i) {
+      if (kRows[i].level) {
+        gauges_[i] = registry.AddGauge(kRows[i].name);
+      } else {
+        counters_[i] = registry.AddCounter(kRows[i].name);
+      }
+    }
+  }
+
+  template <uint64_t View::*kField>
+  void Add(uint64_t n = 1) const {
+    static_assert(!kRows[IndexOf(kField)].level, "a level row is a Gauge");
+    counters_[IndexOf(kField)]->Add(n);
+  }
+  template <uint64_t View::*kField>
+  Gauge& gauge() const {
+    static_assert(kRows[IndexOf(kField)].level, "a count row is a Counter");
+    return *gauges_[IndexOf(kField)];
+  }
+
+  // This instance's cells as a view.
+  View Read() const {
+    View view;
+    AddTo(view);
+    return view;
+  }
+  // Adds this instance's cells into `view`, field by field.
+  void AddTo(View& view) const {
+    for (size_t i = 0; i < kSize; ++i) {
+      view.*kRows[i].field += kRows[i].level
+                                  ? static_cast<uint64_t>(gauges_[i]->Get())
+                                  : counters_[i]->Get();
+    }
+  }
+
+ private:
+  static constexpr size_t kSize = std::size(kRows);
+
+  static consteval size_t IndexOf(uint64_t View::*field) {
+    size_t i = 0;
+    while (kRows[i].field != field) ++i;  // past the end: not a constant
+    return i;
+  }
+
+  std::array<Counter*, kSize> counters_{};
+  std::array<Gauge*, kSize> gauges_{};
 };
 
 // Appends one JSONL row per WriteNow() call:

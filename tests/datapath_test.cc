@@ -255,7 +255,6 @@ void ServeReplayChain(DatapathKind kind, size_t n) {
   // The satellite invariant: counters tie out exactly.
   EXPECT_EQ(report->queries_sent,
             report->answered + report->timed_out + report->send_failed);
-  EXPECT_EQ(report->replies, report->answered);
   // Loopback against a live server: effectively lossless.
   EXPECT_GE(report->answered, records.size() - 2);
 }

@@ -62,7 +62,6 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   hello.n_distributors = 4;
   hello.queriers_per_distributor = 2;
   hello.lookahead = Millis(123);
-  hello.drain_grace = Millis(77);
   hello.seed = 0xfeedbeefcafe;
   hello.query_timeout = Seconds(3);
   hello.max_retransmits = 2;
@@ -93,7 +92,6 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   EXPECT_EQ(decoded->queriers_per_distributor,
             hello.queriers_per_distributor);
   EXPECT_EQ(decoded->lookahead, hello.lookahead);
-  EXPECT_EQ(decoded->drain_grace, hello.drain_grace);
   EXPECT_EQ(decoded->seed, hello.seed);
   EXPECT_EQ(decoded->query_timeout, hello.query_timeout);
   EXPECT_EQ(decoded->max_retransmits, hello.max_retransmits);
@@ -151,6 +149,43 @@ TEST(ProtocolTest, HelloFromOlderPeerDecodesWithTailDefaults) {
   Frame future = frames[0];
   future.body[5] = static_cast<uint8_t>(kVersion + 1);
   EXPECT_FALSE(DecodeHello(future).ok());
+}
+
+TEST(ProtocolTest, HelloRejectsNonPositiveQueryTimeout) {
+  // A replay without a query timeout could never settle its ledger, so a
+  // HELLO carrying one is refused as outside input.
+  for (NanoDuration timeout : {NanoDuration{0}, -Millis(1)}) {
+    HelloFrame hello;
+    hello.query_timeout = timeout;
+    auto frames = Reassemble(EncodeHello(hello), 1);
+    ASSERT_EQ(frames.size(), 1u);
+    auto decoded = DecodeHello(frames[0]);
+    ASSERT_FALSE(decoded.ok()) << timeout;
+    EXPECT_EQ(decoded.error().code(), ErrorCode::kInvalidArgument);
+  }
+}
+
+TEST(ProtocolTest, HelloIgnoresRetiredDrainGraceSlot) {
+  // The u64 after lookahead once carried a drain grace. It is written as
+  // 0 and whatever an older sender put there is read past.
+  HelloFrame hello;
+  hello.seed = 42;
+  auto frames = Reassemble(EncodeHello(hello), 1);
+  ASSERT_EQ(frames.size(), 1u);
+  // magic, version, agent, credits, stats interval, server address and
+  // port, flags, dst port, distributors, queriers, lookahead.
+  constexpr size_t kSlot = 4 + 2 + 2 + 4 + 8 + 4 + 2 + 1 + 2 + 2 + 2 + 8;
+  Frame older = frames[0];
+  ASSERT_GT(older.body.size(), kSlot + 8);
+  for (size_t i = kSlot; i < kSlot + 8; ++i) {
+    EXPECT_EQ(older.body[i], 0) << i;
+    older.body[i] = 0x5a;
+  }
+  auto decoded = DecodeHello(older);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  EXPECT_EQ(decoded->lookahead, hello.lookahead);
+  EXPECT_EQ(decoded->seed, hello.seed);
+  EXPECT_EQ(decoded->query_timeout, hello.query_timeout);
 }
 
 TEST(ProtocolTest, ChunkRoundTripPreservesRecords) {

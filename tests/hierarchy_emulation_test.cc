@@ -146,10 +146,10 @@ class EmulatedWorld {
 
   uint64_t proxy_rewrites() const {
     return (recursive_proxy_ != nullptr
-                ? recursive_proxy_->stats().rewritten.load()
+                ? recursive_proxy_->stats().rewritten
                 : 0) +
            (authoritative_proxy_ != nullptr
-                ? authoritative_proxy_->stats().rewritten.load()
+                ? authoritative_proxy_->stats().rewritten
                 : 0);
   }
 

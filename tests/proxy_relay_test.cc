@@ -19,6 +19,7 @@
 
 #include "dns/framing.h"
 #include "dns/message.h"
+#include "ledger_check.h"
 #include "proxy/relay.h"
 #include "replay/realtime.h"
 #include "server/sharded_server.h"
@@ -255,7 +256,7 @@ TEST(HierarchyProxyTest, UdpRewriteRoundTripPreservesPortAndView) {
 
   (*relay)->Stop();
   (*meta)->Stop();
-  // Polled counters must survive Stop() for the final snapshot.
+  // The cells must survive Stop() for the final snapshot.
   EXPECT_EQ(registry.Snapshot().CounterValue("proxy.queries_in"), 2u);
 }
 
@@ -311,6 +312,79 @@ TEST(HierarchyProxyTest, TcpSpliceRewriteRoundTrip) {
   EXPECT_EQ(stats.tcp_accepted, 1u);
   EXPECT_EQ(stats.tcp_queries, 1u);
   EXPECT_EQ(stats.tcp_responses, 1u);
+  (*relay)->Stop();
+  (*meta)->Stop();
+}
+
+// Every RelayStats field equals the same-named cells in the registry the
+// shards count into, while the shards still run: the proxy.* ledger, the
+// flow-table gauge and the per-site load, over UDP and a TCP splice.
+TEST(HierarchyProxyTest, LedgerViewEqualsTheRegistryWhileRelaying) {
+  server::ShardedDnsServer::Config sconfig;
+  sconfig.listen = Endpoint{IpAddress::Loopback(), 0};
+  sconfig.n_shards = 1;
+  auto meta = server::ShardedDnsServer::Start(SplitHorizonViews(), sconfig);
+  ASSERT_TRUE(meta.ok()) << meta.error().ToString();
+
+  stats::MetricsRegistry registry;
+  RelayConfig config;
+  config.addresses = {kNsA, kNsB};
+  config.meta_server = (*meta)->endpoint();
+  config.n_shards = 2;
+  config.sites = {SiteSpec{"east", 0}, SiteSpec{"west", 0}};
+  ASSERT_TRUE(config.catchment.AddRoute(IpAddress::Loopback(), 32, 1).ok());
+  config.metrics = &registry;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+  const uint16_t port = (*relay)->port();
+
+  // Fresh client sockets spread the flows across both shards.
+  const int kClients = 8;
+  for (int i = 0; i < kClients; ++i) {
+    UdpClient client;
+    const IpAddress ns = i % 2 == 0 ? kNsA : kNsB;
+    client.SendTo(Endpoint{ns, port},
+                  MakeQueryWire(i % 2 == 0 ? "www.a.test" : "www.b.test",
+                                static_cast<uint16_t>(i + 1)));
+    ASSERT_FALSE(client.Recv().empty()) << "client " << i;
+  }
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa = SockAddr(kNsA, port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  Bytes framed =
+      std::move(dns::FrameMessage(MakeQueryWire("tcp.a.test", 77))).value();
+  ASSERT_EQ(::write(fd, framed.data(), framed.size()),
+            static_cast<ssize_t>(framed.size()));
+  uint8_t buf[512];
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ASSERT_GT(::read(fd, buf, sizeof(buf)), 0);
+
+  // A shard bumps its cells just after handing a reply to the kernel;
+  // wait for the last of them.
+  ASSERT_TRUE(WaitFor([&] {
+    RelayStats now = (*relay)->TotalStats();
+    return now.responses_out >= kClients && now.tcp_responses >= 1;
+  }));
+  const RelayStats stats = (*relay)->TotalStats();
+  const stats::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(stats.queries_in, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(stats.flows_created, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(stats.active_flows, kClients);
+  EXPECT_EQ(stats.tcp_queries, 1u);
+  ledger_check::ExpectViewMatchesSnapshot<kRelayLedger>(stats, snapshot);
+  EXPECT_EQ(snapshot.GaugeValue("proxy.flow_table"), stats.active_flows);
+  ASSERT_EQ(stats.sites.size(), 2u);
+  EXPECT_EQ(stats.sites[1].queries_in, static_cast<uint64_t>(kClients));
+  for (const auto& site : stats.sites) {
+    EXPECT_EQ(snapshot.CounterValue("proxy.site." + site.name + ".queries"),
+              site.queries_in);
+    EXPECT_EQ(
+        snapshot.CounterValue("proxy.site." + site.name + ".responses"),
+        site.responses_out);
+  }
+  ::close(fd);
   (*relay)->Stop();
   (*meta)->Stop();
 }

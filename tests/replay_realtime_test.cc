@@ -18,6 +18,7 @@
 #include <unordered_map>
 
 #include "dns/framing.h"
+#include "ledger_check.h"
 #include "mutate/mutate.h"
 #include "net/sockets.h"
 #include "replay/realtime.h"
@@ -82,9 +83,9 @@ void ForceTcp(std::vector<trace::QueryRecord>& records) {
   pipeline.Apply(records);
 }
 
-// The tentpole invariant: with query_timeout > 0, every replayed query
-// reaches a terminal outcome and the counters tie out exactly, both in
-// aggregate and against the per-record states.
+// The ledger invariant: every replayed query reaches a terminal outcome
+// and the counters tie out exactly, both in aggregate and against the
+// per-record states.
 void ExpectTerminalAccounting(const RealtimeReport& report) {
   EXPECT_EQ(report.queries_sent,
             report.answered + report.timed_out + report.send_failed);
@@ -101,7 +102,6 @@ void ExpectTerminalAccounting(const RealtimeReport& report) {
   EXPECT_EQ(answered, report.answered);
   EXPECT_EQ(timed_out, report.timed_out);
   EXPECT_EQ(send_failed, report.send_failed);
-  EXPECT_EQ(report.replies, report.answered);
 }
 
 // A local endpoint that swallows datagrams: a bound UDP socket nobody
@@ -408,7 +408,7 @@ TEST_F(RealtimeReplayTest, UdpReplayGetsAllReplies) {
   EXPECT_EQ(report->queries_sent, 200u);
   // Loopback UDP against a live server: replies should be complete, but
   // allow a stray loss under heavy CI load.
-  EXPECT_GE(report->replies, 198u);
+  EXPECT_GE(report->answered, 198u);
   ExpectTerminalAccounting(*report);
 }
 
@@ -451,7 +451,7 @@ TEST_F(RealtimeReplayTest, TcpReplayReusesConnections) {
   auto report = RunRealtimeReplay(records, MakeConfig());
   ASSERT_TRUE(report.ok()) << report.error().ToString();
   EXPECT_EQ(report->queries_sent, 100u);
-  EXPECT_GE(report->replies, 98u);
+  EXPECT_GE(report->answered, 98u);
   ExpectTerminalAccounting(*report);
   // 20 sources, sticky assignment: connection count stays near the source
   // count, far below the query count. Quiesce the loop first so the map
@@ -616,6 +616,32 @@ TEST(RealtimeTransport, UdpTimeoutAndRetransmitAccounting) {
     EXPECT_EQ(send.retransmits, 1u);
     EXPECT_NE(send.sent, 0);
   }
+  ExpectTerminalAccounting(*report);
+}
+
+// Each distributor counts into its own cells under the shared replay.*
+// names: the report sums them, and so does the registry.
+TEST(RealtimeTransport, ReportEqualsTheRegistryAcrossDistributors) {
+  BlackholeUdp blackhole;
+  ASSERT_TRUE(blackhole.ok());
+  auto records = MakeTraceTo(blackhole.endpoint(), 64, Millis(1));
+
+  stats::MetricsRegistry metrics;
+  RealtimeConfig config;
+  config.server = blackhole.endpoint();
+  config.n_distributors = 2;
+  config.queriers_per_distributor = 1;
+  config.fast_mode = true;
+  config.query_timeout = Millis(100);
+  config.max_retransmits = 1;
+  config.metrics = &metrics;
+
+  auto report = RunRealtimeReplay(records, config);
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->timed_out, 64u);
+  EXPECT_EQ(report->retransmits, 64u);
+  ledger_check::ExpectViewMatchesSnapshot<kTransportLedger>(
+      *report, metrics.Snapshot());
   ExpectTerminalAccounting(*report);
 }
 
@@ -976,6 +1002,19 @@ TEST(RealtimeReplayErrors, EmptyTraceRejected) {
   RealtimeConfig config;
   config.server = Endpoint{IpAddress::Loopback(), 5353};
   EXPECT_FALSE(RunRealtimeReplay({}, config).ok());
+}
+
+// Without a query timeout a lost query would never reach a terminal
+// outcome, so the replay refuses to start.
+TEST(RealtimeReplayErrors, NonPositiveQueryTimeoutRejected) {
+  for (NanoDuration timeout : {NanoDuration{0}, -Millis(1)}) {
+    RealtimeConfig config;
+    config.server = Endpoint{IpAddress::Loopback(), 5353};
+    config.query_timeout = timeout;
+    auto pipeline = ReplayPipeline::Start(config, MonotonicNow(), 0);
+    ASSERT_FALSE(pipeline.ok()) << timeout;
+    EXPECT_EQ(pipeline.error().code(), ErrorCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

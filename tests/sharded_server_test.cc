@@ -1,7 +1,7 @@
 // ShardedDnsServer: N worker threads behind one SO_REUSEPORT address must
 // answer like a single server, and the aggregate stats snapshot must equal
 // the sum of the per-shard snapshots (each engine is private: no query is
-// ever double-counted or lost).
+// ever double-counted or lost) and the registry the shards count into.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +11,7 @@
 
 #include <cstring>
 
+#include "ledger_check.h"
 #include "server/sharded_server.h"
 #include "zone/masterfile.h"
 
@@ -66,6 +67,7 @@ Bytes Exchange(Endpoint server, const Bytes& query,
   return Bytes(buf, buf + got);
 }
 
+// No registry passed: each shard counts into a private one.
 TEST(ShardedServer, AnswersAcrossShardsAndAggregatesStats) {
   ShardedDnsServer::Config config;
   config.listen = Endpoint{IpAddress::Loopback(), 0};
@@ -100,13 +102,9 @@ TEST(ShardedServer, AnswersAcrossShardsAndAggregatesStats) {
   EXPECT_EQ(total.cache_hits + total.cache_misses,
             static_cast<uint64_t>(kQueries));
 
-  EngineStats summed;
-  for (const EngineStats& shard : (*server)->ShardStats()) summed += shard;
-  EXPECT_EQ(summed.queries, total.queries);
-  EXPECT_EQ(summed.responses, total.responses);
-  EXPECT_EQ(summed.cache_hits, total.cache_hits);
-  EXPECT_EQ(summed.cache_misses, total.cache_misses);
-  EXPECT_EQ(summed.response_bytes, total.response_bytes);
+  ledger_check::ExpectLedgerFieldsEqual<kEngineLedger>(
+      ledger_check::SumOverLedger<kEngineLedger>((*server)->ShardStats()),
+      total);
 
   (*server)->Stop();
   (*server)->Stop();  // idempotent
@@ -210,6 +208,74 @@ TEST(ShardedServer, TcpAcceptsSpreadAcrossShards) {
     EXPECT_GT(per_shard[i].accepted, 0u)
         << "shard " << i << " accepted nothing: TCP accept is pinned";
   }
+}
+
+// Every field of the views equals the same-named cells in the registry
+// the shards count into, while the shards still run; and the per-shard
+// views sum to the totals.
+TEST(ShardedServer, LedgerViewsEqualTheRegistryWhileServing) {
+  stats::MetricsRegistry registry;
+  ShardedDnsServer::Config config;
+  config.listen = Endpoint{IpAddress::Loopback(), 0};
+  config.n_shards = 2;
+  config.engine.response_cache_entries = 64;
+  config.metrics = &registry;
+  auto server = ShardedDnsServer::Start(MakeViews(), config);
+  ASSERT_TRUE(server.ok()) << server.error().ToString();
+
+  // UDP: answers, repeats (cache hits), NXDOMAIN and a zone it lacks
+  // (REFUSED). Each shard counts a query before its reply leaves, so the
+  // cells are settled once every reply is in.
+  const char* kNames[] = {"www.example.com", "ns1.example.com",
+                          "nope.example.com", "www.example.org"};
+  uint16_t id = 1;
+  for (int round = 0; round < 6; ++round) {
+    for (const char* name : kNames) {
+      auto query = dns::Message::MakeQuery(*dns::Name::Parse(name),
+                                           dns::RRType::kA, false);
+      query.id = id++;
+      ASSERT_FALSE(Exchange((*server)->endpoint(), query.Encode()).empty());
+    }
+  }
+  // TCP: connections held open, so the open-connection gauge reads them.
+  std::vector<std::unique_ptr<TcpClient>> clients;
+  for (int i = 0; i < 8; ++i) {
+    auto client = std::make_unique<TcpClient>((*server)->endpoint());
+    ASSERT_TRUE(client->connected());
+    auto query = dns::Message::MakeQuery(
+        *dns::Name::Parse("www.example.com"), dns::RRType::kA, false);
+    query.id = id++;
+    ASSERT_FALSE(client->Exchange(query.Encode()).empty());
+    clients.push_back(std::move(client));
+  }
+
+  const EngineStats total = (*server)->TotalStats();
+  const TcpStats tcp = (*server)->TotalTcpStats();
+  const stats::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(total.queries, 6u * 4 + 8);
+  EXPECT_EQ(total.nxdomain, 6u);
+  EXPECT_EQ(total.refused, 6u);
+  EXPECT_GT(total.cache_hits, 0u);
+  EXPECT_EQ(tcp.accepted, 8u);
+  EXPECT_EQ(tcp.open, 8u);
+  ledger_check::ExpectViewMatchesSnapshot<kEngineLedger>(total, snapshot);
+  ledger_check::ExpectViewMatchesSnapshot<kTcpLedger>(tcp, snapshot);
+  ledger_check::ExpectLedgerFieldsEqual<kEngineLedger>(
+      ledger_check::SumOverLedger<kEngineLedger>((*server)->ShardStats()),
+      total);
+  ledger_check::ExpectLedgerFieldsEqual<kTcpLedger>(
+      ledger_check::SumOverLedger<kTcpLedger>((*server)->ShardTcpStats()),
+      tcp);
+  // No TLS lane, so none of its names are registered.
+  for (const auto& [name, value] : snapshot.counters) {
+    EXPECT_NE(name.rfind("tls.", 0), 0u) << name;
+  }
+
+  // The cells outlive Stop() for the final snapshot.
+  clients.clear();
+  (*server)->Stop();
+  EXPECT_EQ(registry.Snapshot().CounterValue("server.queries"),
+            total.queries);
 }
 
 TEST(ShardedServer, ConnectionCapRejectsThenIdleEvictionReadmits) {

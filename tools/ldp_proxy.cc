@@ -153,8 +153,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  // Registry before the proxy: polled-counter lambdas registered by the
-  // relay must stay callable for the final snapshot after Stop().
+  // Registry before the proxy: the relay's cells live there, and the final
+  // snapshot after Stop() reads them.
   stats::MetricsRegistry metrics;
   std::string metrics_out = flags.GetString("metrics-out", "");
   int64_t metrics_interval_ms =

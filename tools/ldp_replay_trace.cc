@@ -37,8 +37,8 @@ constexpr const char* kUsage =
                         (default 127.0.0.1); distinct 127.x.y.z values per
                         replay process give each client group its own
                         source prefix — what a proxy catchment map routes on
-  --timeout-ms N        age out inflight queries after N ms (2000;
-                        0 = legacy: loss is invisible, wait drain grace)
+  --timeout-ms N        age out inflight queries after N ms; must be
+                        > 0 (2000)
   --retransmits N       UDP retransmits before timing out, with
                         exponential backoff (0)
   --tcp-idle-timeout-ms N  close idle TCP connections after N ms (0 = keep)
@@ -221,6 +221,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const NanoDuration query_timeout =
+      Millis(flags.GetInt("timeout-ms", 2000).value_or(2000));
+  if (query_timeout <= 0) {
+    std::fprintf(stderr, "--timeout-ms must be > 0\n");
+    return 2;
+  }
+
   auto server = Endpoint::Parse(flags.GetString("server", ""));
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.error().ToString().c_str());
@@ -275,8 +282,7 @@ int main(int argc, char** argv) {
   config.queriers_per_distributor =
       static_cast<size_t>(flags.GetInt("queriers", 3).value_or(3));
   config.fast_mode = flags.GetBool("fast", false);
-  config.query_timeout = Millis(flags.GetInt("timeout-ms", 2000)
-                                    .value_or(2000));
+  config.query_timeout = query_timeout;
   config.max_retransmits =
       static_cast<int>(flags.GetInt("retransmits", 0).value_or(0));
   config.tcp_idle_timeout =
@@ -380,37 +386,28 @@ int main(int argc, char** argv) {
 
   if (snapshotter != nullptr) {
     // The final JSONL row was written after every distributor joined, so
-    // its cumulative counters must equal the report exactly — and, with
-    // timeouts on, satisfy sent == answered + timed_out + send_failed.
+    // each of its replay counters must equal the report exactly, and the
+    // outcomes must satisfy sent == answered + timed_out + send_failed.
     const auto& last = snapshotter->history().back();
-    uint64_t sent = last.CounterValue("replay.sent");
-    uint64_t answered = last.CounterValue("replay.answered");
-    uint64_t timed_out = last.CounterValue("replay.timed_out");
-    uint64_t send_failed = last.CounterValue("replay.send_failed");
-    bool matches_report =
-        sent == report->queries_sent && answered == report->answered &&
-        timed_out == report->timed_out && send_failed == report->send_failed;
-    bool invariant = config.query_timeout <= 0 ||
-                     sent == answered + timed_out + send_failed;
+    bool reconciled = report->queries_sent == report->answered +
+                                                  report->timed_out +
+                                                  report->send_failed;
+    for (const auto& row : replay::kTransportLedger) {
+      const uint64_t in_row = last.CounterValue(row.name);
+      const uint64_t in_report = (*report).*row.field;
+      if (in_row != in_report) {
+        reconciled = false;
+        std::fprintf(stderr,
+                     "metrics reconcile FAILED: %s is %llu in the final row, "
+                     "%llu in the report\n",
+                     row.name, static_cast<unsigned long long>(in_row),
+                     static_cast<unsigned long long>(in_report));
+      }
+    }
     std::printf("metrics: %llu rows to %s; reconcile: %s\n",
                 static_cast<unsigned long long>(snapshotter->rows_written()),
-                metrics_out.c_str(),
-                matches_report && invariant ? "OK" : "FAIL");
-    if (!matches_report || !invariant) {
-      std::fprintf(stderr,
-                   "metrics reconcile FAILED: snapshot sent=%llu answered=%llu"
-                   " timed_out=%llu send_failed=%llu vs report sent=%llu"
-                   " answered=%llu timed_out=%llu send_failed=%llu\n",
-                   static_cast<unsigned long long>(sent),
-                   static_cast<unsigned long long>(answered),
-                   static_cast<unsigned long long>(timed_out),
-                   static_cast<unsigned long long>(send_failed),
-                   static_cast<unsigned long long>(report->queries_sent),
-                   static_cast<unsigned long long>(report->answered),
-                   static_cast<unsigned long long>(report->timed_out),
-                   static_cast<unsigned long long>(report->send_failed));
-      return 1;
-    }
+                metrics_out.c_str(), reconciled ? "OK" : "FAIL");
+    if (!reconciled) return 1;
   }
   return 0;
 }
