@@ -100,10 +100,13 @@ std::optional<PhaseResult> RunPhase(
   // throughput measure the overhead comparison uses.
   NanoTime first_send = 0;
   NanoTime last_send = 0;
+  bool any_sent = false;
   for (const auto& send : report->sends) {
-    if (send.sent == 0) continue;
-    if (first_send == 0 || send.sent < first_send) first_send = send.sent;
-    if (send.sent > last_send) last_send = send.sent;
+    // The state decides: a send stamp of 0 is the replay epoch itself.
+    if (!send.reached_wire()) continue;
+    if (!any_sent || send.sent < first_send) first_send = send.sent;
+    if (!any_sent || send.sent > last_send) last_send = send.sent;
+    any_sent = true;
   }
   result.send_window_rate_qps =
       last_send > first_send

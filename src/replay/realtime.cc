@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "common/log.h"
 #include "dns/framing.h"
@@ -1103,6 +1104,18 @@ class Distributor {
 
 }  // namespace
 
+const SendOutcome& SendOutcomes::operator[](size_t i) const {
+  const size_t chunk = static_cast<size_t>(
+      std::upper_bound(ends_.begin(), ends_.end(), i) - ends_.begin());
+  return chunks_[chunk][chunk == 0 ? i : i - ends_[chunk - 1]];
+}
+
+std::span<SendOutcome> SendOutcomes::AppendChunk(size_t n) {
+  if (n == 0) return {};
+  ends_.push_back(size() + n);
+  return chunks_.emplace_back(n);
+}
+
 std::vector<double> RealtimeReport::TimingErrorsMs(size_t skip_first) const {
   std::vector<double> errors;
   // Baseline: the first query that actually reached the wire anchors both
@@ -1179,11 +1192,11 @@ struct ReplayPipeline::Impl {
   StickyAssigner postman;
   std::vector<std::unique_ptr<Distributor>> distributors;
   std::atomic<size_t> finished{0};
-  // Outcome slots, one vector per Feed call. A deque of vectors never
-  // moves an existing chunk when a new one is appended, so the outcome
-  // pointers handed to distributor threads stay valid while the feeder
-  // keeps feeding. Only the feeder thread touches the deque itself.
-  std::deque<std::vector<SendOutcome>> chunks;
+  // Outcome slots, one chunk per Feed call. Appending a chunk moves no
+  // outcome, so the pointers handed to distributor threads stay valid
+  // while the feeder keeps feeding. Only the feeder thread touches the
+  // container itself.
+  SendOutcomes outcomes;
   std::vector<std::vector<QueryJob>> batches;
   std::vector<uint32_t> targets;  // distributor of each record of a Feed
   uint64_t fed = 0;
@@ -1231,7 +1244,7 @@ ReplayPipeline::~ReplayPipeline() {
 void ReplayPipeline::Feed(std::span<const trace::QueryRecord> records) {
   if (records.empty()) return;
   Impl& impl = *impl_;
-  auto& chunk = impl.chunks.emplace_back(records.size());
+  std::span<SendOutcome> chunk = impl.outcomes.AppendChunk(records.size());
   // Route every record first, so each distributor's batch is sized once.
   impl.targets.clear();
   for (const trace::QueryRecord& record : records) {
@@ -1296,11 +1309,7 @@ Result<RealtimeReport> ReplayPipeline::Finish() {
   }
 
   RealtimeReport report = impl.Counts();
-  report.sends.reserve(impl.fed);
-  for (auto& chunk : impl.chunks) {
-    for (auto& outcome : chunk) report.sends.push_back(outcome);
-  }
-  impl.chunks.clear();
+  report.sends = std::exchange(impl.outcomes, {});
   report.wall_duration = MonotonicNow() - impl.wall_start;
   // Final row after every distributor joined: cumulative counters are
   // settled, so this row reconciles exactly with the returned report.

@@ -26,7 +26,9 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <thread>
@@ -157,8 +159,68 @@ struct SendOutcome {
   }
 };
 
+// A replay's outcomes in trace order, kept in the chunks they were
+// allocated in: one per ReplayPipeline::Feed call. AppendChunk never moves
+// an existing outcome, so distributor threads write through pointers into
+// earlier chunks while the feeder appends, and Finish hands the chunks to
+// the report whole: one array would need a copy that, while it is made,
+// holds every outcome twice. Indexing finds the chunk by binary search.
+class SendOutcomes {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = SendOutcome;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const SendOutcome*;
+    using reference = const SendOutcome&;
+
+    const_iterator() = default;
+    reference operator*() const { return (*chunks_)[chunk_][offset_]; }
+    pointer operator->() const { return &**this; }
+    const_iterator& operator++() {
+      if (++offset_ == (*chunks_)[chunk_].size()) {
+        ++chunk_;
+        offset_ = 0;
+      }
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class SendOutcomes;
+    const_iterator(const std::vector<std::vector<SendOutcome>>* chunks,
+                   size_t chunk)
+        : chunks_(chunks), chunk_(chunk) {}
+
+    const std::vector<std::vector<SendOutcome>>* chunks_ = nullptr;
+    size_t chunk_ = 0;   // no chunk is empty, so (size, 0) is the end
+    size_t offset_ = 0;
+  };
+
+  size_t size() const { return ends_.empty() ? 0 : ends_.back(); }
+  const SendOutcome& operator[](size_t i) const;
+  const_iterator begin() const { return const_iterator(&chunks_, 0); }
+  const_iterator end() const {
+    return const_iterator(&chunks_, chunks_.size());
+  }
+
+  // Appends `n` pending outcomes as a new chunk and returns it; n == 0
+  // appends nothing.
+  std::span<SendOutcome> AppendChunk(size_t n);
+
+ private:
+  std::vector<std::vector<SendOutcome>> chunks_;  // none empty
+  std::vector<size_t> ends_;  // outcomes in chunks_[0..i]
+};
+
 struct RealtimeReport {
-  std::vector<SendOutcome> sends;  // trace order
+  SendOutcomes sends;  // trace order
   uint64_t queries_sent = 0;
 
   // Terminal-outcome accounting:

@@ -113,10 +113,6 @@ class AuthServerEngine {
   stats::MetricsRegistry& metrics() const { return metrics_; }
 
   const zone::ViewTable& views() const { return *views_; }
-  std::shared_ptr<const zone::ViewTable> shared_views() const {
-    return views_;
-  }
-  bool response_cache_enabled() const { return cache_ != nullptr; }
 
  private:
   // Counts one answered query whose response has `rcode` and `bytes`.

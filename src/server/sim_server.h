@@ -36,8 +36,6 @@ class SimDnsServer {
   Status Start();
 
   sim::NodeMeters& meters() { return meters_; }
-  const AuthServerEngine& engine() const { return *engine_; }
-  AuthServerEngine& engine() { return *engine_; }
   const Config& config() const { return config_; }
 
  private:

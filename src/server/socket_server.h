@@ -98,7 +98,6 @@ class SocketDnsServer {
   Endpoint tls_endpoint() const {
     return tls_listener_ != nullptr ? tls_listener_->local() : Endpoint{};
   }
-  const AuthServerEngine& engine() const { return *engine_; }
   size_t open_tcp_connections() const { return conns_.size(); }
   // Adds this server's stream-lane counters into `stats`.
   void AddTcpStatsTo(TcpStats& stats) const;

@@ -41,7 +41,8 @@ Status SignZone(Zone& zone, const DnssecConfig& config) {
   if (soa == nullptr) {
     return Error(ErrorCode::kInvalidArgument, "cannot sign a zone without SOA");
   }
-  uint32_t ttl = soa->ttl;
+  // Copied: the adds below may move the SOA RRset (zone.h).
+  const uint32_t ttl = soa->ttl;
   ldp::Rng rng(config.seed ^ zone.origin().Hash());
 
   // 1. DNSKEY RRset at the apex: KSK + one ZSK (two during rollover).
@@ -113,13 +114,10 @@ Status SignZone(Zone& zone, const DnssecConfig& config) {
     types.erase(std::unique(types.begin(), types.end()), types.end());
     dns::NsecRdata nsec{next, std::move(types)};
     LDP_RETURN_IF_ERROR(zone.AddRecord(dns::ResourceRecord{
-        owner, dns::RRType::kNSEC, dns::RRClass::kIN, soa->ttl, nsec}));
-    bool at_cut =
-        std::find(cuts.begin(), cuts.end(), owner) != cuts.end();
+        owner, dns::RRType::kNSEC, dns::RRClass::kIN, ttl, nsec}));
     // NSEC records are themselves signed (even at cuts, where the NSEC is
     // authoritative parent-side data).
-    (void)at_cut;
-    to_sign.push_back(Target{owner, dns::RRType::kNSEC, soa->ttl});
+    to_sign.push_back(Target{owner, dns::RRType::kNSEC, ttl});
   }
 
   // 4. Signatures. The DNSKEY RRset is signed by the KSK (and ZSK); all

@@ -4,6 +4,24 @@
 #include <functional>
 
 namespace ldp::zone {
+namespace {
+
+// The first RRset of a name's type-sorted `node` whose type is not below
+// `type`.
+template <typename NodeT>
+auto LowerBound(NodeT& node, dns::RRType type) {
+  return std::lower_bound(
+      node.begin(), node.end(), type,
+      [](const dns::RRset& rrset, dns::RRType t) { return rrset.type < t; });
+}
+
+const dns::RRset* FindType(const std::vector<dns::RRset>& node,
+                           dns::RRType type) {
+  auto it = LowerBound(node, type);
+  return it != node.end() && it->type == type ? &*it : nullptr;
+}
+
+}  // namespace
 
 Status Zone::AddRecord(const dns::ResourceRecord& record) {
   if (!record.name.IsSubdomainOf(origin_)) {
@@ -12,14 +30,12 @@ Status Zone::AddRecord(const dns::ResourceRecord& record) {
                      origin_.ToString());
   }
   Node& node = nodes_[record.name];
-  auto [it, inserted] = node.try_emplace(record.type);
-  dns::RRset& rrset = it->second;
-  if (inserted) {
-    rrset.name = record.name;
-    rrset.type = record.type;
-    rrset.klass = record.klass;
-    rrset.ttl = record.ttl;
+  auto it = LowerBound(node, record.type);
+  if (it == node.end() || it->type != record.type) {
+    it = node.insert(it, dns::RRset{record.name, record.type, record.klass,
+                                    record.ttl, {}});
   }
+  dns::RRset& rrset = *it;
   if (std::find(rrset.rdatas.begin(), rrset.rdatas.end(), record.rdata) !=
       rrset.rdatas.end()) {
     return Status::Ok();  // duplicate rdata: set semantics
@@ -40,9 +56,7 @@ const dns::RRset* Zone::FindRRset(const dns::Name& name,
                                   dns::RRType type) const {
   auto node_it = nodes_.find(name);
   if (node_it == nodes_.end()) return nullptr;
-  auto rrset_it = node_it->second.find(type);
-  if (rrset_it == node_it->second.end()) return nullptr;
-  return &rrset_it->second;
+  return FindType(node_it->second, type);
 }
 
 std::vector<const dns::RRset*> Zone::FindNode(const dns::Name& name) const {
@@ -50,7 +64,7 @@ std::vector<const dns::RRset*> Zone::FindNode(const dns::Name& name) const {
   auto node_it = nodes_.find(name);
   if (node_it == nodes_.end()) return out;
   out.reserve(node_it->second.size());
-  for (const auto& [type, rrset] : node_it->second) out.push_back(&rrset);
+  for (const auto& rrset : node_it->second) out.push_back(&rrset);
   return out;
 }
 
@@ -66,7 +80,7 @@ std::vector<dns::Name> Zone::DelegationPoints() const {
   std::vector<dns::Name> cuts;
   for (const auto& [name, node] : nodes_) {
     if (name == origin_) continue;
-    if (node.count(dns::RRType::kNS)) cuts.push_back(name);
+    if (FindType(node, dns::RRType::kNS) != nullptr) cuts.push_back(name);
   }
   return cuts;
 }
@@ -76,8 +90,7 @@ const dns::RRset* Zone::FindPredecessorWithType(const dns::Name& name,
   auto it = nodes_.upper_bound(name);
   while (it != nodes_.begin()) {
     --it;
-    auto rrset_it = it->second.find(type);
-    if (rrset_it != it->second.end()) return &rrset_it->second;
+    if (const dns::RRset* rrset = FindType(it->second, type)) return rrset;
   }
   return nullptr;
 }
@@ -85,7 +98,7 @@ const dns::RRset* Zone::FindPredecessorWithType(const dns::Name& name,
 void Zone::ForEachRRset(
     const std::function<void(const dns::RRset&)>& visit) const {
   for (const auto& [name, node] : nodes_) {
-    for (const auto& [type, rrset] : node) visit(rrset);
+    for (const auto& rrset : node) visit(rrset);
   }
 }
 
@@ -104,9 +117,9 @@ Status Zone::Validate() const {
 size_t Zone::MemoryFootprint() const {
   size_t bytes = 0;
   for (const auto& [name, node] : nodes_) {
-    bytes += name.WireLength() + sizeof(Node);
-    for (const auto& [type, rrset] : node) {
-      bytes += sizeof(dns::RRset);
+    bytes += name.WireLength() + sizeof(Node) +
+             node.capacity() * sizeof(dns::RRset);
+    for (const auto& rrset : node) {
       for (const auto& rdata : rrset.rdatas) {
         bytes += dns::RdataWireLength(rdata) + sizeof(dns::Rdata);
       }

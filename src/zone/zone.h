@@ -1,5 +1,11 @@
-// Authoritative zone data: a name → (type → RRset) map in canonical DNS
-// order, with the apex bookkeeping a server needs (SOA, apex NS, zone cuts).
+// Authoritative zone data: a name → RRsets map in canonical DNS order, each
+// name's RRsets in one vector sorted by RRType, with the apex bookkeeping a
+// server needs (SOA, apex NS, zone cuts).
+//
+// RRset pointers from FindRRset, FindNode, Soa and ApexNs stay valid only
+// until the next AddRecord or AddRRset on the same zone: an add may insert
+// into a name's RRset vector and move its RRsets. Copy what is needed (a
+// TTL, an rdata) before adding.
 #ifndef LDPLAYER_ZONE_ZONE_H
 #define LDPLAYER_ZONE_ZONE_H
 
@@ -54,7 +60,7 @@ class Zone {
   size_t record_count() const { return record_count_; }
   size_t node_count() const { return nodes_.size(); }
 
-  // Visits RRsets in canonical order.
+  // Visits RRsets in canonical order: by name, then by ascending RRType.
   void ForEachRRset(
       const std::function<void(const dns::RRset&)>& visit) const;
 
@@ -66,7 +72,10 @@ class Zone {
   size_t MemoryFootprint() const;
 
  private:
-  using Node = std::map<dns::RRType, dns::RRset>;
+  // A name's RRsets in ascending RRType order. A name holds a handful of
+  // types, so a sorted vector finds one in a few compares and costs each
+  // RRset its own size, where a map node would add ~56 bytes of tree links.
+  using Node = std::vector<dns::RRset>;
 
   dns::Name origin_;
   std::map<dns::Name, Node> nodes_;  // canonical order (dns::Name::operator<)

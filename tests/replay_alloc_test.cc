@@ -7,9 +7,12 @@
 // A counting global operator new counts every allocation made on a thread
 // that has not opted out; the test's own threads (this feeder and the
 // responder) opt out, which leaves exactly the pipeline's distributor.
-// Each thread also counts its own allocations, opted out or not. The
-// binary is separate because replacing operator new is global.
+// Each thread also counts its own allocations, opted out or not. Every
+// thread's allocations also count into the process's live heap bytes and
+// their peak. The binary is separate because replacing operator new is
+// global.
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -31,21 +34,40 @@ std::atomic<uint64_t> g_allocations{0};
 thread_local bool t_uncounted = false;
 thread_local uint64_t t_allocations = 0;
 
+std::atomic<uint64_t> g_live_bytes{0};
+std::atomic<uint64_t> g_peak_bytes{0};
+
 void* CountedAlloc(size_t size) {
   ++t_allocations;
   if (!t_uncounted) g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const uint64_t live =
+      g_live_bytes.fetch_add(malloc_usable_size(p),
+                             std::memory_order_relaxed) +
+      malloc_usable_size(p);
+  uint64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak_bytes.compare_exchange_weak(peak, live,
+                                             std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
 }
 
 }  // namespace
 
 void* operator new(size_t size) { return CountedAlloc(size); }
 void* operator new[](size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, size_t) noexcept { CountedFree(p); }
 
 namespace ldp::replay {
 namespace {
@@ -227,6 +249,69 @@ TEST(ReplayAllocation, FeedAllocatesPerCallNotPerRecord) {
   // distributor its batch plus, when the distributor has not yet drained
   // the previous batch, the growth of its queue.
   EXPECT_LE(allocations, kFeeds * (2 + 2 * config.n_distributors));
+}
+
+// Finish hands the outcome chunks to the report: it must not hold every
+// outcome twice on the way. Many Feed calls make many chunks, as a timed
+// replay's look-ahead windows do.
+TEST(ReplayAllocation, FinishDoesNotCopyTheOutcomes) {
+  t_uncounted = true;
+  EchoResponder responder;
+  ASSERT_TRUE(responder.ok());
+
+  constexpr size_t kPerFeed = 2'000;
+  constexpr size_t kFeeds = 25;
+  std::vector<trace::QueryRecord> records(kPerFeed * kFeeds);
+  for (size_t i = 0; i < records.size(); ++i) {
+    trace::QueryRecord& record = records[i];
+    record.src = IpAddress(10, 0, 0, static_cast<uint8_t>(i % 250 + 1));
+    record.qname = *dns::Name::Parse("host.example.com");
+  }
+
+  RealtimeConfig config;
+  config.server = responder.endpoint();
+  config.n_distributors = 2;
+  config.queriers_per_distributor = 1;
+  config.fast_mode = true;
+  config.query_timeout = Millis(500);
+  auto pipeline = ReplayPipeline::Start(config, MonotonicNow(), 0);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().ToString();
+  std::span<const trace::QueryRecord> all(records);
+  for (size_t feed = 0; feed < kFeeds; ++feed) {
+    (*pipeline)->Feed(all.subspan(feed * kPerFeed, kPerFeed));
+  }
+  (*pipeline)->CloseInput();
+  while (!(*pipeline)->Done()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  const uint64_t held = g_live_bytes.load();
+  g_peak_bytes.store(held);
+  auto report = (*pipeline)->Finish();
+  const uint64_t peak = g_peak_bytes.load();
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  ASSERT_EQ(report->sends.size(), records.size());
+  EXPECT_EQ(report->queries_sent,
+            report->answered + report->timed_out + report->send_failed);
+
+  // The outcomes are held on entry; the peak counts them once, plus
+  // whatever Finish allocates besides.
+  const double sends_bytes =
+      static_cast<double>(report->sends.size() * sizeof(SendOutcome));
+  const double ratio =
+      (static_cast<double>(peak - held) + sends_bytes) / sends_bytes;
+  std::printf("Finish: heap peak %.2fx the bytes of the returned outcomes\n",
+              ratio);
+  EXPECT_LT(ratio, 1.25);
+
+  // Every outcome is in trace order, whichever chunk holds it.
+  size_t i = 0;
+  for (const SendOutcome& send : report->sends) {
+    ASSERT_EQ(send.trace_index, i);
+    ASSERT_EQ(&send, &report->sends[i]);
+    ++i;
+  }
+  EXPECT_EQ(i, records.size());
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(ScenarioTest, SplitOutcomesSeparatesClassesByMask) {
     } else {
       outcome.state = replay::SendOutcome::State::kTimedOut;
     }
-    report.sends.push_back(outcome);
+    report.sends.AppendChunk(1).front() = outcome;
   };
   add(0, true, Millis(2));   // legit
   add(1, true, Millis(4));   // attack

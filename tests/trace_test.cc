@@ -31,9 +31,9 @@ QueryRecord SampleRecord() {
 }
 
 // The decoded pool holds millions of these: the small fields pack behind
-// the timestamp and the 24-byte name into one 64-byte cache line.
+// the timestamp and the 24-byte name, protocol and flags in one byte.
 TEST(QueryRecord, SmallFieldsPack) {
-  EXPECT_EQ(sizeof(QueryRecord), 64u);
+  EXPECT_EQ(sizeof(QueryRecord), 56u);
 }
 
 TEST(QueryRecord, ToMessageRoundTrip) {
@@ -144,6 +144,50 @@ TEST(QueryRecord, AppendWireIgnoresTheRecordsOwnId) {
                 .qname,
             record.qname);
   ExpectAppendWireMatches(record, record.id);
+}
+
+// The protocol and the four flags share one byte of bit-fields: every
+// combination must survive both trace formats and reach the wire intact.
+TEST(QueryRecord, PackedFieldsRoundTripEveryCombination) {
+  size_t cases = 0;
+  for (Protocol protocol : {Protocol::kUdp, Protocol::kTcp, Protocol::kTls}) {
+    for (int flags = 0; flags < 16; ++flags) {
+      QueryRecord record = SampleRecord();
+      record.protocol = protocol;
+      record.rd = flags & 1;
+      record.cd = flags & 2;
+      record.edns = flags & 4;
+      record.do_bit = flags & 8;
+      record.udp_payload_size = record.edns ? 1232 : 0;
+      ASSERT_EQ(record.protocol, protocol);
+      ASSERT_EQ(record.rd, (flags & 1) != 0);
+      ASSERT_EQ(record.cd, (flags & 2) != 0);
+      ASSERT_EQ(record.edns, (flags & 4) != 0);
+      ASSERT_EQ(record.do_bit, (flags & 8) != 0);
+
+      ByteWriter writer;
+      EncodeBinaryRecord(record, writer);
+      ByteReader reader(writer.data());
+      auto binary = DecodeBinaryRecord(reader);
+      ASSERT_TRUE(binary.ok()) << binary.error().ToString();
+      EXPECT_EQ(*binary, record) << "flags=" << flags;
+
+      // The text format writes DO only as a flag beside an EDNS size, so
+      // DO without EDNS comes back with EDNS at the default 4096.
+      auto text = ParseQueryLine(FormatQueryLine(record));
+      ASSERT_TRUE(text.ok()) << text.error().ToString();
+      QueryRecord expected = record;
+      if (record.do_bit && !record.edns) {
+        expected.edns = true;
+        expected.udp_payload_size = 4096;
+      }
+      EXPECT_EQ(*text, expected) << "flags=" << flags;
+
+      ExpectAppendWireMatches(record, 0x5151);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 3u * 16);
 }
 
 TEST(TextFormat, LineRoundTrip) {

@@ -98,6 +98,55 @@ TEST(Zone, DuplicateRdataIgnored) {
   EXPECT_EQ(zone.record_count(), before);
 }
 
+// A name's RRsets sit in one vector kept in ascending RRType order: adds in
+// any order must read back sorted, with set semantics per RRset.
+TEST(Zone, NodeKeepsTypeOrderAndDropsDuplicates) {
+  Zone zone(*Name::Parse("example.com"));
+  const char* owner = "multi.example.com";
+  const std::vector<dns::ResourceRecord> records = {
+      Rec(owner, RRType::kTXT, "\"one\""),
+      Rec(owner, RRType::kAAAA, "2001:db8::1"),
+      Rec(owner, RRType::kMX, "10 mail.example.com."),
+      Rec(owner, RRType::kA, "192.0.2.1"),
+      Rec(owner, RRType::kDS, "12345 8 2 abcdef"),
+      Rec(owner, RRType::kNS, "ns.example.net."),
+      Rec(owner, RRType::kA, "192.0.2.2"),
+      Rec(owner, RRType::kTXT, "\"two\""),
+  };
+  for (const auto& record : records) {
+    ASSERT_TRUE(zone.AddRecord(record).ok()) << record.ToText();
+  }
+  // Every record again: each is a duplicate and changes nothing.
+  for (const auto& record : records) {
+    ASSERT_TRUE(zone.AddRecord(record).ok());
+  }
+  EXPECT_EQ(zone.record_count(), records.size());
+
+  const std::vector<RRType> sorted = {RRType::kA,   RRType::kNS,
+                                      RRType::kMX,  RRType::kTXT,
+                                      RRType::kAAAA, RRType::kDS};
+  std::vector<RRType> found;
+  for (const dns::RRset* rrset : zone.FindNode(*Name::Parse(owner))) {
+    found.push_back(rrset->type);
+  }
+  EXPECT_EQ(found, sorted);
+  std::vector<RRType> visited;
+  zone.ForEachRRset([&](const dns::RRset& rrset) {
+    visited.push_back(rrset.type);
+  });
+  EXPECT_EQ(visited, sorted);
+
+  for (RRType type : sorted) {
+    const dns::RRset* rrset = zone.FindRRset(*Name::Parse(owner), type);
+    ASSERT_NE(rrset, nullptr) << dns::RRTypeToString(type);
+    EXPECT_EQ(rrset->type, type);
+    EXPECT_EQ(rrset->size(),
+              type == RRType::kA || type == RRType::kTXT ? 2u : 1u);
+  }
+  EXPECT_EQ(zone.FindRRset(*Name::Parse(owner), RRType::kCNAME), nullptr);
+  EXPECT_EQ(zone.FindRRset(*Name::Parse(owner), RRType::kSOA), nullptr);
+}
+
 TEST(Zone, RejectsOutOfZoneRecord) {
   Zone zone = MakeExampleZone();
   EXPECT_FALSE(zone.AddRecord(Rec("www.other.net", RRType::kA,
@@ -320,6 +369,45 @@ TEST(Dnssec, SignAddsRecords) {
   EXPECT_NE(zone.FindRRset(zone.origin(), RRType::kRRSIG), nullptr);
   // Signing twice is an error.
   EXPECT_FALSE(SignZone(zone, DnssecConfig{}).ok());
+}
+
+// Signing adds DNSKEY, NSEC and RRSIG RRsets at the apex, which moves the
+// SOA RRset within its node: the NSEC TTL must come from the SOA TTL as it
+// was read before those adds. Every other TTL here differs from the SOA's.
+TEST(Dnssec, NsecTtlEqualsSoaTtl) {
+  constexpr uint32_t kSoaTtl = 777;
+  Zone zone(*Name::Parse("example.com"));
+  ASSERT_TRUE(zone.AddRecord(Rec("example.com", RRType::kSOA,
+                                 "ns1.example.com. admin.example.com. "
+                                 "1 7200 3600 1209600 300",
+                                 kSoaTtl))
+                  .ok());
+  ASSERT_TRUE(
+      zone.AddRecord(Rec("example.com", RRType::kNS, "ns1.example.com.")).ok());
+  ASSERT_TRUE(zone.AddRecord(Rec("example.com", RRType::kMX,
+                                 "10 mail.example.com.", 60)).ok());
+  for (const char* name : {"ns1.example.com", "mail.example.com",
+                           "www.example.com", "zz.example.com"}) {
+    ASSERT_TRUE(zone.AddRecord(Rec(name, RRType::kA, "192.0.2.1")).ok());
+  }
+  ASSERT_TRUE(SignZone(zone, DnssecConfig{}).ok());
+  ASSERT_EQ(zone.Soa()->ttl, kSoaTtl);
+
+  size_t nsec_sets = 0;
+  zone.ForEachRRset([&](const dns::RRset& rrset) {
+    if (rrset.type == RRType::kNSEC) {
+      EXPECT_EQ(rrset.ttl, kSoaTtl) << rrset.name.ToString();
+      ++nsec_sets;
+    }
+    if (rrset.type != RRType::kRRSIG) return;
+    for (const auto& rdata : rrset.rdatas) {
+      const auto& sig = std::get<dns::RrsigRdata>(rdata);
+      if (sig.type_covered == RRType::kNSEC) {
+        EXPECT_EQ(sig.original_ttl, kSoaTtl) << rrset.name.ToString();
+      }
+    }
+  });
+  EXPECT_EQ(nsec_sets, 5u);  // the apex and four names
 }
 
 TEST(Dnssec, GlueAndDelegationNsUnsigned) {
