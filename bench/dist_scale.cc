@@ -53,20 +53,32 @@ replay::RealtimeConfig BaseConfig(const bench::LoopbackServer& server) {
 }
 
 struct PhaseResult {
-  double rate_qps = 0;
-  uint64_t sent = 0, answered = 0, timed_out = 0, send_failed = 0;
+  replay::RealtimeReport counts;
   NanoDuration wall = 0;
+
+  double rate_qps() const {
+    return static_cast<double>(counts.queries_sent) / ToSeconds(wall);
+  }
 };
 
 void PrintPhase(const char* name, const PhaseResult& result) {
   std::printf("  %-8s %8.0f q/s  sent %llu  answered %llu  timed_out %llu"
               "  send_failed %llu  wall %.2f s\n",
-              name, result.rate_qps,
-              static_cast<unsigned long long>(result.sent),
-              static_cast<unsigned long long>(result.answered),
-              static_cast<unsigned long long>(result.timed_out),
-              static_cast<unsigned long long>(result.send_failed),
+              name, result.rate_qps(),
+              static_cast<unsigned long long>(result.counts.queries_sent),
+              static_cast<unsigned long long>(result.counts.answered),
+              static_cast<unsigned long long>(result.counts.timed_out),
+              static_cast<unsigned long long>(result.counts.send_failed),
               ToSeconds(result.wall));
+}
+
+void SetPhase(bench::BenchJson& json, const std::string& name,
+              const PhaseResult& result) {
+  json.Set(name + "_qps", result.rate_qps());
+  json.Set(name + "_sent", result.counts.queries_sent);
+  json.Set(name + "_answered", result.counts.answered);
+  json.Set(name + "_timed_out", result.counts.timed_out);
+  json.Set(name + "_send_failed", result.counts.send_failed);
 }
 
 }  // namespace
@@ -93,13 +105,8 @@ int main() {
       std::fprintf(stderr, "single: %s\n", report.error().ToString().c_str());
       return 1;
     }
-    single.sent = report->queries_sent;
-    single.answered = report->answered;
-    single.timed_out = report->timed_out;
-    single.send_failed = report->send_failed;
+    single.counts = std::move(*report);
     single.wall = elapsed;
-    single.rate_qps =
-        static_cast<double>(report->queries_sent) / ToSeconds(elapsed);
   }
   PrintPhase("single", single);
 
@@ -152,17 +159,12 @@ int main() {
       std::fprintf(stderr, "reconcile: %s\n", diff.c_str());
       return 1;
     }
-    dist.sent = report->merged.sent;
-    dist.answered = report->merged.answered;
-    dist.timed_out = report->merged.timed_out;
-    dist.send_failed = report->merged.send_failed;
+    dist.counts = report->merged();
     dist.wall = elapsed;
-    dist.rate_qps =
-        static_cast<double>(report->merged.sent) / ToSeconds(elapsed);
   }
   PrintPhase("dist2", dist);
 
-  const double ratio = dist.rate_qps / single.rate_qps;
+  const double ratio = dist.rate_qps() / single.rate_qps();
   const unsigned host_cpus = std::thread::hardware_concurrency();
   // A scaling ratio measured with every phase pinned to one core says
   // nothing about distribution — flag it rather than report a misleading
@@ -175,16 +177,8 @@ int main() {
   json.Set("records", static_cast<uint64_t>(kRecords));
   json.Set("host_cpus", static_cast<uint64_t>(host_cpus));
   if (inconclusive) json.Set("inconclusive", true);
-  json.Set("single_qps", single.rate_qps);
-  json.Set("single_sent", single.sent);
-  json.Set("single_answered", single.answered);
-  json.Set("single_timed_out", single.timed_out);
-  json.Set("single_send_failed", single.send_failed);
-  json.Set("dist2_qps", dist.rate_qps);
-  json.Set("dist2_sent", dist.sent);
-  json.Set("dist2_answered", dist.answered);
-  json.Set("dist2_timed_out", dist.timed_out);
-  json.Set("dist2_send_failed", dist.send_failed);
+  SetPhase(json, "single", single);
+  SetPhase(json, "dist2", dist);
   json.Set("ratio", ratio);
   json.Set("note",
            std::string("both phases share the same CPUs; on 1 cpu the "

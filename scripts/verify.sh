@@ -12,7 +12,8 @@
 # the name and trace codecs (their own offset arithmetic over wire-form
 # names, with the name oracle) and zone building, signing, transfer and
 # reconstruction (RRsets move within a name's type-sorted vector on an
-# add, so a pointer kept across one reads freed memory) under
+# add, so a pointer kept across one reads freed memory) and the
+# distributed replay's frame decoders and agent lifecycle under
 # AddressSanitizer (-DLDP_SANITIZE=address).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips both sanitizer stages
@@ -491,15 +492,15 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage =="
+echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, distrib =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
   tls_test sharded_server_test compiled_answer_test \
   dns_name_test name_oracle_test trace_test zone_test dns_message_test \
   proxy_relay_test metrics_test server_test \
-  workload_test zoneconstruct_test axfr_test
+  workload_test zoneconstruct_test axfr_test distrib_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test|distrib_test'
 
 echo "verify: OK"

@@ -116,12 +116,11 @@ Status AgentServer::HandleHello(const Frame& frame) {
   }
   LDP_ASSIGN_OR_RETURN(hello_, DecodeHello(frame));
   got_hello_ = true;
-  config_ = hello_.ToRealtimeConfig();
-  // The agent owns its metrics: the registry feeds both the local JSONL
-  // file and the STATS frames. The pipeline's internal snapshotter stays
-  // unset — WriteNow must run on this loop thread, not distributor 0's.
-  config_.metrics = &registry_;
-  config_.snapshotter = nullptr;
+  // The agent owns its metrics: the registry feeds the local JSONL file,
+  // the STATS frames and the REPORT. The pipeline's internal snapshotter
+  // stays unset — WriteNow must run on this loop thread, not
+  // distributor 0's.
+  hello_.config.metrics = &registry_;
   if (!options_.metrics_path.empty()) {
     stats::MetricsSnapshotter::Options snap_options;
     snap_options.path = options_.metrics_path;
@@ -147,7 +146,7 @@ Status AgentServer::HandleStart(const Frame& frame) {
   epoch_mono_ = start.epoch_mono;
   // Chunk timestamps arrive pre-rebased, so the trace epoch is 0.
   LDP_ASSIGN_OR_RETURN(pipeline_,
-                       replay::ReplayPipeline::Start(config_, epoch_mono_,
+                       replay::ReplayPipeline::Start(hello_.config, epoch_mono_,
                                                      /*trace_epoch=*/0));
   RearmPump();
   RearmStats();
@@ -172,9 +171,9 @@ Status AgentServer::HandleChunk(const Frame& frame) {
 void AgentServer::Pump() {
   if (!pipeline_ || stopped_) return;
   const NanoTime window_end =
-      config_.fast_mode
+      hello_.config.fast_mode
           ? std::numeric_limits<NanoTime>::max()
-          : (MonotonicNow() - epoch_mono_) + config_.lookahead;
+          : (MonotonicNow() - epoch_mono_) + hello_.config.lookahead;
   while (!staging_.empty()) {
     StagedChunk& chunk = staging_.front();
     // Engine backlog: queries fed but not yet terminal.
@@ -213,18 +212,14 @@ void AgentServer::MaybeFinish() {
     input_closed_ = true;
   }
   if (!pipeline_->Done()) return;  // completion poll re-checks
+  // The counts the REPORT carries are the registry's, now final: Finish
+  // joined every distributor.
   auto finished = pipeline_->Finish();
   if (!finished.ok()) {
     Fail(finished.error().WithContext("replay"));
     return;
   }
-  stats::MetricsSnapshot final_snapshot =
-      snapshotter_ ? snapshotter_->WriteNow() : registry_.Snapshot();
-  if (!snapshotter_) final_snapshot.taken_at = WallNow();
-  ReportFrame report;
-  report.report = AgentReport::FromRealtime(finished.value());
-  report.final_metrics = final_snapshot;
-  Send(EncodeReport(report));
+  Send(EncodeReport(TakeSnapshot()));
   reported_ = true;
   pump_timer_.Cancel();
   stats_timer_.Cancel();
@@ -240,10 +235,14 @@ void AgentServer::RearmPump() {
 
 void AgentServer::SendStats() {
   if (stopped_ || reported_ || !conn_) return;
-  stats::MetricsSnapshot snapshot =
-      snapshotter_ ? snapshotter_->WriteNow() : registry_.Snapshot();
-  if (!snapshotter_) snapshot.taken_at = WallNow();
-  Send(EncodeStats(snapshot));
+  Send(EncodeStats(TakeSnapshot()));
+}
+
+stats::MetricsSnapshot AgentServer::TakeSnapshot() {
+  if (snapshotter_) return snapshotter_->WriteNow();
+  stats::MetricsSnapshot snapshot = registry_.Snapshot();
+  snapshot.taken_at = WallNow();
+  return snapshot;
 }
 
 void AgentServer::RearmStats() {

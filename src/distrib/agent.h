@@ -5,7 +5,7 @@
 // into a ReplayPipeline within the configured look-ahead of real time and
 // an outstanding-query cap, acking each chunk only once fully fed — that
 // ack is the controller's flow-control credit. After INPUT_DONE drains it
-// sends one REPORT (scalars + final metrics snapshot) and waits for BYE.
+// sends one REPORT (its final metrics snapshot) and waits for BYE.
 #ifndef LDPLAYER_DISTRIB_AGENT_H
 #define LDPLAYER_DISTRIB_AGENT_H
 
@@ -68,6 +68,9 @@ class AgentServer {
   void RearmPump();
   void SendStats();
   void RearmStats();
+  // The registry's snapshot, stamped; also a row of the local JSONL file
+  // when there is one.
+  stats::MetricsSnapshot TakeSnapshot();
 
   void Send(Bytes frame);
   // Terminal failure: records the error, best-effort ERROR frame, stops.
@@ -82,8 +85,7 @@ class AgentServer {
 
   stats::MetricsRegistry registry_;
   std::unique_ptr<stats::MetricsSnapshotter> snapshotter_;
-  replay::RealtimeConfig config_;
-  HelloFrame hello_;
+  HelloFrame hello_;  // its config counts into registry_
   bool got_hello_ = false;
 
   NanoTime epoch_mono_ = 0;

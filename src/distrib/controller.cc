@@ -67,6 +67,12 @@ class Controller {
   void OnData(size_t index, std::span<const uint8_t> data);
   void OnClose(size_t index, Status reason);
   Status HandleFrame(size_t index, const Frame& frame);
+  HelloFrame Hello(uint16_t agent_id) const {
+    return HelloFrame{.agent_id = agent_id,
+                      .credit_window = options_.credit_window,
+                      .stats_interval = options_.stats_interval,
+                      .config = options_.config};
+  }
   void SendHello(size_t index);
   void SendClockPing(size_t index);
   Status FinishClock(size_t index, const ClockPongFrame& pong);
@@ -80,6 +86,8 @@ class Controller {
   void ShipChunk(size_t index);
   void FinishInput();
   size_t OwnerOf(IpAddress source);
+  // Every agent's latest snapshot, merged.
+  stats::MetricsSnapshot MergedMetrics() const;
   void WriteMergedRow(bool force);
   void RearmMergedRow();
   void AgentFailed(size_t index, std::string why, bool fatal);
@@ -120,10 +128,11 @@ Result<DistributedReport> Controller::Run() {
   if (options_.agents.empty()) {
     return Error(ErrorCode::kInvalidArgument, "no agent endpoints");
   }
-  if (options_.chunk_records == 0 || options_.credit_window == 0) {
+  if (options_.chunk_records == 0) {
     return Error(ErrorCode::kInvalidArgument,
-                 "chunk_records and credit_window must be positive");
+                 "chunk_records must be positive");
   }
+  LDP_RETURN_IF_ERROR(CheckHello(Hello(0)));
   LDP_ASSIGN_OR_RETURN(loop_, net::EventLoop::Create());
   if (!options_.metrics_path.empty()) {
     metrics_file_ = std::fopen(options_.metrics_path.c_str(), "w");
@@ -145,20 +154,8 @@ Result<DistributedReport> Controller::Run() {
   out.failed = failed_;
   out.error = fail_reason_;
   out.wall_duration = MonotonicNow() - run_started_wall_;
-  std::vector<stats::MetricsSnapshot> finals;
-  for (Agent& a : agents_) {
-    if (a.status.completed) {
-      out.merged.Accumulate(a.status.report);
-      finals.push_back(a.status.final_metrics);
-    } else if (a.status.has_stats) {
-      // Partial accounting from the last STATS frame of a failed run.
-      finals.push_back(a.status.last_stats);
-    }
-    out.agents.push_back(std::move(a.status));
-  }
-  if (!finals.empty()) {
-    out.merged_metrics = stats::MergeSnapshots(finals);
-  }
+  out.merged_metrics = MergedMetrics();
+  for (Agent& a : agents_) out.agents.push_back(std::move(a.status));
   return out;
 }
 
@@ -202,12 +199,8 @@ void Controller::OnConnected(size_t index, Status status) {
 
 void Controller::SendHello(size_t index) {
   Agent& a = agents_[index];
-  HelloFrame hello = HelloFrame::FromConfig(options_.config);
-  hello.agent_id = a.status.id;
-  hello.credit_window = options_.credit_window;
-  hello.stats_interval = options_.stats_interval;
   a.state = AgentState::kHello;
-  (void)a.conn->Send(EncodeHello(hello));
+  (void)a.conn->Send(EncodeHello(Hello(a.status.id)));
 }
 
 void Controller::SendClockPing(size_t index) {
@@ -268,15 +261,14 @@ Status Controller::HandleFrame(size_t index, const Frame& frame) {
       return Status::Ok();
     }
     case FrameType::kStats: {
-      LDP_ASSIGN_OR_RETURN(a.status.last_stats, DecodeStats(frame));
-      a.status.has_stats = true;
+      if (a.status.completed) {
+        return Error(ErrorCode::kInvalidArgument, "STATS after REPORT");
+      }
+      LDP_ASSIGN_OR_RETURN(a.status.metrics, DecodeStats(frame));
       return Status::Ok();
     }
     case FrameType::kReport: {
-      LDP_ASSIGN_OR_RETURN(auto report, DecodeReport(frame));
-      a.status.report = report.report;
-      a.status.final_metrics = std::move(report.final_metrics);
-      a.status.has_report = true;
+      LDP_ASSIGN_OR_RETURN(a.status.metrics, DecodeReport(frame));
       a.status.completed = true;
       a.state = AgentState::kDone;
       (void)a.conn->Send(EncodeBye());
@@ -448,18 +440,17 @@ void Controller::FailRun(std::string why) {
   loop_->Stop();
 }
 
+stats::MetricsSnapshot Controller::MergedMetrics() const {
+  std::vector<stats::MetricsSnapshot> parts;
+  for (const Agent& a : agents_) parts.push_back(a.status.metrics);
+  return stats::MergeSnapshots(parts);
+}
+
 void Controller::WriteMergedRow(bool force) {
   if (!metrics_file_) return;
-  std::vector<stats::MetricsSnapshot> parts;
-  for (const Agent& a : agents_) {
-    if (a.status.completed) {
-      parts.push_back(a.status.final_metrics);
-    } else if (a.status.has_stats) {
-      parts.push_back(a.status.last_stats);
-    }
-  }
-  if (parts.empty() && !force) return;
-  stats::MetricsSnapshot merged = stats::MergeSnapshots(parts);
+  stats::MetricsSnapshot merged = MergedMetrics();
+  // Every agent snapshot is stamped, so 0 means none has arrived yet.
+  if (merged.taken_at == 0 && !force) return;
   stats::JsonlRow row = stats::RowFromSnapshot(
       merged, have_merged_ ? &last_merged_ : nullptr, merged_seq_++,
       /*emit_buckets=*/true);
@@ -494,18 +485,19 @@ std::vector<std::string> DistributedReport::ReconcileDiffs() const {
       }
       continue;
     }
-    if (a.records_sent != a.report.sent) {
+    const replay::RealtimeReport c = a.counts();
+    if (a.records_sent != c.queries_sent) {
       diffs.push_back("agent " + std::to_string(a.id) + ": shipped " +
                       std::to_string(a.records_sent) + " records but sent " +
-                      std::to_string(a.report.sent));
+                      std::to_string(c.queries_sent));
     }
-    if (!a.report.OutcomesReconcile()) {
+    if (c.queries_sent != c.answered + c.timed_out + c.send_failed) {
       diffs.push_back(
           "agent " + std::to_string(a.id) + ": sent " +
-          std::to_string(a.report.sent) + " != answered " +
-          std::to_string(a.report.answered) + " + timed_out " +
-          std::to_string(a.report.timed_out) + " + send_failed " +
-          std::to_string(a.report.send_failed));
+          std::to_string(c.queries_sent) + " != answered " +
+          std::to_string(c.answered) + " + timed_out " +
+          std::to_string(c.timed_out) + " + send_failed " +
+          std::to_string(c.send_failed));
     }
   }
   if (!failed && shipped_total != total_records) {
@@ -513,8 +505,9 @@ std::vector<std::string> DistributedReport::ReconcileDiffs() const {
                     " of " + std::to_string(total_records) +
                     " trace records");
   }
-  if (!failed && merged.sent != total_records) {
-    diffs.push_back("merged sent " + std::to_string(merged.sent) +
+  const uint64_t merged_sent = merged().queries_sent;
+  if (!failed && merged_sent != total_records) {
+    diffs.push_back("merged sent " + std::to_string(merged_sent) +
                     " != trace records " + std::to_string(total_records));
   }
   return diffs;

@@ -54,23 +54,25 @@ struct AgentStatus {
   Endpoint endpoint;
   bool connected = false;
   bool completed = false;      // REPORT received
-  bool has_report = false;
-  AgentReport report;
-  stats::MetricsSnapshot final_metrics;
-  stats::MetricsSnapshot last_stats;  // most recent STATS frame
-  bool has_stats = false;
+  // The agent's latest metrics: its REPORT's final snapshot once
+  // completed, else its last STATS frame (empty before the first).
+  stats::MetricsSnapshot metrics;
   std::string error;           // why this agent dropped / died
   NanoDuration clock_offset = 0;  // agent_mono - controller_mono
   NanoDuration clock_rtt = 0;     // RTT of the winning sample
   uint64_t chunks_sent = 0;
   uint64_t records_sent = 0;
+
+  // The agent's transport counts, read from `metrics`.
+  replay::RealtimeReport counts() const {
+    return stats::ReadLedger<replay::kTransportLedger>(metrics);
+  }
 };
 
 struct DistributedReport {
   std::vector<AgentStatus> agents;
-  // Sum over completed agents' reports; send window is the union.
-  AgentReport merged;
-  // MergeSnapshots over completed agents' final REPORT metrics.
+  // MergeSnapshots over every agent's latest snapshot: the final ones on
+  // a completed run, partial STATS ones for agents that died.
   stats::MetricsSnapshot merged_metrics;
   uint64_t total_records = 0;
   NanoDuration wall_duration = 0;
@@ -79,6 +81,11 @@ struct DistributedReport {
   // which agent died and why.
   bool failed = false;
   std::string error;
+
+  // The merged transport counts, read from `merged_metrics`.
+  replay::RealtimeReport merged() const {
+    return stats::ReadLedger<replay::kTransportLedger>(merged_metrics);
+  }
 
   // Cross-process reconciliation: every record the controller shipped
   // must appear in exactly one agent's `sent`, every sent query must have
@@ -89,7 +96,8 @@ struct DistributedReport {
 
 // Runs one distributed replay to completion (blocks; owns its own event
 // loop). Records' timestamps must ascend. Returns an error only when the
-// run could not start (no agents reachable, bad arguments); runtime
+// run could not start (no agents reachable, bad arguments — a config
+// HELLO cannot carry is refused before any agent is dialed); runtime
 // failures come back as report.failed with partial accounting.
 Result<DistributedReport> RunDistributedReplay(
     const std::vector<trace::QueryRecord>& records,

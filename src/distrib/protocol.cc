@@ -62,86 +62,58 @@ constexpr uint32_t kMaxSnapshotEntries = 65536;
 
 // --- HELLO ---
 
-replay::RealtimeConfig HelloFrame::ToRealtimeConfig() const {
-  replay::RealtimeConfig config;
-  config.server = server;
-  config.follow_trace_dst = follow_trace_dst;
-  config.dst_port_override = dst_port_override;
-  config.loopback_alias_dst = loopback_alias_dst;
-  config.fast_mode = fast_mode;
-  config.batch_udp = batch_udp;
-  config.n_distributors = n_distributors;
-  config.queriers_per_distributor = queriers_per_distributor;
-  config.lookahead = lookahead;
-  config.seed = seed;
-  config.query_timeout = query_timeout;
-  config.max_retransmits = max_retransmits;
-  config.tcp_idle_timeout = tcp_idle_timeout;
-  config.tcp_max_reconnects = tcp_max_reconnects;
-  config.datapath = datapath;
-  config.afpacket.interface = afpacket_interface;
-  config.afpacket.peer_mac = afpacket_peer_mac;
-  config.tls_port = tls_port;
-  return config;
-}
-
-HelloFrame HelloFrame::FromConfig(const replay::RealtimeConfig& config) {
-  HelloFrame hello;
-  hello.server = config.server;
-  hello.follow_trace_dst = config.follow_trace_dst;
-  hello.dst_port_override = config.dst_port_override;
-  hello.loopback_alias_dst = config.loopback_alias_dst;
-  hello.fast_mode = config.fast_mode;
-  hello.batch_udp = config.batch_udp;
-  hello.n_distributors = static_cast<uint16_t>(config.n_distributors);
-  hello.queriers_per_distributor =
-      static_cast<uint16_t>(config.queriers_per_distributor);
-  hello.lookahead = config.lookahead;
-  hello.seed = config.seed;
-  hello.query_timeout = config.query_timeout;
-  hello.max_retransmits = static_cast<uint16_t>(
-      std::max(config.max_retransmits, 0));
-  hello.tcp_idle_timeout = config.tcp_idle_timeout;
-  hello.tcp_max_reconnects = static_cast<uint16_t>(
-      std::max(config.tcp_max_reconnects, 0));
-  hello.datapath = config.datapath;
-  hello.afpacket_interface = config.afpacket.interface;
-  hello.afpacket_peer_mac = config.afpacket.peer_mac;
-  hello.tls_port = config.tls_port;
-  return hello;
+Status CheckHello(const HelloFrame& hello) {
+  const replay::RealtimeConfig& c = hello.config;
+  auto fits = [](auto value, int64_t low) {
+    return static_cast<int64_t>(value) >= low && value <= 0xffff;
+  };
+  if (!fits(c.n_distributors, 1) || !fits(c.queriers_per_distributor, 1) ||
+      !fits(c.max_retransmits, 0) || !fits(c.tcp_max_reconnects, 0)) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "HELLO carries distributors and queriers in [1, 65535], "
+                 "retransmits and TCP reconnects in [0, 65535]");
+  }
+  if (hello.credit_window == 0) {
+    return Error(ErrorCode::kInvalidArgument, "HELLO with zero credits");
+  }
+  if (c.query_timeout <= 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "HELLO with a query timeout that is not positive");
+  }
+  return Status::Ok();
 }
 
 Bytes EncodeHello(const HelloFrame& hello) {
-  ByteWriter body(96);
+  const replay::RealtimeConfig& c = hello.config;
+  ByteWriter body(112);
   body.WriteU32(kMagic);
   body.WriteU16(kVersion);
   body.WriteU16(hello.agent_id);
   body.WriteU32(hello.credit_window);
   WriteDuration(body, hello.stats_interval);
-  body.WriteU32(hello.server.addr.value());
-  body.WriteU16(hello.server.port);
+  body.WriteU32(c.server.addr.value());
+  body.WriteU16(c.server.port);
   uint8_t flags = 0;
-  if (hello.follow_trace_dst) flags |= 1;
-  if (hello.loopback_alias_dst) flags |= 2;
-  if (hello.fast_mode) flags |= 4;
-  if (hello.batch_udp) flags |= 8;
+  if (c.follow_trace_dst) flags |= 1;
+  if (c.loopback_alias_dst) flags |= 2;
+  if (c.fast_mode) flags |= 4;
+  if (c.batch_udp) flags |= 8;
   body.WriteU8(flags);
-  body.WriteU16(hello.dst_port_override);
-  body.WriteU16(hello.n_distributors);
-  body.WriteU16(hello.queriers_per_distributor);
-  WriteDuration(body, hello.lookahead);
-  WriteDuration(body, 0);  // retired drain-grace slot, kept for the layout
-  body.WriteU64(hello.seed);
-  WriteDuration(body, hello.query_timeout);
-  body.WriteU16(hello.max_retransmits);
-  WriteDuration(body, hello.tcp_idle_timeout);
-  body.WriteU16(hello.tcp_max_reconnects);
-  // v2 tail — appended after every v1 field so a v1 decoder's CheckDrained
-  // is the only thing that rejects it (and we accept tail-less frames).
-  body.WriteU8(static_cast<uint8_t>(hello.datapath));
-  WriteName(body, hello.afpacket_interface);
-  WriteName(body, hello.afpacket_peer_mac);
-  body.WriteU16(hello.tls_port);
+  body.WriteU16(c.dst_port_override);
+  // CheckHello bounds the four counts to 16 bits.
+  body.WriteU16(static_cast<uint16_t>(c.n_distributors));
+  body.WriteU16(static_cast<uint16_t>(c.queriers_per_distributor));
+  WriteDuration(body, c.lookahead);
+  body.WriteU64(c.seed);
+  WriteDuration(body, c.query_timeout);
+  body.WriteU16(static_cast<uint16_t>(c.max_retransmits));
+  WriteDuration(body, c.tcp_idle_timeout);
+  body.WriteU16(static_cast<uint16_t>(c.tcp_max_reconnects));
+  body.WriteU8(static_cast<uint8_t>(c.datapath));
+  WriteName(body, c.afpacket.interface);
+  WriteName(body, c.afpacket.peer_mac);
+  body.WriteU16(c.tls_port);
+  body.WriteU32(c.local_addr.value());
   return Seal(FrameType::kHello, std::move(body));
 }
 
@@ -153,57 +125,45 @@ Result<HelloFrame> DecodeHello(const Frame& frame) {
     return Error(ErrorCode::kParseError, "HELLO magic mismatch");
   }
   LDP_ASSIGN_OR_RETURN(uint16_t version, reader.ReadU16());
-  if (version == 0 || version > kVersion) {
+  if (version != kVersion) {
     return Error(ErrorCode::kUnsupported,
                  "protocol version " + std::to_string(version) +
-                     " (this build speaks up to " + std::to_string(kVersion) +
-                     ")");
+                     " (this build speaks " + std::to_string(kVersion) + ")");
   }
   HelloFrame hello;
+  replay::RealtimeConfig& c = hello.config;
   LDP_ASSIGN_OR_RETURN(hello.agent_id, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(hello.credit_window, reader.ReadU32());
   LDP_ASSIGN_OR_RETURN(hello.stats_interval, ReadDuration(reader));
   LDP_ASSIGN_OR_RETURN(uint32_t addr, reader.ReadU32());
-  hello.server.addr = IpAddress(addr);
-  LDP_ASSIGN_OR_RETURN(hello.server.port, reader.ReadU16());
+  c.server.addr = IpAddress(addr);
+  LDP_ASSIGN_OR_RETURN(c.server.port, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(uint8_t flags, reader.ReadU8());
-  hello.follow_trace_dst = (flags & 1) != 0;
-  hello.loopback_alias_dst = (flags & 2) != 0;
-  hello.fast_mode = (flags & 4) != 0;
-  hello.batch_udp = (flags & 8) != 0;
-  LDP_ASSIGN_OR_RETURN(hello.dst_port_override, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.n_distributors, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.queriers_per_distributor, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.lookahead, ReadDuration(reader));
-  // The retired drain-grace slot: read past, ignored.
-  LDP_RETURN_IF_ERROR(reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(hello.seed, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(hello.query_timeout, ReadDuration(reader));
-  LDP_ASSIGN_OR_RETURN(hello.max_retransmits, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.tcp_idle_timeout, ReadDuration(reader));
-  LDP_ASSIGN_OR_RETURN(hello.tcp_max_reconnects, reader.ReadU16());
-  if (reader.remaining() > 0) {
-    // v2 tail. An older controller sends a frame that ends here; the
-    // defaults above (epoll, "lo", no TLS port) then stand.
-    LDP_ASSIGN_OR_RETURN(uint8_t datapath, reader.ReadU8());
-    if (datapath > static_cast<uint8_t>(net::DatapathKind::kAfPacket)) {
-      return Error(ErrorCode::kParseError, "HELLO with unknown datapath");
-    }
-    hello.datapath = static_cast<net::DatapathKind>(datapath);
-    LDP_ASSIGN_OR_RETURN(hello.afpacket_interface, ReadName(reader));
-    LDP_ASSIGN_OR_RETURN(hello.afpacket_peer_mac, ReadName(reader));
-    LDP_ASSIGN_OR_RETURN(hello.tls_port, reader.ReadU16());
+  c.follow_trace_dst = (flags & 1) != 0;
+  c.loopback_alias_dst = (flags & 2) != 0;
+  c.fast_mode = (flags & 4) != 0;
+  c.batch_udp = (flags & 8) != 0;
+  LDP_ASSIGN_OR_RETURN(c.dst_port_override, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(c.n_distributors, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(c.queriers_per_distributor, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(c.lookahead, ReadDuration(reader));
+  LDP_ASSIGN_OR_RETURN(c.seed, reader.ReadU64());
+  LDP_ASSIGN_OR_RETURN(c.query_timeout, ReadDuration(reader));
+  LDP_ASSIGN_OR_RETURN(c.max_retransmits, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(c.tcp_idle_timeout, ReadDuration(reader));
+  LDP_ASSIGN_OR_RETURN(c.tcp_max_reconnects, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(uint8_t datapath, reader.ReadU8());
+  if (datapath > static_cast<uint8_t>(net::DatapathKind::kAfPacket)) {
+    return Error(ErrorCode::kParseError, "HELLO with unknown datapath");
   }
+  c.datapath = static_cast<net::DatapathKind>(datapath);
+  LDP_ASSIGN_OR_RETURN(c.afpacket.interface, ReadName(reader));
+  LDP_ASSIGN_OR_RETURN(c.afpacket.peer_mac, ReadName(reader));
+  LDP_ASSIGN_OR_RETURN(c.tls_port, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(uint32_t local, reader.ReadU32());
+  c.local_addr = IpAddress(local);
   LDP_RETURN_IF_ERROR(CheckDrained(reader, "HELLO"));
-  if (hello.n_distributors == 0 || hello.queriers_per_distributor == 0 ||
-      hello.credit_window == 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "HELLO with zero distributors/queriers/credits");
-  }
-  if (hello.query_timeout <= 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "HELLO with a query timeout that is not positive");
-  }
+  LDP_RETURN_IF_ERROR(CheckHello(hello));
   return hello;
 }
 
@@ -431,105 +391,42 @@ Result<stats::MetricsSnapshot> DecodeSnapshot(ByteReader& reader) {
   return snapshot;
 }
 
-Bytes EncodeStats(const stats::MetricsSnapshot& snapshot) {
+namespace {
+
+// STATS and REPORT share one body: a snapshot, REPORT's the agent's
+// final one.
+Bytes SealSnapshot(FrameType type, const stats::MetricsSnapshot& snapshot) {
   ByteWriter body(512);
   EncodeSnapshot(snapshot, body);
-  return Seal(FrameType::kStats, std::move(body));
+  return Seal(type, std::move(body));
 }
 
-Result<stats::MetricsSnapshot> DecodeStats(const Frame& frame) {
-  LDP_RETURN_IF_ERROR(CheckType(frame, FrameType::kStats, "STATS"));
+Result<stats::MetricsSnapshot> OpenSnapshot(const Frame& frame,
+                                            FrameType type,
+                                            const char* name) {
+  LDP_RETURN_IF_ERROR(CheckType(frame, type, name));
   ByteReader reader(frame.body);
   LDP_ASSIGN_OR_RETURN(auto snapshot, DecodeSnapshot(reader));
-  LDP_RETURN_IF_ERROR(CheckDrained(reader, "STATS"));
+  LDP_RETURN_IF_ERROR(CheckDrained(reader, name));
   return snapshot;
 }
 
-// --- REPORT ---
+}  // namespace
 
-AgentReport AgentReport::FromRealtime(const replay::RealtimeReport& report) {
-  AgentReport out;
-  out.sent = report.queries_sent;
-  out.answered = report.answered;
-  out.timed_out = report.timed_out;
-  out.send_failed = report.send_failed;
-  out.retransmits = report.retransmits;
-  out.id_collisions = report.id_collisions;
-  out.tcp_reconnects = report.tcp_reconnects;
-  out.tcp_idle_closes = report.tcp_idle_closes;
-  out.wall_duration = report.wall_duration;
-  for (const auto& send : report.sends) {
-    if (!send.reached_wire()) continue;
-    if (out.first_send < 0 || send.sent < out.first_send) {
-      out.first_send = send.sent;
-    }
-    out.last_send = std::max(out.last_send, send.sent);
-  }
-  return out;
+Bytes EncodeStats(const stats::MetricsSnapshot& snapshot) {
+  return SealSnapshot(FrameType::kStats, snapshot);
 }
 
-AgentReport& AgentReport::Accumulate(const AgentReport& other) {
-  sent += other.sent;
-  answered += other.answered;
-  timed_out += other.timed_out;
-  send_failed += other.send_failed;
-  retransmits += other.retransmits;
-  id_collisions += other.id_collisions;
-  tcp_reconnects += other.tcp_reconnects;
-  tcp_idle_closes += other.tcp_idle_closes;
-  wall_duration = std::max(wall_duration, other.wall_duration);
-  if (other.first_send >= 0 &&
-      (first_send < 0 || other.first_send < first_send)) {
-    first_send = other.first_send;
-  }
-  last_send = std::max(last_send, other.last_send);
-  return *this;
+Result<stats::MetricsSnapshot> DecodeStats(const Frame& frame) {
+  return OpenSnapshot(frame, FrameType::kStats, "STATS");
 }
 
-bool AgentReport::OutcomesReconcile() const {
-  return sent == answered + timed_out + send_failed;
+Bytes EncodeReport(const stats::MetricsSnapshot& final_metrics) {
+  return SealSnapshot(FrameType::kReport, final_metrics);
 }
 
-Bytes EncodeReport(const ReportFrame& report) {
-  ByteWriter body(512);
-  const AgentReport& r = report.report;
-  body.WriteU64(r.sent);
-  body.WriteU64(r.answered);
-  body.WriteU64(r.timed_out);
-  body.WriteU64(r.send_failed);
-  body.WriteU64(r.retransmits);
-  body.WriteU64(r.id_collisions);
-  body.WriteU64(r.tcp_reconnects);
-  body.WriteU64(r.tcp_idle_closes);
-  body.WriteU64(static_cast<uint64_t>(r.wall_duration));
-  body.WriteU64(static_cast<uint64_t>(r.first_send));
-  body.WriteU64(static_cast<uint64_t>(r.last_send));
-  EncodeSnapshot(report.final_metrics, body);
-  return Seal(FrameType::kReport, std::move(body));
-}
-
-Result<ReportFrame> DecodeReport(const Frame& frame) {
-  LDP_RETURN_IF_ERROR(CheckType(frame, FrameType::kReport, "REPORT"));
-  ByteReader reader(frame.body);
-  ReportFrame out;
-  AgentReport& r = out.report;
-  LDP_ASSIGN_OR_RETURN(r.sent, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(r.answered, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(r.timed_out, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(r.send_failed, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(r.retransmits, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(r.id_collisions, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(r.tcp_reconnects, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(r.tcp_idle_closes, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(uint64_t wall, reader.ReadU64());
-  r.wall_duration = static_cast<NanoDuration>(wall);
-  LDP_ASSIGN_OR_RETURN(uint64_t first, reader.ReadU64());
-  r.first_send = static_cast<NanoTime>(first);
-  LDP_ASSIGN_OR_RETURN(uint64_t last, reader.ReadU64());
-  r.last_send = static_cast<NanoTime>(last);
-  LDP_ASSIGN_OR_RETURN(out.final_metrics, DecodeSnapshot(reader));
-  LDP_RETURN_IF_ERROR(CheckDrained(reader, "REPORT"));
-  return out;
+Result<stats::MetricsSnapshot> DecodeReport(const Frame& frame) {
+  return OpenSnapshot(frame, FrameType::kReport, "REPORT");
 }
 
 Bytes EncodeError(const ErrorFrame& error) {

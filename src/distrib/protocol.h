@@ -4,13 +4,19 @@
 //
 //   u32 payload_length | u8 type | body
 //
-// Lifecycle: HELLO (config + credit window) / HELLO_ACK, a CLOCK_PING/
-// CLOCK_PONG burst for per-agent clock offsets, START (the synchronized
-// replay epoch, already translated into the agent's monotonic clock),
-// then CHUNK frames of binary trace records flowing controller→agent
-// against CHUNK_ACK credits flowing back, periodic STATS snapshots,
-// INPUT_DONE, one final REPORT after the agent drains, and BYE. ERROR may
-// replace anything and is terminal.
+// Lifecycle: HELLO (the replay's RealtimeConfig + credit window) /
+// HELLO_ACK, a CLOCK_PING/CLOCK_PONG burst for per-agent clock offsets,
+// START (the synchronized replay epoch, already translated into the
+// agent's monotonic clock), then CHUNK frames of binary trace records
+// flowing controller→agent against CHUNK_ACK credits flowing back,
+// periodic STATS snapshots, INPUT_DONE, one final REPORT after the agent
+// drains, and BYE. ERROR may replace anything and is terminal.
+//
+// The agent's counts travel only as metrics snapshots: REPORT is the
+// agent's final snapshot, in the same layout as STATS, and the controller
+// reads the replay's transport counts from it through kTransportLedger.
+// There is one protocol version; the controller and the agent are built
+// from one tree, and HELLO carries exactly kVersion or is refused.
 //
 // Credit rule: the controller keeps at most `credit_window` un-acked
 // CHUNKs per agent; the agent acks a chunk only after feeding ALL of its
@@ -36,10 +42,7 @@
 namespace ldp::distrib {
 
 inline constexpr uint32_t kMagic = 0x4c445044;  // "LDPD"
-// v2 appends the datapath/TLS tail to HELLO. Decoders accept any version
-// up to their own: the tail is optional on the wire, so a v1 HELLO (no
-// tail) decodes with the defaults and a v1 agent simply rejects v2.
-inline constexpr uint16_t kVersion = 2;
+inline constexpr uint16_t kVersion = 3;
 // A frame larger than this is a corrupt stream, not a big chunk: even a
 // 4096-record chunk of maximal records stays well under it.
 inline constexpr uint32_t kMaxFramePayload = 8u << 20;
@@ -62,43 +65,25 @@ enum class FrameType : uint8_t {
 
 // --- frame bodies ---
 
-// Controller → agent. Carries the replay configuration the agent builds
-// its RealtimeConfig from (everything except host-local concerns like
-// metrics file paths) plus the flow-control parameters.
+// Controller → agent: the replay configuration plus the flow-control
+// parameters. HELLO carries every field of `config` except the ones that
+// stay on the agent's host: the metrics pointers (the agent counts into
+// its own registry), start_delay (START sets the epoch), the TCP
+// reconnect backoff and write watermarks, and the AF_PACKET ring
+// geometry, which keep their defaults there.
 struct HelloFrame {
   uint16_t agent_id = 0;
   uint32_t credit_window = 8;     // max un-acked chunks
   NanoDuration stats_interval = Seconds(1);
-
-  Endpoint server;
-  bool follow_trace_dst = false;
-  uint16_t dst_port_override = 0;
-  bool loopback_alias_dst = false;
-  bool fast_mode = false;
-  bool batch_udp = true;
-  uint16_t n_distributors = 1;
-  uint16_t queriers_per_distributor = 3;
-  NanoDuration lookahead = Millis(500);
-  uint64_t seed = 99;
-  NanoDuration query_timeout = Seconds(2);  // > 0; DecodeHello checks
-  uint16_t max_retransmits = 0;
-  NanoDuration tcp_idle_timeout = 0;
-  uint16_t tcp_max_reconnects = 3;
-
-  // --- v2 tail (optional on the wire; these defaults apply when a v1
-  // frame omits it) ---
-  // Querier datapath on the agent host: kernel sockets or AF_PACKET rings
-  // (plus the two options that must match the agent's interface).
-  net::DatapathKind datapath = net::DatapathKind::kEpoll;
-  std::string afpacket_interface = "lo";
-  std::string afpacket_peer_mac;
-  // DoT port for kTls records (0 = each record's own target port).
-  uint16_t tls_port = 0;
-
-  // The agent-side RealtimeConfig (metrics pointers left unset).
-  replay::RealtimeConfig ToRealtimeConfig() const;
-  static HelloFrame FromConfig(const replay::RealtimeConfig& config);
+  replay::RealtimeConfig config;
 };
+
+// Whether `hello` can cross the wire unchanged and start a replay: the
+// counts HELLO carries in 16 bits fit them, distributors, queriers and
+// credits are positive, and the query timeout is positive. The controller
+// checks before it dials any agent, the agent after it decodes. Encode
+// only a HELLO this accepts: EncodeHello writes the counts in 16 bits.
+Status CheckHello(const HelloFrame& hello);
 
 struct HelloAckFrame {
   uint16_t version = kVersion;
@@ -135,36 +120,6 @@ struct InputDoneFrame {
   uint64_t total_records = 0;
 };
 
-// Final per-agent outcome accounting (the RealtimeReport scalars; the
-// per-query SendOutcome vector stays on the agent).
-struct AgentReport {
-  uint64_t sent = 0;
-  uint64_t answered = 0;
-  uint64_t timed_out = 0;
-  uint64_t send_failed = 0;
-  uint64_t retransmits = 0;
-  uint64_t id_collisions = 0;
-  uint64_t tcp_reconnects = 0;
-  uint64_t tcp_idle_closes = 0;
-  NanoDuration wall_duration = 0;
-  // First/last send instants relative to the replay epoch (-1 = none
-  // reached the wire). Epochs are synchronized across agents, so the
-  // controller can union these into a global send window.
-  NanoTime first_send = -1;
-  NanoTime last_send = -1;
-
-  static AgentReport FromRealtime(const replay::RealtimeReport& report);
-
-  AgentReport& Accumulate(const AgentReport& other);
-  // sent == answered + timed_out + send_failed (the PR 2 invariant).
-  bool OutcomesReconcile() const;
-};
-
-struct ReportFrame {
-  AgentReport report;
-  stats::MetricsSnapshot final_metrics;  // with buckets
-};
-
 struct ErrorFrame {
   std::string message;
 };
@@ -185,7 +140,7 @@ Bytes EncodeChunk(const ChunkFrame& chunk);
 Bytes EncodeChunkAck(const ChunkAckFrame& ack);
 Bytes EncodeInputDone(const InputDoneFrame& done);
 Bytes EncodeStats(const stats::MetricsSnapshot& snapshot);
-Bytes EncodeReport(const ReportFrame& report);
+Bytes EncodeReport(const stats::MetricsSnapshot& final_metrics);
 Bytes EncodeError(const ErrorFrame& error);
 Bytes EncodeBye();
 
@@ -198,7 +153,7 @@ Result<ChunkFrame> DecodeChunk(const Frame& frame);
 Result<ChunkAckFrame> DecodeChunkAck(const Frame& frame);
 Result<InputDoneFrame> DecodeInputDone(const Frame& frame);
 Result<stats::MetricsSnapshot> DecodeStats(const Frame& frame);
-Result<ReportFrame> DecodeReport(const Frame& frame);
+Result<stats::MetricsSnapshot> DecodeReport(const Frame& frame);
 Result<ErrorFrame> DecodeError(const Frame& frame);
 
 // Metrics snapshot wire form (shared by STATS and REPORT): counters,

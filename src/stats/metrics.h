@@ -297,6 +297,20 @@ class Ledger {
   std::array<Gauge*, kSize> gauges_{};
 };
 
+// The view a snapshot holds for the rows of `kRows`: each field reads
+// its row's merged cells, and a row the snapshot lacks reads 0. This is
+// how counts cross a process boundary, as the snapshot they live in.
+template <const auto& kRows>
+typename Ledger<kRows>::View ReadLedger(const MetricsSnapshot& snapshot) {
+  typename Ledger<kRows>::View view;
+  for (const auto& row : kRows) {
+    view.*row.field = row.level
+                          ? static_cast<uint64_t>(snapshot.GaugeValue(row.name))
+                          : snapshot.CounterValue(row.name);
+  }
+  return view;
+}
+
 // Appends one JSONL row per WriteNow() call:
 //
 //   {"ts_ms":..., "seq":N, "counters":{"name":{"total":T,"delta":D},...},

@@ -18,6 +18,7 @@
 #include "distrib/protocol.h"
 #include "net/event_loop.h"
 #include "server/socket_server.h"
+#include "stats/snapshot_io.h"
 #include "workload/traces.h"
 #include "zone/masterfile.h"
 
@@ -53,24 +54,28 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   hello.agent_id = 3;
   hello.credit_window = 5;
   hello.stats_interval = Millis(250);
-  hello.server = Endpoint{IpAddress(192, 0, 2, 1), 5353};
-  hello.follow_trace_dst = true;
-  hello.dst_port_override = 9953;
-  hello.loopback_alias_dst = true;
-  hello.fast_mode = true;
-  hello.batch_udp = false;
-  hello.n_distributors = 4;
-  hello.queriers_per_distributor = 2;
-  hello.lookahead = Millis(123);
-  hello.seed = 0xfeedbeefcafe;
-  hello.query_timeout = Seconds(3);
-  hello.max_retransmits = 2;
-  hello.tcp_idle_timeout = Seconds(9);
-  hello.tcp_max_reconnects = 7;
-  hello.datapath = net::DatapathKind::kAfPacket;
-  hello.afpacket_interface = "veth0";
-  hello.afpacket_peer_mac = "aa:bb:cc:dd:ee:ff";
-  hello.tls_port = 8853;
+  // Every field HELLO carries, each off its default.
+  replay::RealtimeConfig& c = hello.config;
+  c.server = Endpoint{IpAddress(192, 0, 2, 1), 5353};
+  c.follow_trace_dst = true;
+  c.dst_port_override = 9953;
+  c.loopback_alias_dst = true;
+  c.fast_mode = true;
+  c.batch_udp = false;
+  c.n_distributors = 4;
+  c.queriers_per_distributor = 0xffff;
+  c.lookahead = Millis(123);
+  c.seed = 0xfeedbeefcafe;
+  c.query_timeout = Seconds(3);
+  c.max_retransmits = 2;
+  c.tcp_idle_timeout = Seconds(9);
+  c.tcp_max_reconnects = 0xffff;
+  c.datapath = net::DatapathKind::kAfPacket;
+  c.afpacket.interface = "veth0";
+  c.afpacket.peer_mac = "aa:bb:cc:dd:ee:ff";
+  c.tls_port = 8853;
+  c.local_addr = IpAddress(127, 0, 0, 5);
+  ASSERT_TRUE(CheckHello(hello).ok());
 
   Bytes wire = EncodeHello(hello);
   // Byte-at-a-time reassembly must produce the identical frame.
@@ -81,74 +86,47 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   EXPECT_EQ(decoded->agent_id, hello.agent_id);
   EXPECT_EQ(decoded->credit_window, hello.credit_window);
   EXPECT_EQ(decoded->stats_interval, hello.stats_interval);
-  EXPECT_EQ(decoded->server.addr.value(), hello.server.addr.value());
-  EXPECT_EQ(decoded->server.port, hello.server.port);
-  EXPECT_EQ(decoded->follow_trace_dst, hello.follow_trace_dst);
-  EXPECT_EQ(decoded->dst_port_override, hello.dst_port_override);
-  EXPECT_EQ(decoded->loopback_alias_dst, hello.loopback_alias_dst);
-  EXPECT_EQ(decoded->fast_mode, hello.fast_mode);
-  EXPECT_EQ(decoded->batch_udp, hello.batch_udp);
-  EXPECT_EQ(decoded->n_distributors, hello.n_distributors);
-  EXPECT_EQ(decoded->queriers_per_distributor,
-            hello.queriers_per_distributor);
-  EXPECT_EQ(decoded->lookahead, hello.lookahead);
-  EXPECT_EQ(decoded->seed, hello.seed);
-  EXPECT_EQ(decoded->query_timeout, hello.query_timeout);
-  EXPECT_EQ(decoded->max_retransmits, hello.max_retransmits);
-  EXPECT_EQ(decoded->tcp_idle_timeout, hello.tcp_idle_timeout);
-  EXPECT_EQ(decoded->tcp_max_reconnects, hello.tcp_max_reconnects);
-  EXPECT_EQ(decoded->datapath, hello.datapath);
-  EXPECT_EQ(decoded->afpacket_interface, hello.afpacket_interface);
-  EXPECT_EQ(decoded->afpacket_peer_mac, hello.afpacket_peer_mac);
-  EXPECT_EQ(decoded->tls_port, hello.tls_port);
-
-  // And the RealtimeConfig round trip preserves the replay parameters.
-  replay::RealtimeConfig config = decoded->ToRealtimeConfig();
-  HelloFrame again = HelloFrame::FromConfig(config);
-  EXPECT_EQ(again.seed, hello.seed);
-  EXPECT_EQ(again.lookahead, hello.lookahead);
-  EXPECT_EQ(again.fast_mode, hello.fast_mode);
-  EXPECT_EQ(again.n_distributors, hello.n_distributors);
-  EXPECT_EQ(again.datapath, hello.datapath);
-  EXPECT_EQ(again.afpacket_interface, hello.afpacket_interface);
-  EXPECT_EQ(again.afpacket_peer_mac, hello.afpacket_peer_mac);
-  EXPECT_EQ(again.tls_port, hello.tls_port);
+  const replay::RealtimeConfig& d = decoded->config;
+  EXPECT_EQ(d.server.addr.value(), c.server.addr.value());
+  EXPECT_EQ(d.server.port, c.server.port);
+  EXPECT_EQ(d.follow_trace_dst, c.follow_trace_dst);
+  EXPECT_EQ(d.dst_port_override, c.dst_port_override);
+  EXPECT_EQ(d.loopback_alias_dst, c.loopback_alias_dst);
+  EXPECT_EQ(d.fast_mode, c.fast_mode);
+  EXPECT_EQ(d.batch_udp, c.batch_udp);
+  EXPECT_EQ(d.n_distributors, c.n_distributors);
+  EXPECT_EQ(d.queriers_per_distributor, c.queriers_per_distributor);
+  EXPECT_EQ(d.lookahead, c.lookahead);
+  EXPECT_EQ(d.seed, c.seed);
+  EXPECT_EQ(d.query_timeout, c.query_timeout);
+  EXPECT_EQ(d.max_retransmits, c.max_retransmits);
+  EXPECT_EQ(d.tcp_idle_timeout, c.tcp_idle_timeout);
+  EXPECT_EQ(d.tcp_max_reconnects, c.tcp_max_reconnects);
+  EXPECT_EQ(d.datapath, c.datapath);
+  EXPECT_EQ(d.afpacket.interface, c.afpacket.interface);
+  EXPECT_EQ(d.afpacket.peer_mac, c.afpacket.peer_mac);
+  EXPECT_EQ(d.tls_port, c.tls_port);
+  EXPECT_EQ(d.local_addr, c.local_addr);
+  // The agent-side pointers are never carried.
+  EXPECT_EQ(d.metrics, nullptr);
+  EXPECT_EQ(d.snapshotter, nullptr);
 }
 
-TEST(ProtocolTest, HelloFromOlderPeerDecodesWithTailDefaults) {
-  // A v1 controller sends a HELLO that ends at tcp_max_reconnects: no
-  // datapath/TLS tail. The decode must still succeed, with the documented
-  // defaults standing in for the missing fields.
-  HelloFrame hello;
-  hello.agent_id = 12;
-  hello.datapath = net::DatapathKind::kAfPacket;  // must NOT survive
-  hello.afpacket_interface = "veth9";
-  hello.tls_port = 1234;
-  Bytes wire = EncodeHello(hello);
-  auto frames = Reassemble(wire, 1);
+TEST(ProtocolTest, HelloRequiresExactlyThisVersion) {
+  // The controller and the agent ship from one tree: any other version,
+  // older or newer, is refused.
+  auto frames = Reassemble(EncodeHello(HelloFrame{}), 1);
   ASSERT_EQ(frames.size(), 1u);
-
-  // Strip the tail (u8 datapath | name interface | name mac | u16 port)
-  // and stamp the version a v1 sender would have written.
-  size_t tail = 1 + (2 + hello.afpacket_interface.size()) +
-                (2 + hello.afpacket_peer_mac.size()) + 2;
-  Frame v1 = frames[0];
-  ASSERT_GT(v1.body.size(), tail);
-  v1.body.resize(v1.body.size() - tail);
-  v1.body[4] = 0;  // version u16 sits after the u32 magic
-  v1.body[5] = 1;
-  auto decoded = DecodeHello(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
-  EXPECT_EQ(decoded->agent_id, 12);
-  EXPECT_EQ(decoded->datapath, net::DatapathKind::kEpoll);
-  EXPECT_EQ(decoded->afpacket_interface, "lo");
-  EXPECT_EQ(decoded->afpacket_peer_mac, "");
-  EXPECT_EQ(decoded->tls_port, 0);
-
-  // A version beyond ours is still rejected outright.
-  Frame future = frames[0];
-  future.body[5] = static_cast<uint8_t>(kVersion + 1);
-  EXPECT_FALSE(DecodeHello(future).ok());
+  ASSERT_TRUE(DecodeHello(frames[0]).ok());
+  for (uint16_t version : {uint16_t{1}, uint16_t{2},
+                           static_cast<uint16_t>(kVersion + 1)}) {
+    Frame other = frames[0];
+    other.body[4] = static_cast<uint8_t>(version >> 8);  // after the magic
+    other.body[5] = static_cast<uint8_t>(version);
+    auto decoded = DecodeHello(other);
+    ASSERT_FALSE(decoded.ok()) << version;
+    EXPECT_EQ(decoded.error().code(), ErrorCode::kUnsupported) << version;
+  }
 }
 
 TEST(ProtocolTest, HelloRejectsNonPositiveQueryTimeout) {
@@ -156,7 +134,7 @@ TEST(ProtocolTest, HelloRejectsNonPositiveQueryTimeout) {
   // HELLO carrying one is refused as outside input.
   for (NanoDuration timeout : {NanoDuration{0}, -Millis(1)}) {
     HelloFrame hello;
-    hello.query_timeout = timeout;
+    hello.config.query_timeout = timeout;
     auto frames = Reassemble(EncodeHello(hello), 1);
     ASSERT_EQ(frames.size(), 1u);
     auto decoded = DecodeHello(frames[0]);
@@ -165,27 +143,35 @@ TEST(ProtocolTest, HelloRejectsNonPositiveQueryTimeout) {
   }
 }
 
-TEST(ProtocolTest, HelloIgnoresRetiredDrainGraceSlot) {
-  // The u64 after lookahead once carried a drain grace. It is written as
-  // 0 and whatever an older sender put there is read past.
-  HelloFrame hello;
-  hello.seed = 42;
-  auto frames = Reassemble(EncodeHello(hello), 1);
-  ASSERT_EQ(frames.size(), 1u);
-  // magic, version, agent, credits, stats interval, server address and
-  // port, flags, dst port, distributors, queriers, lookahead.
-  constexpr size_t kSlot = 4 + 2 + 2 + 4 + 8 + 4 + 2 + 1 + 2 + 2 + 2 + 8;
-  Frame older = frames[0];
-  ASSERT_GT(older.body.size(), kSlot + 8);
-  for (size_t i = kSlot; i < kSlot + 8; ++i) {
-    EXPECT_EQ(older.body[i], 0) << i;
-    older.body[i] = 0x5a;
+// Each config HELLO could only carry by narrowing a count to 16 bits (or
+// clamping a negative one).
+std::vector<replay::RealtimeConfig> ConfigsHelloCannotCarry() {
+  std::vector<replay::RealtimeConfig> configs(7);
+  configs[0].n_distributors = 0x10000;
+  configs[1].n_distributors = 0;
+  configs[2].queriers_per_distributor = 0x10000;
+  configs[3].max_retransmits = 0x10000;
+  configs[4].max_retransmits = -1;
+  configs[5].tcp_max_reconnects = 0x10000;
+  configs[6].tcp_max_reconnects = -1;
+  return configs;
+}
+
+TEST(ProtocolTest, CheckHelloRefusesCountsThatDoNotFit) {
+  for (const auto& config : ConfigsHelloCannotCarry()) {
+    Status checked = CheckHello(HelloFrame{.config = config});
+    ASSERT_FALSE(checked.ok());
+    EXPECT_EQ(checked.error().code(), ErrorCode::kInvalidArgument);
   }
-  auto decoded = DecodeHello(older);
+  // The largest values that fit cross unchanged.
+  HelloFrame edge;
+  edge.config.n_distributors = 0xffff;
+  edge.config.max_retransmits = 0xffff;
+  ASSERT_TRUE(CheckHello(edge).ok());
+  auto decoded = DecodeHello(Reassemble(EncodeHello(edge), 64)[0]);
   ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
-  EXPECT_EQ(decoded->lookahead, hello.lookahead);
-  EXPECT_EQ(decoded->seed, hello.seed);
-  EXPECT_EQ(decoded->query_timeout, hello.query_timeout);
+  EXPECT_EQ(decoded->config.n_distributors, 0xffffu);
+  EXPECT_EQ(decoded->config.max_retransmits, 0xffff);
 }
 
 TEST(ProtocolTest, ChunkRoundTripPreservesRecords) {
@@ -307,35 +293,48 @@ TEST(ProtocolTest, RejectsMalformedBodies) {
   EXPECT_EQ(decoded.error().code(), ErrorCode::kParseError);
 }
 
-TEST(ProtocolTest, AgentReportAccumulatesAndReconciles) {
-  AgentReport a;
-  a.sent = 10;
-  a.answered = 8;
-  a.timed_out = 1;
-  a.send_failed = 1;
-  a.first_send = 500;
-  a.last_send = 900;
-  a.wall_duration = Seconds(2);
-  EXPECT_TRUE(a.OutcomesReconcile());
+// A REPORT snapshot holding the given transport counters.
+stats::MetricsSnapshot Counts(
+    std::vector<std::pair<std::string, uint64_t>> counters) {
+  stats::MetricsSnapshot snapshot;
+  snapshot.counters = std::move(counters);
+  return snapshot;
+}
 
-  AgentReport b;
-  b.sent = 5;
-  b.answered = 5;
-  b.first_send = 100;
-  b.last_send = 700;
-  b.wall_duration = Seconds(3);
-  AgentReport merged;
-  merged.Accumulate(a);
-  merged.Accumulate(b);
-  EXPECT_EQ(merged.sent, 15u);
-  EXPECT_EQ(merged.answered, 13u);
-  EXPECT_TRUE(merged.OutcomesReconcile());
-  EXPECT_EQ(merged.first_send, 100);   // union of send windows
-  EXPECT_EQ(merged.last_send, 900);
-  EXPECT_EQ(merged.wall_duration, Seconds(3));
-
-  merged.sent += 1;  // break the invariant
-  EXPECT_FALSE(merged.OutcomesReconcile());
+TEST(LedgerViewTest, ReadLedgerSumsMergedTransportRows) {
+  // Each agent counts into its own registry; the controller reads their
+  // merged snapshots through the transport ledger. Give every row a
+  // distinct value per agent and leave one row out of the second.
+  stats::MetricsRegistry agent0;
+  stats::MetricsRegistry agent1;
+  uint64_t value = 1;
+  for (const auto& row : replay::kTransportLedger) {
+    agent0.AddCounter(row.name)->Add(value);
+    if (std::string(row.name) != "replay.tls_aborts") {
+      agent1.AddCounter(row.name)->Add(100 * value);
+    }
+    ++value;
+  }
+  const std::vector<stats::MetricsSnapshot> parts = {agent0.Snapshot(),
+                                                     agent1.Snapshot()};
+  const replay::RealtimeReport merged =
+      stats::ReadLedger<replay::kTransportLedger>(
+          stats::MergeSnapshots(parts));
+  const replay::RealtimeReport second =
+      stats::ReadLedger<replay::kTransportLedger>(parts[1]);
+  value = 1;
+  for (const auto& row : replay::kTransportLedger) {
+    const bool in_second = std::string(row.name) != "replay.tls_aborts";
+    EXPECT_EQ(merged.*row.field, in_second ? 101 * value : value) << row.name;
+    EXPECT_EQ(second.*row.field, in_second ? 100 * value : 0) << row.name;
+    ++value;
+  }
+  // A snapshot without the rows reads all zeros.
+  const replay::RealtimeReport none =
+      stats::ReadLedger<replay::kTransportLedger>(stats::MetricsSnapshot{});
+  for (const auto& row : replay::kTransportLedger) {
+    EXPECT_EQ(none.*row.field, 0u) << row.name;
+  }
 }
 
 // --- scripted agent: backpressure and failure injection ---
@@ -501,10 +500,8 @@ TEST(ControllerTest, CreditWindowStallsChunksNotMemory) {
     }
     records_seen.store(seen);
     // Minimal coherent report: everything "sent and answered".
-    ReportFrame report;
-    report.report.sent = seen;
-    report.report.answered = seen;
-    session.Write(EncodeReport(report));
+    session.Write(EncodeReport(
+        Counts({{"replay.answered", seen}, {"replay.sent", seen}})));
     // Wait for BYE.
     while (auto frame = session.Read()) {
       if (frame->type == FrameType::kBye) break;
@@ -558,49 +555,66 @@ TEST(ControllerTest, MidRunDisconnectIsTerminalWithPartialStats) {
   EXPECT_FALSE(report->agents[0].error.empty());
 }
 
+// A loopback port with nothing listening: bound, never listen()ed, so a
+// dial there is refused at once.
+class DeadPort {
+ public:
+  DeadPort() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+              0);
+    endpoint_ = Endpoint{IpAddress::Loopback(), ntohs(addr.sin_port)};
+  }
+  ~DeadPort() { ::close(fd_); }
+  Endpoint endpoint() const { return endpoint_; }
+
+ private:
+  int fd_ = -1;
+  Endpoint endpoint_;
+};
+
+// Acks every chunk; at INPUT_DONE reports `report(records seen)`.
+void AckAllThenReport(
+    ScriptedAgent::Session& session,
+    const std::function<stats::MetricsSnapshot(uint64_t)>& report) {
+  ASSERT_TRUE(session.Handshake());
+  uint64_t seen = 0;
+  while (auto frame = session.Read()) {
+    if (frame->type == FrameType::kChunk) {
+      auto chunk = DecodeChunk(*frame);
+      ASSERT_TRUE(chunk.ok());
+      seen += chunk->records.size();
+      session.Write(EncodeChunkAck(ChunkAckFrame{.seq = chunk->seq}));
+    } else if (frame->type == FrameType::kInputDone) {
+      session.Write(EncodeReport(report(seen)));
+    } else if (frame->type == FrameType::kBye) {
+      break;
+    }
+  }
+}
+
 TEST(ControllerTest, ConnectTimeFailureDropsAgentAndContinues) {
   ScriptedAgent live;
-  // A port with nothing listening: bind, no listen() — immediate RST.
-  int dead_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(dead_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(dead_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  Endpoint dead{IpAddress::Loopback(), ntohs(addr.sin_port)};
-
+  DeadPort dead;
   const auto records = SampleRecords(32);
   live.Run([&](ScriptedAgent::Session& session) {
-    ASSERT_TRUE(session.Handshake());
-    uint64_t seen = 0;
-    while (auto frame = session.Read()) {
-      if (frame->type == FrameType::kChunk) {
-        auto chunk = DecodeChunk(*frame);
-        ASSERT_TRUE(chunk.ok());
-        seen += chunk->records.size();
-        session.Write(EncodeChunkAck(ChunkAckFrame{.seq = chunk->seq}));
-      } else if (frame->type == FrameType::kInputDone) {
-        ReportFrame report;
-        report.report.sent = seen;
-        report.report.answered = seen;
-        session.Write(EncodeReport(report));
-      } else if (frame->type == FrameType::kBye) {
-        break;
-      }
-    }
+    AckAllThenReport(session, [](uint64_t seen) {
+      return Counts({{"replay.answered", seen}, {"replay.sent", seen}});
+    });
   });
 
   ControllerOptions options;
-  options.agents = {dead, live.endpoint()};
+  options.agents = {dead.endpoint(), live.endpoint()};
   options.chunk_records = 8;
   options.config.fast_mode = true;
   auto report = RunDistributedReplay(records, options);
   live.Join();
-  ::close(dead_fd);
   ASSERT_TRUE(report.ok()) << report.error().ToString();
   EXPECT_FALSE(report->failed) << report->error;
   ASSERT_EQ(report->agents.size(), 2u);
@@ -610,6 +624,47 @@ TEST(ControllerTest, ConnectTimeFailureDropsAgentAndContinues) {
   EXPECT_TRUE(report->agents[1].completed);
   EXPECT_EQ(report->agents[1].records_sent, records.size());
   EXPECT_TRUE(report->ReconcileDiffs().empty());
+}
+
+TEST(ControllerTest, ReportThatDoesNotAccountFailsReconcile) {
+  // The counts come only from the REPORT snapshot, so one that omits
+  // replay.sent, or whose outcomes do not sum to it, must show as a diff.
+  const std::vector<std::function<stats::MetricsSnapshot(uint64_t)>> reports =
+      {[](uint64_t seen) { return Counts({{"replay.answered", seen}}); },
+       [](uint64_t seen) {
+         return Counts({{"replay.answered", seen - 1}, {"replay.sent", seen}});
+       }};
+  for (size_t i = 0; i < reports.size(); ++i) {
+    ScriptedAgent agent;
+    agent.Run([&](ScriptedAgent::Session& session) {
+      AckAllThenReport(session, reports[i]);
+    });
+    ControllerOptions options;
+    options.agents = {agent.endpoint()};
+    options.config.fast_mode = true;
+    auto report = RunDistributedReplay(SampleRecords(32), options);
+    agent.Join();
+    ASSERT_TRUE(report.ok()) << report.error().ToString();
+    EXPECT_FALSE(report->failed) << report->error;
+    EXPECT_TRUE(report->agents[0].completed);
+    EXPECT_FALSE(report->ReconcileDiffs().empty()) << "report " << i;
+  }
+}
+
+TEST(ControllerTest, RefusesConfigHelloCannotCarryBeforeDialing) {
+  // The agent would start that many distributor threads, so the check
+  // must come before any dial. The only endpoint refuses connections: a
+  // controller that dialed anyway fails to connect, never to validate.
+  DeadPort dead;
+  for (const auto& config : ConfigsHelloCannotCarry()) {
+    ControllerOptions options;
+    options.agents = {dead.endpoint()};
+    options.config = config;
+    auto report = RunDistributedReplay(SampleRecords(8), options);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.error().code(), ErrorCode::kInvalidArgument)
+        << report.error().ToString();
+  }
 }
 
 // --- end to end: real agents, real replay engine, real DNS server ---
@@ -685,6 +740,7 @@ TEST(DistributedReplayTest, LoopbackTwoAgentsZeroLoss) {
   options.config.lookahead = Millis(100);
   options.chunk_records = 32;
   options.stats_interval = Millis(100);
+  options.metrics_path = ::testing::TempDir() + "/ldp_distrib_merged.jsonl";
 
   auto report = RunDistributedReplay(records, options);
   ASSERT_TRUE(report.ok()) << report.error().ToString();
@@ -699,9 +755,10 @@ TEST(DistributedReplayTest, LoopbackTwoAgentsZeroLoss) {
       << agent1->server->result().error().ToString();
 
   // Zero loss over loopback, fully reconciled across processes.
-  EXPECT_EQ(report->merged.sent, records.size());
-  EXPECT_EQ(report->merged.answered, records.size());
-  EXPECT_TRUE(report->merged.OutcomesReconcile());
+  const replay::RealtimeReport merged = report->merged();
+  EXPECT_EQ(merged.queries_sent, records.size());
+  EXPECT_EQ(merged.answered, records.size());
+  EXPECT_EQ(merged.timed_out + merged.send_failed, 0u);
   auto diffs = report->ReconcileDiffs();
   EXPECT_TRUE(diffs.empty()) << diffs.front();
   // Both agents did real work (20 clients spread across the ring), and
@@ -710,18 +767,90 @@ TEST(DistributedReplayTest, LoopbackTwoAgentsZeroLoss) {
   EXPECT_GT(report->agents[1].records_sent, 0u);
   EXPECT_EQ(report->agents[0].records_sent + report->agents[1].records_sent,
             records.size());
-  // Per-agent metrics snapshots arrived and carry the outcome counters.
+  // Each agent's final snapshot accounts for what it was shipped.
   for (const auto& agent : report->agents) {
-    EXPECT_TRUE(agent.has_report);
-    EXPECT_EQ(agent.final_metrics.CounterValue("replay.sent"),
-              agent.report.sent);
+    EXPECT_TRUE(agent.completed);
+    const replay::RealtimeReport c = agent.counts();
+    EXPECT_EQ(c.queries_sent, agent.records_sent);
+    EXPECT_EQ(c.queries_sent, c.answered + c.timed_out + c.send_failed);
   }
-  // Merged metrics cover the whole run.
-  EXPECT_EQ(report->merged_metrics.CounterValue("replay.sent"),
-            records.size());
+  // The merged JSONL's final row reads what the merged view reads.
+  auto rows = stats::ReadJsonlFile(options.metrics_path);
+  ASSERT_TRUE(rows.ok()) << rows.error().ToString();
+  ASSERT_FALSE(rows->empty());
+  for (const auto& row : replay::kTransportLedger) {
+    uint64_t in_row = 0;
+    for (const auto& [name, cell] : rows->back().counters) {
+      if (name == row.name) in_row = cell.total;
+    }
+    EXPECT_EQ(in_row, merged.*row.field) << row.name;
+  }
 
   (*server_loop)->RequestStop();
   server_thread.join();
+}
+
+TEST(DistributedReplayTest, AgentBindsQueriersOnTheHelloLocalAddr) {
+  // An echo responder on 127.0.0.1 notes each query's source: the agent
+  // must send from the configured 127/8 address, not the default one.
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const Endpoint responder{IpAddress::Loopback(), ntohs(addr.sin_port)};
+  const IpAddress local(127, 0, 0, 5);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> from_local{0};
+  std::atomic<uint64_t> from_elsewhere{0};
+  std::thread echo([&] {
+    uint8_t buffer[1500];
+    while (!stop.load()) {
+      pollfd p{fd, POLLIN, 0};
+      if (::poll(&p, 1, 20) <= 0) continue;
+      sockaddr_in from{};
+      socklen_t from_len = sizeof(from);
+      ssize_t n = ::recvfrom(fd, buffer, sizeof(buffer), 0,
+                             reinterpret_cast<sockaddr*>(&from), &from_len);
+      if (n <= 0) continue;
+      auto& seen = IpAddress(ntohl(from.sin_addr.s_addr)) == local
+                       ? from_local
+                       : from_elsewhere;
+      ++seen;
+      // The query itself answers it: same ID, same question.
+      ::sendto(fd, buffer, static_cast<size_t>(n), 0,
+               reinterpret_cast<sockaddr*>(&from), from_len);
+    }
+  });
+
+  auto agent = TestAgent::Start();
+  auto records = SampleRecords(20);
+  for (auto& record : records) {
+    record.dst = responder.addr;
+    record.dst_port = responder.port;
+  }
+  ControllerOptions options;
+  options.agents = {agent->server->local()};
+  options.config.server = responder;
+  options.config.local_addr = local;
+  options.config.fast_mode = true;
+  options.config.queriers_per_distributor = 1;
+  auto report = RunDistributedReplay(records, options);
+  agent->thread.join();
+  stop.store(true);
+  echo.join();
+  ::close(fd);
+
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_FALSE(report->failed) << report->error;
+  EXPECT_TRUE(report->ReconcileDiffs().empty());
+  EXPECT_EQ(report->merged().answered, records.size());
+  EXPECT_EQ(from_local.load(), records.size());
+  EXPECT_EQ(from_elsewhere.load(), 0u);
 }
 
 // Regression (fuzz_distrib target): a CHUNK body claiming 2^20 records in

@@ -186,8 +186,10 @@ void WriteFramingCorpus(const std::filesystem::path& dir) {
 void WriteDistribCorpus(const std::filesystem::path& dir) {
   distrib::HelloFrame hello;
   hello.agent_id = 3;
-  hello.server =
+  hello.config.server =
       Endpoint{std::move(IpAddress::Parse("127.0.0.1")).value(), 5353};
+  hello.config.local_addr =
+      std::move(IpAddress::Parse("127.0.0.5")).value();
 
   distrib::ChunkFrame chunk;
   chunk.seq = 1;
@@ -227,6 +229,7 @@ void WriteDistribCorpus(const std::filesystem::path& dir) {
                           distrib::EncodeChunkAck({}),
                           distrib::EncodeInputDone({}),
                           distrib::EncodeStats(snapshot),
+                          distrib::EncodeReport(snapshot),
                           distrib::EncodeBye()}));
   WriteFile(dir / "error_frame.bin",
             Seeded(0x09, {distrib::EncodeError({.message = "agent failed"})}));

@@ -121,6 +121,37 @@ TEST(Registry, SameNameInstancesMergeAtSnapshot) {
   EXPECT_EQ(snap.Histogram("absent"), nullptr);
 }
 
+struct PairView {
+  uint64_t hits = 0;
+  uint64_t depth = 0;
+};
+constexpr auto kPairLedger = std::to_array<LedgerRow<PairView>>({
+    {"t.hits", &PairView::hits},
+    {"t.depth", &PairView::depth, /*level=*/true},
+});
+
+TEST(Ledger, ReadLedgerReadsASnapshotAsTheCellsRead) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  Ledger<kPairLedger> cells_a(a);
+  Ledger<kPairLedger> cells_b(b);
+  cells_a.Add<&PairView::hits>(3);
+  cells_a.gauge<&PairView::depth>().Set(5);
+  cells_b.Add<&PairView::hits>(4);
+  cells_b.gauge<&PairView::depth>().Set(2);
+
+  const PairView one = ReadLedger<kPairLedger>(a.Snapshot());
+  EXPECT_EQ(one.hits, cells_a.Read().hits);
+  EXPECT_EQ(one.depth, cells_a.Read().depth);
+  const std::vector<MetricsSnapshot> parts = {a.Snapshot(), b.Snapshot()};
+  const PairView both = ReadLedger<kPairLedger>(MergeSnapshots(parts));
+  EXPECT_EQ(both.hits, 7u);
+  EXPECT_EQ(both.depth, 7u);
+  const PairView none = ReadLedger<kPairLedger>(MetricsSnapshot{});
+  EXPECT_EQ(none.hits, 0u);
+  EXPECT_EQ(none.depth, 0u);
+}
+
 TEST(Registry, PolledFunctionsReadAtSnapshotTime) {
   MetricsRegistry registry;
   uint64_t backing = 0;

@@ -66,6 +66,28 @@ Distributed replay (paper §2.6 controller/agent split):
   --window N            un-acked chunk credit per agent (8)
 Trace format by extension (.txt/.bin).)";
 
+// The outcome lines after the sent/answered summary, local and merged
+// distributed alike.
+void PrintOutcomes(const replay::RealtimeReport& report) {
+  std::printf("outcomes: timed_out %llu, send_failed %llu, retransmits "
+              "%llu, id_collisions %llu\n",
+              static_cast<unsigned long long>(report.timed_out),
+              static_cast<unsigned long long>(report.send_failed),
+              static_cast<unsigned long long>(report.retransmits),
+              static_cast<unsigned long long>(report.id_collisions));
+  if (report.tcp_reconnects != 0 || report.tcp_idle_closes != 0) {
+    std::printf("tcp: reconnects %llu, idle_closes %llu\n",
+                static_cast<unsigned long long>(report.tcp_reconnects),
+                static_cast<unsigned long long>(report.tcp_idle_closes));
+  }
+  if (report.tls_handshakes != 0 || report.tls_aborts != 0) {
+    std::printf("tls: handshakes %llu, resumptions %llu, aborts %llu\n",
+                static_cast<unsigned long long>(report.tls_handshakes),
+                static_cast<unsigned long long>(report.tls_resumptions),
+                static_cast<unsigned long long>(report.tls_aborts));
+  }
+}
+
 int RunDistributed(const Flags& flags,
                    const std::vector<trace::QueryRecord>& records,
                    const replay::RealtimeConfig& config, Endpoint server,
@@ -142,31 +164,33 @@ int RunDistributed(const Flags& flags,
                   a.error.empty() ? "" : ": ", a.error.c_str());
       continue;
     }
+    const replay::RealtimeReport c = a.counts();
     std::printf("agent %u (%s): shipped %llu, sent %llu, answered %llu, "
                 "timed_out %llu, send_failed %llu (clock offset %.3f ms, "
                 "rtt %.3f ms)\n",
                 a.id, a.endpoint.ToString().c_str(),
                 static_cast<unsigned long long>(a.records_sent),
-                static_cast<unsigned long long>(a.report.sent),
-                static_cast<unsigned long long>(a.report.answered),
-                static_cast<unsigned long long>(a.report.timed_out),
-                static_cast<unsigned long long>(a.report.send_failed),
+                static_cast<unsigned long long>(c.queries_sent),
+                static_cast<unsigned long long>(c.answered),
+                static_cast<unsigned long long>(c.timed_out),
+                static_cast<unsigned long long>(c.send_failed),
                 ToMillis(a.clock_offset), ToMillis(a.clock_rtt));
     if (!a.error.empty()) {
       std::printf("agent %u error: %s\n", a.id, a.error.c_str());
     }
   }
-  const distrib::AgentReport& m = report->merged;
+  const replay::RealtimeReport m = report->merged();
   std::printf("merged: sent %llu, answered %llu (%.1f%%), timed_out %llu, "
               "send_failed %llu, wall %.2fs\n",
-              static_cast<unsigned long long>(m.sent),
+              static_cast<unsigned long long>(m.queries_sent),
               static_cast<unsigned long long>(m.answered),
-              m.sent ? 100.0 * static_cast<double>(m.answered) /
-                           static_cast<double>(m.sent)
-                     : 0,
+              m.queries_sent ? 100.0 * static_cast<double>(m.answered) /
+                                   static_cast<double>(m.queries_sent)
+                             : 0,
               static_cast<unsigned long long>(m.timed_out),
               static_cast<unsigned long long>(m.send_failed),
               ToSeconds(report->wall_duration));
+  PrintOutcomes(m);
   if (!metrics_out.empty()) {
     std::printf("metrics: merged stream at %s\n", metrics_out.c_str());
   }
@@ -347,23 +371,7 @@ int main(int argc, char** argv) {
               ToSeconds(report->wall_duration),
               static_cast<double>(report->queries_sent) /
                   ToSeconds(report->wall_duration) / 1000.0);
-  std::printf("outcomes: timed_out %llu, send_failed %llu, retransmits "
-              "%llu, id_collisions %llu\n",
-              static_cast<unsigned long long>(report->timed_out),
-              static_cast<unsigned long long>(report->send_failed),
-              static_cast<unsigned long long>(report->retransmits),
-              static_cast<unsigned long long>(report->id_collisions));
-  if (report->tcp_reconnects != 0 || report->tcp_idle_closes != 0) {
-    std::printf("tcp: reconnects %llu, idle_closes %llu\n",
-                static_cast<unsigned long long>(report->tcp_reconnects),
-                static_cast<unsigned long long>(report->tcp_idle_closes));
-  }
-  if (report->tls_handshakes != 0 || report->tls_aborts != 0) {
-    std::printf("tls: handshakes %llu, resumptions %llu, aborts %llu\n",
-                static_cast<unsigned long long>(report->tls_handshakes),
-                static_cast<unsigned long long>(report->tls_resumptions),
-                static_cast<unsigned long long>(report->tls_aborts));
-  }
+  PrintOutcomes(*report);
 
   if (!config.fast_mode) {
     stats::Summary timing;
