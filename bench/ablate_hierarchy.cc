@@ -47,8 +47,8 @@ TopologyCost RunDistributed(const workload::Hierarchy& hierarchy,
         auto add_ok = set.AddZone(zone);
         (void)add_ok;
         // Every per-address replica keeps its own copy in the naive
-        // deployment; count it.
-        cost.zone_store_bytes += zone->MemoryFootprint();
+        // deployment (zone and compiled index); count it.
+        cost.zone_store_bytes += set.TotalMemoryFootprint();
         break;
       }
     }
@@ -86,7 +86,8 @@ TopologyCost RunMetaServer(const workload::Hierarchy& hierarchy,
     zone::ZoneSet set;
     auto add_ok = set.AddZone(zone);
     (void)add_ok;
-    cost.zone_store_bytes += zone->MemoryFootprint();  // one copy, total
+    // One copy, total: the zone and its compiled index.
+    cost.zone_store_bytes += set.TotalMemoryFootprint();
     auto view_ok = views.AddView(zone->origin().ToString(),
                                  hierarchy.nameservers.at(zone->origin()),
                                  std::move(set));

@@ -8,7 +8,8 @@
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
 # timeout expiry, TLS handshake/resumption, sharded TCP accept), the
 # registry cells the server, proxy and replay count into (read after
-# Stop() for the final snapshot), the compiled-answer differential test,
+# Stop() for the final snapshot), the compiled-answer differential test
+# and the compiled-zone memory test (the offsets into each zone's block),
 # the name and trace codecs (their own offset arithmetic over wire-form
 # names, with the name oracle) and zone building, signing, transfer and
 # reconstruction (RRsets move within a name's type-sorted vector on an
@@ -79,6 +80,22 @@ if ./build/tools/ldp_replay_trace --trace "$SMOKE/trace.txt" \
   cat "$SMOKE/no_timeout.out"
   exit 1
 fi
+# Counts outside [1, 65535] exit 2 before the trace is read (the missing
+# trace file would exit 1) and before any replay thread starts.
+for counts in "--distributors -1" "--queriers 65536"; do
+  # shellcheck disable=SC2086
+  if ./build/tools/ldp_replay_trace --trace "$SMOKE/no-such-trace" \
+       --server "127.0.0.1:$PORT" $counts > "$SMOKE/counts.out" 2>&1; then
+    status=0
+  else
+    status=$?
+  fi
+  if [ "$status" -ne 2 ]; then
+    echo "metrics smoke: $counts exited $status, not 2"
+    cat "$SMOKE/counts.out"
+    exit 1
+  fi
+done
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
@@ -492,15 +509,15 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, distrib =="
+echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, compiled-zone block, distrib =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
-  tls_test sharded_server_test compiled_answer_test \
+  tls_test sharded_server_test compiled_answer_test compiled_memory_test \
   dns_name_test name_oracle_test trace_test zone_test dns_message_test \
   proxy_relay_test metrics_test server_test \
   workload_test zoneconstruct_test axfr_test distrib_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test|distrib_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|compiled_memory_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test|distrib_test'
 
 echo "verify: OK"

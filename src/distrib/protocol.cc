@@ -63,22 +63,12 @@ constexpr uint32_t kMaxSnapshotEntries = 65536;
 // --- HELLO ---
 
 Status CheckHello(const HelloFrame& hello) {
-  const replay::RealtimeConfig& c = hello.config;
-  auto fits = [](auto value, int64_t low) {
-    return static_cast<int64_t>(value) >= low && value <= 0xffff;
-  };
-  if (!fits(c.n_distributors, 1) || !fits(c.queriers_per_distributor, 1) ||
-      !fits(c.max_retransmits, 0) || !fits(c.tcp_max_reconnects, 0)) {
+  if (Status config = replay::CheckConfig(hello.config); !config.ok()) {
     return Error(ErrorCode::kInvalidArgument,
-                 "HELLO carries distributors and queriers in [1, 65535], "
-                 "retransmits and TCP reconnects in [0, 65535]");
+                 "HELLO: " + config.error().message());
   }
   if (hello.credit_window == 0) {
     return Error(ErrorCode::kInvalidArgument, "HELLO with zero credits");
-  }
-  if (c.query_timeout <= 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "HELLO with a query timeout that is not positive");
   }
   return Status::Ok();
 }

@@ -78,9 +78,9 @@ struct HelloFrame {
   replay::RealtimeConfig config;
 };
 
-// Whether `hello` can cross the wire unchanged and start a replay: the
-// counts HELLO carries in 16 bits fit them, distributors, queriers and
-// credits are positive, and the query timeout is positive. The controller
+// Whether `hello` can cross the wire unchanged and start a replay: its
+// config passes replay::CheckConfig, whose count bounds are the 16 bits
+// HELLO carries them in, and its credit window is positive. The controller
 // checks before it dials any agent, the agent after it decodes. Encode
 // only a HELLO this accepts: EncodeHello writes the counts in 16 bits.
 Status CheckHello(const HelloFrame& hello);

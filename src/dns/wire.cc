@@ -157,6 +157,17 @@ size_t IndexWireName(std::span<const uint8_t> wire, uint8_t* folded,
   return labels;
 }
 
+const WireNameView& IndexedWireName::Index(std::span<const uint8_t> wire) {
+  view_.wire = wire.data();
+  view_.folded = folded_;
+  view_.offsets = offsets_;
+  view_.hashes = hashes_;
+  view_.len = static_cast<uint16_t>(wire.size());
+  view_.labels =
+      static_cast<uint16_t>(IndexWireName(wire, folded_, offsets_, hashes_));
+  return view_;
+}
+
 int CanonicalCompare(const WireNameView& a, const WireNameView& b) {
   size_t n = std::min(a.labels, b.labels);
   for (size_t k = 1; k <= n; ++k) {

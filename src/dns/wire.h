@@ -73,6 +73,27 @@ struct WireNameView {
 size_t IndexWireName(std::span<const uint8_t> wire, uint8_t* folded,
                      uint8_t* offsets, uint64_t* hashes);
 
+// A name indexed into buffers of its own, for lookups keyed on a
+// WireNameView. Not copyable: the view points into the object.
+class IndexedWireName {
+ public:
+  IndexedWireName() = default;
+  explicit IndexedWireName(std::span<const uint8_t> wire) { Index(wire); }
+  IndexedWireName(const IndexedWireName&) = delete;
+  IndexedWireName& operator=(const IndexedWireName&) = delete;
+
+  // Indexes `wire`, a validated uncompressed name that must outlive the
+  // view.
+  const WireNameView& Index(std::span<const uint8_t> wire);
+  const WireNameView& view() const { return view_; }
+
+ private:
+  uint8_t folded_[kMaxNameWireLength];
+  uint8_t offsets_[kMaxWireLabels];
+  uint64_t hashes_[kMaxWireLabels];
+  WireNameView view_;
+};
+
 // Canonical DNS order (RFC 4034 §6.1), the order of Name::operator<:
 // negative, zero or positive as a sorts before, equal to or after b.
 int CanonicalCompare(const WireNameView& a, const WireNameView& b);

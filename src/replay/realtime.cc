@@ -21,7 +21,6 @@ namespace ldp::replay {
 namespace {
 
 struct QueryJob {
-  uint64_t trace_index;
   NanoTime trace_time;  // rebased: first query = 0
   trace::QueryRecord record;
   // Slot for this query's terminal outcome. Owned by the pipeline's
@@ -160,7 +159,6 @@ class Querier {
     epoch_mono_ = epoch_mono;  // reply timestamps share the send epoch
 
     SendOutcome& outcome = *job.outcome;
-    outcome.trace_index = job.trace_index;
     outcome.trace_time = job.trace_time;
     // Every accepted query raises the inflight gauge here; the matching
     // decrement happens on its terminal transition (Terminal/RecordAnswer),
@@ -680,7 +678,8 @@ class Querier {
       return;
     }
     // Everything written may have died with the stream: rebuild the
-    // backlog (in trace order) so the next connection redelivers it.
+    // backlog in send order (the querier sends in trace order) so the
+    // next connection redelivers it.
     std::vector<uint16_t> ids;
     ids.reserve(state.inflight.size());
     for (auto& [id, entry] : state.inflight) {
@@ -688,8 +687,7 @@ class Querier {
       ids.push_back(id);
     }
     std::sort(ids.begin(), ids.end(), [&state](uint16_t a, uint16_t b) {
-      return state.inflight[a].outcome->trace_index <
-             state.inflight[b].outcome->trace_index;
+      return state.inflight[a].seq < state.inflight[b].seq;
     });
     state.backlog.assign(ids.begin(), ids.end());
 
@@ -1207,15 +1205,27 @@ struct ReplayPipeline::Impl {
   RealtimeReport Counts() const;
 };
 
-Result<std::unique_ptr<ReplayPipeline>> ReplayPipeline::Start(
-    const RealtimeConfig& config, NanoTime epoch_mono, NanoTime trace_epoch) {
-  if (config.n_distributors == 0 || config.queriers_per_distributor == 0) {
+Status CheckConfig(const RealtimeConfig& config) {
+  auto in_range = [](auto value, int64_t low) {
+    return static_cast<int64_t>(value) >= low && value <= 0xffff;
+  };
+  if (!in_range(config.n_distributors, 1) ||
+      !in_range(config.queriers_per_distributor, 1) ||
+      !in_range(config.max_retransmits, 0) ||
+      !in_range(config.tcp_max_reconnects, 0)) {
     return Error(ErrorCode::kInvalidArgument,
-                 "need at least one distributor and querier");
+                 "need distributors and queriers in [1, 65535], "
+                 "retransmits and TCP reconnects in [0, 65535]");
   }
   if (config.query_timeout <= 0) {
     return Error(ErrorCode::kInvalidArgument, "query_timeout must be > 0");
   }
+  return Status::Ok();
+}
+
+Result<std::unique_ptr<ReplayPipeline>> ReplayPipeline::Start(
+    const RealtimeConfig& config, NanoTime epoch_mono, NanoTime trace_epoch) {
+  LDP_RETURN_IF_ERROR(CheckConfig(config));
   auto pipeline = std::unique_ptr<ReplayPipeline>(new ReplayPipeline());
   pipeline->impl_ = std::make_unique<Impl>(config);
   Impl& impl = *pipeline->impl_;
@@ -1257,9 +1267,10 @@ void ReplayPipeline::Feed(std::span<const trace::QueryRecord> records) {
   }
   for (size_t i = 0; i < records.size(); ++i) {
     impl.batches[impl.targets[i]].push_back(
-        QueryJob{impl.fed++, records[i].timestamp - impl.trace_epoch,
-                 records[i], &chunk[i]});
+        QueryJob{records[i].timestamp - impl.trace_epoch, records[i],
+                 &chunk[i]});
   }
+  impl.fed += records.size();
   for (size_t i = 0; i < impl.distributors.size(); ++i) {
     if (impl.batches[i].empty()) continue;
     impl.distributors[i]->queue().PushBatch(std::move(impl.batches[i]));

@@ -133,6 +133,8 @@ struct RealtimeConfig {
   stats::MetricsSnapshotter* snapshotter = nullptr;
 };
 
+// Outcome i of RealtimeReport::sends is trace record i: the position is
+// the trace index.
 struct SendOutcome {
   // Terminal outcome of one replayed query.
   enum class State : uint8_t {
@@ -143,7 +145,6 @@ struct SendOutcome {
                   // ID space exhausted, or TCP reconnect budget spent)
   };
 
-  uint64_t trace_index = 0;
   NanoTime trace_time = 0;   // relative to the trace epoch
   NanoTime sent = 0;         // monotonic, relative to the replay epoch
   // When the reply arrived, same clock: the kernel's receive stamp for
@@ -158,6 +159,8 @@ struct SendOutcome {
     return state == State::kAnswered || state == State::kTimedOut;
   }
 };
+// Held for every replayed query for the whole run.
+static_assert(sizeof(SendOutcome) == 32);
 
 // A replay's outcomes in trace order, kept in the chunks they were
 // allocated in: one per ReplayPipeline::Feed call. AppendChunk never moves
@@ -273,6 +276,12 @@ inline constexpr auto kTransportLedger = std::to_array<
     {"replay.tls_resumptions", &RealtimeReport::tls_resumptions},
     {"replay.tls_aborts", &RealtimeReport::tls_aborts},
 });
+
+// Whether `config` can start a replay: distributors and queriers per
+// distributor in [1, 65535], retransmits and TCP reconnects in [0, 65535]
+// and a positive query timeout. ReplayPipeline::Start (so also
+// RunRealtimeReplay) refuses any other config before it starts a thread.
+Status CheckConfig(const RealtimeConfig& config);
 
 // Replays `records` (timestamps must ascend) and blocks until done.
 Result<RealtimeReport> RunRealtimeReplay(

@@ -34,9 +34,10 @@ SplitReport SplitOutcomes(const replay::RealtimeReport& report,
   SplitReport split;
   std::vector<double> legit_ms;
   std::vector<double> attack_ms;
+  size_t index = 0;  // outcomes are in trace order, as the mask is
   for (const auto& outcome : report.sends) {
-    if (outcome.trace_index >= mask.size()) continue;
-    bool is_attack = mask[outcome.trace_index];
+    if (index >= mask.size()) break;
+    bool is_attack = mask[index++];
     TrafficClassReport& cls = is_attack ? split.attack : split.legit;
     ++cls.sent;
     switch (outcome.state) {

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "zone/view.h"
 
@@ -23,7 +20,7 @@ constexpr uint16_t kTypeAny = static_cast<uint16_t>(dns::RRType::kANY);
 
 constexpr size_t kOptSize = 11;  // root owner, TYPE, CLASS, TTL, RDLENGTH
 
-size_t Bucket(uint64_t hash, size_t mask) {
+size_t ExactBucket(uint64_t hash, size_t mask) {
   return static_cast<size_t>(hash ^ (hash >> 29)) & mask;
 }
 
@@ -45,46 +42,24 @@ const dns::Name* AdditionalTarget(const dns::Rdata& rdata) {
 
 // --- WireNameTable ---
 
-void WireNameTable::Insert(const dns::WireNameView& name, uint32_t value) {
-  if ((size_ + 1) * 2 > slots_.size()) Grow();
-  Slot slot;
-  slot.hash = static_cast<uint32_t>(name.hashes[0]);
-  slot.key = static_cast<uint32_t>(keys_.size());
-  slot.value = value;
-  slot.len = name.len;
-  keys_.insert(keys_.end(), name.folded, name.folded + name.len);
-  size_t mask = slots_.size() - 1;
-  size_t i = Bucket(slot.hash, mask);
-  while (slots_[i].value != kMissing) i = (i + 1) & mask;
-  slots_[i] = slot;
-  ++size_;
-}
-
-uint32_t WireNameTable::Find(const dns::WireNameView& name, size_t i) const {
-  if (slots_.empty()) return kMissing;
-  uint32_t hash = static_cast<uint32_t>(name.hashes[i]);
-  size_t len = name.SuffixLength(i);
-  const uint8_t* folded = name.SuffixFolded(i);
-  size_t mask = slots_.size() - 1;
-  for (size_t at = Bucket(hash, mask);; at = (at + 1) & mask) {
-    const Slot& slot = slots_[at];
-    if (slot.value == kMissing) return kMissing;
-    if (slot.hash == hash && slot.len == len &&
-        std::memcmp(keys_.data() + slot.key, folded, len) == 0) {
-      return slot.value;
-    }
+void WireNameTable::Insert(std::span<Slot> slots, const dns::WireNameView& name,
+                           uint32_t value) {
+  Slot slot{Hash(name.hashes[0]), value};
+  size_t at = Bucket(slot.hash, slots.size());
+  while (slots[at].value != kMissing) {
+    if (++at == slots.size()) at = 0;
   }
+  slots[at] = slot;
 }
 
-void WireNameTable::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(std::max<size_t>(8, old.size() * 2), Slot{});
-  size_t mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
+void WireNameTable::Rehash(std::span<const Slot> from, std::span<Slot> to) {
+  for (const Slot& slot : from) {
     if (slot.value == kMissing) continue;
-    size_t i = Bucket(slot.hash, mask);
-    while (slots_[i].value != kMissing) i = (i + 1) & mask;
-    slots_[i] = slot;
+    size_t at = Bucket(slot.hash, to.size());
+    while (to[at].value != kMissing) {
+      if (++at == to.size()) at = 0;
+    }
+    to[at] = slot;
   }
 }
 
@@ -92,107 +67,161 @@ void WireNameTable::Grow() {
 
 namespace {
 
-// Where one interned name lives while the index is being built (the
-// vectors still grow, so views are materialized only at the end).
-struct NameLoc {
-  uint32_t bytes;   // wire, then folded, then offsets, in name_bytes
-  uint32_t hashes;  // in name_hashes
-  uint16_t len;
-  uint16_t labels;
+// Offsets of arrays laid out back to back in one block, each at its
+// type's alignment.
+class BlockLayout {
+ public:
+  template <typename T>
+  size_t Add(size_t count) {
+    size_ = (size_ + alignof(T) - 1) / alignof(T) * alignof(T);
+    size_t at = size_;
+    size_ += count * sizeof(T);
+    return at;
+  }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
 };
+
+// Scratch a thread keeps for its next zone when it is no larger than this;
+// the few zones that grow it further give it back.
+constexpr size_t kKeepScratchBytes = 128 * 1024;
 
 }  // namespace
 
-// Build-time state: name interning (an open-addressed table over the exact
-// wire bytes) and each RRset's source and node.
-struct CompiledZone::BuildState {
-  std::vector<NameLoc> locs;
-  std::vector<uint64_t> exact_hashes;  // per name
-  std::vector<uint32_t> slots;         // name index + 1; 0 = empty
-  std::vector<const dns::RRset*> sources;  // rrsets_ index -> zone RRset
-  std::vector<uint32_t> rrset_node;        // rrsets_ index -> nodes_ index
+// Build-time state: the index's arrays while they grow, name interning (an
+// open-addressed table over the exact wire bytes) and each RRset's source
+// and node. One per thread, cleared but not freed between zones, so
+// compiling many small zones reuses the same scratch instead of leaving
+// freed build temporaries between the blocks.
+struct CompiledZone::Builder {
+  static_assert(sizeof(NameLoc) == 12 && sizeof(Rdata) == 8 &&
+                sizeof(RRset) == 24 && sizeof(Node) == 16);
+
+  std::vector<NameLoc> names;
+  Bytes name_bytes;
+  std::vector<uint64_t> name_hashes;
+  Bytes rdata_bytes;
+  std::vector<Rdata> rdatas;
+  std::vector<RRset> rrsets;
+  std::vector<Node> nodes;
+  std::vector<Link> links;
+  std::vector<CoveredSigs> sigs_by_type;
+  std::vector<uint32_t> addresses;
+  std::vector<uint32_t> glue;
+  std::vector<uint32_t> nsec_rrsets;
+  std::vector<WireNameTable::Slot> node_slots;
+  std::vector<WireNameTable::Slot> spare_slots;  // node_slots while it grows
+
+  std::vector<uint64_t> exact_hashes;      // per name
+  std::vector<uint32_t> intern_slots;      // name index + 1; 0 = empty
+  std::vector<const dns::RRset*> sources;  // rrsets index -> zone RRset
+  std::vector<uint32_t> rrset_node;        // rrsets index -> nodes index
+  std::vector<uint16_t> covered;
+  Bytes ent_wire;
+  size_t data_nodes = 0;
+  size_t data_rrsets = 0;
+
+  void Build(const Zone& zone, CompiledZone& out);
+
+  dns::WireNameView View(uint32_t name) const {
+    return CompiledZone::View(names[name], name_bytes.data(),
+                              name_hashes.data());
+  }
+  uint32_t InternWire(std::span<const uint8_t> wire);
+  uint32_t InternName(const dns::Name& name) { return InternWire(name.wire()); }
+  void AddRRset(const dns::RRset& rrset);
+  void AddNode(uint32_t name, size_t rrsets_begin);
+  uint32_t FindNode(const dns::WireNameView& name, size_t i = 0) const {
+    return WireNameTable::Find(
+        node_slots, name, i,
+        [this](uint32_t node) { return View(nodes[node].name); });
+  }
+  uint32_t FindType(uint32_t node, uint16_t type) const;
+  uint32_t CoveringSigs(uint32_t node, uint16_t type) const;
+  uint32_t WildcardOf(uint32_t node) const {
+    return nodes[node].link == kNone ? kNone : links[nodes[node].link].wildcard;
+  }
+  // The links entry of `node`, made when it has none.
+  uint32_t LinkOf(uint32_t node);
+  // Copies the arrays into `out`'s block.
+  void Lay(CompiledZone& out) const;
+  void Clear();
+  size_t CapacityBytes() const;
 };
 
-dns::WireNameView CompiledZone::View(uint32_t name) const {
-  const NameLoc& loc = build_->locs[name];
-  dns::WireNameView view;
-  view.wire = name_bytes_.data() + loc.bytes;
-  view.folded = view.wire + loc.len;
-  view.offsets = view.folded + loc.len;
-  view.hashes = name_hashes_.data() + loc.hashes;
-  view.len = loc.len;
-  view.labels = loc.labels;
-  return view;
-}
-
-uint32_t CompiledZone::InternWire(std::span<const uint8_t> wire) {
-  BuildState& b = *build_;
+uint32_t CompiledZone::Builder::InternWire(std::span<const uint8_t> wire) {
   uint64_t hash = 0xcbf29ce484222325ull;
   for (uint8_t byte : wire) hash = (hash ^ byte) * 0x100000001b3ull;
-  if ((b.locs.size() + 1) * 2 > b.slots.size()) {
-    b.slots.assign(std::max<size_t>(64, b.slots.size() * 2), 0);
-    size_t mask = b.slots.size() - 1;
-    for (uint32_t name = 0; name < b.locs.size(); ++name) {
-      size_t at = Bucket(b.exact_hashes[name], mask);
-      while (b.slots[at] != 0) at = (at + 1) & mask;
-      b.slots[at] = name + 1;
+  if ((names.size() + 1) * 2 > intern_slots.size()) {
+    intern_slots.assign(std::max<size_t>(64, intern_slots.size() * 2), 0);
+    size_t mask = intern_slots.size() - 1;
+    for (uint32_t name = 0; name < names.size(); ++name) {
+      size_t at = ExactBucket(exact_hashes[name], mask);
+      while (intern_slots[at] != 0) at = (at + 1) & mask;
+      intern_slots[at] = name + 1;
     }
   }
-  size_t mask = b.slots.size() - 1;
-  size_t at = Bucket(hash, mask);
-  for (; b.slots[at] != 0; at = (at + 1) & mask) {
-    uint32_t name = b.slots[at] - 1;
-    const NameLoc& loc = b.locs[name];
-    if (b.exact_hashes[name] == hash && loc.len == wire.size() &&
-        std::memcmp(name_bytes_.data() + loc.bytes, wire.data(),
+  size_t mask = intern_slots.size() - 1;
+  size_t at = ExactBucket(hash, mask);
+  for (; intern_slots[at] != 0; at = (at + 1) & mask) {
+    uint32_t name = intern_slots[at] - 1;
+    const NameLoc& loc = names[name];
+    if (exact_hashes[name] == hash && loc.len == wire.size() &&
+        std::memcmp(name_bytes.data() + loc.bytes, wire.data(),
                     wire.size()) == 0) {
       return name;
     }
   }
-  uint32_t name = static_cast<uint32_t>(b.locs.size());
-  b.slots[at] = name + 1;
+  uint32_t name = static_cast<uint32_t>(names.size());
+  intern_slots[at] = name + 1;
 
   uint8_t folded[dns::kMaxNameWireLength];
   uint8_t offsets[dns::kMaxWireLabels];
   uint64_t hashes[dns::kMaxWireLabels];
   size_t labels = dns::IndexWireName(wire, folded, offsets, hashes);
-  b.locs.push_back(NameLoc{static_cast<uint32_t>(name_bytes_.size()),
-                           static_cast<uint32_t>(name_hashes_.size()),
-                           static_cast<uint16_t>(wire.size()),
-                           static_cast<uint16_t>(labels)});
-  b.exact_hashes.push_back(hash);
-  name_bytes_.insert(name_bytes_.end(), wire.begin(), wire.end());
-  name_bytes_.insert(name_bytes_.end(), folded, folded + wire.size());
-  name_bytes_.insert(name_bytes_.end(), offsets, offsets + labels + 1);
-  name_hashes_.insert(name_hashes_.end(), hashes, hashes + labels + 1);
+  NameLoc loc;
+  loc.bytes = static_cast<uint32_t>(name_bytes.size());
+  loc.hashes = static_cast<uint32_t>(name_hashes.size());
+  loc.len = static_cast<uint8_t>(wire.size());
+  loc.labels = static_cast<uint8_t>(labels);
+  const bool has_upper = std::memcmp(folded, wire.data(), wire.size()) != 0;
+  loc.folded = has_upper ? loc.len : 0;
+  names.push_back(loc);
+  exact_hashes.push_back(hash);
+  name_bytes.insert(name_bytes.end(), wire.begin(), wire.end());
+  if (has_upper) {
+    name_bytes.insert(name_bytes.end(), folded, folded + wire.size());
+  }
+  name_bytes.insert(name_bytes.end(), offsets, offsets + labels + 1);
+  name_hashes.insert(name_hashes.end(), hashes, hashes + labels + 1);
   return name;
 }
 
-uint32_t CompiledZone::InternName(const dns::Name& name) {
-  return InternWire(name.wire());
-}
-
-uint32_t CompiledZone::AddRRset(const dns::RRset& rrset) {
+void CompiledZone::Builder::AddRRset(const dns::RRset& rrset) {
   RRset out;
-  out.type = static_cast<uint16_t>(rrset.type);
   out.owner = InternName(rrset.name);
-  PutU16(out.fixed, out.type);
+  PutU16(out.fixed, static_cast<uint16_t>(rrset.type));
   PutU16(out.fixed + 2, static_cast<uint16_t>(rrset.klass));
   PutU16(out.fixed + 4, static_cast<uint16_t>(rrset.ttl >> 16));
   PutU16(out.fixed + 6, static_cast<uint16_t>(rrset.ttl & 0xffff));
-  out.rdata_begin = static_cast<uint32_t>(rdatas_.size());
+  out.rdata_begin = static_cast<uint32_t>(rdatas.size());
   for (const dns::Rdata& rdata : rrset.rdatas) {
     Rdata info;
-    info.bytes = static_cast<uint32_t>(rdata_bytes_.size());
+    info.bytes = static_cast<uint32_t>(rdata_bytes.size());
     // The names EncodeRdata compresses are written as plain wire here and
-    // marked; every other byte is exactly what EncodeRdata emits.
+    // referenced after the rdata; every other byte is exactly what
+    // EncodeRdata emits.
+    uint16_t name_pos[2];
+    uint32_t name_index[2];
     auto add_name = [&](const dns::Name& name) {
-      info.name_pos[info.n_names] =
-          static_cast<uint16_t>(rdata_bytes_.size() - info.bytes);
-      info.name[info.n_names] = InternName(name);
+      name_pos[info.n_names] =
+          static_cast<uint16_t>(rdata_bytes.size() - info.bytes);
+      name_index[info.n_names] = InternName(name);
       ++info.n_names;
       std::span<const uint8_t> wire = name.wire();
-      rdata_bytes_.insert(rdata_bytes_.end(), wire.begin(), wire.end());
+      rdata_bytes.insert(rdata_bytes.end(), wire.begin(), wire.end());
     };
     if (const auto* ns = std::get_if<dns::NsRdata>(&rdata)) {
       add_name(ns->nsdname);
@@ -201,8 +230,8 @@ uint32_t CompiledZone::AddRRset(const dns::RRset& rrset) {
     } else if (const auto* ptr = std::get_if<dns::PtrRdata>(&rdata)) {
       add_name(ptr->target);
     } else if (const auto* mx = std::get_if<dns::MxRdata>(&rdata)) {
-      rdata_bytes_.push_back(static_cast<uint8_t>(mx->preference >> 8));
-      rdata_bytes_.push_back(static_cast<uint8_t>(mx->preference & 0xff));
+      rdata_bytes.push_back(static_cast<uint8_t>(mx->preference >> 8));
+      rdata_bytes.push_back(static_cast<uint8_t>(mx->preference & 0xff));
       add_name(mx->exchange);
     } else if (const auto* soa = std::get_if<dns::SoaRdata>(&rdata)) {
       add_name(soa->mname);
@@ -212,33 +241,317 @@ uint32_t CompiledZone::AddRRset(const dns::RRset& rrset) {
                          soa->minimum}) {
         tail.WriteU32(v);
       }
-      rdata_bytes_.insert(rdata_bytes_.end(), tail.data().begin(),
-                          tail.data().end());
+      rdata_bytes.insert(rdata_bytes.end(), tail.data().begin(),
+                         tail.data().end());
     } else {
       dns::NameCompressor unused;  // no other rdata compresses names
       ByteWriter writer;
       dns::EncodeRdata(rdata, unused, writer);
-      rdata_bytes_.insert(rdata_bytes_.end(), writer.data().begin(),
-                          writer.data().end());
+      rdata_bytes.insert(rdata_bytes.end(), writer.data().begin(),
+                         writer.data().end());
     }
-    info.len = static_cast<uint32_t>(rdata_bytes_.size() - info.bytes);
-    rdatas_.push_back(info);
+    info.len = static_cast<uint16_t>(
+        std::min<size_t>(rdata_bytes.size() - info.bytes, 0xffff));
+    for (uint8_t k = 0; k < info.n_names; ++k) {
+      uint8_t ref[kNameRefSize];
+      std::memcpy(ref, &name_pos[k], 2);
+      std::memcpy(ref + 2, &name_index[k], 4);
+      rdata_bytes.insert(rdata_bytes.end(), ref, ref + kNameRefSize);
+    }
+    rdatas.push_back(info);
   }
-  out.rdata_end = static_cast<uint32_t>(rdatas_.size());
-  if (!rrset.rdatas.empty()) {
-    if (const auto* cname =
-            std::get_if<dns::CnameRdata>(&rrset.rdatas.front())) {
-      out.cname_target = InternName(cname->target);
+  rrsets.push_back(out);
+}
+
+void CompiledZone::Builder::AddNode(uint32_t name, size_t rrsets_begin) {
+  Node node;
+  node.name = name;
+  node.rrsets_begin = static_cast<uint32_t>(rrsets_begin);
+  node.sigs_begin = static_cast<uint32_t>(sigs_by_type.size());
+  nodes.push_back(node);
+  if (node_slots.size() < WireNameTable::SlotCount(nodes.size())) {
+    spare_slots.assign(WireNameTable::SlotCount(2 * nodes.size()),
+                       WireNameTable::Slot{});
+    WireNameTable::Rehash(node_slots, spare_slots);
+    node_slots.swap(spare_slots);
+  }
+  WireNameTable::Insert(node_slots, View(name),
+                        static_cast<uint32_t>(nodes.size() - 1));
+}
+
+uint32_t CompiledZone::Builder::FindType(uint32_t node, uint16_t type) const {
+  size_t end =
+      node + 1 < nodes.size() ? nodes[node + 1].rrsets_begin : data_rrsets;
+  for (uint32_t i = nodes[node].rrsets_begin; i < end; ++i) {
+    if (rrsets[i].type() == type) return i;
+  }
+  return kNone;
+}
+
+uint32_t CompiledZone::Builder::CoveringSigs(uint32_t node,
+                                             uint16_t type) const {
+  size_t end = node + 1 < nodes.size() ? nodes[node + 1].sigs_begin
+                                       : sigs_by_type.size();
+  for (uint32_t i = nodes[node].sigs_begin; i < end; ++i) {
+    if (sigs_by_type[i].type == type) return sigs_by_type[i].rrset;
+  }
+  return kNone;
+}
+
+uint32_t CompiledZone::Builder::LinkOf(uint32_t node) {
+  if (nodes[node].link == kNone) {
+    nodes[node].link = static_cast<uint32_t>(links.size());
+    links.emplace_back();
+  }
+  return nodes[node].link;
+}
+
+void CompiledZone::Builder::Build(const Zone& zone, CompiledZone& out) {
+  Clear();
+  const uint32_t origin = InternName(zone.origin());
+
+  // 1. Nodes with data, in canonical order, each with its RRsets in type
+  // order (ForEachRRset visits node by node).
+  const dns::Name* last_owner = nullptr;
+  zone.ForEachRRset([&](const dns::RRset& rrset) {
+    if (last_owner == nullptr || !(*last_owner == rrset.name)) {
+      AddNode(InternName(rrset.name), rrsets.size());
+      last_owner = &rrset.name;
+    }
+    sources.push_back(&rrset);
+    rrset_node.push_back(static_cast<uint32_t>(nodes.size() - 1));
+    AddRRset(rrset);
+  });
+  data_nodes = nodes.size();
+  data_rrsets = rrsets.size();
+  const size_t origin_labels = View(origin).labels;
+
+  // 2. RRSIG sets split by covered type, in rdata order (what
+  // RrsigsCovering returns).
+  for (uint32_t node = 0; node < data_nodes; ++node) {
+    nodes[node].sigs_begin = static_cast<uint32_t>(sigs_by_type.size());
+    uint32_t all = FindType(node, kTypeRrsig);
+    if (all == kNone) continue;
+    const dns::RRset* source = sources[all];
+    covered.clear();
+    for (const dns::Rdata& rdata : source->rdatas) {
+      const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
+      if (sig == nullptr) continue;
+      uint16_t type = static_cast<uint16_t>(sig->type_covered);
+      if (std::find(covered.begin(), covered.end(), type) == covered.end()) {
+        covered.push_back(type);
+      }
+    }
+    for (uint16_t type : covered) {
+      RRset split = rrsets[all];
+      split.rdata_begin = static_cast<uint32_t>(rdatas.size());
+      for (uint32_t i = 0; i < source->rdatas.size(); ++i) {
+        const auto* sig = std::get_if<dns::RrsigRdata>(&source->rdatas[i]);
+        if (sig != nullptr &&
+            static_cast<uint16_t>(sig->type_covered) == type) {
+          Rdata copy = rdatas[rrsets[all].rdata_begin + i];
+          rdatas.push_back(copy);
+        }
+      }
+      rrsets.push_back(split);
+      sigs_by_type.push_back(
+          CoveredSigs{type, static_cast<uint32_t>(rrsets.size() - 1)});
     }
   }
-  rrsets_.push_back(out);
-  return static_cast<uint32_t>(rrsets_.size() - 1);
+
+  // 3. Empty non-terminals: every missing ancestor of a data node, down to
+  // the origin.
+  for (uint32_t node = 0; node < data_nodes; ++node) {
+    const size_t labels = View(nodes[node].name).labels;
+    for (size_t i = 1; i + origin_labels <= labels; ++i) {
+      dns::WireNameView name = View(nodes[node].name);  // may have moved
+      if (FindNode(name, i) != kNone) break;
+      ent_wire.assign(name.wire + name.offsets[i], name.wire + name.len);
+      AddNode(InternWire(ent_wire), data_rrsets);
+    }
+  }
+
+  // 4. Wildcards: link "*.<x>" from x.
+  for (uint32_t node = 0; node < data_nodes; ++node) {
+    dns::WireNameView name = View(nodes[node].name);
+    if (name.labels <= origin_labels || name.wire[0] != 1 ||
+        name.wire[1] != '*') {
+      continue;
+    }
+    uint32_t parent = FindNode(name, 1);
+    if (parent != kNone) links[LinkOf(parent)].wildcard = node;
+  }
+
+  // 5. Per RRset: the signatures BuildResponse attaches (at the owner,
+  // else at the owner's wildcard sibling, "*.<parent>") and the addresses
+  // additional-section processing adds for its targets. Per cut: the
+  // referral.
+  auto data_node = [&](uint32_t name) {
+    uint32_t node = FindNode(View(name));
+    return node < data_nodes ? node : kNone;
+  };
+  auto addresses_of = [&](const dns::Name& target,
+                          std::vector<uint32_t>& into) {
+    uint32_t node = data_node(InternName(target));
+    if (node == kNone) return;
+    for (uint16_t type : {kTypeA, kTypeAaaa}) {
+      uint32_t rrset = FindType(node, type);
+      if (rrset != kNone) into.push_back(rrset);
+    }
+  };
+  for (uint32_t index = 0; index < data_rrsets; ++index) {
+    RRset& rrset = rrsets[index];
+    if (rrset.type() != kTypeRrsig) {
+      rrset.sigs = CoveringSigs(rrset_node[index], rrset.type());
+      dns::WireNameView owner = View(rrset.owner);
+      uint32_t parent = owner.labels > 0 ? FindNode(owner, 1) : kNone;
+      uint32_t sibling = parent == kNone ? kNone : WildcardOf(parent);
+      if (rrset.sigs == kNone && sibling != kNone) {
+        rrset.sigs = CoveringSigs(sibling, rrset.type());
+      }
+    }
+    rrset.addr_begin = static_cast<uint32_t>(addresses.size());
+    for (const dns::Rdata& rdata : sources[index]->rdatas) {
+      if (const dns::Name* target = AdditionalTarget(rdata)) {
+        addresses_of(*target, addresses);
+      }
+    }
+  }
+  for (size_t index = data_rrsets; index < rrsets.size(); ++index) {
+    rrsets[index].addr_begin = static_cast<uint32_t>(addresses.size());
+  }
+  const uint32_t apex = data_node(origin);
+  for (uint32_t node = 0; node < data_nodes; ++node) {
+    uint32_t ns = FindType(node, kTypeNs);
+    if (ns == kNone || node == apex) continue;
+    uint32_t link = LinkOf(node);
+    links[link].ns = ns;
+    links[link].ds = FindType(node, kTypeDs);
+    links[link].glue_begin = static_cast<uint32_t>(glue.size());
+    for (const dns::Rdata& rdata : sources[ns]->rdatas) {
+      const auto* target = std::get_if<dns::NsRdata>(&rdata);
+      if (target != nullptr && target->nsdname.IsSubdomainOf(zone.origin())) {
+        addresses_of(target->nsdname, glue);
+      }
+    }
+    links[link].glue_end = static_cast<uint32_t>(glue.size());
+  }
+
+  // 6. Negative answers: the SOA and the NSEC chain in canonical order.
+  out.soa_ = apex != kNone ? FindType(apex, kTypeSoa) : kNone;
+  for (uint32_t node = 0; node < data_nodes; ++node) {
+    uint32_t nsec = FindType(node, kTypeNsec);
+    if (nsec != kNone) nsec_rrsets.push_back(nsec);
+  }
+
+  // The ends of the last ranges.
+  RRset rrsets_end;
+  rrsets_end.rdata_begin = static_cast<uint32_t>(rdatas.size());
+  rrsets_end.addr_begin = static_cast<uint32_t>(addresses.size());
+  rrsets.push_back(rrsets_end);
+  Node nodes_end;
+  nodes_end.rrsets_begin = static_cast<uint32_t>(data_rrsets);
+  nodes_end.sigs_begin = static_cast<uint32_t>(sigs_by_type.size());
+  nodes.push_back(nodes_end);
+
+  out.origin_ = origin;
+  out.data_nodes_ = static_cast<uint32_t>(data_nodes);
+  Lay(out);
+
+  // The NSEC covering "*.<origin>", found once.
+  dns::WireNameView origin_name = out.origin();
+  if (size_t{origin_name.len} + 2 <= dns::kMaxNameWireLength) {
+    uint8_t wildcard[dns::kMaxNameWireLength] = {1, '*'};
+    std::memcpy(wildcard + 2, origin_name.wire, origin_name.len);
+    const dns::IndexedWireName name(
+        std::span<const uint8_t>(wildcard, origin_name.len + 2));
+    out.wildcard_nsec_ = out.CoveringNsec(name.view());
+  }
+
+  if (CapacityBytes() > kKeepScratchBytes) *this = Builder();
+}
+
+void CompiledZone::Builder::Lay(CompiledZone& out) const {
+  BlockLayout layout;
+  const size_t at_hashes = layout.Add<uint64_t>(name_hashes.size());
+  const size_t at_names = layout.Add<NameLoc>(names.size());
+  const size_t at_rdatas = layout.Add<Rdata>(rdatas.size());
+  const size_t at_rrsets = layout.Add<RRset>(rrsets.size());
+  const size_t at_nodes = layout.Add<Node>(nodes.size());
+  const size_t at_links = layout.Add<Link>(links.size());
+  const size_t at_sigs = layout.Add<CoveredSigs>(sigs_by_type.size());
+  const size_t at_addresses = layout.Add<uint32_t>(addresses.size());
+  const size_t at_glue = layout.Add<uint32_t>(glue.size());
+  const size_t at_nsec = layout.Add<uint32_t>(nsec_rrsets.size());
+  const size_t n_slots = WireNameTable::SlotCount(nodes.size() - 1);
+  const size_t at_slots = layout.Add<WireNameTable::Slot>(n_slots);
+  const size_t at_name_bytes = layout.Add<uint8_t>(name_bytes.size());
+  const size_t at_rdata_bytes = layout.Add<uint8_t>(rdata_bytes.size());
+
+  out.block_size_ = layout.size();
+  out.block_.reset(new std::byte[out.block_size_]);
+  std::byte* block = out.block_.get();
+  auto place = [block]<typename T>(const std::vector<T>& from, size_t at) {
+    if (!from.empty()) {
+      std::memcpy(block + at, from.data(), from.size() * sizeof(T));
+    }
+    return reinterpret_cast<const T*>(block + at);
+  };
+  out.name_hashes_ = place(name_hashes, at_hashes);
+  out.names_ = place(names, at_names);
+  out.rdatas_ = place(rdatas, at_rdatas);
+  out.rrsets_ = place(rrsets, at_rrsets);
+  out.nodes_ = place(nodes, at_nodes);
+  out.links_ = place(links, at_links);
+  out.sigs_by_type_ = place(sigs_by_type, at_sigs);
+  out.addresses_ = place(addresses, at_addresses);
+  out.glue_ = place(glue, at_glue);
+  out.nsec_rrsets_ = {place(nsec_rrsets, at_nsec), nsec_rrsets.size()};
+  out.name_bytes_ = place(name_bytes, at_name_bytes);
+  out.rdata_bytes_ = place(rdata_bytes, at_rdata_bytes);
+  auto* slots = reinterpret_cast<WireNameTable::Slot*>(block + at_slots);
+  std::uninitialized_fill_n(slots, n_slots, WireNameTable::Slot{});
+  WireNameTable::Rehash(node_slots, {slots, n_slots});
+  out.node_slots_ = {slots, n_slots};
+}
+
+void CompiledZone::Builder::Clear() {
+  names.clear();
+  name_bytes.clear();
+  name_hashes.clear();
+  rdata_bytes.clear();
+  rdatas.clear();
+  rrsets.clear();
+  nodes.clear();
+  links.clear();
+  sigs_by_type.clear();
+  addresses.clear();
+  glue.clear();
+  nsec_rrsets.clear();
+  node_slots.clear();
+  spare_slots.clear();
+  exact_hashes.clear();
+  intern_slots.clear();
+  sources.clear();
+  rrset_node.clear();
+}
+
+size_t CompiledZone::Builder::CapacityBytes() const {
+  auto bytes = []<typename T>(const std::vector<T>& v) {
+    return v.capacity() * sizeof(T);
+  };
+  return bytes(names) + bytes(name_bytes) + bytes(name_hashes) +
+         bytes(rdata_bytes) + bytes(rdatas) + bytes(rrsets) + bytes(nodes) +
+         bytes(links) + bytes(sigs_by_type) + bytes(addresses) + bytes(glue) +
+         bytes(nsec_rrsets) + bytes(node_slots) + bytes(spare_slots) +
+         bytes(exact_hashes) + bytes(intern_slots) + bytes(sources) +
+         bytes(rrset_node) + bytes(covered) + bytes(ent_wire);
 }
 
 uint32_t CompiledZone::FindType(uint32_t node, uint16_t type) const {
-  const Node& n = nodes_[node];
-  for (uint32_t i = n.rrsets_begin; i < n.rrsets_end; ++i) {
-    if (rrsets_[node_rrsets_[i]].type == type) return node_rrsets_[i];
+  const uint32_t end = nodes_[node + 1].rrsets_begin;
+  for (uint32_t i = nodes_[node].rrsets_begin; i < end; ++i) {
+    if (rrsets_[i].type() == type) return i;
   }
   return kNone;
 }
@@ -247,198 +560,32 @@ uint32_t CompiledZone::CoveringNsec(const dns::WireNameView& name) const {
   auto it = std::upper_bound(
       nsec_rrsets_.begin(), nsec_rrsets_.end(), name,
       [&](const dns::WireNameView& key, uint32_t rrset) {
-        return dns::CanonicalCompare(key, names_[rrsets_[rrset].owner]) < 0;
+        return dns::CanonicalCompare(key, OwnerOf(rrset)) < 0;
       });
   return it == nsec_rrsets_.begin() ? kNone : *(it - 1);
 }
 
 uint32_t CompiledZone::CoveringSigs(uint32_t node, uint16_t type) const {
-  const Node& n = nodes_[node];
-  for (uint32_t i = n.sigs_begin; i < n.sigs_end; ++i) {
+  const uint32_t end = nodes_[node + 1].sigs_begin;
+  for (uint32_t i = nodes_[node].sigs_begin; i < end; ++i) {
     if (sigs_by_type_[i].type == type) return sigs_by_type_[i].rrset;
   }
   return kNone;
 }
 
+uint32_t CompiledZone::CnameTarget(uint32_t rrset) const {
+  uint32_t first = rrsets_[rrset].rdata_begin;
+  if (first == rrsets_[rrset + 1].rdata_begin) return kNone;
+  const Rdata& rdata = rdatas_[first];
+  if (rdata.n_names == 0) return kNone;
+  uint32_t name;
+  std::memcpy(&name, rdata_bytes_ + rdata.bytes + rdata.len + 2, 4);
+  return name;
+}
+
 CompiledZone::CompiledZone(const Zone& zone) {
-  BuildState build;
-  build_ = &build;
-  origin_ = InternName(zone.origin());
-
-  // 1. Nodes with data, in canonical order, each with its RRsets in type
-  // order (ForEachRRset visits node by node).
-  const dns::Name* last_owner = nullptr;
-  zone.ForEachRRset([&](const dns::RRset& rrset) {
-    if (last_owner == nullptr || !(*last_owner == rrset.name)) {
-      Node node;
-      node.name = InternName(rrset.name);
-      node.exists = true;
-      node.rrsets_begin = static_cast<uint32_t>(node_rrsets_.size());
-      node.rrsets_end = node.rrsets_begin;
-      nodes_.push_back(node);
-      node_table_.Insert(View(node.name),
-                         static_cast<uint32_t>(nodes_.size() - 1));
-      last_owner = &rrset.name;
-    }
-    uint32_t index = AddRRset(rrset);
-    build.sources.push_back(&rrset);
-    build.rrset_node.push_back(static_cast<uint32_t>(nodes_.size() - 1));
-    node_rrsets_.push_back(index);
-    nodes_.back().rrsets_end = static_cast<uint32_t>(node_rrsets_.size());
-  });
-  const size_t data_nodes = nodes_.size();
-  const size_t data_rrsets = rrsets_.size();
-  const size_t origin_labels = View(origin_).labels;
-
-  // 2. RRSIG sets split by covered type, in rdata order (what
-  // RrsigsCovering returns).
-  for (uint32_t node = 0; node < data_nodes; ++node) {
-    nodes_[node].sigs_begin = static_cast<uint32_t>(sigs_by_type_.size());
-    uint32_t all = FindType(node, kTypeRrsig);
-    if (all != kNone) {
-      const dns::RRset* source = build.sources[all];
-      std::vector<uint16_t> covered;
-      for (const dns::Rdata& rdata : source->rdatas) {
-        const auto* sig = std::get_if<dns::RrsigRdata>(&rdata);
-        if (sig == nullptr) continue;
-        uint16_t type = static_cast<uint16_t>(sig->type_covered);
-        if (std::find(covered.begin(), covered.end(), type) == covered.end()) {
-          covered.push_back(type);
-        }
-      }
-      for (uint16_t type : covered) {
-        RRset split = rrsets_[all];
-        split.rdata_begin = static_cast<uint32_t>(rdatas_.size());
-        for (uint32_t i = 0; i < source->rdatas.size(); ++i) {
-          const auto* sig = std::get_if<dns::RrsigRdata>(&source->rdatas[i]);
-          if (sig != nullptr &&
-              static_cast<uint16_t>(sig->type_covered) == type) {
-            Rdata copy = rdatas_[rrsets_[all].rdata_begin + i];
-            rdatas_.push_back(copy);
-          }
-        }
-        split.rdata_end = static_cast<uint32_t>(rdatas_.size());
-        rrsets_.push_back(split);
-        sigs_by_type_.push_back(
-            CoveredSigs{type, static_cast<uint32_t>(rrsets_.size() - 1)});
-      }
-    }
-    nodes_[node].sigs_end = static_cast<uint32_t>(sigs_by_type_.size());
-  }
-
-  // 3. Empty non-terminals: every missing ancestor of a data node, down to
-  // the origin.
-  for (uint32_t node = 0; node < data_nodes; ++node) {
-    const size_t labels = View(nodes_[node].name).labels;
-    for (size_t i = 1; i + origin_labels <= labels; ++i) {
-      dns::WireNameView name = View(nodes_[node].name);  // may have moved
-      if (node_table_.Find(name, i) != WireNameTable::kMissing) break;
-      Bytes wire(name.wire + name.offsets[i], name.wire + name.len);
-      Node ent;
-      ent.name = InternWire(wire);
-      nodes_.push_back(ent);
-      node_table_.Insert(View(ent.name),
-                         static_cast<uint32_t>(nodes_.size() - 1));
-    }
-  }
-
-  // 4. Wildcards: link "*.<x>" from x.
-  for (uint32_t node = 0; node < data_nodes; ++node) {
-    dns::WireNameView name = View(nodes_[node].name);
-    if (name.labels <= origin_labels || name.wire[0] != 1 ||
-        name.wire[1] != '*') {
-      continue;
-    }
-    uint32_t parent = node_table_.Find(name, 1);
-    if (parent != WireNameTable::kMissing) nodes_[parent].wildcard = node;
-  }
-
-  // 5. Per RRset: the signatures BuildResponse attaches (at the owner,
-  // else at the owner's wildcard sibling, "*.<parent>") and the addresses
-  // additional-section processing adds for its targets. Per cut: the
-  // referral.
-  auto data_node = [&](uint32_t name) {
-    uint32_t node = node_table_.Find(View(name));
-    return node != WireNameTable::kMissing && nodes_[node].exists ? node
-                                                                  : kNone;
-  };
-  auto addresses_of = [&](const dns::Name& target,
-                          std::vector<uint32_t>& out) {
-    uint32_t node = data_node(InternName(target));
-    if (node == kNone) return;
-    for (uint16_t type : {kTypeA, kTypeAaaa}) {
-      uint32_t rrset = FindType(node, type);
-      if (rrset != kNone) out.push_back(rrset);
-    }
-  };
-  for (uint32_t index = 0; index < data_rrsets; ++index) {
-    RRset& rrset = rrsets_[index];
-    if (rrset.type != kTypeRrsig) {
-      rrset.sigs = CoveringSigs(build.rrset_node[index], rrset.type);
-      dns::WireNameView owner = View(rrset.owner);
-      uint32_t parent = owner.labels > 0 ? node_table_.Find(owner, 1)
-                                         : WireNameTable::kMissing;
-      if (rrset.sigs == kNone && parent != WireNameTable::kMissing &&
-          nodes_[parent].wildcard != kNone) {
-        rrset.sigs = CoveringSigs(nodes_[parent].wildcard, rrset.type);
-      }
-    }
-    rrset.addr_begin = static_cast<uint32_t>(addresses_.size());
-    for (const dns::Rdata& rdata : build.sources[index]->rdatas) {
-      if (const dns::Name* target = AdditionalTarget(rdata)) {
-        addresses_of(*target, addresses_);
-      }
-    }
-    rrsets_[index].addr_end = static_cast<uint32_t>(addresses_.size());
-  }
-  const uint32_t apex = data_node(origin_);
-  for (uint32_t node = 0; node < data_nodes; ++node) {
-    Node& n = nodes_[node];
-    uint32_t ns = FindType(node, kTypeNs);
-    if (ns == kNone || node == apex) continue;
-    n.cut = true;
-    n.ns = ns;
-    n.ds = FindType(node, kTypeDs);
-    n.glue_begin = static_cast<uint32_t>(glue_.size());
-    for (const dns::Rdata& rdata : build.sources[ns]->rdatas) {
-      const auto* target = std::get_if<dns::NsRdata>(&rdata);
-      if (target != nullptr && target->nsdname.IsSubdomainOf(zone.origin())) {
-        addresses_of(target->nsdname, glue_);
-      }
-    }
-    nodes_[node].glue_end = static_cast<uint32_t>(glue_.size());
-  }
-
-  // 6. Negative answers: the SOA, and the NSEC chain in canonical order
-  // (with the NSEC covering "*.<origin>" found once).
-  if (apex != kNone) soa_ = FindType(apex, kTypeSoa);
-  for (uint32_t node = 0; node < data_nodes; ++node) {
-    uint32_t nsec = FindType(node, kTypeNsec);
-    if (nsec != kNone) nsec_rrsets_.push_back(nsec);
-  }
-  uint32_t wildcard = kNone;
-  if (size_t{View(origin_).len} + 2 <= dns::kMaxNameWireLength) {
-    Bytes wire = {1, '*'};
-    dns::WireNameView origin = View(origin_);
-    wire.insert(wire.end(), origin.wire, origin.wire + origin.len);
-    wildcard = InternWire(wire);
-  }
-
-  name_bytes_.shrink_to_fit();
-  name_hashes_.shrink_to_fit();
-  rdata_bytes_.shrink_to_fit();
-  rdatas_.shrink_to_fit();
-  rrsets_.shrink_to_fit();
-  nodes_.shrink_to_fit();
-  node_rrsets_.shrink_to_fit();
-  sigs_by_type_.shrink_to_fit();
-  addresses_.shrink_to_fit();
-  glue_.shrink_to_fit();
-  nsec_rrsets_.shrink_to_fit();
-  names_.reserve(build.locs.size());
-  for (uint32_t i = 0; i < build.locs.size(); ++i) names_.push_back(View(i));
-  if (wildcard != kNone) wildcard_nsec_ = CoveringNsec(names_[wildcard]);
-  build_ = nullptr;
+  thread_local Builder builder;
+  builder.Build(zone, *this);
 }
 
 // --- WireAnswerer ---
@@ -454,14 +601,8 @@ WireAnswerer::WireAnswerer() : out_(new uint8_t[kOutSize]) {}
 WireAnswerer::Answer WireAnswerer::Respond(const ZoneSet& zones,
                                            const dns::WireQueryInfo& query,
                                            size_t limit) {
-  qname_.wire = query.qname.data();
-  qname_.folded = qname_folded_;
-  qname_.offsets = qname_offsets_;
-  qname_.hashes = qname_hashes_;
-  qname_.len = static_cast<uint16_t>(query.qname.size());
-  qname_.labels = static_cast<uint16_t>(dns::IndexWireName(
-      query.qname, qname_folded_, qname_offsets_, qname_hashes_));
-  const CompiledZone* zone = zones.FindBestCompiled(qname_);
+  const dns::WireNameView& qname = qname_.Index(query.qname);
+  const CompiledZone* zone = zones.FindBestCompiled(qname);
 
   compressor_.Reset();
   answers_.clear();
@@ -470,7 +611,7 @@ WireAnswerer::Answer WireAnswerer::Respond(const ZoneSet& zones,
   counts_[kAnswer] = counts_[kAuthority] = counts_[kAdditional] = 0;
   truncated_ = false;
   uint8_t* out = out_.get();
-  pos_ = compressor_.Write(qname_, out, 12);
+  pos_ = compressor_.Write(qname, out, 12);
   std::memcpy(out + pos_, query.qname.data() + query.qname.size(), 4);
   pos_ += 4;
   size_t reserve = query.has_edns ? kOptSize : 0;
@@ -521,17 +662,16 @@ WireAnswerer::Answer WireAnswerer::Respond(const ZoneSet& zones,
 // (lookup.cc), over the index.
 void WireAnswerer::AnswerFromZone(const CompiledZone& zone, uint16_t qtype,
                                   bool dnssec) {
-  using Node = CompiledZone::Node;
   constexpr uint32_t kNone = CompiledZone::kNone;
-  const dns::WireNameView& origin = zone.origin();
-  const WireNameTable& table = zone.node_table_;
+  const dns::WireNameView& qname = qname_.view();
+  const dns::WireNameView origin = zone.origin();
 
   // 1. Referral: the highest cut on the path from the apex to qname. A
   // missing name ends the walk, since nothing exists below it.
-  for (size_t i = qname_.labels - origin.labels; i-- > 0;) {
-    uint32_t node = table.Find(qname_, i);
-    if (node == WireNameTable::kMissing) break;
-    if (!zone.nodes_[node].cut) continue;
+  for (size_t i = qname.labels - origin.labels; i-- > 0;) {
+    uint32_t node = zone.FindNode(qname, i);
+    if (node == kNone) break;
+    if (!zone.IsCut(node)) continue;
     if (i == 0 && qtype == kTypeDs) break;  // DS is answered above the cut
     Referral(zone, node, dnssec);
     return;
@@ -549,11 +689,11 @@ void WireAnswerer::AnswerFromZone(const CompiledZone& zone, uint16_t qtype,
   // Signatures for an RRset synthesized at `owner`, which has no node:
   // those at "*.<parent of owner>", as RrsigsCovering falls back to.
   auto synthesized_sigs = [&](uint32_t rrset, const dns::WireNameView& owner) {
-    uint16_t type = zone.rrsets_[rrset].type;
+    uint16_t type = zone.rrsets_[rrset].type();
     if (!dnssec || type == kTypeRrsig) return kNone;
-    uint32_t parent = table.Find(owner, 1);
-    if (parent == WireNameTable::kMissing) return kNone;
-    uint32_t sibling = zone.nodes_[parent].wildcard;
+    uint32_t parent = zone.FindNode(owner, 1);
+    if (parent == kNone) return kNone;
+    uint32_t sibling = zone.WildcardOf(parent);
     return sibling == kNone ? kNone : zone.CoveringSigs(sibling, type);
   };
   auto answer = [&](uint32_t rrset, const dns::WireNameView& owner,
@@ -562,37 +702,37 @@ void WireAnswerer::AnswerFromZone(const CompiledZone& zone, uint16_t qtype,
     Emit(zone, rrset, owner, kAnswer, sigs);
   };
   // Follows a CNAME answer; false when the chain leaves the zone.
-  const dns::WireNameView* current = &qname_;
+  dns::WireNameView current = qname;
   auto follow = [&](uint32_t cname) {
-    uint32_t target = zone.rrsets_[cname].cname_target;
-    if (target == kNone || !zone.names_[target].IsSubdomainOf(origin)) {
-      return false;
-    }
-    current = &zone.names_[target];
+    uint32_t target = zone.CnameTarget(cname);
+    if (target == kNone) return false;
+    dns::WireNameView name = zone.NameAt(target);
+    if (!name.IsSubdomainOf(origin)) return false;
+    current = name;
     return true;
   };
 
   while (true) {
     bool seen = false;
-    for (const dns::WireNameView* name : visited_) {
-      if (name->Equals(*current)) seen = true;
+    for (const dns::WireNameView& name : visited_) {
+      if (name.Equals(current)) seen = true;
     }
     if (seen) break;  // CNAME loop: stop chasing
     visited_.push_back(current);
-    const dns::WireNameView& name = *current;
+    const dns::WireNameView name = current;
 
-    uint32_t node = table.Find(name);
-    if (node == WireNameTable::kMissing || !zone.nodes_[node].exists) {
-      if (node != WireNameTable::kMissing) {  // empty non-terminal
+    uint32_t node = zone.FindNode(name);
+    if (node == kNone || !zone.Exists(node)) {
+      if (node != kNone) {  // empty non-terminal
         outcome = Outcome::kNoData;
         break;
       }
       // The closest encloser's wildcard, if it has one.
       uint32_t source = kNone;
       for (size_t i = 1; i + origin.labels <= name.labels; ++i) {
-        uint32_t encloser = table.Find(name, i);
-        if (encloser == WireNameTable::kMissing) continue;
-        source = zone.nodes_[encloser].wildcard;
+        uint32_t encloser = zone.FindNode(name, i);
+        if (encloser == kNone) continue;
+        source = zone.WildcardOf(encloser);
         break;
       }
       if (source == kNone) {
@@ -620,10 +760,9 @@ void WireAnswerer::AnswerFromZone(const CompiledZone& zone, uint16_t qtype,
       break;
     }
 
-    const Node& n = zone.nodes_[node];
     uint32_t cname = zone.FindType(node, kTypeCname);
     if (cname != kNone && qtype != kTypeCname && qtype != kTypeAny) {
-      answer(cname, zone.names_[zone.rrsets_[cname].owner], sigs_of(cname));
+      answer(cname, zone.OwnerOf(cname), sigs_of(cname));
       chased = true;
       if (follow(cname)) continue;
       outcome = Outcome::kCname;
@@ -631,9 +770,9 @@ void WireAnswerer::AnswerFromZone(const CompiledZone& zone, uint16_t qtype,
       break;
     }
     if (qtype == kTypeAny) {
-      for (uint32_t i = n.rrsets_begin; i < n.rrsets_end; ++i) {
-        uint32_t rrset = zone.node_rrsets_[i];
-        answer(rrset, zone.names_[zone.rrsets_[rrset].owner], sigs_of(rrset));
+      for (uint32_t rrset = zone.nodes_[node].rrsets_begin;
+           rrset < zone.nodes_[node + 1].rrsets_begin; ++rrset) {
+        answer(rrset, zone.OwnerOf(rrset), sigs_of(rrset));
       }
       outcome = Outcome::kAnswer;
       negative = false;
@@ -641,7 +780,7 @@ void WireAnswerer::AnswerFromZone(const CompiledZone& zone, uint16_t qtype,
     }
     uint32_t match = zone.FindType(node, qtype);
     if (match != kNone) {
-      answer(match, zone.names_[zone.rrsets_[match].owner], sigs_of(match));
+      answer(match, zone.OwnerOf(match), sigs_of(match));
       outcome = chased ? Outcome::kCname : Outcome::kAnswer;
       negative = false;
       break;
@@ -654,56 +793,56 @@ void WireAnswerer::AnswerFromZone(const CompiledZone& zone, uint16_t qtype,
 
   // Authority: the SOA for negative caching, then DNSSEC denial.
   if (negative && zone.soa_ != kNone) {
-    Emit(zone, zone.soa_, zone.names_[zone.rrsets_[zone.soa_].owner],
-         kAuthority, sigs_of(zone.soa_));
+    Emit(zone, zone.soa_, zone.OwnerOf(zone.soa_), kAuthority,
+         sigs_of(zone.soa_));
   }
   if (dnssec && (outcome == Outcome::kNxDomain ||
                  outcome == Outcome::kNoData || wildcard)) {
-    uint32_t nsec = zone.CoveringNsec(qname_);
+    uint32_t nsec = zone.CoveringNsec(qname);
     if (nsec != kNone) {
-      Emit(zone, nsec, zone.names_[zone.rrsets_[nsec].owner], kAuthority,
+      Emit(zone, nsec, zone.OwnerOf(nsec), kAuthority,
            zone.rrsets_[nsec].sigs);
     }
     uint32_t wc_nsec = zone.wildcard_nsec_;
     // One NSEC RRset per node, so distinct RRsets have distinct owners.
     if (outcome == Outcome::kNxDomain && nsec != kNone && wc_nsec != kNone &&
         wc_nsec != nsec) {
-      Emit(zone, wc_nsec, zone.names_[zone.rrsets_[wc_nsec].owner],
-           kAuthority, zone.rrsets_[wc_nsec].sigs);
+      Emit(zone, wc_nsec, zone.OwnerOf(wc_nsec), kAuthority,
+           zone.rrsets_[wc_nsec].sigs);
     }
   }
 
   // Additional: addresses of NS/MX/SRV targets named in the answer.
   for (uint32_t answer_rrset : answers_) {
-    const auto& rrset = zone.rrsets_[answer_rrset];
-    for (uint32_t i = rrset.addr_begin; i < rrset.addr_end; ++i) {
+    for (uint32_t i = zone.rrsets_[answer_rrset].addr_begin;
+         i < zone.rrsets_[answer_rrset + 1].addr_begin; ++i) {
       uint32_t address = zone.addresses_[i];
       if (std::find(added_addresses_.begin(), added_addresses_.end(),
                     address) != added_addresses_.end()) {
         continue;
       }
       added_addresses_.push_back(address);
-      Emit(zone, address, zone.names_[zone.rrsets_[address].owner],
-           kAdditional, sigs_of(address));
+      Emit(zone, address, zone.OwnerOf(address), kAdditional,
+           sigs_of(address));
     }
   }
 }
 
 void WireAnswerer::Referral(const CompiledZone& zone, uint32_t cut,
                             bool dnssec) {
-  const auto& node = zone.nodes_[cut];
-  const auto& rrsets = zone.rrsets_;
+  const CompiledZone::Link& link = zone.links_[zone.nodes_[cut].link];
+  const auto* rrsets = zone.rrsets_;
   aa_ = false;
   // The cut's NS set is unsigned (it belongs to the child); DS and glue
   // carry their signatures.
-  Emit(zone, node.ns, zone.names_[rrsets[node.ns].owner], kAuthority);
-  if (node.ds != CompiledZone::kNone) {
-    Emit(zone, node.ds, zone.names_[rrsets[node.ds].owner], kAuthority,
-         dnssec ? rrsets[node.ds].sigs : CompiledZone::kNone);
+  Emit(zone, link.ns, zone.OwnerOf(link.ns), kAuthority);
+  if (link.ds != CompiledZone::kNone) {
+    Emit(zone, link.ds, zone.OwnerOf(link.ds), kAuthority,
+         dnssec ? rrsets[link.ds].sigs : CompiledZone::kNone);
   }
-  for (uint32_t i = node.glue_begin; i < node.glue_end; ++i) {
+  for (uint32_t i = link.glue_begin; i < link.glue_end; ++i) {
     uint32_t glue = zone.glue_[i];
-    Emit(zone, glue, zone.names_[rrsets[glue].owner], kAdditional,
+    Emit(zone, glue, zone.OwnerOf(glue), kAdditional,
          dnssec ? rrsets[glue].sigs : CompiledZone::kNone);
   }
 }
@@ -718,11 +857,12 @@ void WireAnswerer::Emit(const CompiledZone& zone, uint32_t rrset,
 void WireAnswerer::EmitRecords(const CompiledZone& zone, uint32_t rrset,
                                const dns::WireNameView& owner,
                                Section section) {
-  const auto& set = zone.rrsets_[rrset];
+  const CompiledZone::RRset& set = zone.rrsets_[rrset];
+  const uint32_t end = zone.rrsets_[rrset + 1].rdata_begin;
   uint8_t* out = out_.get();
-  for (uint32_t r = set.rdata_begin; r < set.rdata_end; ++r) {
+  for (uint32_t r = set.rdata_begin; r < end; ++r) {
     if (truncated_) return;
-    const auto& rdata = zone.rdatas_[r];
+    const CompiledZone::Rdata& rdata = zone.rdatas_[r];
     size_t before = pos_;
     // Past this a record cannot fit any message (see the constructor).
     if (pos_ + owner.len + 10 + rdata.len > kOutSize) {
@@ -734,14 +874,22 @@ void WireAnswerer::EmitRecords(const CompiledZone& zone, uint32_t rrset,
     pos_ += sizeof(set.fixed);
     size_t rdlength_at = pos_;
     pos_ += 2;
-    const uint8_t* bytes = zone.rdata_bytes_.data() + rdata.bytes;
+    const uint8_t* bytes = zone.rdata_bytes_ + rdata.bytes;
     size_t done = 0;
-    for (uint8_t k = 0; k < rdata.n_names; ++k) {
-      std::memcpy(out + pos_, bytes + done, rdata.name_pos[k] - done);
-      pos_ += rdata.name_pos[k] - done;
-      const dns::WireNameView& name = zone.names_[rdata.name[k]];
-      pos_ = compressor_.Write(name, out, pos_);
-      done = rdata.name_pos[k] + name.len;
+    if (rdata.n_names != 0) {
+      const uint8_t* ref = bytes + rdata.len;
+      for (uint8_t k = 0; k < rdata.n_names;
+           ++k, ref += CompiledZone::kNameRefSize) {
+        uint16_t name_pos;
+        uint32_t name_index;
+        std::memcpy(&name_pos, ref, 2);
+        std::memcpy(&name_index, ref + 2, 4);
+        std::memcpy(out + pos_, bytes + done, name_pos - done);
+        pos_ += name_pos - done;
+        const dns::WireNameView name = zone.NameAt(name_index);
+        pos_ = compressor_.Write(name, out, pos_);
+        done = name_pos + name.len;
+      }
     }
     std::memcpy(out + pos_, bytes + done, rdata.len - done);
     pos_ += rdata.len - done;

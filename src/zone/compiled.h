@@ -16,11 +16,16 @@
 //   - per NS/MX/SRV RRset, the in-zone A/AAAA RRsets of its targets;
 //   - the NSEC owners in canonical order, searched for the covering NSEC.
 //
-// A zone must not change after ZoneSet::AddZone: the index is a snapshot.
+// All of it lives in one allocation of exactly its size: the arrays are
+// built in scratch vectors reused from zone to zone, then laid out back to
+// back. A zone must not change after ZoneSet::AddZone: the index is a
+// snapshot.
 #ifndef LDPLAYER_ZONE_COMPILED_H
 #define LDPLAYER_ZONE_COMPILED_H
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -34,29 +39,62 @@ namespace ldp::zone {
 
 class ZoneSet;
 
-// Open-addressed map from a case-folded wire name to a 32-bit value,
-// probed with the precomputed suffix hashes of a dns::WireNameView.
+// Open-addressed map from a case-folded wire name to a 32-bit value, over
+// slots its owner holds. A slot keeps the value and a 32-bit hash, not the
+// name: the owner's key_of(value) gives back the name the value was stored
+// under, so the table holds no copy of its keys. At most half the slots
+// are used, so every probe ends at an empty one.
 class WireNameTable {
  public:
   static constexpr uint32_t kMissing = UINT32_MAX;
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t value = kMissing;
+  };
 
-  // Keys are unique; inserting a present key is the caller's bug.
-  void Insert(const dns::WireNameView& name, uint32_t value);
-  // The value stored for the suffix of `name` starting at label i.
-  uint32_t Find(const dns::WireNameView& name, size_t i = 0) const;
+  // The slots that hold `keys` keys.
+  static size_t SlotCount(size_t keys) { return 2 * keys + 1; }
+  // Stores `value` under `name`, which `slots` does not hold; `slots` must
+  // have room (SlotCount).
+  static void Insert(std::span<Slot> slots, const dns::WireNameView& name,
+                     uint32_t value);
+  // Moves every value of `from` into `to`, which is empty and has room.
+  static void Rehash(std::span<const Slot> from, std::span<Slot> to);
+  // The value stored for the suffix of `name` starting at label i, or
+  // kMissing. key_of(value) returns the dns::WireNameView it was stored
+  // under.
+  template <typename KeyOf>
+  static uint32_t Find(std::span<const Slot> slots,
+                       const dns::WireNameView& name, size_t i,
+                       const KeyOf& key_of) {
+    if (slots.empty()) return kMissing;
+    const uint32_t hash = Hash(name.hashes[i]);
+    const size_t len = name.SuffixLength(i);
+    const uint8_t* folded = name.SuffixFolded(i);
+    for (size_t at = Bucket(hash, slots.size());;) {
+      const Slot& slot = slots[at];
+      if (slot.value == kMissing) return kMissing;
+      if (slot.hash == hash) {
+        const dns::WireNameView key = key_of(slot.value);
+        if (key.len == len && std::memcmp(key.folded, folded, len) == 0) {
+          return slot.value;
+        }
+      }
+      if (++at == slots.size()) at = 0;
+    }
+  }
 
  private:
-  struct Slot {
-    uint32_t hash = 0;  // low bits of the name's suffix hash
-    uint32_t key = 0;   // offset of the folded key in keys_
-    uint32_t value = kMissing;
-    uint32_t len = 0;
-  };
-  void Grow();
-
-  std::vector<Slot> slots_;
-  Bytes keys_;
-  size_t size_ = 0;
+  // The suffix hashes differ mostly in their low bits (FNV-1a's last
+  // multiply), and Bucket uses the high ones: multiply by 2^64 / phi to
+  // carry every bit up.
+  static uint32_t Hash(uint64_t suffix_hash) {
+    return static_cast<uint32_t>((suffix_hash * 0x9e3779b97f4a7c15ull) >> 32);
+  }
+  // Maps the hash onto [0, n) without a power-of-two size.
+  static size_t Bucket(uint32_t hash, size_t n) {
+    return static_cast<size_t>((static_cast<uint64_t>(hash) * n) >> 32);
+  }
 };
 
 class CompiledZone {
@@ -66,50 +104,103 @@ class CompiledZone {
   CompiledZone(const CompiledZone&) = delete;
   CompiledZone& operator=(const CompiledZone&) = delete;
 
-  const dns::WireNameView& origin() const { return names_[origin_]; }
+  dns::WireNameView origin() const { return NameAt(origin_); }
+
+  // The bytes this index holds, exactly: the object and its one block.
+  size_t MemoryFootprint() const { return sizeof(*this) + block_size_; }
 
  private:
   friend class WireAnswerer;
+  struct Builder;
 
+  // No such entry; also what FindNode returns for a missing name.
+  static constexpr uint32_t kNone = WireNameTable::kMissing;
+
+  // Where a name lives: `bytes` in name_bytes_ holds its wire form, then
+  // its folded form (unless the wire has no upper case and is its own),
+  // then its labels + 1 offsets; `hashes` in name_hashes_ its labels + 1
+  // suffix hashes.
+  struct NameLoc {
+    uint32_t bytes = 0;
+    uint32_t hashes = 0;
+    uint8_t len = 0;
+    uint8_t labels = 0;
+    uint8_t folded = 0;  // where the folded form starts: 0 (the wire) or len
+  };
+  // One record's rdata: `len` bytes of uncompressed wire form at `bytes` in
+  // rdata_bytes_, followed there by the n_names names a compressor writes
+  // (SOA has two), kNameRefSize bytes each: the name's offset inside the
+  // rdata (16 bits), then its index in names_ (32 bits). A record of more
+  // than 65535 octets fits no message, so its length saturates.
   struct Rdata {
-    uint32_t bytes = 0;  // offset in rdata_bytes_, uncompressed wire form
-    uint32_t len = 0;
-    uint8_t n_names = 0;        // compressible names inside (SOA has two)
-    uint16_t name_pos[2] = {};  // their offsets inside the rdata
-    uint32_t name[2] = {};      // their indices in names_
+    uint32_t bytes = 0;
+    uint16_t len = 0;
+    uint8_t n_names = 0;
   };
+  static constexpr size_t kNameRefSize = 6;
   struct RRset {
-    uint16_t type = 0;
-    uint32_t owner = 0;       // index in names_
-    uint8_t fixed[8] = {};    // TYPE, CLASS and TTL as written
-    uint32_t rdata_begin = 0, rdata_end = 0;  // range of rdatas_
-    uint32_t sigs = kNone;    // RRSIGs BuildResponse attaches to it
-    uint32_t cname_target = kNone;  // first rdata's target, for CNAMEs
-    uint32_t addr_begin = 0, addr_end = 0;  // range of addresses_
+    uint32_t owner = 0;        // index in names_
+    uint32_t rdata_begin = 0;  // its rdatas_ run to the next RRset's
+    uint32_t addr_begin = 0;   // its addresses_ run to the next RRset's
+    uint32_t sigs = kNone;     // RRSIGs BuildResponse attaches to it
+    uint8_t fixed[8] = {};     // TYPE, CLASS and TTL as written
+
+    uint16_t type() const {
+      return static_cast<uint16_t>((fixed[0] << 8) | fixed[1]);
+    }
   };
+  // Nodes from data_nodes_ on are empty non-terminals.
   struct Node {
-    uint32_t name = 0;     // index in names_
-    bool exists = false;   // false: an empty non-terminal
-    bool cut = false;      // NS below the apex
+    uint32_t name = 0;          // index in names_
+    uint32_t rrsets_begin = 0;  // its RRsets, in type order, run to the
+                                // next node's
+    uint32_t sigs_begin = 0;    // its sigs_by_type_ run to the next node's
+    uint32_t link = kNone;      // its entry in links_, if it has one
+  };
+  // What only some nodes have: cuts a referral, wildcard parents the link.
+  struct Link {
     uint32_t wildcard = kNone;  // node "*.<name>", when it exists
-    uint32_t rrsets_begin = 0, rrsets_end = 0;  // node_rrsets_, type order
-    uint32_t sigs_begin = 0, sigs_end = 0;      // sigs_by_type_
-    // Referral, for cuts.
-    uint32_t ns = kNone, ds = kNone;
+    uint32_t ns = kNone;        // a cut's NS RRset; kNone: not a cut
+    uint32_t ds = kNone;
     uint32_t glue_begin = 0, glue_end = 0;  // range of glue_
   };
   struct CoveredSigs {
     uint16_t type;
     uint32_t rrset;
   };
-  static constexpr uint32_t kNone = UINT32_MAX;
-  struct BuildState;
 
-  dns::WireNameView View(uint32_t name) const;  // while building
-  uint32_t InternName(const dns::Name& name);
-  uint32_t InternWire(std::span<const uint8_t> wire);
-  uint32_t AddRRset(const dns::RRset& rrset);
-
+  static dns::WireNameView View(const NameLoc& loc, const uint8_t* name_bytes,
+                                const uint64_t* name_hashes) {
+    dns::WireNameView view;
+    view.wire = name_bytes + loc.bytes;
+    view.folded = view.wire + loc.folded;
+    view.offsets = view.folded + loc.len;
+    view.hashes = name_hashes + loc.hashes;
+    view.len = loc.len;
+    view.labels = loc.labels;
+    return view;
+  }
+  dns::WireNameView NameAt(uint32_t name) const {
+    return View(names_[name], name_bytes_, name_hashes_);
+  }
+  dns::WireNameView OwnerOf(uint32_t rrset) const {
+    return NameAt(rrsets_[rrset].owner);
+  }
+  // The node of the suffix of `name` starting at label i, or kNone.
+  uint32_t FindNode(const dns::WireNameView& name, size_t i = 0) const {
+    return WireNameTable::Find(
+        node_slots_, name, i,
+        [this](uint32_t node) { return NameAt(nodes_[node].name); });
+  }
+  bool Exists(uint32_t node) const { return node < data_nodes_; }
+  bool IsCut(uint32_t node) const {
+    return nodes_[node].link != kNone && links_[nodes_[node].link].ns != kNone;
+  }
+  // The node "*.<name of node>", or kNone.
+  uint32_t WildcardOf(uint32_t node) const {
+    return nodes_[node].link == kNone ? kNone
+                                      : links_[nodes_[node].link].wildcard;
+  }
   // The RRset of `type` at node `node`, or kNone.
   uint32_t FindType(uint32_t node, uint16_t type) const;
   // The NSEC RRset at the greatest owner <= `name` in canonical order (the
@@ -117,26 +208,30 @@ class CompiledZone {
   uint32_t CoveringNsec(const dns::WireNameView& name) const;
   // The RRSIGs at node `node` covering `type`, or kNone.
   uint32_t CoveringSigs(uint32_t node, uint16_t type) const;
+  // A CNAME RRset's target: its first rdata's name, or kNone.
+  uint32_t CnameTarget(uint32_t rrset) const;
 
-  std::vector<dns::WireNameView> names_;
-  Bytes name_bytes_;  // per name: wire, folded, offsets
-  std::vector<uint64_t> name_hashes_;
+  // The block: every array below points into it.
+  std::unique_ptr<std::byte[]> block_;
+  size_t block_size_ = 0;
+  const NameLoc* names_ = nullptr;
+  const uint8_t* name_bytes_ = nullptr;
+  const uint64_t* name_hashes_ = nullptr;
+  const uint8_t* rdata_bytes_ = nullptr;
+  const Rdata* rdatas_ = nullptr;
+  const RRset* rrsets_ = nullptr;  // one past the last: the range ends
+  const Node* nodes_ = nullptr;    // likewise
+  const Link* links_ = nullptr;
+  const CoveredSigs* sigs_by_type_ = nullptr;
+  const uint32_t* addresses_ = nullptr;
+  const uint32_t* glue_ = nullptr;
+  std::span<const WireNameTable::Slot> node_slots_;  // name -> node
+  std::span<const uint32_t> nsec_rrsets_;  // owners in canonical order
 
-  Bytes rdata_bytes_;
-  std::vector<Rdata> rdatas_;
-  std::vector<RRset> rrsets_;
-  std::vector<Node> nodes_;
-  std::vector<uint32_t> node_rrsets_;
-  std::vector<CoveredSigs> sigs_by_type_;
-  std::vector<uint32_t> addresses_;
-  std::vector<uint32_t> glue_;
-  WireNameTable node_table_;
-
-  std::vector<uint32_t> nsec_rrsets_;  // NSEC RRsets, owners in canonical order
+  uint32_t data_nodes_ = 0;
   uint32_t origin_ = 0;
   uint32_t soa_ = kNone;
   uint32_t wildcard_nsec_ = kNone;  // the NSEC covering "*.<origin>"
-  BuildState* build_ = nullptr;  // set only inside the constructor
 };
 
 // Per-engine working memory for compiled answers. Not thread-safe: each
@@ -181,14 +276,10 @@ class WireAnswerer {
   dns::Rcode rcode_ = dns::Rcode::kNoError;
   dns::WireCompressor compressor_;
 
-  // The qname, indexed.
-  uint8_t qname_folded_[dns::kMaxNameWireLength];
-  uint8_t qname_offsets_[dns::kMaxWireLabels];
-  uint64_t qname_hashes_[dns::kMaxWireLabels];
-  dns::WireNameView qname_;
+  dns::IndexedWireName qname_;
 
   std::vector<uint32_t> answers_;  // RRsets in the answer section
-  std::vector<const dns::WireNameView*> visited_;
+  std::vector<dns::WireNameView> visited_;
   std::vector<uint32_t> added_addresses_;
 };
 

@@ -6,6 +6,7 @@
 #ifndef LDPLAYER_ZONE_VIEW_H
 #define LDPLAYER_ZONE_VIEW_H
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,7 +22,8 @@ namespace ldp::zone {
 // A set of zones served together; the deepest origin containing the qname
 // answers (longest-suffix match, like a server with several zone clauses).
 // Each zone is compiled (compiled.h) when added; copies of a set share the
-// compiled indexes.
+// compiled indexes. One index of folded origins serves both the compiled
+// and the reference lookups.
 class ZoneSet {
  public:
   // Adds and compiles `zone`, which must not change afterwards.
@@ -34,13 +36,27 @@ class ZoneSet {
   ZonePtr FindZone(const dns::Name& origin) const;
 
   size_t zone_count() const { return zones_.size(); }
+  // In the order the zones were added.
   std::vector<dns::Name> Origins() const;
+  // The source zones' estimated footprint plus their compiled indexes'.
   size_t TotalMemoryFootprint() const;
 
  private:
-  std::unordered_map<dns::Name, ZonePtr> zones_;  // keyed by origin
-  std::vector<std::shared_ptr<const CompiledZone>> compiled_;
-  WireNameTable compiled_by_origin_;  // folded origin -> compiled_ index
+  // The index of the zone whose origin is `name` (the suffix of it from
+  // label i on), or WireNameTable::kMissing.
+  uint32_t Find(const dns::WireNameView& name, size_t i = 0) const;
+  // The index of the zone with the longest origin at or above `name`, or
+  // WireNameTable::kMissing.
+  uint32_t FindBest(const dns::WireNameView& name) const;
+
+  // A zone and its compiled index, side by side in one vector.
+  struct Entry {
+    ZonePtr zone;
+    std::shared_ptr<const CompiledZone> compiled;
+  };
+  std::vector<Entry> zones_;
+  // Folded origin -> index in zones_.
+  std::vector<WireNameTable::Slot> compiled_by_origin_;
 };
 
 // BIND-style views with match-clients lists of explicit addresses. The

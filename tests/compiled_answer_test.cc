@@ -5,6 +5,7 @@
 // what the reference responses say they are.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <optional>
 #include <string>
@@ -369,6 +370,95 @@ TEST(CompiledAnswer, SplitHorizonWithoutDefaultView) {
     }
   }
   EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checks() << " checks";
+  EXPECT_GT(diff.refused(), 0u);
+  diff.ExpectCounters();
+}
+
+// Every owner name of `zone` and every empty non-terminal between an owner
+// and the origin.
+std::vector<dns::Name> OwnersAndEmptyNonTerminals(const zone::Zone& zone) {
+  std::vector<dns::Name> names;
+  zone.ForEachRRset([&](const dns::RRset& rrset) {
+    if (!names.empty() && names.back() == rrset.name) return;
+    names.push_back(rrset.name);
+  });
+  const size_t owners = names.size();
+  for (size_t i = 0; i < owners; ++i) {
+    for (auto up = names[i].Parent();
+         up.ok() && up->IsSubdomainOf(zone.origin()) && !(*up == zone.origin());
+         up = up->Parent()) {
+      if (!zone.HasNode(*up) &&
+          std::find(names.begin() + owners, names.end(), *up) == names.end()) {
+        names.push_back(*up);
+      }
+    }
+  }
+  return names;
+}
+
+// The benchmark's hierarchy shape (BuildHierarchy 20 x 27 x 4: 561 zones),
+// one view per zone and no default view, as its meta server holds them.
+// Every owner and empty non-terminal of every zone, and a missing name
+// below each, for every type present plus A, AAAA, NS, SOA, MX and DS, with
+// DO on and off, at UDP limits 512 and 4096, asked of the zone's own view;
+// and each once more of its parent zone's view (a referral) or, for the
+// root's names, of an address no view matches (REFUSED).
+TEST(CompiledAnswer, BenchHierarchyShapeSweep) {
+  workload::HierarchyConfig config;
+  config.n_tlds = 20;
+  config.n_slds_per_tld = 27;
+  config.n_hosts_per_sld = 4;
+  config.ns_per_zone = 2;
+  auto hierarchy = workload::BuildHierarchy(config);
+  const std::vector<zone::ZonePtr> zones = hierarchy.AllZones();
+  ASSERT_EQ(zones.size(), 561u);
+  zone::ViewTable views;
+  for (const auto& zone : zones) {
+    zone::ZoneSet set;
+    ASSERT_TRUE(set.AddZone(zone).ok());
+    ASSERT_TRUE(views
+                    .AddView(zone->origin().ToString(),
+                             hierarchy.nameservers.at(zone->origin()),
+                             std::move(set))
+                    .ok());
+  }
+  Differential diff(std::move(views));
+  const std::vector<dns::RRType> always = {
+      dns::RRType::kA,   dns::RRType::kAAAA, dns::RRType::kNS,
+      dns::RRType::kSOA, dns::RRType::kMX,   dns::RRType::kDS};
+  for (const auto& zone : zones) {
+    const IpAddress own = hierarchy.nameservers.at(zone->origin())[0];
+    const IpAddress other =
+        zone->origin().IsRoot()
+            ? IpAddress(10, 9, 9, 9)
+            : hierarchy.nameservers.at(*zone->origin().Parent())[0];
+    auto check = [&](const dns::Name& name,
+                     const std::vector<dns::RRType>& types) {
+      for (dns::RRType type : types) {
+        for (bool do_bit : {false, true}) {
+          for (size_t limit : {512, 4096}) {
+            diff.Check(name, type, Variant{4096, do_bit, false, limit}, own);
+          }
+        }
+        diff.Check(name, type, Variant{4096, true, false, 4096}, other);
+      }
+    };
+    for (const dns::Name& name : OwnersAndEmptyNonTerminals(*zone)) {
+      std::vector<dns::RRType> types = always;
+      for (const dns::RRset* rrset : zone->FindNode(name)) {
+        if (std::find(types.begin(), types.end(), rrset->type) ==
+            types.end()) {
+          types.push_back(rrset->type);
+        }
+      }
+      check(name, types);
+      if (auto missing = name.Child("zz-missing"); missing.ok()) {
+        check(*missing, always);
+      }
+    }
+  }
+  EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checks() << " checks";
+  EXPECT_GT(diff.nxdomain(), 0u);
   EXPECT_GT(diff.refused(), 0u);
   diff.ExpectCounters();
 }

@@ -266,6 +266,7 @@ TEST(ReplayAllocation, FinishDoesNotCopyTheOutcomes) {
     trace::QueryRecord& record = records[i];
     record.src = IpAddress(10, 0, 0, static_cast<uint8_t>(i % 250 + 1));
     record.qname = *dns::Name::Parse("host.example.com");
+    record.timestamp = static_cast<NanoTime>(i) * 1000;  // fast mode: unpaced
   }
 
   RealtimeConfig config;
@@ -304,10 +305,11 @@ TEST(ReplayAllocation, FinishDoesNotCopyTheOutcomes) {
               ratio);
   EXPECT_LT(ratio, 1.25);
 
-  // Every outcome is in trace order, whichever chunk holds it.
+  // Every outcome is in trace order, whichever chunk holds it: outcome i
+  // carries record i's trace time.
   size_t i = 0;
   for (const SendOutcome& send : report->sends) {
-    ASSERT_EQ(send.trace_index, i);
+    ASSERT_EQ(send.trace_time, records[i].timestamp);
     ASSERT_EQ(&send, &report->sends[i]);
     ++i;
   }

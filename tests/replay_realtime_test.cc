@@ -468,6 +468,34 @@ TEST_F(RealtimeReplayTest, ReportHelpersProduceSeries) {
   EXPECT_FALSE(report->RateErrors().empty());
 }
 
+// Counts outside CheckConfig's bounds are refused before any thread
+// starts: Start returns the error without touching the network, so none of
+// these values ever sizes a thread pool or a vector.
+TEST(ReplayPipelineConfig, StartRefusesCountsOutOfRange) {
+  std::vector<RealtimeConfig> refused(8);
+  refused[0].n_distributors = 0;
+  refused[1].n_distributors = 0x10000;
+  refused[2].n_distributors = SIZE_MAX;  // what --distributors -1 wrapped to
+  refused[3].queriers_per_distributor = 0;
+  refused[4].queriers_per_distributor = SIZE_MAX;
+  refused[5].max_retransmits = -1;
+  refused[6].tcp_max_reconnects = 0x10000;
+  refused[7].query_timeout = 0;
+  for (const RealtimeConfig& config : refused) {
+    EXPECT_EQ(CheckConfig(config).error().code(),
+              ErrorCode::kInvalidArgument);
+    auto pipeline = ReplayPipeline::Start(config, MonotonicNow(), 0);
+    ASSERT_FALSE(pipeline.ok());
+    EXPECT_EQ(pipeline.error().code(), ErrorCode::kInvalidArgument);
+  }
+  RealtimeConfig edge;
+  edge.n_distributors = 0xffff;
+  edge.queriers_per_distributor = 0xffff;
+  edge.max_retransmits = 0xffff;
+  edge.tcp_max_reconnects = 0;
+  EXPECT_TRUE(CheckConfig(edge).ok());
+}
+
 TEST(QueryIdAllocation, ProbesPastInflightAcrossTheWrap) {
   std::unordered_map<uint16_t, int> inflight;
   inflight[65535] = 1;

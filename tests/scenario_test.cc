@@ -114,9 +114,9 @@ TEST(AttackTraceTest, OverlayMergesByTimestampAndMasksAttack) {
 
 TEST(ScenarioTest, SplitOutcomesSeparatesClassesByMask) {
   replay::RealtimeReport report;
-  auto add = [&](uint64_t index, bool answered, NanoDuration latency) {
+  // Outcome i is trace record i.
+  auto add = [&](bool answered, NanoDuration latency) {
     replay::SendOutcome outcome;
-    outcome.trace_index = index;
     outcome.sent = Millis(10);
     if (answered) {
       outcome.replied = outcome.sent + latency;
@@ -126,10 +126,10 @@ TEST(ScenarioTest, SplitOutcomesSeparatesClassesByMask) {
     }
     report.sends.AppendChunk(1).front() = outcome;
   };
-  add(0, true, Millis(2));   // legit
-  add(1, true, Millis(4));   // attack
-  add(2, false, 0);          // legit, timed out
-  add(3, true, Millis(6));   // attack
+  add(true, Millis(2));   // 0: legit
+  add(true, Millis(4));   // 1: attack
+  add(false, 0);          // 2: legit, timed out
+  add(true, Millis(6));   // 3: attack
   std::vector<bool> mask = {false, true, false, true};
 
   auto split = scenario::SplitOutcomes(report, mask);

@@ -4,7 +4,9 @@
 //
 //   ldp_replay --trace t.bin --server 127.0.0.1:5353
 //   ldp_replay --trace t.bin --server 127.0.0.1:5353 --fast --distributors 4
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/flags.h"
 #include "common/strings.h"
@@ -258,6 +260,37 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The counts are checked before the trace loads. A negative count stays
+  // out of range (it wraps past 65535 as a size_t) for CheckConfig to
+  // refuse; none wraps into range.
+  replay::RealtimeConfig config;
+  config.server = *server;
+  config.query_timeout = query_timeout;
+  auto distributors = flags.GetInt("distributors", 2);
+  auto queriers = flags.GetInt("queriers", 3);
+  auto retransmits = flags.GetInt("retransmits", 0);
+  auto reconnects = flags.GetInt("tcp-reconnects", 3);
+  for (const auto* count : {&distributors, &queriers, &retransmits,
+                            &reconnects}) {
+    if (!count->ok()) {
+      std::fprintf(stderr, "%s\n", count->error().ToString().c_str());
+      return 2;
+    }
+  }
+  auto to_int = [](int64_t value) {
+    return static_cast<int>(std::clamp<int64_t>(
+        value, std::numeric_limits<int>::min(),
+        std::numeric_limits<int>::max()));
+  };
+  config.n_distributors = static_cast<size_t>(*distributors);
+  config.queriers_per_distributor = static_cast<size_t>(*queriers);
+  config.max_retransmits = to_int(*retransmits);
+  config.tcp_max_reconnects = to_int(*reconnects);
+  if (Status checked = replay::CheckConfig(config); !checked.ok()) {
+    std::fprintf(stderr, "%s\n", checked.error().message().c_str());
+    return 2;
+  }
+
   std::string path = flags.GetString("trace", "");
   Result<std::vector<trace::QueryRecord>> records =
       trace::ReadTraceFile(path);
@@ -284,8 +317,6 @@ int main(int argc, char** argv) {
     for (auto& record : *records) record.protocol = trace::Protocol::kTls;
   }
 
-  replay::RealtimeConfig config;
-  config.server = *server;
   if (follow_dst) {
     config.follow_trace_dst = true;
     config.dst_port_override = static_cast<uint16_t>(
@@ -301,18 +332,9 @@ int main(int argc, char** argv) {
     }
     config.local_addr = *local;
   }
-  config.n_distributors = static_cast<size_t>(
-      flags.GetInt("distributors", 2).value_or(2));
-  config.queriers_per_distributor =
-      static_cast<size_t>(flags.GetInt("queriers", 3).value_or(3));
   config.fast_mode = flags.GetBool("fast", false);
-  config.query_timeout = query_timeout;
-  config.max_retransmits =
-      static_cast<int>(flags.GetInt("retransmits", 0).value_or(0));
   config.tcp_idle_timeout =
       Millis(flags.GetInt("tcp-idle-timeout-ms", 0).value_or(0));
-  config.tcp_max_reconnects =
-      static_cast<int>(flags.GetInt("tcp-reconnects", 3).value_or(3));
   config.tls_port =
       static_cast<uint16_t>(flags.GetInt("tls-port", 0).value_or(0));
   auto datapath = tools::ParseDatapathFlags(flags);

@@ -14,6 +14,7 @@
 #include "common/flags.h"
 #include "trace/text.h"
 #include "workload/hierarchy.h"
+#include "zone/compiled.h"
 #include "zone/dnssec.h"
 #include "zone/lookup.h"
 #include "zone/manifest.h"
@@ -54,8 +55,14 @@ int Info(const zone::Zone& zone) {
   bool signed_zone =
       zone.FindRRset(zone.origin(), dns::RRType::kDNSKEY) != nullptr;
   std::printf("dnssec:        %s\n", signed_zone ? "signed" : "unsigned");
-  std::printf("est. memory:   %.1f KB\n",
-              static_cast<double>(zone.MemoryFootprint()) / 1024.0);
+  const zone::CompiledZone compiled(zone);
+  std::printf("est. memory:   %.1f KB (zone %.1f KB est. + compiled index "
+              "%.1f KB)\n",
+              static_cast<double>(zone.MemoryFootprint() +
+                                  compiled.MemoryFootprint()) /
+                  1024.0,
+              static_cast<double>(zone.MemoryFootprint()) / 1024.0,
+              static_cast<double>(compiled.MemoryFootprint()) / 1024.0);
   const dns::RRset* soa = zone.Soa();
   if (soa != nullptr && !soa->rdatas.empty()) {
     std::printf("soa serial:    %u\n",
