@@ -80,9 +80,13 @@ if ./build/tools/ldp_replay_trace --trace "$SMOKE/trace.txt" \
   cat "$SMOKE/no_timeout.out"
   exit 1
 fi
-# Counts outside [1, 65535] exit 2 before the trace is read (the missing
-# trace file would exit 1) and before any replay thread starts.
-for counts in "--distributors -1" "--queriers 65536"; do
+# Counts outside [1, 65535], integer flags that do not parse, ports
+# outside [0, 65535] and a negative idle timeout exit 2 before the trace is
+# read (the missing trace file would exit 1) and before any replay thread
+# starts.
+for counts in "--distributors -1" "--queriers 65536" "--timeout-ms abc" \
+              "--follow-dst --dst-port 70000" "--tls-port x" \
+              "--tcp-idle-timeout-ms -1"; do
   # shellcheck disable=SC2086
   if ./build/tools/ldp_replay_trace --trace "$SMOKE/no-such-trace" \
        --server "127.0.0.1:$PORT" $counts > "$SMOKE/counts.out" 2>&1; then
@@ -407,7 +411,7 @@ else
   echo "tls smoke: skipped ($(cat "$SMOKE/tls_probe.out"))"
 fi
 
-echo "== docs: EXPERIMENTS.md command lines match tool --help, Fig 9 matches its JSON =="
+echo "== docs: EXPERIMENTS.md command lines match tool --help, Figs 6 and 9 match their JSON =="
 python3 - <<'EOF'
 import re, subprocess, sys
 
@@ -462,11 +466,27 @@ for where, quoted in (("summary row", cell), ("Figure 9 section", section)):
     if stale:
         failures.append("EXPERIMENTS.md Fig 9 %s quotes %s, not in "
                         "BENCH_fig9.json" % (where, ", ".join(sorted(stale))))
+# Fig 6: the summary row's measured cell quotes the largest |p25| and
+# |p75| across the six traces ("p25 within ±X ms", rounded to 0.001 ms),
+# with the host CPU count they were measured on.
+fig6 = json.load(open("BENCH_fig6.json"))
+traces = ("broot", "syn0", "syn1", "syn2", "syn3", "syn4")
+row = next((l for l in text.splitlines() if l.startswith("| Fig 6 ")), "")
+cell = row.split("|")[3] if row.count("|") > 3 else ""
+for q in ("p25", "p75"):
+    worst = "%s within ±%.3f ms" % (
+        q, max(abs(fig6["%s_%s_ms" % (t, q)]) for t in traces))
+    if worst not in cell:
+        failures.append("EXPERIMENTS.md Fig 6 summary row does not quote "
+                        "'%s' (BENCH_fig6.json)" % worst)
+if "%d host CPU" % fig6["host_cpus"] not in cell:
+    failures.append("EXPERIMENTS.md Fig 6 summary row does not say '%d "
+                    "host CPU'" % fig6["host_cpus"])
 if failures:
     print("\n".join(failures))
     sys.exit(1)
-print("docs: %d tool invocations checked against --help; Fig 9 rates match "
-      "BENCH_fig9.json" % len(known))
+print("docs: %d tool invocations checked against --help; Fig 6 quartiles "
+      "and Fig 9 rates match their JSON" % len(known))
 EOF
 
 echo "== fuzz: ASan harnesses, corpus replay + bounded runs =="

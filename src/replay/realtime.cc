@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -40,6 +41,7 @@ using TransportLedger = stats::Ledger<kTransportLedger>;
 struct QuerierMetrics {
   stats::LogHistogram* latency = nullptr;    // send→answer, ns
   stats::LogHistogram* send_lateness = nullptr;  // sent − scheduled, ns
+  stats::LogHistogram* send_early = nullptr;     // scheduled − sent, ns
   stats::Gauge* inflight = nullptr;          // non-terminal tracked queries
   stats::LogHistogram* tls_handshake = nullptr;    // client handshake, ns
 };
@@ -302,12 +304,15 @@ class Querier {
     if (on_idle_ && idle()) on_idle_();
   }
 
-  // Fig 6's timing error, live: actual minus scheduled send time. Fast
-  // mode has no schedule to be late against.
+  // Fig 6's timing error, live: actual minus scheduled send time. A send
+  // that the coalescing window took early counts 0 in the lateness
+  // histogram and its lead in the early one. Fast mode has no schedule.
   void RecordLateness(const SendOutcome& outcome) {
     if (metrics_.send_lateness == nullptr || config_.fast_mode) return;
-    metrics_.send_lateness->Record(static_cast<uint64_t>(
-        std::max<NanoDuration>(0, outcome.sent - outcome.trace_time)));
+    const NanoDuration late = outcome.sent - outcome.trace_time;
+    metrics_.send_lateness->Record(
+        static_cast<uint64_t>(std::max<NanoDuration>(0, late)));
+    if (late < 0) metrics_.send_early->Record(static_cast<uint64_t>(-late));
   }
 
   // --- timeouts ---
@@ -853,8 +858,8 @@ class Querier {
 
 // Timed replay's send timing (DESIGN.md, "Replay send timing"). The
 // distributor thread's timer slack: the kernel may fire a wake-up this
-// much after its deadline, so sends due within it of each other share one
-// wake-up and one sendmmsg.
+// much after its deadline. The window a send pass reaches ahead,
+// kSendWindow, is in realtime.h.
 constexpr unsigned long kSendTimerSlackNs = 20'000;
 // While the next send is due within this horizon the querier sockets are
 // disarmed and read right after each send instead of waking the loop.
@@ -870,7 +875,8 @@ constexpr NanoDuration kPreWake = Micros(500);
 // A distributor thread: event loop + sticky querier assignment + the
 // ΔT scheduler. Timed replay keeps one trace-ordered send queue and one
 // loop timer armed for its head: a query with rebased trace time t leaves
-// at epoch_mono + t, or at once if that has passed.
+// at epoch_mono + t, or at once if that has passed, or up to kSendWindow
+// early with the send pass before it.
 class Distributor {
  public:
   // Registers the distributor's transport cells in `metrics`.
@@ -924,6 +930,7 @@ class Distributor {
         qm.latency = config_.metrics->AddHistogram("replay.latency_ns");
         qm.send_lateness =
             config_.metrics->AddHistogram("replay.send_lateness_ns");
+        qm.send_early = config_.metrics->AddHistogram("replay.send_early_ns");
         qm.inflight = config_.metrics->AddGauge("replay.inflight");
         qm.tls_handshake =
             config_.metrics->AddHistogram("replay.tls_handshake_ns");
@@ -988,18 +995,29 @@ class Distributor {
     send_queue_.insert(at, std::move(job));
   }
 
-  // Sends every queued query that is due, one sendmmsg per querier; reads
-  // the replies waiting on disarmed sockets; then re-arms the timer for
-  // the new head and decides whether the sockets stay disarmed. `now` is
-  // the caller's fresh monotonic clock read; the queries sent on it share
-  // it as their send stamp and timeout start, and the clock is read again
-  // only when the head is not yet due by it.
+  // Sends every queued query that is due, and with them each next query
+  // due within kSendWindow of both `now` and the query sent before it, one
+  // sendmmsg per querier; reads the replies waiting on disarmed sockets;
+  // then re-arms the timer for the new head and decides whether the
+  // sockets stay disarmed. A pass thus starts only at a due query, and a
+  // query more than the window behind its predecessor waits for its own
+  // timer even after a late pass. `now` is the caller's fresh monotonic
+  // clock read; the queries sent on it share it as their send stamp and
+  // timeout start, and the clock is read again only when the head is not
+  // in the pass by it.
   void SendDue(NanoTime now) {
+    // Due time of the query this pass sent last (none yet: only due ones).
+    NanoTime last_due = std::numeric_limits<NanoTime>::min();
+    auto in_pass = [&](NanoTime due) {
+      return due <= now || due - kSendWindow <= std::min(now, last_due);
+    };
     while (!send_queue_.empty()) {
-      if (DueAt(send_queue_.front()) > now) {
+      const NanoTime due = DueAt(send_queue_.front());
+      if (!in_pass(due)) {
         now = MonotonicNow();  // sending took time: more may be due now
-        if (DueAt(send_queue_.front()) > now) break;
+        if (!in_pass(due)) break;
       }
+      last_due = due;
       QueryJob job = send_queue_.pop_front();
       Dispatch(assigner_.Assign(job.record.src), job, now);
     }
@@ -1018,6 +1036,8 @@ class Distributor {
     ArmSendTimer(now);
   }
 
+  // The timer is armed for the head's own due time, not the start of its
+  // window, so the window never makes a query late.
   void ArmSendTimer(NanoTime now) {
     if (send_queue_.empty()) {
       send_timer_.Cancel();

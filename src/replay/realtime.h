@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/result.h"
 #include "net/datapath.h"
 #include "replay/inflight.h"
@@ -276,6 +277,15 @@ inline constexpr auto kTransportLedger = std::to_array<
     {"replay.tls_resumptions", &RealtimeReport::tls_resumptions},
     {"replay.tls_aborts", &RealtimeReport::tls_aborts},
 });
+
+// Timed replay's send-coalescing window (DESIGN.md, "Replay send timing").
+// A send pass starts at a due query and also sends each next query due
+// within this long of both the pass's clock read and the query before it,
+// so dense queries share one wake-up and one sendmmsg. The send timer
+// stays armed for the head's due time: no query leaves late because of
+// the window, none leaves more than kSendWindow early, and a query more
+// than kSendWindow behind its predecessor is never early.
+inline constexpr NanoDuration kSendWindow = Micros(50);
 
 // Whether `config` can start a replay: distributors and queriers per
 // distributor in [1, 65535], retransmits and TCP reconnects in [0, 65535]

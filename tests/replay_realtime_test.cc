@@ -783,6 +783,66 @@ TEST_F(RealtimeReplayTest, OutOfOrderFeedStillSendsInTraceOrder) {
   }
 }
 
+// At 10 us gaps a send pass takes along the queries due within
+// kSendWindow: no query leaves more than the window early, and the queries
+// of one pass share its send stamp, so there are far fewer distinct stamps
+// than sends. The live ledger records each early send's lead, bounded by
+// the window too.
+TEST_F(RealtimeReplayTest, DenseSendsSharePassesWithinTheWindow) {
+  auto records = MakeTrace(3000, Micros(10));
+  stats::MetricsRegistry metrics;
+  RealtimeConfig config = MakeConfig();
+  config.n_distributors = 1;
+  config.metrics = &metrics;
+  auto report = RunRealtimeReplay(records, config);
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, 3000u);
+  ExpectTerminalAccounting(*report);
+
+  std::vector<NanoTime> stamps;
+  size_t early = 0;
+  for (size_t i = 0; i < report->sends.size(); ++i) {
+    const SendOutcome& send = report->sends[i];
+    if (send.state == SendOutcome::State::kSendFailed) continue;
+    EXPECT_GE(send.sent, send.trace_time - kSendWindow) << "query " << i;
+    if (send.sent < send.trace_time) ++early;
+    stamps.push_back(send.sent);
+  }
+  std::sort(stamps.begin(), stamps.end());
+  const size_t distinct = static_cast<size_t>(
+      std::unique(stamps.begin(), stamps.end()) - stamps.begin());
+  EXPECT_LT(distinct * 10, report->queries_sent * 6)
+      << distinct << " distinct stamps for " << report->queries_sent
+      << " sends";
+
+  const stats::MetricsSnapshot snapshot = metrics.Snapshot();
+  const auto* lead = snapshot.Histogram("replay.send_early_ns");
+  ASSERT_NE(lead, nullptr);
+  EXPECT_EQ(lead->count, early);
+  EXPECT_LE(lead->max, static_cast<uint64_t>(kSendWindow));
+  // A distributor slowed down (TSan) may stay behind the whole trace and
+  // send nothing early; on time, the window's followers leave early.
+  if (!kUnderTsan) {
+    EXPECT_GT(early, 0u);
+  }
+}
+
+// At 1 ms gaps each pass holds only its head, which its timer sends no
+// earlier than its trace time: the window never moves a sparse query, not
+// even after a pass the host made late.
+TEST_F(RealtimeReplayTest, SparseSendsAreNeverEarly) {
+  auto records = MakeTrace(300, Millis(1));
+  auto report = RunRealtimeReplay(records, MakeConfig());
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, 300u);
+  ExpectTerminalAccounting(*report);
+  for (size_t i = 0; i < report->sends.size(); ++i) {
+    const SendOutcome& send = report->sends[i];
+    if (send.state == SendOutcome::State::kSendFailed) continue;
+    EXPECT_GE(send.sent, send.trace_time) << "query " << i;
+  }
+}
+
 // On a dense replay the querier sockets are read after each send, not
 // when replies arrive. The reply time is the kernel's receive stamp: never
 // before the query left, and taken while the responder was still inside

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 
 #include "common/flags.h"
 #include "common/strings.h"
@@ -39,8 +40,8 @@ constexpr const char* kUsage =
                         (default 127.0.0.1); distinct 127.x.y.z values per
                         replay process give each client group its own
                         source prefix — what a proxy catchment map routes on
-  --timeout-ms N        age out inflight queries after N ms; must be
-                        > 0 (2000)
+  --timeout-ms N        age out inflight queries after N ms, in
+                        [1, 86400000] (2000)
   --retransmits N       UDP retransmits before timing out, with
                         exponential backoff (0)
   --tcp-idle-timeout-ms N  close idle TCP connections after N ms (0 = keep)
@@ -67,6 +68,10 @@ Distributed replay (paper §2.6 controller/agent split):
   --chunk N             trace records per wire chunk (512)
   --window N            un-acked chunk credit per agent (8)
 Trace format by extension (.txt/.bin).)";
+
+// Upper bound of --timeout-ms and --tcp-idle-timeout-ms (one day): a
+// timeout backed off by every retransmit level still fits in NanoDuration.
+constexpr int64_t kMaxTimeoutMs = 86'400'000;
 
 // The outcome lines after the sent/answered summary, local and merged
 // distributed alike.
@@ -247,12 +252,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const NanoDuration query_timeout =
-      Millis(flags.GetInt("timeout-ms", 2000).value_or(2000));
-  if (query_timeout <= 0) {
-    std::fprintf(stderr, "--timeout-ms must be > 0\n");
-    return 2;
-  }
+  // Integer flags are read before the trace loads: a value that does not
+  // parse or lies outside its range exits 2 by flag name.
+  auto int_flag = [&flags](const char* key, int64_t fallback, int64_t low,
+                           int64_t high) -> std::optional<int64_t> {
+    auto value = flags.GetInt(key, fallback);
+    if (!value.ok()) {
+      std::fprintf(stderr, "%s\n", value.error().ToString().c_str());
+      return std::nullopt;
+    }
+    if (*value < low || *value > high) {
+      std::fprintf(stderr, "--%s must be in [%lld, %lld]\n", key,
+                   static_cast<long long>(low), static_cast<long long>(high));
+      return std::nullopt;
+    }
+    return *value;
+  };
+  const auto timeout_ms = int_flag("timeout-ms", 2000, 1, kMaxTimeoutMs);
+  const auto idle_ms =
+      int_flag("tcp-idle-timeout-ms", 0, 0, kMaxTimeoutMs);
+  const auto dst_port = int_flag("dst-port", 0, 0, 0xffff);
+  const auto tls_port = int_flag("tls-port", 0, 0, 0xffff);
+  if (!timeout_ms || !idle_ms || !dst_port || !tls_port) return 2;
 
   auto server = Endpoint::Parse(flags.GetString("server", ""));
   if (!server.ok()) {
@@ -265,7 +286,7 @@ int main(int argc, char** argv) {
   // refuse; none wraps into range.
   replay::RealtimeConfig config;
   config.server = *server;
-  config.query_timeout = query_timeout;
+  config.query_timeout = Millis(*timeout_ms);
   auto distributors = flags.GetInt("distributors", 2);
   auto queriers = flags.GetInt("queriers", 3);
   auto retransmits = flags.GetInt("retransmits", 0);
@@ -319,8 +340,7 @@ int main(int argc, char** argv) {
 
   if (follow_dst) {
     config.follow_trace_dst = true;
-    config.dst_port_override = static_cast<uint16_t>(
-        flags.GetInt("dst-port", 0).value_or(0));
+    config.dst_port_override = static_cast<uint16_t>(*dst_port);
     config.loopback_alias_dst = flags.GetBool("loopback-dst", false);
   }
   if (flags.Has("local-addr")) {
@@ -333,10 +353,8 @@ int main(int argc, char** argv) {
     config.local_addr = *local;
   }
   config.fast_mode = flags.GetBool("fast", false);
-  config.tcp_idle_timeout =
-      Millis(flags.GetInt("tcp-idle-timeout-ms", 0).value_or(0));
-  config.tls_port =
-      static_cast<uint16_t>(flags.GetInt("tls-port", 0).value_or(0));
+  config.tcp_idle_timeout = Millis(*idle_ms);
+  config.tls_port = static_cast<uint16_t>(*tls_port);
   auto datapath = tools::ParseDatapathFlags(flags);
   if (!datapath.ok()) {
     std::fprintf(stderr, "%s\n", datapath.error().ToString().c_str());
