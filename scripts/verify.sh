@@ -14,8 +14,9 @@
 # names, with the name oracle) and zone building, signing, transfer and
 # reconstruction (RRsets move within a name's type-sorted vector on an
 # add, so a pointer kept across one reads freed memory) and the
-# distributed replay's frame decoders and agent lifecycle under
-# AddressSanitizer (-DLDP_SANITIZE=address).
+# distributed replay's frame decoders and agent lifecycle, and the proxy
+# flow churn of the scenario pack (relay sockets closed from the tick),
+# under AddressSanitizer (-DLDP_SANITIZE=address).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips both sanitizer stages
 set -eu
@@ -81,12 +82,14 @@ if ./build/tools/ldp_replay_trace --trace "$SMOKE/trace.txt" \
   exit 1
 fi
 # Counts outside [1, 65535], integer flags that do not parse, ports
-# outside [0, 65535] and a negative idle timeout exit 2 before the trace is
-# read (the missing trace file would exit 1) and before any replay thread
-# starts.
+# outside [0, 65535], a negative idle timeout and out-of-range distributed
+# replay settings exit 2 before the trace is read (the missing trace file
+# would exit 1), before any replay thread starts and before any agent is
+# spawned.
 for counts in "--distributors -1" "--queriers 65536" "--timeout-ms abc" \
               "--follow-dst --dst-port 70000" "--tls-port x" \
-              "--tcp-idle-timeout-ms -1"; do
+              "--tcp-idle-timeout-ms -1" "--agents abc" "--chunk 0" \
+              "--window -1" "--metrics-interval-ms x"; do
   # shellcheck disable=SC2086
   if ./build/tools/ldp_replay_trace --trace "$SMOKE/no-such-trace" \
        --server "127.0.0.1:$PORT" $counts > "$SMOKE/counts.out" 2>&1; then
@@ -138,6 +141,24 @@ META_PORT=$(sed -n 's/.*serving on [0-9.]*:\([0-9]*\).*/\1/p' \
   "$SMOKE/hier_serve.out")
 [ -n "$META_PORT" ] || { echo "hierarchy smoke: meta server never came up"
   cat "$SMOKE/hier_serve.out"; exit 1; }
+# A flow flag that does not parse or lies out of range exits 2 by name
+# before any socket is bound (the timeout ends a proxy that would relay).
+for bad in "--flow-idle-timeout-s 0" "--flow-linger-ms abc"; do
+  flag=${bad%% *}
+  # shellcheck disable=SC2086
+  if timeout 10 ./build/tools/ldp_proxy --meta "127.0.0.1:$META_PORT" \
+       --views "$SMOKE/hier/views.txt" --loopback-alias $bad \
+       > "$SMOKE/bad_flow.out" 2>&1; then
+    status=0
+  else
+    status=$?
+  fi
+  if [ "$status" -ne 2 ] || ! grep -q -- "$flag" "$SMOKE/bad_flow.out"; then
+    echo "hierarchy smoke: ldp_proxy $bad exited $status, not 2 by name"
+    cat "$SMOKE/bad_flow.out"
+    exit 1
+  fi
+done
 ./build/tools/ldp_proxy --meta "127.0.0.1:$META_PORT" \
   --views "$SMOKE/hier/views.txt" --loopback-alias \
   --metrics-out "$SMOKE/hier_proxy.jsonl" \
@@ -529,15 +550,15 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, compiled-zone block, distrib =="
+echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, compiled-zone block, distrib, proxy flow churn =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
   tls_test sharded_server_test compiled_answer_test compiled_memory_test \
   dns_name_test name_oracle_test trace_test zone_test dns_message_test \
   proxy_relay_test metrics_test server_test \
-  workload_test zoneconstruct_test axfr_test distrib_test
+  workload_test zoneconstruct_test axfr_test distrib_test scenario_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|compiled_memory_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test|distrib_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|compiled_memory_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test|distrib_test|scenario_test'
 
 echo "verify: OK"

@@ -54,6 +54,18 @@ Result<int64_t> Flags::GetInt(const std::string& key, int64_t fallback) const {
   return *value;
 }
 
+Result<int64_t> Flags::GetIntInRange(const std::string& key,
+                                     int64_t fallback, int64_t low,
+                                     int64_t high) const {
+  LDP_ASSIGN_OR_RETURN(int64_t value, GetInt(key, fallback));
+  if (value < low || value > high) {
+    return Error(ErrorCode::kOutOfRange, "--" + key + " must be in [" +
+                                             std::to_string(low) + ", " +
+                                             std::to_string(high) + "]");
+  }
+  return value;
+}
+
 Result<double> Flags::GetDouble(const std::string& key,
                                 double fallback) const {
   auto it = values_.find(key);

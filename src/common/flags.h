@@ -27,6 +27,10 @@ class Flags {
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
   Result<int64_t> GetInt(const std::string& key, int64_t fallback) const;
+  // GetInt, then an error naming the flag unless low <= value <= high
+  // (the fallback, for an absent flag, must lie in range too).
+  Result<int64_t> GetIntInRange(const std::string& key, int64_t fallback,
+                                int64_t low, int64_t high) const;
   Result<double> GetDouble(const std::string& key, double fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 

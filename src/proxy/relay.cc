@@ -14,7 +14,6 @@
 #include "net/datapath.h"
 #include "net/event_loop.h"
 #include "net/sockets.h"
-#include "replay/timing.h"
 
 namespace ldp::proxy {
 namespace {
@@ -41,8 +40,7 @@ constexpr size_t kDnsHeaderBytes = 12;
 
 NanoDuration RelayTickFor(const RelayConfig& config) {
   NanoDuration shortest =
-      std::min(config.flow_idle_timeout > 0 ? config.flow_idle_timeout
-                                            : Seconds(30),
+      std::min(config.flow_idle_timeout,
                config.flow_linger > 0 ? config.flow_linger : Seconds(1));
   return std::clamp<NanoDuration>(shortest / 8, Millis(1), Millis(250));
 }
@@ -50,7 +48,7 @@ NanoDuration RelayTickFor(const RelayConfig& config) {
 }  // namespace
 
 // One worker shard: event loop, its SO_REUSEPORT wildcard ingress path,
-// and a private flow table + wheel + registry cells. Everything except the
+// and a private flow table + registry cells. Everything except the
 // cells is loop-thread-only after Start.
 struct HierarchyProxy::Shard {
   explicit Shard(stats::MetricsRegistry& metrics)
@@ -64,9 +62,8 @@ struct HierarchyProxy::Shard {
     std::unique_ptr<net::UdpSocket> sock;
     bool draining = false;
     size_t site = 0;  // catchment assignment, fixed for the flow's life
-    // Last query or reply; the wheel re-files an active flow whose idle
-    // deadline moved on since its entry was filed.
-    NanoTime last_active = 0;
+    NanoTime last_active = 0;  // last query or reply while active
+    NanoTime drained_at = 0;   // when it left the LRU for draining
     std::list<uint64_t>::iterator lru_it;
   };
 
@@ -113,11 +110,10 @@ struct HierarchyProxy::Shard {
   std::unordered_map<uint64_t, Flow> flows;  // by id (draining included)
   std::unordered_map<FlowKey, uint64_t, FlowKeyHash> flows_by_key;
   std::list<uint64_t> lru;  // front = coldest active flow
+  std::deque<uint64_t> draining;  // front = first to close
   uint64_t next_flow_id = 1;
-  replay::TimerWheel wheel{Millis(8), 512};
   NanoDuration tick_interval = Millis(8);
   bool tick_armed = false;
-  std::vector<uint64_t> expired;
 
   // Reply staging, reused across batches (SocketDnsServer idiom).
   std::vector<net::DatagramPath::SendItem> reply_items;
@@ -169,8 +165,11 @@ struct HierarchyProxy::Shard {
 
   // --- flow table ---
 
-  // The wheel is left alone: OnTick checks last_active when the flow's one
-  // entry comes due.
+  // Every stamp of last_active (here and in FlowFor) is a monotonic read
+  // on this shard's thread, and the stamped flow moves to the hot end. So
+  // the LRU is sorted by last_active, and since every flow shares
+  // flow_idle_timeout, its cold end is the next flow to go idle: OnTick
+  // expires from the front and stops at the first flow not yet due.
   void Touch(Flow& flow, NanoTime now) {
     lru.splice(lru.end(), lru, flow.lru_it);  // move to hottest position
     flow.last_active = now;
@@ -178,9 +177,13 @@ struct HierarchyProxy::Shard {
 
   // Active -> draining: unreachable by key, excluded from the LRU, socket
   // kept open for flow_linger so late replies are counted, not invisible.
+  // Flows enter draining in time order and share flow_linger, so the
+  // draining FIFO is sorted by drain deadline too.
   template <uint64_t RelayStats::*kReason>
   void MoveToDraining(Flow& flow, NanoTime now) {
     flow.draining = true;
+    flow.drained_at = now;
+    draining.push_back(flow.id);
     lru.erase(flow.lru_it);
     flow_table->Add(-1);
     auto by_key = flows_by_key.find(flow.key);
@@ -188,8 +191,6 @@ struct HierarchyProxy::Shard {
       flows_by_key.erase(by_key);
     }
     ledger.Add<kReason>();
-    wheel.Schedule(flow.id, now + config.flow_linger);
-    ArmTick();
   }
 
   Flow* FlowFor(Endpoint client, IpAddress oqda, NanoTime now) {
@@ -237,34 +238,30 @@ struct HierarchyProxy::Shard {
     flows_by_key.emplace(key, id);
     ledger.Add<&RelayStats::flows_created>();
     flow_table->Add(1);
-    wheel.Schedule(id, now + config.flow_idle_timeout);
     ArmTick();
     return &emplaced.first->second;
   }
 
+  // The tick runs while either order holds a flow.
   void ArmTick() {
-    if (tick_armed || wheel.empty()) return;
+    if (tick_armed || (lru.empty() && draining.empty())) return;
     tick_armed = true;
     loop->ScheduleAfter(tick_interval, [this]() { OnTick(); });
   }
 
   void OnTick() {
     tick_armed = false;
-    expired.clear();
     const NanoTime now = MonotonicNow();
-    wheel.Advance(now, expired);
-    for (uint64_t id : expired) {
-      auto it = flows.find(id);
-      if (it == flows.end()) continue;
-      Flow& flow = it->second;
-      const NanoTime idle_at = flow.last_active + config.flow_idle_timeout;
-      if (flow.draining) {
-        flows.erase(it);  // linger over: the relay socket closes here
-      } else if (idle_at > now) {
-        wheel.Schedule(id, idle_at);  // touched since it was filed
-      } else {
-        MoveToDraining<&RelayStats::flows_expired>(flow, now);
-      }
+    while (!lru.empty()) {
+      Flow& flow = flows.at(lru.front());
+      if (flow.last_active + config.flow_idle_timeout > now) break;
+      MoveToDraining<&RelayStats::flows_expired>(flow, now);
+    }
+    while (!draining.empty()) {
+      auto it = flows.find(draining.front());
+      if (it->second.drained_at + config.flow_linger > now) break;
+      flows.erase(it);  // linger over: the relay socket closes here
+      draining.pop_front();
     }
     ArmTick();
   }
@@ -604,6 +601,16 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
       config.meta_server.port == 0) {
     return Error(ErrorCode::kInvalidArgument, "meta server endpoint unset");
   }
+  // Both expiry orders rely on these: the LRU on one positive idle
+  // timeout, the draining FIFO on one linger.
+  if (config.flow_idle_timeout <= 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "flow_idle_timeout must be positive");
+  }
+  if (config.flow_linger < 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "flow_linger must not be negative");
+  }
   if (!config.sites.empty() &&
       config.catchment.default_site() >= config.sites.size()) {
     return Error(ErrorCode::kOutOfRange,
@@ -620,7 +627,6 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
     shard->config = config;
     shard->config.n_shards = n_shards;
     shard->tick_interval = RelayTickFor(config);
-    shard->wheel = replay::TimerWheel(shard->tick_interval, 512);
     LDP_ASSIGN_OR_RETURN(shard->loop, net::EventLoop::Create());
     for (const SiteSpec& site : config.sites) {
       const std::string prefix = "proxy.site." + site.name;

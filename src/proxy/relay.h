@@ -22,9 +22,11 @@
 //     address it queried.
 //
 // Flows — one per (client endpoint, OQDA) pair — live in a NAT-style
-// bounded table: LRU-evicted at capacity, idle-expired on a timer wheel.
-// Evicted/expired flows linger briefly in a draining state so a late meta
-// reply is counted (proxy.evicted_drops) instead of silently vanishing.
+// bounded table kept in two orders. Active flows sit in an LRU list, which
+// is also their idle order: the cold end is evicted at capacity and
+// expires first. Evicted/expired flows linger briefly in a draining FIFO
+// so a late meta reply is counted (proxy.evicted_drops) instead of
+// silently vanishing; the FIFO's front is the next relay socket to close.
 //
 // TCP is spliced: the proxy accepts on the same wildcard address and port,
 // dials the meta server from the address the client dialed, and re-frames
@@ -33,8 +35,8 @@
 // unanswered frames, carrying the rewrite across reconnects.
 //
 // Sharding mirrors ShardedDnsServer: n_shards worker threads, each with
-// its own EventLoop, SO_REUSEPORT wildcard ingress path, flow table, wheel,
-// and metric instances (merged by name at snapshot). TCP stays on shard 0.
+// its own EventLoop, SO_REUSEPORT wildcard ingress path, flow table and
+// metric instances (merged by name at snapshot). TCP stays on shard 0.
 //
 // Anycast emulation (catchment.h): when `sites` is configured, each flow
 // is pinned to a site by catchment lookup on the client address, UDP
@@ -86,7 +88,8 @@ struct RelayConfig {
   net::DatapathKind datapath = net::DatapathKind::kEpoll;
   net::AfPacketOptions afpacket;  // used when datapath == kAfPacket
 
-  // Flow table bounds (per shard).
+  // Flow table bounds (per shard). Start refuses a flow_idle_timeout <= 0
+  // or a negative flow_linger.
   size_t flow_capacity = 4096;
   NanoDuration flow_idle_timeout = Seconds(30);
   // Draining window after eviction/expiry during which late replies are

@@ -1136,24 +1136,10 @@ std::span<SendOutcome> SendOutcomes::AppendChunk(size_t n) {
 
 std::vector<double> RealtimeReport::TimingErrorsMs(size_t skip_first) const {
   std::vector<double> errors;
-  // Baseline: the first query that actually reached the wire anchors both
-  // clocks. (Anchoring on a never-sent record would fold its bogus zero
-  // send time into every error.)
-  const SendOutcome* first = nullptr;
-  for (const auto& send : sends) {
-    if (send.reached_wire()) {
-      first = &send;
-      break;
-    }
-  }
-  if (first == nullptr) return errors;
-  for (size_t i = 0; i < sends.size(); ++i) {
-    if (i < skip_first) continue;
+  for (size_t i = skip_first; i < sends.size(); ++i) {
     const auto& send = sends[i];
     if (!send.reached_wire()) continue;  // no replay time to compare
-    double replay_offset = ToMillis(send.sent - first->sent);
-    double trace_offset = ToMillis(send.trace_time - first->trace_time);
-    errors.push_back(replay_offset - trace_offset);
+    errors.push_back(ToMillis(send.sent - send.trace_time));
   }
   return errors;
 }

@@ -247,10 +247,10 @@ struct RealtimeReport {
   uint64_t tls_aborts = 0;       // handshakes that failed before completing
   NanoDuration wall_duration = 0;
 
-  // Absolute-timing error (paper Fig 6): replayed (sent − first_sent)
-  // minus original (trace − first_trace), in milliseconds, per query.
-  // Only queries that reached the wire participate: the anchor is the
-  // first sent query, and unsent/send-failed records are skipped.
+  // Absolute-timing error (paper Fig 6): each query's sent − trace_time,
+  // in milliseconds, both relative to the replay's schedule (the quantity
+  // replay.send_lateness_ns records). Only queries that reached the wire
+  // participate; the first `skip_first` records are left out.
   std::vector<double> TimingErrorsMs(size_t skip_first = 0) const;
   // Inter-arrival gaps of the replayed stream, seconds (Fig 7). Unsent
   // records are excluded.

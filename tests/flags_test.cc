@@ -58,6 +58,23 @@ TEST(Flags, TypedGettersValidate) {
   EXPECT_EQ(flags.GetInt("missing", 42).value(), 42);
 }
 
+TEST(Flags, IntInRangeNamesTheFlag) {
+  Flags flags = ParseArgs(
+      {"--in=7", "--low=0", "--high=11", "--bad=7x", "--edge=10"});
+  EXPECT_EQ(flags.GetIntInRange("in", 5, 1, 10).value(), 7);
+  EXPECT_EQ(flags.GetIntInRange("edge", 5, 1, 10).value(), 10);
+  EXPECT_EQ(flags.GetIntInRange("absent", 5, 1, 10).value(), 5);
+  for (const char* key : {"low", "high", "bad"}) {
+    auto value = flags.GetIntInRange(key, 5, 1, 10);
+    ASSERT_FALSE(value.ok()) << key;
+    EXPECT_NE(value.error().message().find(std::string("--") + key),
+              std::string::npos)
+        << value.error().ToString();
+  }
+  EXPECT_EQ(flags.GetIntInRange("low", 5, 1, 10).error().message(),
+            "--low must be in [1, 10]");
+}
+
 TEST(Flags, RequireKnownCatchesTypos) {
   Flags flags = ParseArgs({"--rate=5", "--typo=1"});
   EXPECT_TRUE(flags.RequireKnown({"rate", "typo"}).ok());

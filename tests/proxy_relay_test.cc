@@ -2,8 +2,9 @@
 // relay must deliver the paper's §2.4 contract — the meta server sees the
 // OQDA as source (its split-horizon view selector) with the client's port
 // preserved, and the reply returns from the address the client queried.
-// Plus the NAT-table bounds: LRU eviction under pressure, idle expiry on
-// the wheel, and late replies for drained flows dropped-and-counted; and
+// Plus the NAT-table bounds: LRU eviction under pressure, idle expiry from
+// the LRU's cold end, late replies for drained flows dropped-and-counted
+// and relay sockets closed once the linger has passed; and
 // the single wildcard listener's edges: traffic to local addresses it does
 // not emulate, datagrams to a relay socket from anyone but the meta
 // server, and a service port another socket already holds.
@@ -439,7 +440,7 @@ TEST(HierarchyProxyTest, LruEvictionDropsAndCountsLateReplies) {
   (*relay)->Stop();
 }
 
-TEST(HierarchyProxyTest, IdleFlowsExpireOnTheWheel) {
+TEST(HierarchyProxyTest, IdleFlowsExpire) {
   ManualMeta meta;
 
   RelayConfig config;
@@ -464,9 +465,9 @@ TEST(HierarchyProxyTest, IdleFlowsExpireOnTheWheel) {
   (*relay)->Stop();
 }
 
-// A flow that keeps talking outlives its idle timeout: the wheel entry
-// filed at creation comes due, sees the flow was touched since, and files
-// it again instead of expiring it.
+// A flow that keeps talking outlives its idle timeout: every query moves
+// it to the LRU's hot end, so the tick never finds it at the cold end
+// with its idle timeout passed.
 TEST(HierarchyProxyTest, ActiveFlowOutlivesItsIdleTimeout) {
   ManualMeta meta;
 
@@ -494,6 +495,128 @@ TEST(HierarchyProxyTest, ActiveFlowOutlivesItsIdleTimeout) {
     return (*relay)->TotalStats().flows_expired >= 1;
   })) << "the flow never expired once it went quiet";
   (*relay)->Stop();
+}
+
+// Idle expiry pops the LRU's cold end and stops at the first flow not yet
+// due: a quiet flow behind a busy one goes, the busy one stays.
+TEST(HierarchyProxyTest, ColdFlowExpiresBesideAHotOne) {
+  ManualMeta meta;
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  config.flow_idle_timeout = Millis(100);
+  config.flow_linger = Seconds(5);  // keep the drained socket observable
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+  const Endpoint service{kNsA, (*relay)->port()};
+
+  UdpClient quiet;
+  quiet.SendTo(service, MakeQueryWire("quiet.a.test", 1));
+  auto quiet_seen = meta.Read();
+  ASSERT_TRUE(quiet_seen.has_value()) << "quiet query never relayed";
+
+  UdpClient busy;
+  for (uint16_t i = 0; i < 20; ++i) {  // ~400 ms, four idle timeouts
+    busy.SendTo(service, MakeQueryWire("busy.a.test", i));
+    auto seen = meta.Read();
+    ASSERT_TRUE(seen.has_value()) << "query " << i;
+    meta.ReplyTo(*seen);
+    EXPECT_FALSE(busy.Recv(nullptr, 5000).empty()) << "reply " << i;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().flows_expired >= 1;
+  })) << "the quiet flow never expired";
+  RelayStats stats = (*relay)->TotalStats();
+  EXPECT_EQ(stats.flows_created, 2u);
+  EXPECT_EQ(stats.flows_expired, 1u);
+  EXPECT_EQ(stats.active_flows, 1);
+
+  // The drained flow is the quiet one: its late reply is dropped and
+  // counted, while the busy flow still answers.
+  meta.ReplyTo(*quiet_seen);
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().evicted_drops >= 1;
+  })) << "the quiet flow was not the drained one";
+  EXPECT_TRUE(quiet.Recv(nullptr, 200).empty());
+  busy.SendTo(service, MakeQueryWire("busy.a.test", 99));
+  auto last = meta.Read();
+  ASSERT_TRUE(last.has_value());
+  meta.ReplyTo(*last);
+  EXPECT_FALSE(busy.Recv(nullptr, 5000).empty());
+  EXPECT_EQ((*relay)->TotalStats().active_flows, 1);
+  (*relay)->Stop();
+}
+
+// A drained flow's relay socket closes once its linger has passed, which
+// frees its (OQDA, client port) for a port-preserving bind again.
+TEST(HierarchyProxyTest, DrainedFlowReleasesItsPortAfterLinger) {
+  ManualMeta meta;
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  config.flow_capacity = 1;
+  config.flow_linger = Millis(100);
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+  const Endpoint service{kNsA, (*relay)->port()};
+
+  UdpClient a;
+  UdpClient b;
+  a.SendTo(service, MakeQueryWire("a1.a.test", 1));
+  ASSERT_TRUE(meta.Read().has_value());
+  b.SendTo(service, MakeQueryWire("b1.a.test", 2));  // evicts a's flow
+  ASSERT_TRUE(meta.Read().has_value());
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().flows_evicted >= 1;
+  }));
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  a.SendTo(service, MakeQueryWire("a2.a.test", 3));
+  auto again = meta.Read();
+  ASSERT_TRUE(again.has_value()) << "a's second query never relayed";
+  EXPECT_EQ(again->from.addr, kNsA);
+  EXPECT_EQ(again->from.port, a.port());
+  const RelayStats stats = (*relay)->TotalStats();
+  EXPECT_EQ(stats.flows_created, 3u);
+  EXPECT_EQ(stats.port_fallbacks, 0u);
+  (*relay)->Stop();
+}
+
+// Both expiry orders rely on one positive idle timeout and one
+// non-negative linger, so Start refuses anything else by field name.
+TEST(HierarchyProxyTest, StartRefusesNonPositiveIdleTimeoutOrNegativeLinger) {
+  ManualMeta meta;
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  config.splice_tcp = false;
+
+  for (NanoDuration idle : {NanoDuration{0}, Millis(-1)}) {
+    RelayConfig bad = config;
+    bad.flow_idle_timeout = idle;
+    auto relay = HierarchyProxy::Start(bad);
+    ASSERT_FALSE(relay.ok()) << "idle timeout " << idle;
+    EXPECT_EQ(relay.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(relay.error().message().find("flow_idle_timeout"),
+              std::string::npos);
+  }
+  RelayConfig bad = config;
+  bad.flow_linger = Millis(-1);
+  auto refused = HierarchyProxy::Start(bad);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(refused.error().message().find("flow_linger"), std::string::npos);
+
+  RelayConfig no_linger = config;
+  no_linger.flow_linger = 0;
+  auto started = HierarchyProxy::Start(no_linger);
+  ASSERT_TRUE(started.ok()) << started.error().ToString();
+  (*started)->Stop();
 }
 
 // Relay sockets are connected to the meta server: a datagram from anyone

@@ -468,6 +468,25 @@ TEST_F(RealtimeReplayTest, ReportHelpersProduceSeries) {
   EXPECT_FALSE(report->RateErrors().empty());
 }
 
+// Fig 6's error is each query's own lateness, sent − trace_time, on the
+// replay's schedule: a first query that left late moves only its own
+// error, not every other query's.
+TEST(RealtimeReport, TimingErrorsMeasureEachQueryAgainstItsSchedule) {
+  RealtimeReport report;
+  std::span<SendOutcome> outcomes = report.sends.AppendChunk(5);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    outcomes[i].trace_time = static_cast<NanoTime>(i) * Millis(10);
+    outcomes[i].sent = outcomes[i].trace_time;
+    outcomes[i].state = SendOutcome::State::kAnswered;
+  }
+  outcomes[0].sent += Millis(5);  // the first query left 5 ms late
+  outcomes[3].state = SendOutcome::State::kSendFailed;  // never sent
+
+  EXPECT_EQ(report.TimingErrorsMs(), (std::vector<double>{5, 0, 0, 0}));
+  EXPECT_EQ(report.TimingErrorsMs(/*skip_first=*/1),
+            (std::vector<double>{0, 0, 0}));
+}
+
 // Counts outside CheckConfig's bounds are refused before any thread
 // starts: Start returns the error without touching the network, so none of
 // these values ever sizes a thread pool or a vector.

@@ -298,7 +298,7 @@ TEST(CatchmentTest, ProxyAttributesQueriesToSitesAndInjectsRtt) {
   EXPECT_FALSE(near_client.Recv().empty());
 
   // Far client: catchment routes 127.62/16 to the 40 ms site; the reply
-  // is held on the proxy's wheel, so it cannot arrive sooner.
+  // is held on a proxy loop timer, so it cannot arrive sooner.
   BoundClient far_client(IpAddress(127, 62, 0, 9));
   auto t0 = std::chrono::steady_clock::now();
   far_client.SendTo(service, QueryWire("y.a.test"));

@@ -35,8 +35,10 @@ constexpr const char* kUsage =
                            resolved port is printed)
   --threads N              relay shards, SO_REUSEPORT (1)
   --flow-capacity N        flow-table entries per shard before LRU (4096)
-  --flow-idle-timeout-s N  expire idle flows after N seconds (30)
-  --flow-linger-ms N       draining window for late replies, ms (1000)
+  --flow-idle-timeout-s N  expire idle flows after N seconds, in
+                           [1, 86400] (30)
+  --flow-linger-ms N       draining window for late replies, ms, in
+                           [0, 86400000] (1000)
   --no-tcp                 UDP only (no TCP splice)
   --sites NAME:RTT,...     emulate anycast sites (e.g. lax:0,ams:80); each
                            site delays UDP replies by RTT ms and counts its
@@ -48,9 +50,11 @@ constexpr const char* kUsage =
                            (default) or an afpacket ring
   --afpacket-if IFACE      interface for afpacket rings (lo)
   --afpacket-peer-mac MAC  afpacket fallback destination MAC
-  --stats-interval-s N     print relay stats every N seconds (10; 0=off)
+  --stats-interval-s N     print relay stats every N seconds, in [0, 86400]
+                           (10; 0=off)
   --metrics-out FILE       append JSONL metric snapshots to FILE
-  --metrics-interval-ms N  snapshot cadence in milliseconds (1000)
+  --metrics-interval-ms N  snapshot cadence in milliseconds, in
+                           [1, 86400000] (1000)
 Relays until interrupted.)";
 
 net::EventLoop* g_loop = nullptr;
@@ -138,6 +142,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", kUsage);
     return 2;
   }
+  // Read before any socket is bound: a value that does not parse or lies
+  // outside its range exits 2 by flag name.
+  const auto idle_timeout_s =
+      flags.GetIntInRange("flow-idle-timeout-s", 30, 1, 86'400);
+  const auto linger_ms =
+      flags.GetIntInRange("flow-linger-ms", 1000, 0, 86'400'000);
+  const auto metrics_interval_ms =
+      flags.GetIntInRange("metrics-interval-ms", 1000, 1, 86'400'000);
+  const auto stats_interval_s =
+      flags.GetIntInRange("stats-interval-s", 10, 0, 86'400);
+  for (const auto* value : {&idle_timeout_s, &linger_ms,
+                            &metrics_interval_ms, &stats_interval_s}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
+  }
   auto datapath = tools::ParseDatapathFlags(flags);
   if (!datapath.ok()) {
     std::fprintf(stderr, "%s\n", datapath.error().ToString().c_str());
@@ -157,14 +178,11 @@ int main(int argc, char** argv) {
   // snapshot after Stop() reads them.
   stats::MetricsRegistry metrics;
   std::string metrics_out = flags.GetString("metrics-out", "");
-  int64_t metrics_interval_ms =
-      flags.GetInt("metrics-interval-ms", 1000).value_or(1000);
   std::unique_ptr<stats::MetricsSnapshotter> snapshotter;
   if (!metrics_out.empty()) {
     stats::MetricsSnapshotter::Options opts;
     opts.path = metrics_out;
-    opts.interval = Millis(metrics_interval_ms > 0 ? metrics_interval_ms
-                                                   : 1000);
+    opts.interval = Millis(*metrics_interval_ms);
     snapshotter = std::make_unique<stats::MetricsSnapshotter>(metrics, opts);
     if (auto s = snapshotter->Open(); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.error().ToString().c_str());
@@ -179,10 +197,8 @@ int main(int argc, char** argv) {
   config.n_shards = static_cast<size_t>(*threads);
   config.udp_recv_buffer_bytes = static_cast<int>(*rcvbuf);
   config.flow_capacity = static_cast<size_t>(*flow_capacity);
-  config.flow_idle_timeout =
-      Seconds(flags.GetInt("flow-idle-timeout-s", 30).value_or(30));
-  config.flow_linger =
-      Millis(flags.GetInt("flow-linger-ms", 1000).value_or(1000));
+  config.flow_idle_timeout = Seconds(*idle_timeout_s);
+  config.flow_linger = Millis(*linger_ms);
   config.splice_tcp = !flags.GetBool("no-tcp", false);
   if (flags.Has("sites")) {
     auto sites = proxy::ParseSiteSpecs(flags.GetString("sites", ""));
@@ -232,8 +248,7 @@ int main(int argc, char** argv) {
   // out even when stdout is a pipe.
   std::fflush(stdout);
 
-  int64_t stats_interval =
-      flags.GetInt("stats-interval-s", 10).value_or(10);
+  const int64_t stats_interval = *stats_interval_s;
   std::function<void()> print_stats = [&]() {
     proxy::RelayStats stats = (*relay)->TotalStats();
     std::printf("queries=%llu responses=%llu rewritten=%llu flows=%lld "

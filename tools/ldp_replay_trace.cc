@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <optional>
 
 #include "common/flags.h"
 #include "common/strings.h"
@@ -57,20 +56,22 @@ constexpr const char* kUsage =
   --afpacket-peer-mac MAC  afpacket fallback destination MAC
   --metrics-out FILE    append JSONL metric snapshots to FILE during replay
                         (distributed: the merged all-agents stream)
-  --metrics-interval-ms N  snapshot cadence in milliseconds (1000)
+  --metrics-interval-ms N  snapshot cadence in milliseconds, in
+                        [1, 86400000] (1000)
 Distributed replay (paper §2.6 controller/agent split):
-  --agents N            spawn N local ldp_replay_agent processes and run
-                        the replay through them
+  --agents N            spawn N local ldp_replay_agent processes, in
+                        [0, 256], and run the replay through them
   --connect LIST        comma-separated IP:PORT list of already-running
                         agents (multi-host; overrides --agents)
   --agent-bin PATH      agent binary for --agents (default: the
                         ldp_replay_agent next to this executable)
-  --chunk N             trace records per wire chunk (512)
-  --window N            un-acked chunk credit per agent (8)
+  --chunk N             trace records per wire chunk, in [1, 1048576] (512)
+  --window N            un-acked chunk credit per agent, in [1, 65535] (8)
 Trace format by extension (.txt/.bin).)";
 
-// Upper bound of --timeout-ms and --tcp-idle-timeout-ms (one day): a
-// timeout backed off by every retransmit level still fits in NanoDuration.
+// Upper bound of --timeout-ms, --tcp-idle-timeout-ms and
+// --metrics-interval-ms (one day): a timeout backed off by every
+// retransmit level still fits in NanoDuration.
 constexpr int64_t kMaxTimeoutMs = 86'400'000;
 
 // The outcome lines after the sent/answered summary, local and merged
@@ -95,22 +96,17 @@ void PrintOutcomes(const replay::RealtimeReport& report) {
   }
 }
 
+// `options` arrives with its chunk, credit window and stats interval set
+// from the checked flags.
 int RunDistributed(const Flags& flags,
                    const std::vector<trace::QueryRecord>& records,
                    const replay::RealtimeConfig& config, Endpoint server,
-                   const std::string& metrics_out) {
-  distrib::ControllerOptions options;
+                   const std::string& metrics_out,
+                   distrib::ControllerOptions options, size_t n_agents) {
   options.config = config;
   options.config.metrics = nullptr;
   options.config.snapshotter = nullptr;
-  options.chunk_records =
-      static_cast<uint32_t>(flags.GetInt("chunk", 512).value_or(512));
-  options.credit_window =
-      static_cast<uint32_t>(flags.GetInt("window", 8).value_or(8));
   options.metrics_path = metrics_out;
-  int64_t interval_ms =
-      flags.GetInt("metrics-interval-ms", 1000).value_or(1000);
-  options.stats_interval = Millis(interval_ms > 0 ? interval_ms : 1000);
 
   std::vector<distrib::AgentProcess> spawned;
   std::string connect = flags.GetString("connect", "");
@@ -125,10 +121,9 @@ int RunDistributed(const Flags& flags,
       options.agents.push_back(*endpoint);
     }
   } else {
-    size_t n = static_cast<size_t>(flags.GetInt("agents", 0).value_or(0));
     std::string binary = flags.GetString("agent-bin", "");
     if (binary.empty()) binary = distrib::SiblingBinary("ldp_replay_agent");
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < n_agents; ++i) {
       distrib::SpawnOptions spawn_options;
       if (!metrics_out.empty()) {
         // Per-agent snapshot files next to the merged stream, e.g.
@@ -254,26 +249,26 @@ int main(int argc, char** argv) {
 
   // Integer flags are read before the trace loads: a value that does not
   // parse or lies outside its range exits 2 by flag name.
-  auto int_flag = [&flags](const char* key, int64_t fallback, int64_t low,
-                           int64_t high) -> std::optional<int64_t> {
-    auto value = flags.GetInt(key, fallback);
-    if (!value.ok()) {
-      std::fprintf(stderr, "%s\n", value.error().ToString().c_str());
-      return std::nullopt;
-    }
-    if (*value < low || *value > high) {
-      std::fprintf(stderr, "--%s must be in [%lld, %lld]\n", key,
-                   static_cast<long long>(low), static_cast<long long>(high));
-      return std::nullopt;
-    }
-    return *value;
-  };
-  const auto timeout_ms = int_flag("timeout-ms", 2000, 1, kMaxTimeoutMs);
+  const auto timeout_ms =
+      flags.GetIntInRange("timeout-ms", 2000, 1, kMaxTimeoutMs);
   const auto idle_ms =
-      int_flag("tcp-idle-timeout-ms", 0, 0, kMaxTimeoutMs);
-  const auto dst_port = int_flag("dst-port", 0, 0, 0xffff);
-  const auto tls_port = int_flag("tls-port", 0, 0, 0xffff);
-  if (!timeout_ms || !idle_ms || !dst_port || !tls_port) return 2;
+      flags.GetIntInRange("tcp-idle-timeout-ms", 0, 0, kMaxTimeoutMs);
+  const auto dst_port = flags.GetIntInRange("dst-port", 0, 0, 0xffff);
+  const auto tls_port = flags.GetIntInRange("tls-port", 0, 0, 0xffff);
+  const auto metrics_interval_ms =
+      flags.GetIntInRange("metrics-interval-ms", 1000, 1, kMaxTimeoutMs);
+  const auto agents = flags.GetIntInRange("agents", 0, 0, 256);
+  const auto chunk =
+      flags.GetIntInRange("chunk", 512, 1, distrib::kMaxChunkRecords);
+  const auto window = flags.GetIntInRange("window", 8, 1, 65535);
+  for (const auto* value : {&timeout_ms, &idle_ms, &dst_port, &tls_port,
+                            &metrics_interval_ms, &agents, &chunk,
+                            &window}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
+  }
 
   auto server = Endpoint::Parse(flags.GetString("server", ""));
   if (!server.ok()) {
@@ -364,9 +359,13 @@ int main(int argc, char** argv) {
   config.afpacket = datapath->afpacket;
 
   std::string metrics_out = flags.GetString("metrics-out", "");
-  if (flags.GetInt("agents", 0).value_or(0) > 0 ||
-      !flags.GetString("connect", "").empty()) {
-    return RunDistributed(flags, *records, config, *server, metrics_out);
+  if (*agents > 0 || !flags.GetString("connect", "").empty()) {
+    distrib::ControllerOptions options;
+    options.chunk_records = static_cast<uint32_t>(*chunk);
+    options.credit_window = static_cast<uint32_t>(*window);
+    options.stats_interval = Millis(*metrics_interval_ms);
+    return RunDistributed(flags, *records, config, *server, metrics_out,
+                          std::move(options), static_cast<size_t>(*agents));
   }
 
   // Live metrics: rows stream to --metrics-out during the replay, and the
@@ -377,9 +376,7 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty()) {
     stats::MetricsSnapshotter::Options opts;
     opts.path = metrics_out;
-    int64_t interval_ms =
-        flags.GetInt("metrics-interval-ms", 1000).value_or(1000);
-    opts.interval = Millis(interval_ms > 0 ? interval_ms : 1000);
+    opts.interval = Millis(*metrics_interval_ms);
     opts.keep_history = true;  // for the reconciliation check below
     snapshotter = std::make_unique<stats::MetricsSnapshotter>(metrics, opts);
     if (auto s = snapshotter->Open(); !s.ok()) {
