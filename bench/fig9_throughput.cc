@@ -6,22 +6,19 @@
 // bottlenecked on the query generator's single core; twice the normal
 // B-Root rate.
 //
-// Four phases: "before" replays against a 1-shard server with per-datagram
-// syscalls (the original path), "after" uses 4 SO_REUSEPORT shards, the
-// wire-level response cache, and batched sendmmsg/recvmmsg on both sides,
-// "after+metrics" reruns the fast path with the live-metrics layer
-// enabled — the per-window rate table comes from its JSONL snapshots, and
-// the rate delta vs the plain fast path is the metrics overhead (budget:
-// within 3%) — and "afpacket" reruns the fast path over AF_PACKET mmap
-// rings on both sides (skipped with the probe's reason on hosts without
-// CAP_NET_RAW). All rates land in BENCH_fig9.json.
+// Three phases: "before" replays against a 1-shard server with
+// per-datagram syscalls (the original path), "after" uses 4 SO_REUSEPORT
+// shards, the wire-level response cache, and batched sendmmsg/recvmmsg on
+// both sides, and "after+metrics" reruns the fast path with the
+// live-metrics layer enabled — the per-window rate table comes from its
+// JSONL snapshots, and the rate delta vs the plain fast path is the
+// metrics overhead (budget: within 3%). All rates land in BENCH_fig9.json.
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "bench/bench_util.h"
 #include "bench/realtime_util.h"
-#include "net/datapath.h"
 #include "stats/metrics.h"
 #include "workload/traces.h"
 
@@ -69,11 +66,6 @@ std::optional<PhaseResult> RunPhase(
   config.batch_udp = batch_udp;
   config.n_distributors = 1;
   config.queriers_per_distributor = 6;
-  // Queriers ride the same transport as the server: mixed epoll/afpacket
-  // loopback runs need route_localnet (DESIGN.md §12), so the comparison
-  // keeps both sides on one backend.
-  config.datapath = server_options.datapath;
-  config.afpacket = server_options.afpacket;
   config.metrics = metrics;
   config.snapshotter = snapshotter;
 
@@ -233,23 +225,6 @@ int main() {
                true, &table, &registry, &snapshotter);
   if (!with_metrics) return 1;
 
-  // Phase 4 — the fast path over the AF_PACKET datapath on both sides:
-  // mmap'd rings, userspace frame assembly, PACKET_FANOUT across the
-  // server shards. Detect-and-skip on hosts without CAP_NET_RAW or ring
-  // support, recording the probe's reason instead of failing.
-  std::optional<PhaseResult> afpacket;
-  std::string afpacket_skipped;
-  if (auto probe = net::ProbeAfPacket({}); !probe.ok()) {
-    afpacket_skipped = probe.error().ToString();
-    std::printf("afpacket phase skipped: %s\n", afpacket_skipped.c_str());
-  } else {
-    bench::LoopbackOptions ring = fast;
-    ring.datapath = net::DatapathKind::kAfPacket;
-    afpacket = RunPhase("afpacket (4 fanout rings, cache, ring tx)",
-                        records, ring, true, nullptr);
-    if (!afpacket) return 1;
-  }
-
   std::printf("\nper-window send rate of the fast path (from "
               "BENCH_fig9_metrics.jsonl snapshots):\n%s\n",
               table.Render().c_str());
@@ -288,25 +263,6 @@ int main() {
               "sharded server answers what the seed server dropped)\n");
 
   const uint64_t host_cpus = std::thread::hardware_concurrency();
-  if (afpacket) {
-    double ring_speedup =
-        after->served_rate_qps > 0
-            ? afpacket->served_rate_qps / after->served_rate_qps
-            : 0.0;
-    std::printf("afpacket datapath: %.1fk q/s served vs %.1fk q/s epoll "
-                "fast path = %.2fx on %llu cpu%s\n",
-                afpacket->served_rate_qps / 1000.0,
-                after->served_rate_qps / 1000.0, ring_speedup,
-                static_cast<unsigned long long>(host_cpus),
-                host_cpus == 1 ? "" : "s");
-    if (host_cpus < 4) {
-      std::printf("(ring and generator share %llu core%s here — the paper's "
-                  "target rates need dedicated cores per fanout ring)\n",
-                  static_cast<unsigned long long>(host_cpus),
-                  host_cpus == 1 ? "" : "s");
-    }
-  }
-
   bench::BenchJson json;
   json.Set("figure", std::string("fig9"));
   json.Set("queries", static_cast<uint64_t>(kQueries));
@@ -341,22 +297,6 @@ int main() {
            static_cast<uint64_t>(snapshotter.rows_written()));
   json.Set("after_window_rates_qps", with_metrics->window_rates);
   json.Set("host_cpus", host_cpus);
-  if (afpacket) {
-    json.Set("afpacket_send_rate_qps", afpacket->rate_qps);
-    json.Set("afpacket_send_window_rate_qps",
-             afpacket->send_window_rate_qps);
-    json.Set("afpacket_served_rate_qps", afpacket->served_rate_qps);
-    json.Set("afpacket_served_queries", afpacket->server_stats.queries);
-    json.Set("afpacket_answered", afpacket->answered);
-    json.Set("afpacket_timed_out", afpacket->timed_out);
-    json.Set("afpacket_send_failed", afpacket->send_failed);
-    json.Set("afpacket_vs_epoll_served_speedup",
-             after->served_rate_qps > 0
-                 ? afpacket->served_rate_qps / after->served_rate_qps
-                 : 0.0);
-  } else {
-    json.Set("skipped", afpacket_skipped);
-  }
   json.WriteTo("BENCH_fig9.json");
   return 0;
 }

@@ -19,10 +19,6 @@ struct LoopbackOptions {
   size_t n_shards = 1;
   size_t response_cache_entries = 0;  // per shard; 0 = off
   int udp_recv_buffer_bytes = 0;      // per shard; 0 = kernel default
-  // Transport under the server shards: epoll kernel sockets (default) or
-  // AF_PACKET rings (needs CAP_NET_RAW — probe with net::ProbeAfPacket).
-  net::DatapathKind datapath = net::DatapathKind::kEpoll;
-  net::AfPacketOptions afpacket;
   // Stream-lane knobs for the mass-connection benches (figs 13-15):
   // serve DoT (requires OpenSSL — probe net::TlsAvailable()), idle-close
   // timeout (0 = never), and the per-shard connection cap (0 = unbounded).
@@ -57,8 +53,6 @@ class LoopbackServer {
     config.n_shards = options.n_shards;
     config.engine.response_cache_entries = options.response_cache_entries;
     config.udp_recv_buffer_bytes = options.udp_recv_buffer_bytes;
-    config.datapath = options.datapath;
-    config.afpacket = options.afpacket;
     config.serve_tls = options.serve_tls;
     config.tcp_idle_timeout = options.tcp_idle_timeout;
     config.max_tcp_connections = options.max_tcp_connections;

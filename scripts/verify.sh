@@ -336,58 +336,67 @@ assert sent == 2000, "folded sent %d != 2000" % sent
 print("distrib smoke: 2 agents, 2000 sent, 2000 answered, fold agrees")
 EOF
 
-echo "== datapath smoke: serve+replay through each backend =="
+echo "== datapath smoke: serve+replay over the UDP socket path =="
 # Paced replay (not --fast) with a retransmit budget, like the other
 # smokes: the zero-loss assertion must measure the datapath, not a 1-core
-# burst overflowing buffers. Both sides ride the same backend — mixed
-# epoll/afpacket over loopback needs route_localnet (DESIGN.md §12).
-datapath_smoke() {
-  DP="$1"
-  ./build/tools/ldp_serve --listen 127.0.0.1:0 --stats-interval-s 0 \
-    --datapath "$DP" "$SMOKE/zone.db" > "$SMOKE/dp_serve.$DP.out" 2>&1 &
-  SERVE_PID=$!
-  i=0
-  while [ "$i" -lt 50 ]; do
-    grep -q "serving on" "$SMOKE/dp_serve.$DP.out" 2>/dev/null && break
-    sleep 0.1
-    i=$((i + 1))
-  done
-  PORT=$(sed -n 's/.*serving on [0-9.]*:\([0-9]*\).*/\1/p' \
-    "$SMOKE/dp_serve.$DP.out")
-  [ -n "$PORT" ] || { echo "datapath smoke ($DP): server never came up"
-    cat "$SMOKE/dp_serve.$DP.out"; exit 1; }
-  grep -q "datapath $DP" "$SMOKE/dp_serve.$DP.out" || {
-    echo "datapath smoke ($DP): server not on the requested backend"
-    cat "$SMOKE/dp_serve.$DP.out"; exit 1; }
-  # --metrics-out makes the tool print "reconcile: OK/FAIL" (snapshot
-  # counters vs final report); without it no reconcile line exists and the
-  # grep below could never pass.
-  ./build/tools/ldp_replay_trace --trace "$SMOKE/trace.txt" \
-    --server "127.0.0.1:$PORT" --datapath "$DP" \
-    --timeout-ms 2000 --retransmits 2 \
-    --metrics-out "$SMOKE/dp_metrics.$DP.jsonl" \
-    > "$SMOKE/dp_replay.$DP.out" 2>&1
-  grep -q "reconcile: OK" "$SMOKE/dp_replay.$DP.out" || {
-    echo "datapath smoke ($DP): replay reconcile failed"
-    cat "$SMOKE/dp_replay.$DP.out"; exit 1
-  }
-  SENT=$(sed -n 's/^sent \([0-9]*\), answered.*/\1/p' \
-    "$SMOKE/dp_replay.$DP.out")
-  ANSWERED=$(sed -n 's/^sent [0-9]*, answered \([0-9]*\).*/\1/p' \
-    "$SMOKE/dp_replay.$DP.out")
-  [ "$SENT" = "2000" ] && [ "$SENT" = "$ANSWERED" ] || {
-    echo "datapath smoke ($DP): lost queries (sent=$SENT answered=$ANSWERED)"
-    cat "$SMOKE/dp_replay.$DP.out"; exit 1
-  }
-  kill -TERM "$SERVE_PID"; wait "$SERVE_PID"; SERVE_PID=""
-  echo "datapath smoke ($DP): $SENT queries, all answered"
+# burst overflowing buffers.
+./build/tools/ldp_serve --listen 127.0.0.1:0 --stats-interval-s 0 \
+  "$SMOKE/zone.db" > "$SMOKE/dp_serve.out" 2>&1 &
+SERVE_PID=$!
+i=0
+while [ "$i" -lt 50 ]; do
+  grep -q "serving on" "$SMOKE/dp_serve.out" 2>/dev/null && break
+  sleep 0.1
+  i=$((i + 1))
+done
+PORT=$(sed -n 's/.*serving on [0-9.]*:\([0-9]*\).*/\1/p' "$SMOKE/dp_serve.out")
+[ -n "$PORT" ] || { echo "datapath smoke: server never came up"
+  cat "$SMOKE/dp_serve.out"; exit 1; }
+# --metrics-out makes the tool print "reconcile: OK/FAIL" (snapshot
+# counters vs final report); without it no reconcile line exists and the
+# grep below could never pass.
+./build/tools/ldp_replay_trace --trace "$SMOKE/trace.txt" \
+  --server "127.0.0.1:$PORT" --timeout-ms 2000 --retransmits 2 \
+  --metrics-out "$SMOKE/dp_metrics.jsonl" > "$SMOKE/dp_replay.out" 2>&1
+grep -q "reconcile: OK" "$SMOKE/dp_replay.out" || {
+  echo "datapath smoke: replay reconcile failed"
+  cat "$SMOKE/dp_replay.out"; exit 1
 }
-datapath_smoke epoll
-if ./build/tools/ldp_datapath_probe > "$SMOKE/dp_probe.out" 2>&1; then
-  datapath_smoke afpacket
-else
-  echo "datapath smoke: afpacket skipped ($(cat "$SMOKE/dp_probe.out"))"
-fi
+SENT=$(sed -n 's/^sent \([0-9]*\), answered.*/\1/p' "$SMOKE/dp_replay.out")
+ANSWERED=$(sed -n 's/^sent [0-9]*, answered \([0-9]*\).*/\1/p' \
+  "$SMOKE/dp_replay.out")
+[ "$SENT" = "2000" ] && [ "$SENT" = "$ANSWERED" ] || {
+  echo "datapath smoke: lost queries (sent=$SENT answered=$ANSWERED)"
+  cat "$SMOKE/dp_replay.out"; exit 1
+}
+kill -TERM "$SERVE_PID"; wait "$SERVE_PID"; SERVE_PID=""
+echo "datapath smoke: $SENT queries, all answered"
+
+echo "== tool flags: bad values exit 2 by name =="
+# Each case would otherwise serve or relay, so the timeout ends a tool that
+# did not refuse. An empty NAME means only the exit status is checked (an
+# unknown flag is refused with the usage text).
+flag_case() {
+  NAME="$1"; shift
+  if timeout 10 "$@" > "$SMOKE/flag_case.out" 2>&1; then
+    status=0
+  else
+    status=$?
+  fi
+  if [ "$status" -ne 2 ] || \
+     { [ -n "$NAME" ] && ! grep -q -- "$NAME" "$SMOKE/flag_case.out"; }; then
+    echo "tool flags: '$*' exited $status, not 2${NAME:+ naming $NAME}"
+    cat "$SMOKE/flag_case.out"
+    exit 1
+  fi
+}
+flag_case "" ./build/tools/ldp_serve --listen 127.0.0.1:0 \
+  --datapath epoll "$SMOKE/zone.db"
+flag_case "--stats-interval-s" ./build/tools/ldp_serve \
+  --listen 127.0.0.1:0 --stats-interval-s abc "$SMOKE/zone.db"
+flag_case "--threads" ./build/tools/ldp_proxy --meta 127.0.0.1:1 \
+  --addresses 127.0.0.1 --threads x
+echo "tool flags: unknown and unparsable values refused"
 
 echo "== tls smoke: serve+replay over DoT, zero loss =="
 # Same shape as the datapath smoke, but the replay rides DNS-over-TLS to
@@ -545,20 +554,20 @@ cmake -B build-tsan -S . -DLDP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target \
   net_test sharded_server_test response_cache_test \
   server_test replay_realtime_test metrics_test stats_test proxy_relay_test \
-  distrib_test hashring_test packet_codec_test datapath_test tls_test \
+  distrib_test hashring_test datapath_test tls_test \
   scenario_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
+  -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|datapath_test|tls_test|scenario_test'
 
 echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, compiled-zone block, distrib, proxy flow churn =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
-  net_test replay_realtime_test packet_codec_test datapath_test \
+  net_test replay_realtime_test datapath_test \
   tls_test sharded_server_test compiled_answer_test compiled_memory_test \
   dns_name_test name_oracle_test trace_test zone_test dns_message_test \
   proxy_relay_test metrics_test server_test \
   workload_test zoneconstruct_test axfr_test distrib_test scenario_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|compiled_memory_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test|distrib_test|scenario_test'
+  -R 'net_test|replay_realtime_test|datapath_test|tls_test|sharded_server_test|compiled_answer_test|compiled_memory_test|dns_name_test|name_oracle_test|trace_test|zone_test|dns_message_test|proxy_relay_test|metrics_test|server_test|workload_test|zoneconstruct_test|axfr_test|distrib_test|scenario_test'
 
 echo "verify: OK"

@@ -75,7 +75,7 @@ Status CheckHello(const HelloFrame& hello) {
 
 Bytes EncodeHello(const HelloFrame& hello) {
   const replay::RealtimeConfig& c = hello.config;
-  ByteWriter body(112);
+  ByteWriter body(84);  // HELLO is fixed-size
   body.WriteU32(kMagic);
   body.WriteU16(kVersion);
   body.WriteU16(hello.agent_id);
@@ -99,9 +99,6 @@ Bytes EncodeHello(const HelloFrame& hello) {
   body.WriteU16(static_cast<uint16_t>(c.max_retransmits));
   WriteDuration(body, c.tcp_idle_timeout);
   body.WriteU16(static_cast<uint16_t>(c.tcp_max_reconnects));
-  body.WriteU8(static_cast<uint8_t>(c.datapath));
-  WriteName(body, c.afpacket.interface);
-  WriteName(body, c.afpacket.peer_mac);
   body.WriteU16(c.tls_port);
   body.WriteU32(c.local_addr.value());
   return Seal(FrameType::kHello, std::move(body));
@@ -142,13 +139,6 @@ Result<HelloFrame> DecodeHello(const Frame& frame) {
   LDP_ASSIGN_OR_RETURN(c.max_retransmits, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(c.tcp_idle_timeout, ReadDuration(reader));
   LDP_ASSIGN_OR_RETURN(c.tcp_max_reconnects, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(uint8_t datapath, reader.ReadU8());
-  if (datapath > static_cast<uint8_t>(net::DatapathKind::kAfPacket)) {
-    return Error(ErrorCode::kParseError, "HELLO with unknown datapath");
-  }
-  c.datapath = static_cast<net::DatapathKind>(datapath);
-  LDP_ASSIGN_OR_RETURN(c.afpacket.interface, ReadName(reader));
-  LDP_ASSIGN_OR_RETURN(c.afpacket.peer_mac, ReadName(reader));
   LDP_ASSIGN_OR_RETURN(c.tls_port, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(uint32_t local, reader.ReadU32());
   c.local_addr = IpAddress(local);

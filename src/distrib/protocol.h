@@ -42,7 +42,7 @@
 namespace ldp::distrib {
 
 inline constexpr uint32_t kMagic = 0x4c445044;  // "LDPD"
-inline constexpr uint16_t kVersion = 3;
+inline constexpr uint16_t kVersion = 4;
 // A frame larger than this is a corrupt stream, not a big chunk: even a
 // 4096-record chunk of maximal records stays well under it.
 inline constexpr uint32_t kMaxFramePayload = 8u << 20;
@@ -68,9 +68,8 @@ enum class FrameType : uint8_t {
 // Controller → agent: the replay configuration plus the flow-control
 // parameters. HELLO carries every field of `config` except the ones that
 // stay on the agent's host: the metrics pointers (the agent counts into
-// its own registry), start_delay (START sets the epoch), the TCP
-// reconnect backoff and write watermarks, and the AF_PACKET ring
-// geometry, which keep their defaults there.
+// its own registry), start_delay (START sets the epoch), and the TCP
+// reconnect backoff and write watermarks, which keep their defaults there.
 struct HelloFrame {
   uint16_t agent_id = 0;
   uint32_t credit_window = 8;     // max un-acked chunks

@@ -133,6 +133,10 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
   socket->on_batch_ = std::move(on_batch);
   socket->rx_timestamps_ = options.rx_timestamps;
   socket->pktinfo_ = pktinfo;
+  if (options.metrics != nullptr) {
+    socket->rx_frames_ = options.metrics->AddCounter("datapath.rx_frames");
+    socket->tx_frames_ = options.metrics->AddCounter("datapath.tx_frames");
+  }
   EventLoop::UdpRecvArenaPtr& arena = loop.udp_recv_arena();
   if (arena == nullptr) {
     arena = EventLoop::UdpRecvArenaPtr(
@@ -153,7 +157,7 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::Bind(EventLoop& loop,
   return BindInternal(loop, local, options, std::move(on_datagram), nullptr);
 }
 
-Result<std::unique_ptr<UdpSocket>> UdpSocket::BindBatch(
+Result<std::unique_ptr<UdpSocket>> UdpSocket::Open(
     EventLoop& loop, Endpoint local, BatchHandler on_batch,
     const Options& options) {
   return BindInternal(loop, local, options, nullptr, std::move(on_batch));
@@ -175,6 +179,7 @@ Status UdpSocket::SendTo(std::span<const uint8_t> payload, Endpoint to) {
     }
     return Errno("sendto");
   }
+  if (tx_frames_ != nullptr) tx_frames_->Add();
   return Status::Ok();
 }
 
@@ -311,6 +316,7 @@ size_t UdpSocket::SendBatch(std::span<const UdpSendItem> batch) {
       return accepted;
     }
     accepted += static_cast<size_t>(sent);
+    if (tx_frames_ != nullptr) tx_frames_->Add(static_cast<uint64_t>(sent));
     if (static_cast<size_t>(sent) < chunk) return accepted;  // buffer full
   }
   if (accepted == batch.size()) return accepted;
@@ -335,6 +341,7 @@ bool UdpSocket::Drain() {
     size_t got = RecvBatch({items, kBatchSize});
     total += got;
     if (got > 0) {
+      if (rx_frames_ != nullptr) rx_frames_->Add(got);
       arena.lent = true;
       if (on_batch_) {
         on_batch_(std::span<const RecvItem>(items, got));

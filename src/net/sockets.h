@@ -12,6 +12,7 @@
 #include "common/ip.h"
 #include "common/result.h"
 #include "net/event_loop.h"
+#include "stats/metrics.h"
 
 namespace ldp::net {
 
@@ -38,10 +39,11 @@ struct UdpRecvItem {
   // The address and port the datagram targeted: the bound endpoint on a
   // socket bound to a concrete address; on a socket bound to the
   // unspecified address, the destination the kernel reports through
-  // IP_PKTINFO.
+  // IP_PKTINFO (the address a proxy client actually queried).
   Endpoint to;
   // Kernel receive time on CLOCK_MONOTONIC; 0 unless the socket was
-  // bound with rx_timestamps.
+  // bound with rx_timestamps. A caller that reads late (SetReadArmed)
+  // still learns the arrival.
   NanoTime rx_time = 0;
 };
 
@@ -57,6 +59,10 @@ struct UdpOptions {
   // receive time (RecvItem::rx_time), so a caller that reads late still
   // knows when each datagram arrived.
   bool rx_timestamps = false;
+  // When set, the socket counts datapath.rx_frames (datagrams delivered to
+  // its handler) and datapath.tx_frames (datagrams the kernel accepted)
+  // here. Must outlive the socket.
+  stats::MetricsRegistry* metrics = nullptr;
 };
 
 class UdpSocket {
@@ -69,6 +75,7 @@ class UdpSocket {
   static constexpr size_t kRecvSlotSize = 65536;
 
   using RecvItem = UdpRecvItem;
+  using SendItem = UdpSendItem;
 
   using DatagramHandler =
       std::function<void(std::span<const uint8_t>, Endpoint from)>;
@@ -88,7 +95,7 @@ class UdpSocket {
   // Like Bind, but readiness delivers whole received batches: one handler
   // call per recvmmsg, so the callee can amortize its own work (and its
   // reply syscalls) across the batch.
-  static Result<std::unique_ptr<UdpSocket>> BindBatch(
+  static Result<std::unique_ptr<UdpSocket>> Open(
       EventLoop& loop, Endpoint local, BatchHandler on_batch,
       const Options& options = Options());
 
@@ -143,6 +150,8 @@ class UdpSocket {
   bool pktinfo_ = false;  // bound to the unspecified address
   DatagramHandler on_datagram_;  // per-datagram mode
   BatchHandler on_batch_;        // batch mode (exactly one mode is set)
+  stats::Counter* rx_frames_ = nullptr;  // set with Options::metrics
+  stats::Counter* tx_frames_ = nullptr;
 };
 
 // --- TCP ---
@@ -158,7 +167,7 @@ struct TcpConnectOptions {
 // A bidirectional byte stream driven by the event loop. Plain TCP
 // (TcpConnection) and TLS-over-TCP (net::TlsConnection) both implement it,
 // so the DNS server and the replay querier hold either transport behind one
-// pointer — the same seam the datapath abstraction gives the UDP path.
+// pointer.
 class StreamConn {
  public:
   using DataHandler = std::function<void(std::span<const uint8_t>)>;

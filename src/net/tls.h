@@ -22,8 +22,9 @@
 
 namespace ldp::net {
 
-// True when the build linked OpenSSL (LDP_HAVE_OPENSSL); scripts and tests
-// probe this (via `ldp_datapath_probe --tls`) to skip TLS stages cleanly.
+// True when the build linked OpenSSL (LDP_HAVE_OPENSSL). Tests call it and
+// scripts run `ldp_datapath_probe --tls`, which reports it, to skip TLS
+// stages cleanly.
 bool TlsAvailable();
 
 // Routes OpenSSL's allocator through counting wrappers so the real bytes

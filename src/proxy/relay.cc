@@ -11,7 +11,6 @@
 
 #include "common/log.h"
 #include "dns/framing.h"
-#include "net/datapath.h"
 #include "net/event_loop.h"
 #include "net/sockets.h"
 
@@ -91,9 +90,9 @@ struct HierarchyProxy::Shard {
 
   RelayConfig config;
   std::unique_ptr<net::EventLoop> loop;
-  // One path bound to the unspecified address at the service port hears
+  // One socket bound to the unspecified address at the service port hears
   // every local address there; `emulated` says which of them are ours.
-  std::unique_ptr<net::DatagramPath> ingress;
+  std::unique_ptr<net::UdpSocket> ingress;
   std::unordered_set<IpAddress> emulated;
   std::unique_ptr<net::TcpListener> tcp_listener;  // shard 0, same address
   stats::Ledger<kRelayLedger> ledger;
@@ -116,7 +115,7 @@ struct HierarchyProxy::Shard {
   bool tick_armed = false;
 
   // Reply staging, reused across batches (SocketDnsServer idiom).
-  std::vector<net::DatagramPath::SendItem> reply_items;
+  std::vector<net::UdpSocket::SendItem> reply_items;
 
   // TCP splices (shard 0 only).
   std::unordered_map<uint64_t, std::unique_ptr<Splice>> splices;
@@ -130,19 +129,18 @@ struct HierarchyProxy::Shard {
   stats::LogHistogram* udp_batch = nullptr;
 
   // Opens the wildcard ingress at `port` (0 = ephemeral), and with `tcp`
-  // the splice listener at the same port. The paths take the port on
+  // the splice listener at the same port. The sockets take the port on
   // every local address, so a socket already holding any one of them there
   // (without SO_REUSEPORT) fails the bind.
-  Status OpenIngress(uint16_t port, bool tcp,
-                     const net::DatapathOptions& options) {
-    auto path = net::DatagramPath::Open(
+  Status OpenIngress(uint16_t port, bool tcp, const net::UdpOptions& options) {
+    auto socket = net::UdpSocket::Open(
         *loop, Endpoint{IpAddress(), port},
-        [this](std::span<const net::DatagramPath::RecvItem> items) {
+        [this](std::span<const net::UdpSocket::RecvItem> items) {
           OnIngressBatch(items);
         },
         options);
-    if (!path.ok()) return PortTaken(port, path.error());
-    ingress = std::move(*path);
+    if (!socket.ok()) return PortTaken(port, socket.error());
+    ingress = std::move(*socket);
     if (!tcp) return Status::Ok();
     const uint16_t bound = ingress->local().port;
     auto listener = net::TcpListener::Listen(
@@ -209,11 +207,11 @@ struct HierarchyProxy::Shard {
     // or the service port itself) falls back to an ephemeral port.
     auto handler = [this, id](std::span<const net::UdpSocket::RecvItem>
                                   items) { OnRelayBatch(id, items); };
-    auto sock = net::UdpSocket::BindBatch(
-        *loop, Endpoint{oqda, client.port}, handler);
+    auto sock =
+        net::UdpSocket::Open(*loop, Endpoint{oqda, client.port}, handler);
     if (!sock.ok()) {
       ledger.Add<&RelayStats::port_fallbacks>();
-      sock = net::UdpSocket::BindBatch(*loop, Endpoint{oqda, 0}, handler);
+      sock = net::UdpSocket::Open(*loop, Endpoint{oqda, 0}, handler);
       if (!sock.ok()) {
         LDP_DEBUG << "relay bind failed: " << sock.error().ToString();
         return nullptr;
@@ -271,9 +269,8 @@ struct HierarchyProxy::Shard {
   // Queries arriving at the service port. The paper's recursive-proxy
   // rewrite (src := OQDA, dst := meta) is realized by forwarding from the
   // flow's relay socket, which is bound to the OQDA. Each datagram carries
-  // the address it targeted (RecvItem::to): IP_PKTINFO's destination on
-  // the epoll backend, the parsed IPv4 header on the afpacket ring.
-  void OnIngressBatch(std::span<const net::DatagramPath::RecvItem> items) {
+  // the address it targeted (RecvItem::to), from IP_PKTINFO.
+  void OnIngressBatch(std::span<const net::UdpSocket::RecvItem> items) {
     const NanoTime t0 = MonotonicNow();
     if (udp_batch != nullptr) udp_batch->Record(items.size());
     for (const auto& item : items) {
@@ -311,7 +308,7 @@ struct HierarchyProxy::Shard {
 
   // Meta-server replies landing on one flow's relay socket (connected, so
   // nothing else lands there). The reverse rewrite (src := OQDA, dst :=
-  // client) is realized by answering over the ingress path with the OQDA
+  // client) is realized by answering over the ingress socket with the OQDA
   // as the reply's source.
   void OnRelayBatch(uint64_t flow_id,
                     std::span<const net::UdpSocket::RecvItem> items) {
@@ -325,8 +322,8 @@ struct HierarchyProxy::Shard {
       return;
     }
     ledger.Add<&RelayStats::responses_in>(items.size());
-    // `from` makes the reply leave from the queried address: an IP_PKTINFO
-    // source on the epoll backend, the IPv4 header on the afpacket ring.
+    // `from` makes the reply leave from the queried address (an IP_PKTINFO
+    // source).
     Endpoint reply_source{flow.key.oqda, ingress->local().port};
     NanoDuration rtt =
         flow.site < config.sites.size() ? config.sites[flow.site].rtt : 0;
@@ -347,14 +344,14 @@ struct HierarchyProxy::Shard {
             reply_items.clear();
             for (const auto& payload : held) {
               reply_items.push_back(
-                  net::DatagramPath::SendItem{payload, client, reply_source});
+                  net::UdpSocket::SendItem{payload, client, reply_source});
             }
             SendReplies(site);
           });
     } else {
       reply_items.clear();
       for (const auto& item : items) {
-        reply_items.push_back(net::DatagramPath::SendItem{
+        reply_items.push_back(net::UdpSocket::SendItem{
             item.payload, flow.key.client, reply_source});
       }
       SendReplies(flow.site);
@@ -643,27 +640,22 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
           config.metrics->AddHistogram("proxy.epoll_batch"));
     }
 
-    net::DatapathOptions dp_options;
-    dp_options.kind = config.datapath;
-    dp_options.udp.reuse_port = true;  // kernel shards datagrams across workers
-    dp_options.udp.recv_buffer_bytes = config.udp_recv_buffer_bytes;
-    dp_options.afpacket = config.afpacket;
-    dp_options.afpacket.fanout =
-        config.datapath == net::DatapathKind::kAfPacket && n_shards > 1;
-    dp_options.metrics = config.metrics;
+    net::UdpOptions udp_options;
+    udp_options.reuse_port = true;  // kernel shards datagrams across workers
+    udp_options.recv_buffer_bytes = config.udp_recv_buffer_bytes;
+    udp_options.metrics = config.metrics;
 
-    // One wildcard path per shard carries every emulated address, on
-    // either backend; OnIngressBatch reads each query's OQDA from
-    // RecvItem::to. TCP splices on shard 0 only (mirrors ShardedDnsServer:
+    // One wildcard socket per shard carries every emulated address;
+    // OnIngressBatch reads each query's OQDA from RecvItem::to. TCP splices on shard 0 only (mirrors ShardedDnsServer:
     // the TCP lane needs correctness, not multi-core throughput). An
     // ephemeral UDP port may be held by some TCP socket on another
     // address, so shard 0 draws again a few times, as SocketDnsServer does.
     shard->emulated.insert(config.addresses.begin(), config.addresses.end());
     const bool tcp = i == 0 && config.splice_tcp;
-    Status opened = shard->OpenIngress(port, tcp, dp_options);
+    Status opened = shard->OpenIngress(port, tcp, udp_options);
     for (int attempt = 1; !opened.ok() && port == 0 && attempt < 8;
          ++attempt) {
-      opened = shard->OpenIngress(port, tcp, dp_options);
+      opened = shard->OpenIngress(port, tcp, udp_options);
     }
     if (!opened.ok()) return opened.error();
     if (port == 0) port = shard->ingress->local().port;  // resolve once

@@ -58,7 +58,6 @@
 #include "common/clock.h"
 #include "common/ip.h"
 #include "common/result.h"
-#include "net/datapath.h"
 #include "proxy/catchment.h"
 #include "stats/metrics.h"
 
@@ -78,15 +77,6 @@ struct RelayConfig {
   Endpoint meta_server;
   size_t n_shards = 1;
   int udp_recv_buffer_bytes = 0;
-
-  // Ingress transport. Either backend opens ONE wildcard path per shard
-  // at the service port and learns each query's OQDA from it, answering
-  // from that address over the same path: epoll through IP_PKTINFO control
-  // messages, afpacket by reading and writing the IPv4 headers of its
-  // ring's frames. The meta legs (per-flow relay sockets, TCP splice) stay
-  // on kernel sockets.
-  net::DatapathKind datapath = net::DatapathKind::kEpoll;
-  net::AfPacketOptions afpacket;  // used when datapath == kAfPacket
 
   // Flow table bounds (per shard). Start refuses a flow_idle_timeout <= 0
   // or a negative flow_linger.

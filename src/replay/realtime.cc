@@ -115,17 +115,15 @@ class Querier {
                   1) {}
 
   Status Init() {
-    net::DatapathOptions options;
-    options.kind = config_.datapath;
-    options.afpacket = config_.afpacket;
+    net::UdpOptions options;
     options.metrics = config_.metrics;
     // Reply latency comes from the kernel's receive stamp, so a reply read
     // late from a disarmed socket (see Distributor) is not biased by it.
-    options.udp.rx_timestamps = true;
+    options.rx_timestamps = true;
     LDP_ASSIGN_OR_RETURN(
-        udp_, net::DatagramPath::Open(
+        udp_, net::UdpSocket::Open(
                   loop_, Endpoint{config_.local_addr, 0},
-                  [this](std::span<const net::DatagramPath::RecvItem> batch) {
+                  [this](std::span<const net::UdpSocket::RecvItem> batch) {
                     const NanoTime handled = MonotonicNow() - epoch_mono_;
                     for (const auto& item : batch) OnUdpReply(item, handled);
                   },
@@ -133,9 +131,9 @@ class Querier {
     return Status::Ok();
   }
 
-  // Reads every reply waiting on the UDP socket, up to the datapath's
+  // Reads every reply waiting on the UDP socket, up to the socket's
   // per-event cap; returns true when the socket was left empty.
-  bool DrainReplies() { return udp_->PollReceive(); }
+  bool DrainReplies() { return udp_->Drain(); }
 
   // Whether the UDP socket wakes the loop on its own when replies arrive.
   bool replies_armed() const { return replies_armed_; }
@@ -186,7 +184,7 @@ class Querier {
       const UdpEntry* entry = udp_inflight_.find(id);
       if (entry == nullptr) continue;  // aged out while staged
       pending_items_.push_back(
-          net::DatagramPath::SendItem{entry->wire, entry->target});
+          net::UdpSocket::SendItem{entry->wire, entry->target});
       live_ids_.push_back(id);
     }
     size_t accepted =
@@ -426,7 +424,7 @@ class Querier {
 
     if (config_.batch_udp) {
       pending_udp_.push_back(id);
-      if (pending_udp_.size() >= net::DatagramPath::kBatchSize) Flush();
+      if (pending_udp_.size() >= net::UdpSocket::kBatchSize) Flush();
       return;
     }
     auto status = udp_->SendTo(entry.wire, entry.target);
@@ -454,7 +452,7 @@ class Querier {
   }
 
   // `handled` is when the batch was read, relative to the replay epoch.
-  void OnUdpReply(const net::DatagramPath::RecvItem& item, NanoTime handled) {
+  void OnUdpReply(const net::UdpSocket::RecvItem& item, NanoTime handled) {
     // A reply answers the inflight query with its ID only if it comes from
     // the endpoint the query went to and carries the same question (RFC
     // 5452 §3); a late reply (after age-out), an unknown ID, a reply from
@@ -822,11 +820,11 @@ class Querier {
   QuerierMetrics metrics_;
   std::function<void()> on_idle_;
 
-  std::unique_ptr<net::DatagramPath> udp_;
+  std::unique_ptr<net::UdpSocket> udp_;
   InflightTable<UdpEntry> udp_inflight_;
   // Staged IDs awaiting the batch flush; wire bytes live in udp_inflight_.
   std::vector<uint16_t> pending_udp_;
-  std::vector<net::DatagramPath::SendItem> pending_items_;
+  std::vector<net::UdpSocket::SendItem> pending_items_;
   std::vector<uint16_t> live_ids_;
   int flush_retries_ = 0;
   bool flush_retry_armed_ = false;
@@ -851,7 +849,7 @@ class Querier {
   std::vector<Ring<Timeout>> timeouts_;
   uint64_t next_seq_ = 0;
   bool tick_armed_ = false;
-  bool replies_armed_ = true;  // DatagramPath::Open registers rx interest
+  bool replies_armed_ = true;  // UdpSocket::Open registers rx interest
 
   NanoTime epoch_mono_ = 0;
 };

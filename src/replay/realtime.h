@@ -36,7 +36,7 @@
 
 #include "common/clock.h"
 #include "common/result.h"
-#include "net/datapath.h"
+#include "net/sockets.h"
 #include "replay/inflight.h"
 #include "stats/metrics.h"
 #include "stats/summary.h"
@@ -107,16 +107,8 @@ struct RealtimeConfig {
   size_t tcp_write_high_watermark = 256 * 1024;
   size_t tcp_write_low_watermark = 64 * 1024;
 
-  // --- Datapath (querier side) ---
-
-  // Transport under each querier's UDP leg: epoll kernel sockets
-  // (default) or an AF_PACKET ring per querier (CAP_NET_RAW; see
-  // net/datapath.h). TCP queries always use kernel sockets.
-  net::DatapathKind datapath = net::DatapathKind::kEpoll;
-  net::AfPacketOptions afpacket;  // used when datapath == kAfPacket
   // Source address queriers bind (the port is always ephemeral). Default
-  // loopback; set this when replaying over a real interface — in afpacket
-  // mode it must be an address of afpacket.interface.
+  // loopback; set this when replaying over a real interface.
   IpAddress local_addr = IpAddress::Loopback();
 
   // --- Live metrics (both optional) ---

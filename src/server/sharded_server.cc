@@ -37,13 +37,9 @@ Result<std::unique_ptr<ShardedDnsServer>> ShardedDnsServer::Start(
     // way the UDP sockets do.
     shard_config.tcp_reuse_port = n_shards > 1;
     shard_config.tcp_idle_timeout = config.tcp_idle_timeout;
-    shard_config.datapath.kind = config.datapath;
-    shard_config.datapath.udp.reuse_port = true;
-    shard_config.datapath.udp.recv_buffer_bytes = config.udp_recv_buffer_bytes;
-    shard_config.datapath.afpacket = config.afpacket;
-    shard_config.datapath.afpacket.fanout =
-        config.datapath == net::DatapathKind::kAfPacket && n_shards > 1;
-    shard_config.datapath.metrics = config.metrics;
+    shard_config.udp.reuse_port = true;
+    shard_config.udp.recv_buffer_bytes = config.udp_recv_buffer_bytes;
+    shard_config.udp.metrics = config.metrics;
     if (config.metrics != nullptr) {
       shard->loop->SetMetrics(config.metrics->AddHistogram("server.loop_lag_ns"),
                               config.metrics->AddHistogram("server.epoll_batch"));

@@ -39,12 +39,6 @@ class ShardedDnsServer {
     // Per-shard UDP SO_RCVBUF (0 = kernel default): the fast path raises
     // it so query bursts queue in the kernel while a worker drains a batch.
     int udp_recv_buffer_bytes = 0;
-    // Datagram transport per shard: epoll kernel sockets (default) or
-    // AF_PACKET rings. With >1 shard on afpacket, the shards join one
-    // PACKET_FANOUT group keyed by the bound port, so the kernel hashes
-    // flows across rings the way SO_REUSEPORT shards kernel sockets.
-    net::DatapathKind datapath = net::DatapathKind::kEpoll;
-    net::AfPacketOptions afpacket;  // used when datapath == kAfPacket
     EngineOptions engine;   // per-shard engine options (response cache)
     // Optional live-metrics registry (must outlive the server). Each shard
     // counts into its own engine and stream-lane cells there (a private

@@ -29,12 +29,12 @@ Result<std::unique_ptr<SocketDnsServer>> SocketDnsServer::Start(
   for (int attempt = 0;; ++attempt) {
     LDP_ASSIGN_OR_RETURN(
         server->udp_,
-        net::DatagramPath::Open(
+        net::UdpSocket::Open(
             loop, config.listen,
-            [raw](std::span<const net::DatagramPath::RecvItem> batch) {
+            [raw](std::span<const net::UdpSocket::RecvItem> batch) {
               raw->OnUdpBatch(batch);
             },
-            config.datapath));
+            config.udp));
     if (!config.serve_tcp) break;
     Endpoint tcp_endpoint{config.listen.addr, server->udp_->local().port};
     auto listener = net::TcpListener::Listen(
@@ -69,7 +69,7 @@ void SocketDnsServer::AddTcpStatsTo(TcpStats& stats) const {
 }
 
 void SocketDnsServer::OnUdpBatch(
-    std::span<const net::DatagramPath::RecvItem> batch) {
+    std::span<const net::UdpSocket::RecvItem> batch) {
   // Serve the whole readiness batch, then flush every reply with one
   // sendmmsg — the syscall cost amortizes across the batch both ways.
   if (config_.udp_batch_hist != nullptr && !batch.empty()) {
@@ -82,10 +82,9 @@ void SocketDnsServer::OnUdpBatch(
                                         /*udp_limit=*/65535);
     if (!response.ok()) continue;  // undecodable: dropped
     reply_bufs_.push_back(std::move(*response));
-    // Replies leave from the address the query targeted — identical to
-    // local() on a concretely-bound path, and the only correct source on
-    // a wildcard afpacket ring.
-    reply_items_.push_back(net::DatagramPath::SendItem{
+    // Replies leave from the address the query targeted: local() on a
+    // concretely-bound socket, the queried address on a wildcard one.
+    reply_items_.push_back(net::UdpSocket::SendItem{
         reply_bufs_.back(), datagram.from, datagram.to});
   }
   size_t sent = udp_->SendBatch(reply_items_);

@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "dns/framing.h"
-#include "net/datapath.h"
 #include "net/sockets.h"
 #include "net/tls.h"
 #include "server/engine.h"
@@ -70,12 +69,9 @@ class SocketDnsServer {
     // SO_REUSEPORT on the stream listeners, so sibling shards can bind the
     // same port and the kernel spreads accepts across them.
     bool tcp_reuse_port = false;
-    // How query bytes reach the engine: backend kind (epoll kernel sockets
-    // by default, AF_PACKET rings with --datapath=afpacket), kernel-socket
-    // options (reuse_port lets sibling shards share the port), ring
-    // geometry, and the registry for datapath.* instruments. TCP always
-    // stays on kernel sockets.
-    net::DatapathOptions datapath;
+    // The UDP socket's options: reuse_port lets sibling shards share the
+    // port, and a registry there counts datapath.* frames.
+    net::UdpOptions udp;
     // Optional: records datagrams per readiness batch. Must outlive the
     // server (owned by a MetricsRegistry).
     stats::LogHistogram* udp_batch_hist = nullptr;
@@ -115,7 +111,7 @@ class SocketDnsServer {
     net::TimerHandle idle_timer;
   };
 
-  void OnUdpBatch(std::span<const net::DatagramPath::RecvItem> batch);
+  void OnUdpBatch(std::span<const net::UdpSocket::RecvItem> batch);
   void OnAccept(std::unique_ptr<net::TcpConnection> conn, bool tls);
   void OnTlsReady(net::StreamConn* key, Status status);
   void OnTcpData(net::StreamConn* key, std::span<const uint8_t> data);
@@ -136,14 +132,14 @@ class SocketDnsServer {
   // Complete TCP frames dropped because a connection's ready backlog was
   // full.
   stats::Counter* framing_drops_ = nullptr;
-  std::unique_ptr<net::DatagramPath> udp_;
+  std::unique_ptr<net::UdpSocket> udp_;
   std::unique_ptr<net::TcpListener> listener_;
   std::unique_ptr<net::TcpListener> tls_listener_;
   std::unordered_map<net::StreamConn*, ConnState> conns_;
   // Per-batch reply staging, reused across readiness events: the encoded
   // responses (kept alive through the SendBatch call) and their addresses.
   std::vector<Bytes> reply_bufs_;
-  std::vector<net::DatagramPath::SendItem> reply_items_;
+  std::vector<net::UdpSocket::SendItem> reply_items_;
 };
 
 }  // namespace ldp::server

@@ -1,11 +1,9 @@
-// Integration tests for the DatagramPath transport seam (net/datapath.h):
-// round-trip semantics, the wildcard path's OQDA delivery and
-// source-spoofed replies the hierarchy proxy depends on, and the full
-// serve→replay chain through the interface with exact terminal
-// accounting — on epoll everywhere and, when the host allows AF_PACKET
-// rings, on the afpacket backend too. Afpacket cases skip with the probe's
-// reason on hosts without CAP_NET_RAW or ring support.
-#include "net/datapath.h"
+// Integration tests for the datagram path (net::UdpSocket opened with
+// UdpSocket::Open): round-trip semantics and its datapath.* counters, the
+// wildcard socket's OQDA delivery and source-spoofed replies the hierarchy
+// proxy depends on, and the full serve→replay chain with exact terminal
+// accounting.
+#include "net/sockets.h"
 
 #include <gtest/gtest.h>
 
@@ -18,50 +16,39 @@
 #include "net/event_loop.h"
 #include "replay/realtime.h"
 #include "server/socket_server.h"
+#include "stats/metrics.h"
 #include "workload/traces.h"
 #include "zone/masterfile.h"
 
 namespace ldp::net {
 namespace {
 
-TEST(DatapathKindTest, ParseAndName) {
-  auto epoll = ParseDatapathKind("epoll");
-  ASSERT_TRUE(epoll.ok());
-  EXPECT_EQ(*epoll, DatapathKind::kEpoll);
-  auto afpacket = ParseDatapathKind("afpacket");
-  ASSERT_TRUE(afpacket.ok());
-  EXPECT_EQ(*afpacket, DatapathKind::kAfPacket);
-  EXPECT_FALSE(ParseDatapathKind("dpdk").ok());
-  EXPECT_FALSE(ParseDatapathKind("").ok());
-  EXPECT_EQ(DatapathKindName(DatapathKind::kEpoll), "epoll");
-  EXPECT_EQ(DatapathKindName(DatapathKind::kAfPacket), "afpacket");
-}
-
-// One datagram each way through a backend; asserts the RecvItem address
-// semantics: `from` is the sender, `to` is the address the datagram
-// targeted (== local() for concretely-bound paths), and `rx_time` is the
-// kernel's receive stamp on the monotonic clock: after the send began and
-// no later than the handler saw it.
-void RoundTrip(DatapathKind kind) {
+// One datagram each way; asserts the RecvItem address semantics: `from`
+// is the sender, `to` is the address the datagram targeted (== local() for
+// concretely-bound sockets), and `rx_time` is the kernel's receive stamp on
+// the monotonic clock: after the send began and no later than the handler
+// saw it. Both sockets count into one registry.
+TEST(DatapathTest, EpollRoundTrip) {
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
 
-  DatapathOptions options;
-  options.kind = kind;
-  options.udp.rx_timestamps = true;  // the afpacket ring always stamps
+  stats::MetricsRegistry metrics;
+  UdpOptions options;
+  options.rx_timestamps = true;
+  options.metrics = &metrics;
   // Slack for the wall-to-monotonic conversion of the kernel stamps.
   constexpr NanoDuration kClockSlack = Micros(50);
 
   const Bytes query = {'q', 'u', 'e', 'r', 'y'};
   const Bytes reply = {'r', 'e', 'p', 'l', 'y', '!'};
 
-  std::unique_ptr<DatagramPath> server;
+  std::unique_ptr<UdpSocket> server;
   size_t server_got = 0;
   Endpoint server_saw_from, server_saw_to;
   NanoTime server_rx = 0, server_handled = 0;
-  auto server_result = DatagramPath::Open(
+  auto server_result = UdpSocket::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&](std::span<const DatagramPath::RecvItem> batch) {
+      [&](std::span<const UdpSocket::RecvItem> batch) {
         server_handled = MonotonicNow();
         for (const auto& item : batch) {
           ++server_got;
@@ -69,7 +56,7 @@ void RoundTrip(DatapathKind kind) {
           server_saw_to = item.to;
           server_rx = item.rx_time;
           EXPECT_EQ(item.payload.size(), query.size());
-          DatagramPath::SendItem out{reply, item.from, {}};
+          UdpSocket::SendItem out{reply, item.from, {}};
           EXPECT_EQ(server->SendBatch({&out, 1}), 1u);
         }
       },
@@ -77,15 +64,14 @@ void RoundTrip(DatapathKind kind) {
   ASSERT_TRUE(server_result.ok()) << server_result.error().ToString();
   server = std::move(*server_result);
   ASSERT_NE(server->local().port, 0) << "ephemeral bind must resolve";
-  EXPECT_EQ(server->kind(), kind);
 
   size_t client_got = 0;
   Endpoint client_saw_from;
   Bytes client_payload;
   NanoTime client_rx = 0, client_handled = 0;
-  auto client_result = DatagramPath::Open(
+  auto client_result = UdpSocket::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&](std::span<const DatagramPath::RecvItem> batch) {
+      [&](std::span<const UdpSocket::RecvItem> batch) {
         client_handled = MonotonicNow();
         for (const auto& item : batch) {
           ++client_got;
@@ -115,46 +101,38 @@ void RoundTrip(DatapathKind kind) {
   EXPECT_LE(server_rx, server_handled + kClockSlack);
   EXPECT_GE(client_rx, server_rx);
   EXPECT_LE(client_rx, client_handled + kClockSlack);
+
+  // One datagram each way: the query (SendTo) and the reply (SendBatch).
+  const stats::MetricsSnapshot counts = metrics.Snapshot();
+  EXPECT_EQ(counts.CounterValue("datapath.rx_frames"), 2u);
+  EXPECT_EQ(counts.CounterValue("datapath.tx_frames"), 2u);
 }
 
-TEST(DatapathTest, EpollRoundTrip) { RoundTrip(DatapathKind::kEpoll); }
-
-TEST(DatapathTest, AfPacketRoundTrip) {
-  if (auto probe = ProbeAfPacket({}); !probe.ok()) {
-    GTEST_SKIP() << "afpacket unavailable: " << probe.error().ToString();
-  }
-  RoundTrip(DatapathKind::kAfPacket);
-}
-
-// The hierarchy-proxy contract: one wildcard path hears every address on
+// The hierarchy-proxy contract: one wildcard socket hears every address on
 // its port, reports the queried address in RecvItem::to, and replies can
 // spoof that address back via SendItem::from.
-void WildcardDeliversOqdaAndSpoofsSource(DatapathKind kind) {
+TEST(DatapathTest, EpollWildcardPathDeliversOqdaAndSpoofsSource) {
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
-
-  DatapathOptions options;
-  options.kind = kind;
 
   const IpAddress alias = *IpAddress::Parse("127.6.5.4");
   const Bytes query = {'o', 'q', 'd', 'a'};
   const Bytes reply = {'o', 'k'};
 
-  // Wildcard path: unspecified address, ephemeral port; the afpacket ring
-  // matches on port alone, the epoll socket reads IP_PKTINFO.
-  std::unique_ptr<DatagramPath> wildcard;
+  // Wildcard socket: unspecified address, ephemeral port; it reads
+  // IP_PKTINFO.
+  std::unique_ptr<UdpSocket> wildcard;
   Endpoint wildcard_saw_to;
-  auto wildcard_result = DatagramPath::Open(
+  auto wildcard_result = UdpSocket::Open(
       **loop, Endpoint{IpAddress(), 0},
-      [&](std::span<const DatagramPath::RecvItem> batch) {
+      [&](std::span<const UdpSocket::RecvItem> batch) {
         for (const auto& item : batch) {
           wildcard_saw_to = item.to;
           // Answer from the address the client actually queried.
-          DatagramPath::SendItem out{reply, item.from, item.to};
+          UdpSocket::SendItem out{reply, item.from, item.to};
           EXPECT_EQ(wildcard->SendBatch({&out, 1}), 1u);
         }
-      },
-      options);
+      });
   ASSERT_TRUE(wildcard_result.ok()) << wildcard_result.error().ToString();
   wildcard = std::move(*wildcard_result);
   const uint16_t port = wildcard->local().port;
@@ -162,20 +140,19 @@ void WildcardDeliversOqdaAndSpoofsSource(DatapathKind kind) {
 
   Endpoint client_saw_from;
   size_t client_got = 0;
-  auto client_result = DatagramPath::Open(
+  auto client_result = UdpSocket::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&](std::span<const DatagramPath::RecvItem> batch) {
+      [&](std::span<const UdpSocket::RecvItem> batch) {
         for (const auto& item : batch) {
           ++client_got;
           client_saw_from = item.from;
         }
         (*loop)->Stop();
-      },
-      options);
+      });
   ASSERT_TRUE(client_result.ok()) << client_result.error().ToString();
   auto client = std::move(*client_result);
 
-  // Query an address nothing is bound to; only the wildcard path hears it.
+  // Query an address nothing is bound to; only the wildcard socket hears it.
   ASSERT_TRUE(client->SendTo(query, Endpoint{alias, port}).ok());
   (*loop)->ScheduleAfter(Seconds(2), [&] { (*loop)->Stop(); });  // safety
   (*loop)->Run();
@@ -186,18 +163,7 @@ void WildcardDeliversOqdaAndSpoofsSource(DatapathKind kind) {
       << "reply must carry the spoofed source";
 }
 
-TEST(DatapathTest, EpollWildcardPathDeliversOqdaAndSpoofsSource) {
-  WildcardDeliversOqdaAndSpoofsSource(DatapathKind::kEpoll);
-}
-
-TEST(DatapathTest, AfPacketWildcardRingDeliversOqdaAndSpoofsSource) {
-  if (auto probe = ProbeAfPacket({}); !probe.ok()) {
-    GTEST_SKIP() << "afpacket unavailable: " << probe.error().ToString();
-  }
-  WildcardDeliversOqdaAndSpoofsSource(DatapathKind::kAfPacket);
-}
-
-// --- Full serve→replay chain through the DatagramPath seam ---
+// --- Full serve→replay chain ---
 
 std::shared_ptr<server::AuthServerEngine> MakeEngine() {
   auto zone = zone::ParseMasterFile(
@@ -216,17 +182,17 @@ std::shared_ptr<server::AuthServerEngine> MakeEngine() {
   return std::make_shared<server::AuthServerEngine>(std::move(views));
 }
 
-// Boots a SocketDnsServer on `kind`, replays `n` queries through a
-// querier on the same kind, and checks the terminal-accounting invariant:
-// every send ends answered, timed out, or failed — nothing vanishes.
-void ServeReplayChain(DatapathKind kind, size_t n) {
+// Boots a SocketDnsServer, replays 200 queries through a querier, and
+// checks the terminal-accounting invariant: every send ends answered,
+// timed out, or failed — nothing vanishes.
+TEST(DatapathTest, EpollServeReplayChainAccountsForEveryQuery) {
+  constexpr size_t n = 200;
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
 
   server::SocketDnsServer::Config config;
   config.listen = Endpoint{IpAddress::Loopback(), 0};
   config.serve_tcp = false;
-  config.datapath.kind = kind;
   auto server = server::SocketDnsServer::Start(**loop, MakeEngine(), config);
   ASSERT_TRUE(server.ok()) << server.error().ToString();
   std::thread server_thread([&]() { (*loop)->Run(); });
@@ -245,7 +211,6 @@ void ServeReplayChain(DatapathKind kind, size_t n) {
   replay_config.server = (*server)->endpoint();
   replay_config.fast_mode = true;
   replay_config.query_timeout = Seconds(2);
-  replay_config.datapath = kind;
   auto report = replay::RunRealtimeReplay(records, replay_config);
   (*loop)->RequestStop();
   server_thread.join();
@@ -257,17 +222,6 @@ void ServeReplayChain(DatapathKind kind, size_t n) {
             report->answered + report->timed_out + report->send_failed);
   // Loopback against a live server: effectively lossless.
   EXPECT_GE(report->answered, records.size() - 2);
-}
-
-TEST(DatapathTest, EpollServeReplayChainAccountsForEveryQuery) {
-  ServeReplayChain(DatapathKind::kEpoll, 200);
-}
-
-TEST(DatapathTest, AfPacketServeReplayChainAccountsForEveryQuery) {
-  if (auto probe = ProbeAfPacket({}); !probe.ok()) {
-    GTEST_SKIP() << "afpacket unavailable: " << probe.error().ToString();
-  }
-  ServeReplayChain(DatapathKind::kAfPacket, 200);
 }
 
 }  // namespace

@@ -70,9 +70,6 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   c.max_retransmits = 2;
   c.tcp_idle_timeout = Seconds(9);
   c.tcp_max_reconnects = 0xffff;
-  c.datapath = net::DatapathKind::kAfPacket;
-  c.afpacket.interface = "veth0";
-  c.afpacket.peer_mac = "aa:bb:cc:dd:ee:ff";
   c.tls_port = 8853;
   c.local_addr = IpAddress(127, 0, 0, 5);
   ASSERT_TRUE(CheckHello(hello).ok());
@@ -102,9 +99,6 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   EXPECT_EQ(d.max_retransmits, c.max_retransmits);
   EXPECT_EQ(d.tcp_idle_timeout, c.tcp_idle_timeout);
   EXPECT_EQ(d.tcp_max_reconnects, c.tcp_max_reconnects);
-  EXPECT_EQ(d.datapath, c.datapath);
-  EXPECT_EQ(d.afpacket.interface, c.afpacket.interface);
-  EXPECT_EQ(d.afpacket.peer_mac, c.afpacket.peer_mac);
   EXPECT_EQ(d.tls_port, c.tls_port);
   EXPECT_EQ(d.local_addr, c.local_addr);
   // The agent-side pointers are never carried.
@@ -118,7 +112,7 @@ TEST(ProtocolTest, HelloRequiresExactlyThisVersion) {
   auto frames = Reassemble(EncodeHello(HelloFrame{}), 1);
   ASSERT_EQ(frames.size(), 1u);
   ASSERT_TRUE(DecodeHello(frames[0]).ok());
-  for (uint16_t version : {uint16_t{1}, uint16_t{2},
+  for (uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3},
                            static_cast<uint16_t>(kVersion + 1)}) {
     Frame other = frames[0];
     other.body[4] = static_cast<uint8_t>(version >> 8);  // after the magic

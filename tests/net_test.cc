@@ -383,7 +383,7 @@ TEST(UdpSockets, BatchSendAndBatchReceive) {
   std::vector<Bytes> got;
   size_t handler_calls = 0;
   std::unique_ptr<UdpSocket> receiver;
-  auto receiver_result = UdpSocket::BindBatch(
+  auto receiver_result = UdpSocket::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
       [&](std::span<const UdpSocket::RecvItem> batch) {
         ++handler_calls;
@@ -457,10 +457,10 @@ TEST(UdpSockets, SocketsOfOneLoopShareOneReceiveArena) {
     }
     if (got.size() == 2) (*loop)->Stop();
   };
-  auto a = UdpSocket::BindBatch(**loop, Endpoint{IpAddress::Loopback(), 0},
-                                on_batch);
-  auto b = UdpSocket::BindBatch(**loop, Endpoint{IpAddress::Loopback(), 0},
-                                on_batch);
+  auto a = UdpSocket::Open(**loop, Endpoint{IpAddress::Loopback(), 0},
+                           on_batch);
+  auto b = UdpSocket::Open(**loop, Endpoint{IpAddress::Loopback(), 0},
+                           on_batch);
   ASSERT_TRUE(a.ok() && b.ok());
 
   const Bytes to_a = {'a'};
@@ -486,10 +486,10 @@ TEST(UdpSocketsDeathTest, ReadInsideAnotherSocketsHandlerAsserts) {
       {
         auto loop = EventLoop::Create();
         std::unique_ptr<UdpSocket> other;
-        auto reader = UdpSocket::BindBatch(
+        auto reader = UdpSocket::Open(
             **loop, Endpoint{IpAddress::Loopback(), 0},
             [&](std::span<const UdpSocket::RecvItem>) { other->Drain(); });
-        auto bound = UdpSocket::BindBatch(
+        auto bound = UdpSocket::Open(
             **loop, Endpoint{IpAddress::Loopback(), 0},
             [](std::span<const UdpSocket::RecvItem>) {});
         other = std::move(*bound);

@@ -1,16 +1,12 @@
-// ldp_datapath_probe: answers "can the afpacket datapath run here?" (and,
-// with --tls, "does this build speak TLS?") for scripts. Exit 0 and print
-// "ok" when the probed capability is usable; exit 1 and print the reason
-// otherwise (missing CAP_NET_RAW, no such interface, kernel without
-// TPACKET_V3/V2 rings, a build without OpenSSL). verify.sh and the benches
-// use this to detect-and-skip honestly instead of failing.
+// ldp_datapath_probe: answers "does this build speak TLS?" for scripts.
+// With --tls, exit 0 and print "ok" when the TLS transport is usable; exit
+// 1 and print the reason (a build without OpenSSL) otherwise. verify.sh
+// and the benches use this to detect-and-skip honestly instead of failing.
 //
-//   ldp_datapath_probe [--afpacket-if IFACE] [--afpacket-peer-mac MAC]
 //   ldp_datapath_probe --tls
 #include <cstdio>
 
 #include "common/flags.h"
-#include "net/datapath.h"
 #include "net/tls.h"
 
 using namespace ldp;
@@ -18,10 +14,8 @@ using namespace ldp;
 namespace {
 
 constexpr const char* kUsage =
-    R"(usage: ldp_datapath_probe [options]
-  --afpacket-if IFACE      interface to probe (lo)
-  --afpacket-peer-mac MAC  peer MAC to validate (optional)
-  --tls                    probe the TLS transport instead of afpacket
+    R"(usage: ldp_datapath_probe --tls
+  --tls                    probe the TLS transport
 Prints "ok" and exits 0 when the probed capability is usable.)";
 
 }  // namespace
@@ -33,32 +27,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_result;
-  if (auto s = flags.RequireKnown({"afpacket-if", "afpacket-peer-mac",
-                                   "tls", "help"});
-      !s.ok()) {
+  if (auto s = flags.RequireKnown({"tls", "help"}); !s.ok()) {
     std::fprintf(stderr, "%s\n%s\n", s.error().ToString().c_str(), kUsage);
     return 2;
   }
-  if (flags.GetBool("help", false)) {
+  if (flags.GetBool("help", false) || !flags.GetBool("tls", false)) {
     std::fprintf(stderr, "%s\n", kUsage);
     return 2;
   }
 
-  if (flags.GetBool("tls", false)) {
-    if (!net::TlsAvailable()) {
-      std::printf("built without OpenSSL (no TLS)\n");
-      return 1;
-    }
-    std::printf("ok\n");
-    return 0;
-  }
-
-  net::AfPacketOptions options;
-  options.interface = flags.GetString("afpacket-if", "lo");
-  options.peer_mac = flags.GetString("afpacket-peer-mac", "");
-  auto status = net::ProbeAfPacket(options);
-  if (!status.ok()) {
-    std::printf("%s\n", status.error().ToString().c_str());
+  if (!net::TlsAvailable()) {
+    std::printf("built without OpenSSL (no TLS)\n");
     return 1;
   }
   std::printf("ok\n");

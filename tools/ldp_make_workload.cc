@@ -5,6 +5,7 @@
 //   ldp_make_workload --model fixed --interarrival-us 1000 --duration 60
 //       --out syn3.txt   (one command, wrapped here)
 //   ldp_make_workload --model recursive --records 20000 --out rec.bin
+#include <cstdint>
 #include <cstdio>
 
 #include "common/flags.h"
@@ -26,6 +27,9 @@ constexpr const char* kUsage =
   fixed:      [--interarrival-us MICROS] [--clients N]
   recursive:  [--records N] [--interarrival-s SECONDS] [--clients N]
               [--tlds N] [--slds N]
+Integer ranges: --duration [0, 31536000], --seed [0, 2^63-1], --clients
+[1, 16777216], --tlds [1, 10000], --slds [0, 10000], --interarrival-us
+[1, 86400000000], --records [0, 2^30].
 Output format by extension: .txt (editable) or .bin (replay input).)";
 
 }  // namespace
@@ -52,9 +56,31 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto geti = [&](const char* key, int64_t fallback) {
-    return flags.GetInt(key, fallback).value_or(fallback);
-  };
+  const bool broot = model == "broot";
+  const bool fixed = model == "fixed";
+  if (!broot && !fixed && model != "recursive") {
+    std::fprintf(stderr, "unknown --model %s\n%s\n", model.c_str(), kUsage);
+    return 2;
+  }
+  // Integer flags, with each model's defaults: a value that does not parse
+  // or lies outside its range exits 2 by flag name.
+  const auto duration_s = flags.GetIntInRange("duration", 60, 0, 31'536'000);
+  const auto seed =
+      flags.GetIntInRange("seed", broot ? 1 : fixed ? 7 : 17, 0, INT64_MAX);
+  const auto clients = flags.GetIntInRange(
+      "clients", broot ? 20000 : fixed ? 10000 : 91, 1, 1 << 24);
+  const auto tlds = flags.GetIntInRange("tlds", broot ? 100 : 20, 1, 10'000);
+  const auto slds = flags.GetIntInRange("slds", 27, 0, 10'000);
+  const auto interarrival_us =
+      flags.GetIntInRange("interarrival-us", 1000, 1, 86'400'000'000);
+  const auto n_records = flags.GetIntInRange("records", 20000, 0, 1 << 30);
+  for (const auto* value : {&duration_s, &seed, &clients, &tlds, &slds,
+                            &interarrival_us, &n_records}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
+  }
   auto getd = [&](const char* key, double fallback) {
     return flags.GetDouble(key, fallback).value_or(fallback);
   };
@@ -65,42 +91,39 @@ int main(int argc, char** argv) {
   }
 
   std::vector<trace::QueryRecord> records;
-  if (model == "broot") {
+  if (broot) {
     workload::BRootConfig config;
     config.median_rate_qps = getd("rate", 3800);
-    config.duration = Seconds(geti("duration", 60));
-    config.n_clients = static_cast<size_t>(geti("clients", 20000));
+    config.duration = Seconds(*duration_s);
+    config.n_clients = static_cast<size_t>(*clients);
     config.do_fraction = getd("do-fraction", config.do_fraction);
     config.tcp_fraction = getd("tcp-fraction", config.tcp_fraction);
     config.nxdomain_fraction =
         getd("nxdomain-fraction", config.nxdomain_fraction);
-    config.n_tlds = static_cast<size_t>(geti("tlds", 100));
-    config.seed = static_cast<uint64_t>(geti("seed", 1));
+    config.n_tlds = static_cast<size_t>(*tlds);
+    config.seed = static_cast<uint64_t>(*seed);
     config.server = *server;
     records = workload::MakeBRootTrace(config);
-  } else if (model == "fixed") {
+  } else if (fixed) {
     workload::FixedIntervalConfig config;
-    config.interarrival = Micros(geti("interarrival-us", 1000));
-    config.duration = Seconds(geti("duration", 60));
-    config.n_clients = static_cast<size_t>(geti("clients", 10000));
-    config.seed = static_cast<uint64_t>(geti("seed", 7));
+    config.interarrival = Micros(*interarrival_us);
+    config.duration = Seconds(*duration_s);
+    config.n_clients = static_cast<size_t>(*clients);
+    config.seed = static_cast<uint64_t>(*seed);
     config.server = *server;
     records = workload::MakeFixedIntervalTrace(config);
-  } else if (model == "recursive") {
+  } else {
     workload::HierarchyConfig hconfig;
-    hconfig.n_tlds = static_cast<size_t>(geti("tlds", 20));
-    hconfig.n_slds_per_tld = static_cast<size_t>(geti("slds", 27));
+    hconfig.n_tlds = static_cast<size_t>(*tlds);
+    hconfig.n_slds_per_tld = static_cast<size_t>(*slds);
     auto hierarchy = workload::BuildHierarchy(hconfig);
     workload::RecConfig config;
-    config.n_records = static_cast<size_t>(geti("records", 20000));
+    config.n_records = static_cast<size_t>(*n_records);
     config.mean_interarrival_s = getd("interarrival-s", 0.18);
-    config.n_clients = static_cast<size_t>(geti("clients", 91));
-    config.seed = static_cast<uint64_t>(geti("seed", 17));
+    config.n_clients = static_cast<size_t>(*clients);
+    config.seed = static_cast<uint64_t>(*seed);
     config.server = *server;
     records = workload::MakeRecursiveTrace(config, hierarchy);
-  } else {
-    std::fprintf(stderr, "unknown --model %s\n%s\n", model.c_str(), kUsage);
-    return 2;
   }
 
   Status saved = EndsWith(out, ".txt")

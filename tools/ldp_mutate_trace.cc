@@ -4,6 +4,7 @@
 //   ldp_mutate --in t.bin --out t-tcp.bin --force-protocol tcp
 //   ldp_mutate --in t.txt --out t-do.txt  --do-fraction 1.0
 //   ldp_mutate --in t.bin --out t-2x.bin  --time-scale 0.5 --sample 0.5
+#include <cstdint>
 #include <cstdio>
 
 #include "common/flags.h"
@@ -21,7 +22,7 @@ constexpr const char* kUsage =
     R"(usage: ldp_mutate --in FILE --out FILE [passes...]
   --force-protocol udp|tcp|tls   rewrite every query's transport
   --do-fraction F                set DO bit on fraction F of queries
-  --edns-size N                  force EDNS payload size
+  --edns-size N                  force EDNS payload size, in [0, 65535]
   --unique-prefix STR            prepend "<STR><index>." to each qname
   --time-scale F                 multiply timestamps (0.5 = double rate)
   --time-shift-s S               add S seconds to timestamps
@@ -62,13 +63,26 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Integer flags are read before the trace loads: a value that does not
+  // parse or lies outside its range exits 2 by flag name.
+  const auto seed_flag = flags.GetIntInRange("seed", 0x5a, 0, INT64_MAX);
+  const auto edns_size = flags.GetIntInRange("edns-size", 4096, 0, 65535);
+  const auto attack_seed =
+      flags.GetIntInRange("attack-seed", 0xa77ac, 0, INT64_MAX);
+  for (const auto* value : {&seed_flag, &edns_size, &attack_seed}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
+  }
+
   auto records = trace::ReadTraceFile(flags.GetString("in", ""));
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.error().ToString().c_str());
     return 1;
   }
   size_t before = records->size();
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 0x5a).value_or(0x5a));
+  const uint64_t seed = static_cast<uint64_t>(*seed_flag);
 
   mutate::MutationPipeline pipeline;
   if (flags.Has("keep-protocol")) {
@@ -94,8 +108,7 @@ int main(int argc, char** argv) {
         flags.GetDouble("do-fraction", 1.0).value_or(1.0), seed));
   }
   if (flags.Has("edns-size")) {
-    pipeline.Add(mutate::SetEdnsSize(static_cast<uint16_t>(
-        flags.GetInt("edns-size", 4096).value_or(4096))));
+    pipeline.Add(mutate::SetEdnsSize(static_cast<uint16_t>(*edns_size)));
   }
   if (flags.Has("unique-prefix")) {
     pipeline.Add(
@@ -179,8 +192,7 @@ int main(int argc, char** argv) {
       }
       attack_config.apex = *base;
     }
-    attack_config.seed = static_cast<uint64_t>(
-        flags.GetInt("attack-seed", 0xa77ac).value_or(0xa77ac));
+    attack_config.seed = static_cast<uint64_t>(*attack_seed);
     if (attack_config.rate_qps <= 0 || attack_config.duration <= 0) {
       std::fprintf(stderr, "--attack-qps/--attack-duration-s must be > 0\n");
       return 2;

@@ -7,6 +7,7 @@
 //
 //   ldp_proxy --meta 127.0.0.1:5353 --views hierarchy/views.txt --port 5454
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "net/event_loop.h"
 #include "proxy/relay.h"
 #include "stats/metrics.h"
-#include "datapath_flags.h"
 #include "zone/manifest.h"
 
 using namespace ldp;
@@ -33,8 +33,9 @@ constexpr const char* kUsage =
   --port N                 shared service port across all addresses, taken
                            on every local address (0 = ephemeral; the
                            resolved port is printed)
-  --threads N              relay shards, SO_REUSEPORT (1)
-  --flow-capacity N        flow-table entries per shard before LRU (4096)
+  --threads N              relay shards, SO_REUSEPORT, in [1, 1024] (1)
+  --flow-capacity N        flow-table entries per shard before LRU, in
+                           [1, 16777216] (4096)
   --flow-idle-timeout-s N  expire idle flows after N seconds, in
                            [1, 86400] (30)
   --flow-linger-ms N       draining window for late replies, ms, in
@@ -46,10 +47,6 @@ constexpr const char* kUsage =
   --catchment FILE         client-prefix -> site map ("route P/LEN SITE",
                            "default SITE" lines); requires --sites
   --udp-rcvbuf-bytes N     SO_RCVBUF per shard listener (0 = kernel default)
-  --datapath MODE          one wildcard listener per shard: an epoll socket
-                           (default) or an afpacket ring
-  --afpacket-if IFACE      interface for afpacket rings (lo)
-  --afpacket-peer-mac MAC  afpacket fallback destination MAC
   --stats-interval-s N     print relay stats every N seconds, in [0, 86400]
                            (10; 0=off)
   --metrics-out FILE       append JSONL metric snapshots to FILE
@@ -76,8 +73,7 @@ int main(int argc, char** argv) {
   if (auto s = flags.RequireKnown(
           {"meta", "views", "addresses", "loopback-alias", "port", "threads",
            "flow-capacity", "flow-idle-timeout-s", "flow-linger-ms", "no-tcp",
-           "sites", "catchment", "udp-rcvbuf-bytes", "datapath",
-           "afpacket-if", "afpacket-peer-mac", "stats-interval-s",
+           "sites", "catchment", "udp-rcvbuf-bytes", "stats-interval-s",
            "metrics-out", "metrics-interval-ms", "help"});
       !s.ok()) {
     std::fprintf(stderr, "%s\n%s\n", s.error().ToString().c_str(), kUsage);
@@ -95,6 +91,30 @@ int main(int argc, char** argv) {
   if (!meta.ok()) {
     std::fprintf(stderr, "--meta: %s\n", meta.error().ToString().c_str());
     return 2;
+  }
+  // Read before any socket is bound: a value that does not parse or lies
+  // outside its range exits 2 by flag name.
+  const auto port = flags.GetIntInRange("port", 0, 0, 65535);
+  const auto threads = flags.GetIntInRange("threads", 1, 1, 1024);
+  const auto flow_capacity =
+      flags.GetIntInRange("flow-capacity", 4096, 1, 1 << 24);
+  const auto rcvbuf =
+      flags.GetIntInRange("udp-rcvbuf-bytes", 0, 0, INT32_MAX);
+  const auto idle_timeout_s =
+      flags.GetIntInRange("flow-idle-timeout-s", 30, 1, 86'400);
+  const auto linger_ms =
+      flags.GetIntInRange("flow-linger-ms", 1000, 0, 86'400'000);
+  const auto metrics_interval_ms =
+      flags.GetIntInRange("metrics-interval-ms", 1000, 1, 86'400'000);
+  const auto stats_interval_s =
+      flags.GetIntInRange("stats-interval-s", 10, 0, 86'400);
+  for (const auto* value :
+       {&port, &threads, &flow_capacity, &rcvbuf, &idle_timeout_s,
+        &linger_ms, &metrics_interval_ms, &stats_interval_s}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
   }
 
   std::vector<IpAddress> addresses;
@@ -130,39 +150,6 @@ int main(int argc, char** argv) {
   }
   if (flags.GetBool("loopback-alias", false)) {
     for (auto& addr : addresses) addr = LoopbackAlias(addr);
-  }
-
-  auto port = flags.GetInt("port", 0);
-  auto threads = flags.GetInt("threads", 1);
-  auto flow_capacity = flags.GetInt("flow-capacity", 4096);
-  auto rcvbuf = flags.GetInt("udp-rcvbuf-bytes", 0);
-  if (!port.ok() || *port < 0 || *port > 65535 || !threads.ok() ||
-      *threads < 1 || !flow_capacity.ok() || *flow_capacity < 1 ||
-      !rcvbuf.ok() || *rcvbuf < 0) {
-    std::fprintf(stderr, "%s\n", kUsage);
-    return 2;
-  }
-  // Read before any socket is bound: a value that does not parse or lies
-  // outside its range exits 2 by flag name.
-  const auto idle_timeout_s =
-      flags.GetIntInRange("flow-idle-timeout-s", 30, 1, 86'400);
-  const auto linger_ms =
-      flags.GetIntInRange("flow-linger-ms", 1000, 0, 86'400'000);
-  const auto metrics_interval_ms =
-      flags.GetIntInRange("metrics-interval-ms", 1000, 1, 86'400'000);
-  const auto stats_interval_s =
-      flags.GetIntInRange("stats-interval-s", 10, 0, 86'400);
-  for (const auto* value : {&idle_timeout_s, &linger_ms,
-                            &metrics_interval_ms, &stats_interval_s}) {
-    if (!value->ok()) {
-      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
-      return 2;
-    }
-  }
-  auto datapath = tools::ParseDatapathFlags(flags);
-  if (!datapath.ok()) {
-    std::fprintf(stderr, "%s\n", datapath.error().ToString().c_str());
-    return 1;
   }
 
   auto loop = net::EventLoop::Create();
@@ -221,8 +208,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--catchment requires --sites\n");
     return 2;
   }
-  config.datapath = datapath->kind;
-  config.afpacket = datapath->afpacket;
   if (snapshotter != nullptr) config.metrics = &metrics;
 
   auto relay = proxy::HierarchyProxy::Start(config);
@@ -231,11 +216,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("proxying %zu addresses on port %u -> meta %s "
-              "(udp%s, %zu shard%s, datapath %s), ^C to stop\n",
+              "(udp%s, %zu shard%s), ^C to stop\n",
               addresses.size(), (*relay)->port(),
               meta->ToString().c_str(), config.splice_tcp ? "+tcp" : "",
-              (*relay)->n_shards(), (*relay)->n_shards() == 1 ? "" : "s",
-              std::string(net::DatapathKindName(config.datapath)).c_str());
+              (*relay)->n_shards(), (*relay)->n_shards() == 1 ? "" : "s");
   if (!config.sites.empty()) {
     std::printf("anycast sites:");
     for (const auto& site : config.sites) {

@@ -17,7 +17,8 @@ namespace {
 constexpr const char* kUsage =
     R"(usage: ldp_query --server IP:PORT [--tcp] [--do] [--rd]
                  [--timeout-ms N] NAME [TYPE]
-Sends one query and prints the response dig-style. TYPE defaults to A.)";
+Sends one query and prints the response dig-style. TYPE defaults to A;
+--timeout-ms is in [1, 86400000] (3000).)";
 
 void PrintResponse(const dns::Message& response, NanoDuration elapsed,
                    size_t wire_size) {
@@ -43,6 +44,12 @@ int main(int argc, char** argv) {
   if (flags.GetBool("help", false) || !flags.Has("server") ||
       flags.positional().empty()) {
     std::fprintf(stderr, "%s\n", kUsage);
+    return 2;
+  }
+  const auto timeout_ms =
+      flags.GetIntInRange("timeout-ms", 3000, 1, 86'400'000);
+  if (!timeout_ms.ok()) {
+    std::fprintf(stderr, "%s\n", timeout_ms.error().ToString().c_str());
     return 2;
   }
 
@@ -76,8 +83,7 @@ int main(int argc, char** argv) {
 
   auto loop = net::EventLoop::Create();
   if (!loop.ok()) return 1;
-  NanoDuration timeout =
-      Millis(flags.GetInt("timeout-ms", 3000).value_or(3000));
+  NanoDuration timeout = Millis(*timeout_ms);
   NanoTime start = MonotonicNow();
   bool got_response = false;
   int exit_code = 1;

@@ -23,7 +23,7 @@ constexpr const char* kUsage =
   --metrics-out FILE    append JSONL metric snapshots (with histogram
                         buckets, so per-agent files merge exactly)
   --max-outstanding N   cap queries fed into the engine but not yet at a
-                        terminal outcome (16384)
+                        terminal outcome, in [1, 16777216] (16384)
 Replay parameters (timing, timeouts, thread counts) arrive from the
 controller's HELLO frame, not flags.)";
 
@@ -47,6 +47,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const auto max_outstanding =
+      flags.GetIntInRange("max-outstanding", 16384, 1, 1 << 24);
+  if (!max_outstanding.ok()) {
+    std::fprintf(stderr, "%s\n", max_outstanding.error().ToString().c_str());
+    return 2;
+  }
+
   distrib::AgentOptions options;
   std::string listen = flags.GetString("listen", "127.0.0.1:0");
   auto endpoint = Endpoint::Parse(listen);
@@ -57,8 +64,7 @@ int main(int argc, char** argv) {
   }
   options.listen = *endpoint;
   options.metrics_path = flags.GetString("metrics-out", "");
-  options.max_outstanding = static_cast<uint64_t>(
-      flags.GetInt("max-outstanding", 16384).value_or(16384));
+  options.max_outstanding = static_cast<uint64_t>(*max_outstanding);
 
   auto loop = net::EventLoop::Create();
   if (!loop.ok()) {

@@ -15,7 +15,6 @@
 #include "net/tls.h"
 #include "replay/realtime.h"
 #include "stats/summary.h"
-#include "datapath_flags.h"
 #include "trace/binary.h"
 
 using namespace ldp;
@@ -49,11 +48,6 @@ constexpr const char* kUsage =
                         records' protocol to TLS; needs an OpenSSL build)
   --tls-port N          DoT port on the server (0 = the --server/record
                         port; ldp_serve --tls prints its "tls on" port)
-  --datapath MODE       querier transport: epoll (default) or afpacket;
-                        carried to agents in the HELLO frame, so spawned
-                        and remote agents honor it too
-  --afpacket-if IFACE   interface for afpacket rings (lo)
-  --afpacket-peer-mac MAC  afpacket fallback destination MAC
   --metrics-out FILE    append JSONL metric snapshots to FILE during replay
                         (distributed: the merged all-agents stream)
   --metrics-interval-ms N  snapshot cadence in milliseconds, in
@@ -231,11 +225,9 @@ int main(int argc, char** argv) {
                                    "follow-dst", "dst-port", "loopback-dst",
                                    "local-addr", "timeout-ms", "retransmits",
                                    "tcp-idle-timeout-ms", "tcp-reconnects",
-                                   "tls", "tls-port",
-                                   "datapath", "afpacket-if",
-                                   "afpacket-peer-mac",
-                                   "metrics-out", "metrics-interval-ms",
-                                   "agents", "connect", "agent-bin",
+                                   "tls", "tls-port", "metrics-out",
+                                   "metrics-interval-ms", "agents",
+                                   "connect", "agent-bin",
                                    "chunk", "window", "help"});
       !s.ok()) {
     std::fprintf(stderr, "%s\n%s\n", s.error().ToString().c_str(), kUsage);
@@ -350,13 +342,6 @@ int main(int argc, char** argv) {
   config.fast_mode = flags.GetBool("fast", false);
   config.tcp_idle_timeout = Millis(*idle_ms);
   config.tls_port = static_cast<uint16_t>(*tls_port);
-  auto datapath = tools::ParseDatapathFlags(flags);
-  if (!datapath.ok()) {
-    std::fprintf(stderr, "%s\n", datapath.error().ToString().c_str());
-    return 1;
-  }
-  config.datapath = datapath->kind;
-  config.afpacket = datapath->afpacket;
 
   std::string metrics_out = flags.GetString("metrics-out", "");
   if (*agents > 0 || !flags.GetString("connect", "").empty()) {

@@ -5,12 +5,12 @@
 //   ldp_serve --listen 127.0.0.1:5353 --threads 4 --response-cache 4096 z.db
 //   ldp_serve --listen 127.0.0.1:5353 --views hierarchy/views.txt
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/flags.h"
 #include "server/sharded_server.h"
 #include "stats/metrics.h"
-#include "datapath_flags.h"
 #include "zone/dnssec.h"
 #include "zone/manifest.h"
 #include "zone/masterfile.h"
@@ -25,25 +25,28 @@ constexpr const char* kUsage =
   --views FILE             split-horizon views manifest (zone selection by
                            query source address, paper-style meta server);
                            replaces positional zone files
-  --threads N              UDP worker shards, SO_REUSEPORT (0 = all cores)
-  --response-cache N       wire-level response cache, N entries/shard (0=off)
+  --threads N              UDP worker shards, SO_REUSEPORT, in [0, 1024]
+                           (1; 0 = all cores)
+  --response-cache N       wire-level response cache, N entries/shard, in
+                           [0, 16777216] (0 = off)
   --udp-rcvbuf-bytes N     SO_RCVBUF per shard socket (0 = kernel default)
-  --datapath MODE          epoll (default) or afpacket (see below)
-  --afpacket-if IFACE      interface for afpacket rings (lo)
-  --afpacket-peer-mac MAC  afpacket fallback destination MAC
-  --tcp-idle-timeout-s N   close idle TCP connections after N seconds (20)
+  --tcp-idle-timeout-s N   close idle TCP connections after N seconds, in
+                           [0, 86400] (20; 0 = never)
   --no-tcp                 UDP only
   --tls                    also serve DNS-over-TLS (needs an OpenSSL build;
                            probe with ldp_datapath_probe --tls)
   --tls-port N             DoT listener port (0 = ephemeral, printed)
   --max-tcp-conns N        per-shard cap on open TCP+TLS connections; at the
                            cap new accepts are closed and counted
-                           (server.tcp_accept_rejected). 0 = unbounded
+                           (server.tcp_accept_rejected); in
+                           [0, 16777216] (0 = unbounded)
   --sign                   DNSSEC-sign zones with synthetic keys
-  --zsk-bits N             ZSK size when signing (1024)
-  --stats-interval-s N     print server stats every N seconds (10; 0=off)
+  --zsk-bits N             ZSK size when signing, in [512, 4096] (1024)
+  --stats-interval-s N     print server stats every N seconds, in
+                           [0, 86400] (10; 0 = off)
   --metrics-out FILE       append JSONL metric snapshots to FILE
-  --metrics-interval-ms N  snapshot cadence in milliseconds (1000)
+  --metrics-interval-ms N  snapshot cadence in milliseconds, in
+                           [1, 86400000] (1000)
 Serves until interrupted.)";
 
 net::EventLoop* g_loop = nullptr;
@@ -64,8 +67,6 @@ int main(int argc, char** argv) {
   const Flags& flags = *flags_result;
   if (auto s = flags.RequireKnown({"listen", "views", "threads",
                                    "response-cache", "udp-rcvbuf-bytes",
-                                   "datapath", "afpacket-if",
-                                   "afpacket-peer-mac",
                                    "tcp-idle-timeout-s", "no-tcp", "tls",
                                    "tls-port", "max-tcp-conns", "sign",
                                    "zsk-bits", "stats-interval-s",
@@ -88,40 +89,32 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Strict parsing for the sharding flags: silently falling back to one
-  // shard would let "--threads abc" masquerade as a multi-core experiment.
-  auto threads = flags.GetInt("threads", 1);
-  auto cache_entries = flags.GetInt("response-cache", 0);
-  auto rcvbuf = flags.GetInt("udp-rcvbuf-bytes", 0);
-  if (!threads.ok() || *threads < 0) {
-    std::fprintf(stderr, "--threads: expected a non-negative integer\n");
-    return 2;
-  }
-  if (!cache_entries.ok() || *cache_entries < 0) {
-    std::fprintf(stderr,
-                 "--response-cache: expected a non-negative integer\n");
-    return 2;
-  }
-  if (!rcvbuf.ok() || *rcvbuf < 0) {
-    std::fprintf(stderr,
-                 "--udp-rcvbuf-bytes: expected a non-negative integer\n");
-    return 2;
-  }
-  auto datapath = tools::ParseDatapathFlags(flags);
-  if (!datapath.ok()) {
-    std::fprintf(stderr, "%s\n", datapath.error().ToString().c_str());
-    return 1;
-  }
-  auto tls_port = flags.GetInt("tls-port", 0);
-  auto max_tcp_conns = flags.GetInt("max-tcp-conns", 0);
-  if (!tls_port.ok() || *tls_port < 0 || *tls_port > 65535) {
-    std::fprintf(stderr, "--tls-port: expected a port number\n");
-    return 2;
-  }
-  if (!max_tcp_conns.ok() || *max_tcp_conns < 0) {
-    std::fprintf(stderr,
-                 "--max-tcp-conns: expected a non-negative integer\n");
-    return 2;
+  // Strict parsing, before any zone loads or socket binds: a value that
+  // does not parse or lies outside its range exits 2 by flag name (falling
+  // back to one shard would let "--threads abc" masquerade as a multi-core
+  // experiment).
+  const auto threads = flags.GetIntInRange("threads", 1, 0, 1024);
+  const auto cache_entries =
+      flags.GetIntInRange("response-cache", 0, 0, 1 << 24);
+  const auto rcvbuf =
+      flags.GetIntInRange("udp-rcvbuf-bytes", 0, 0, INT32_MAX);
+  const auto tcp_idle_timeout_s =
+      flags.GetIntInRange("tcp-idle-timeout-s", 20, 0, 86'400);
+  const auto tls_port = flags.GetIntInRange("tls-port", 0, 0, 65535);
+  const auto max_tcp_conns =
+      flags.GetIntInRange("max-tcp-conns", 0, 0, 1 << 24);
+  const auto zsk_bits = flags.GetIntInRange("zsk-bits", 1024, 512, 4096);
+  const auto stats_interval_s =
+      flags.GetIntInRange("stats-interval-s", 10, 0, 86'400);
+  const auto metrics_interval_ms =
+      flags.GetIntInRange("metrics-interval-ms", 1000, 1, 86'400'000);
+  for (const auto* value :
+       {&threads, &cache_entries, &rcvbuf, &tcp_idle_timeout_s, &tls_port,
+        &max_tcp_conns, &zsk_bits, &stats_interval_s, &metrics_interval_ms}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
   }
 
   std::shared_ptr<const zone::ViewTable> shared_views;
@@ -154,8 +147,7 @@ int main(int argc, char** argv) {
       }
       if (flags.GetBool("sign", false)) {
         zone::DnssecConfig dnssec;
-        dnssec.zsk_bits = static_cast<int>(
-            flags.GetInt("zsk-bits", 1024).value_or(1024));
+        dnssec.zsk_bits = static_cast<int>(*zsk_bits);
         if (auto s = zone::SignZone(*zone, dnssec); !s.ok()) {
           std::fprintf(stderr, "sign %s: %s\n", path.c_str(),
                        s.error().ToString().c_str());
@@ -197,14 +189,11 @@ int main(int argc, char** argv) {
   // destroyed after); the snapshotter runs off this main-thread loop.
   stats::MetricsRegistry metrics;
   std::string metrics_out = flags.GetString("metrics-out", "");
-  int64_t metrics_interval_ms =
-      flags.GetInt("metrics-interval-ms", 1000).value_or(1000);
   std::unique_ptr<stats::MetricsSnapshotter> snapshotter;
   if (!metrics_out.empty()) {
     stats::MetricsSnapshotter::Options opts;
     opts.path = metrics_out;
-    opts.interval = Millis(metrics_interval_ms > 0 ? metrics_interval_ms
-                                                   : 1000);
+    opts.interval = Millis(*metrics_interval_ms);
     snapshotter =
         std::make_unique<stats::MetricsSnapshotter>(metrics, opts);
     if (auto s = snapshotter->Open(); !s.ok()) {
@@ -220,27 +209,23 @@ int main(int argc, char** argv) {
   config.serve_tls = flags.GetBool("tls", false);
   config.tls_port = static_cast<uint16_t>(*tls_port);
   config.max_tcp_connections = static_cast<size_t>(*max_tcp_conns);
-  config.tcp_idle_timeout =
-      Seconds(flags.GetInt("tcp-idle-timeout-s", 20).value_or(20));
+  config.tcp_idle_timeout = Seconds(*tcp_idle_timeout_s);
   config.engine.response_cache_entries =
       static_cast<size_t>(*cache_entries);
   config.udp_recv_buffer_bytes = static_cast<int>(*rcvbuf);
-  config.datapath = datapath->kind;
-  config.afpacket = datapath->afpacket;
   if (snapshotter != nullptr) config.metrics = &metrics;
   auto server = server::ShardedDnsServer::Start(shared_views, config);
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.error().ToString().c_str());
     return 1;
   }
-  std::printf("serving on %s (udp%s%s, %zu shard%s, cache %zu/shard, "
-              "datapath %s), ^C to stop\n",
+  std::printf("serving on %s (udp%s%s, %zu shard%s, cache %zu/shard), "
+              "^C to stop\n",
               (*server)->endpoint().ToString().c_str(),
               config.serve_tcp ? "+tcp" : "",
               config.serve_tls ? "+tls" : "", (*server)->n_shards(),
               (*server)->n_shards() == 1 ? "" : "s",
-              config.engine.response_cache_entries,
-              std::string(net::DatapathKindName(config.datapath)).c_str());
+              config.engine.response_cache_entries);
   if (config.serve_tls) {
     std::printf("tls on %s\n", (*server)->tls_endpoint().ToString().c_str());
   }
@@ -248,8 +233,7 @@ int main(int argc, char** argv) {
   // so push them out even when stdout is a pipe.
   std::fflush(stdout);
 
-  int64_t stats_interval =
-      flags.GetInt("stats-interval-s", 10).value_or(10);
+  const int64_t stats_interval = *stats_interval_s;
   std::function<void()> print_stats = [&]() {
     server::EngineStats stats = (*server)->TotalStats();
     std::printf("queries=%llu nxdomain=%llu refused=%llu truncated=%llu "

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/flags.h"
@@ -30,15 +31,18 @@ constexpr const char* kUsage =
 commands:
   validate   parse + servability checks (SOA, apex NS)
   sign       add synthetic DNSSEC (DNSKEY/NSEC/RRSIG); flags:
-               --zsk-bits N (1024)  --ksk-bits N (2048)  --rollover
+               --zsk-bits N (1024)  --ksk-bits N (2048), both in
+               [512, 4096]  --rollover
   normalize  rewrite in canonical order with fully-qualified names
   info       print summary: origin, counts, delegations, DNSSEC state
   hierarchy  synthesize a root/TLD/SLD hierarchy into OUTDIR: one master
              file per zone, a views.txt manifest (split-horizon views keyed
              on each zone's nameserver addresses), and a queries.txt trace
              whose destinations are the public nameserver addresses; flags:
-               --tlds N (3)  --slds N (4)  --hosts N (2)  --ns N (2)
-               --queries N (2000)  --qps N (2000)  --tcp-every N (0 = none)
+               --tlds N (3, in [1, 1000])  --slds N (4, in [0, 10000])
+               --hosts N (2, in [0, 1000])  --ns N (2, in [1, 13])
+               --queries N (2000, in [0, 2^30])
+               --qps N (2000, in [1, 10^9])  --tcp-every N (0 = none)
                --seed N (42)  --raw-views (keep public addresses in
                views.txt instead of LoopbackAlias'd ones))";
 
@@ -82,23 +86,27 @@ std::string ZoneFileName(const dns::Name& origin) {
 // views.txt (split-horizon manifest), and queries.txt (text trace whose
 // destinations are the public nameserver addresses, i.e. OQDAs).
 int Hierarchy(const Flags& flags, const std::string& out_dir) {
-  workload::HierarchyConfig config;
-  config.n_tlds = static_cast<size_t>(flags.GetInt("tlds", 3).value_or(3));
-  config.n_slds_per_tld =
-      static_cast<size_t>(flags.GetInt("slds", 4).value_or(4));
-  config.n_hosts_per_sld =
-      static_cast<size_t>(flags.GetInt("hosts", 2).value_or(2));
-  config.ns_per_zone = static_cast<size_t>(flags.GetInt("ns", 2).value_or(2));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
-  auto n_queries = flags.GetInt("queries", 2000);
-  auto qps = flags.GetInt("qps", 2000);
-  auto tcp_every = flags.GetInt("tcp-every", 0);
-  if (!n_queries.ok() || *n_queries < 0 || !qps.ok() || *qps < 1 ||
-      !tcp_every.ok() || *tcp_every < 0 || config.n_tlds < 1 ||
-      config.ns_per_zone < 1) {
-    std::fprintf(stderr, "%s\n", kUsage);
-    return 2;
+  const auto tlds = flags.GetIntInRange("tlds", 3, 1, 1000);
+  const auto slds = flags.GetIntInRange("slds", 4, 0, 10'000);
+  const auto hosts_per_sld = flags.GetIntInRange("hosts", 2, 0, 1000);
+  const auto ns = flags.GetIntInRange("ns", 2, 1, 13);
+  const auto seed = flags.GetIntInRange("seed", 42, 0, INT64_MAX);
+  const auto n_queries = flags.GetIntInRange("queries", 2000, 0, 1 << 30);
+  const auto qps = flags.GetIntInRange("qps", 2000, 1, 1'000'000'000);
+  const auto tcp_every = flags.GetIntInRange("tcp-every", 0, 0, INT64_MAX);
+  for (const auto* value : {&tlds, &slds, &hosts_per_sld, &ns, &seed,
+                            &n_queries, &qps, &tcp_every}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
   }
+  workload::HierarchyConfig config;
+  config.n_tlds = static_cast<size_t>(*tlds);
+  config.n_slds_per_tld = static_cast<size_t>(*slds);
+  config.n_hosts_per_sld = static_cast<size_t>(*hosts_per_sld);
+  config.ns_per_zone = static_cast<size_t>(*ns);
+  config.seed = static_cast<uint64_t>(*seed);
   if (::mkdir(out_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     std::perror(out_dir.c_str());
     return 1;
@@ -246,11 +254,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (command == "sign") {
+      const auto zsk_bits = flags.GetIntInRange("zsk-bits", 1024, 512, 4096);
+      const auto ksk_bits = flags.GetIntInRange("ksk-bits", 2048, 512, 4096);
+      for (const auto* value : {&zsk_bits, &ksk_bits}) {
+        if (!value->ok()) {
+          std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+          return 2;
+        }
+      }
       zone::DnssecConfig config;
-      config.zsk_bits =
-          static_cast<int>(flags.GetInt("zsk-bits", 1024).value_or(1024));
-      config.ksk_bits =
-          static_cast<int>(flags.GetInt("ksk-bits", 2048).value_or(2048));
+      config.zsk_bits = static_cast<int>(*zsk_bits);
+      config.ksk_bits = static_cast<int>(*ksk_bits);
       config.zsk_rollover = flags.GetBool("rollover", false);
       if (auto s = zone::SignZone(*zone, config); !s.ok()) {
         std::fprintf(stderr, "%s\n", s.error().ToString().c_str());
