@@ -260,7 +260,6 @@ int RunRealSocketPhase(bench::BenchJson& json) {
   pconfig.meta_server = rconfig.server;
   pconfig.n_shards = 1;
   pconfig.udp_recv_buffer_bytes = 1 << 22;
-  pconfig.flow_capacity = 1 << 16;
   pconfig.splice_tcp = false;  // all-UDP stream; TCP splice is test-covered
   auto relay = proxy::HierarchyProxy::Start(pconfig);
   if (!relay.ok()) {
@@ -343,13 +342,11 @@ int RunRealSocketPhase(bench::BenchJson& json) {
                 FormatDouble(proxied->qps / 1000.0, 1) + "k q/s"});
   std::printf("%s\n", table.Render().c_str());
   std::printf("proxied/direct throughput ratio: %.2f; relay rewrote %llu "
-              "datagrams across %llu flows (%llu evicted, %llu port "
-              "fallbacks)\n",
+              "datagrams (%llu reclaimed, %llu replies dropped)\n",
               ratio,
               static_cast<unsigned long long>(relay_stats.rewritten),
-              static_cast<unsigned long long>(relay_stats.flows_created),
-              static_cast<unsigned long long>(relay_stats.flows_evicted),
-              static_cast<unsigned long long>(relay_stats.port_fallbacks));
+              static_cast<unsigned long long>(relay_stats.reclaimed),
+              static_cast<unsigned long long>(relay_stats.evicted_drops));
 
   json.Set("real_queries", static_cast<uint64_t>(records.size()));
   json.Set("real_emulated_addresses",
@@ -364,9 +361,8 @@ int RunRealSocketPhase(bench::BenchJson& json) {
   json.Set("proxied_retransmits", proxied->retransmits);
   json.Set("proxied_direct_ratio", ratio);
   json.Set("relay_rewritten", relay_stats.rewritten);
-  json.Set("relay_flows_created", relay_stats.flows_created);
-  json.Set("relay_flows_evicted", relay_stats.flows_evicted);
-  json.Set("relay_port_fallbacks", relay_stats.port_fallbacks);
+  json.Set("relay_reclaimed", relay_stats.reclaimed);
+  json.Set("relay_evicted_drops", relay_stats.evicted_drops);
   json.Set("relay_meta_send_errors", relay_stats.meta_send_errors);
   return 0;
 }

@@ -8,8 +8,8 @@
 //   nxdomain    random-subdomain flood; response-cache hit rate collapses
 //   amp         DNSSEC ANY/DNSKEY flood; amplification factor (bytes
 //               out/in) from the same engine code path the server runs
-//   spoofed     socket-rotating spoofed-source flood at a small-flow-table
-//               proxy; flow churn + evicted_drops while legit rides along
+//   spoofed     socket-rotating spoofed-source flood through the proxy;
+//               reclaimed slots + evicted_drops while legit rides along
 //   anycast     three-site catchment map with skewed client groups and
 //               per-site reply-path RTT; load shares + RTT-shifted latency
 //
@@ -201,7 +201,6 @@ int main() {
   pconfig.meta_server = (*meta)->endpoint();
   pconfig.n_shards = 1;
   pconfig.udp_recv_buffer_bytes = 1 << 22;
-  pconfig.flow_capacity = 1 << 16;
   pconfig.splice_tcp = false;
   auto relay = proxy::HierarchyProxy::Start(pconfig);
   if (!relay.ok()) {
@@ -292,23 +291,16 @@ int main() {
                 static_cast<unsigned long long>(phase->engine.response_bytes));
   }
 
-  // --- Phase 4: spoofed-source flood vs a small flow table ------------------
-  // A separate proxy with a deliberately tiny flow table: the socket-
-  // rotating flood mints fresh client endpoints far faster than flows
-  // idle out, so the LRU churns and late replies die as evicted_drops.
+  // --- Phase 4: spoofed-source flood ---------------------------------------
+  // The socket-rotating flood mints fresh client endpoints; the proxy keeps
+  // no per-client state, so each query only takes an ID-ring slot. Slots
+  // the meta server leaves unanswered for a whole wrap are reclaimed, and
+  // replies to them die as evicted_drops.
   {
-    proxy::RelayConfig small = pconfig;
-    small.flow_capacity = 512;
-    auto small_relay = proxy::HierarchyProxy::Start(small);
-    if (!small_relay.ok()) {
-      std::fprintf(stderr, "small relay: %s\n",
-                   small_relay.error().ToString().c_str());
-      return 1;
-    }
     scenario::SpoofedFloodConfig flood;
     flood.target = Endpoint{
         LoopbackAlias(hierarchy.nameservers.at(dns::Name::Root()).front()),
-        (*small_relay)->port()};
+        (*relay)->port()};
     flood.query_wire =
         dns::Message::MakeQuery(dns::Name::Root(), dns::RRType::kNS, false)
             .Encode();
@@ -317,13 +309,12 @@ int main() {
     flood.n_sockets = 64;
     flood.rotate_after_sends = 2;
 
+    const proxy::RelayStats before = (*relay)->TotalStats();
     Result<scenario::SpoofedFloodReport> flood_report =
         Error(ErrorCode::kInternal, "flood never ran");
     std::thread flooder([&] { flood_report = scenario::RunSpoofedFlood(flood); });
-    replay::RealtimeConfig small_config = rconfig;
-    small_config.dst_port_override = (*small_relay)->port();
     auto phase = RunPhase(legit, std::vector<bool>(legit.size(), false),
-                          small_config, **meta);
+                          rconfig, **meta);
     flooder.join();
     if (!phase) return 1;
     if (!flood_report.ok()) {
@@ -331,28 +322,28 @@ int main() {
                    flood_report.error().ToString().c_str());
       return 1;
     }
-    proxy::RelayStats churn = (*small_relay)->TotalStats();
-    (*small_relay)->Stop();
+    const proxy::RelayStats after = (*relay)->TotalStats();
+    const uint64_t reclaimed = after.reclaimed - before.reclaimed;
+    const uint64_t drops = after.evicted_drops - before.evicted_drops;
     AddClassRow(table, "spoofed", "legit", phase->split.legit);
     json.Set("spoofed_flood_qps", flood.rate_qps);
     json.Set("spoofed_sent", flood_report->sent);
     json.Set("spoofed_client_endpoints", flood_report->sockets_opened);
     json.Set("spoofed_flood_replies", flood_report->replies);
-    json.Set("spoofed_flow_capacity", static_cast<uint64_t>(small.flow_capacity));
-    json.Set("spoofed_flows_created", churn.flows_created);
-    json.Set("spoofed_flows_evicted", churn.flows_evicted);
-    json.Set("spoofed_evicted_drops", churn.evicted_drops);
+    json.Set("spoofed_reclaimed", reclaimed);
+    json.Set("spoofed_evicted_drops", drops);
     json.Set("spoofed_legit_answered_rate", phase->split.legit.answered_rate());
     json.Set("spoofed_legit_p99_ms", phase->split.legit.latency_p99_ms);
-    std::printf("spoofed flood: %llu queries from %llu rotating endpoints vs "
-                "a %zu-flow table -> %llu flows created, %llu evicted, "
-                "%llu replies dropped on evicted flows\n",
+    std::printf("spoofed flood: %llu queries from %llu rotating endpoints "
+                "-> %llu replies; legit answered %.1f%%, p99 %.2f ms; "
+                "%llu slots reclaimed, %llu replies dropped\n",
                 static_cast<unsigned long long>(flood_report->sent),
                 static_cast<unsigned long long>(flood_report->sockets_opened),
-                small.flow_capacity,
-                static_cast<unsigned long long>(churn.flows_created),
-                static_cast<unsigned long long>(churn.flows_evicted),
-                static_cast<unsigned long long>(churn.evicted_drops));
+                static_cast<unsigned long long>(flood_report->replies),
+                100 * phase->split.legit.answered_rate(),
+                phase->split.legit.latency_p99_ms,
+                static_cast<unsigned long long>(reclaimed),
+                static_cast<unsigned long long>(drops));
   }
   (*relay)->Stop();
 
@@ -441,7 +432,7 @@ int main() {
   (*meta)->Stop();
 
   std::printf("%s\n", table.Render().c_str());
-  std::printf("the flood phases degrade the cache and the flow table, not "
+  std::printf("the flood phases degrade the cache, not "
               "the legit answered rate at these bounded rates; the anycast "
               "phase shows catchment shares tracking the offered split and "
               "p50 latency tracking each site's injected RTT.\n");

@@ -14,9 +14,9 @@
 # names, with the name oracle) and zone building, signing, transfer and
 # reconstruction (RRsets move within a name's type-sorted vector on an
 # add, so a pointer kept across one reads freed memory) and the
-# distributed replay's frame decoders and agent lifecycle, and the proxy
-# flow churn of the scenario pack (relay sockets closed from the tick),
-# under AddressSanitizer (-DLDP_SANITIZE=address).
+# distributed replay's frame decoders and agent lifecycle, and the proxy's
+# ID ring under the scenario pack's spoofed flood (slots written and
+# reclaimed across a wrap), under AddressSanitizer (-DLDP_SANITIZE=address).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips both sanitizer stages
 set -eu
@@ -141,24 +141,22 @@ META_PORT=$(sed -n 's/.*serving on [0-9.]*:\([0-9]*\).*/\1/p' \
   "$SMOKE/hier_serve.out")
 [ -n "$META_PORT" ] || { echo "hierarchy smoke: meta server never came up"
   cat "$SMOKE/hier_serve.out"; exit 1; }
-# A flow flag that does not parse or lies out of range exits 2 by name
-# before any socket is bound (the timeout ends a proxy that would relay).
-for bad in "--flow-idle-timeout-s 0" "--flow-linger-ms abc"; do
-  flag=${bad%% *}
-  # shellcheck disable=SC2086
-  if timeout 10 ./build/tools/ldp_proxy --meta "127.0.0.1:$META_PORT" \
-       --views "$SMOKE/hier/views.txt" --loopback-alias $bad \
-       > "$SMOKE/bad_flow.out" 2>&1; then
-    status=0
-  else
-    status=$?
-  fi
-  if [ "$status" -ne 2 ] || ! grep -q -- "$flag" "$SMOKE/bad_flow.out"; then
-    echo "hierarchy smoke: ldp_proxy $bad exited $status, not 2 by name"
-    cat "$SMOKE/bad_flow.out"
-    exit 1
-  fi
-done
+# The proxy keeps no flow table: the old flow flags are unknown flags now
+# and exit 2 before any socket is bound (the timeout ends a proxy that
+# would relay).
+if timeout 10 ./build/tools/ldp_proxy --meta "127.0.0.1:$META_PORT" \
+     --views "$SMOKE/hier/views.txt" --loopback-alias --flow-capacity 4096 \
+     > "$SMOKE/bad_flow.out" 2>&1; then
+  status=0
+else
+  status=$?
+fi
+if [ "$status" -ne 2 ] || ! grep -q -- "flow-capacity" "$SMOKE/bad_flow.out"
+then
+  echo "hierarchy smoke: ldp_proxy --flow-capacity exited $status, not 2"
+  cat "$SMOKE/bad_flow.out"
+  exit 1
+fi
 ./build/tools/ldp_proxy --meta "127.0.0.1:$META_PORT" \
   --views "$SMOKE/hier/views.txt" --loopback-alias \
   --metrics-out "$SMOKE/hier_proxy.jsonl" \
@@ -192,18 +190,21 @@ ANSWERED=$(sed -n 's/^sent [0-9]*, answered \([0-9]*\).*/\1/p' \
 }
 kill -TERM "$PROXY_PID"; wait "$PROXY_PID"; PROXY_PID=""
 kill -TERM "$SERVE_PID"; wait "$SERVE_PID"; SERVE_PID=""
-# The proxy's final metrics row: every query went through its flow, nothing
-# arrived for an address it does not emulate, and no relay leg failed.
+# The proxy's final metrics row: nothing arrived for an address it does not
+# emulate, no relay leg failed, no reply went astray, no ring slot was
+# reclaimed, and none is still held.
 python3 - "$SMOKE/hier_proxy.jsonl" <<'EOF'
 import json, sys
 rows = [json.loads(line) for line in open(sys.argv[1])]
 assert rows, "hierarchy smoke: no proxy metrics rows"
 last = rows[-1]["counters"]
-for name in ("proxy.passed_through", "proxy.port_fallbacks",
-             "proxy.meta_send_errors", "proxy.evicted_drops"):
+for name in ("proxy.passed_through", "proxy.meta_send_errors",
+             "proxy.evicted_drops", "proxy.reclaimed"):
     assert last[name]["total"] == 0, "%s = %d" % (name, last[name]["total"])
-print("hierarchy smoke: proxy passed_through, port_fallbacks, "
-      "meta_send_errors and evicted_drops all 0")
+pending = rows[-1]["gauges"]["proxy.pending"]
+assert pending == 0, "proxy.pending = %d" % pending
+print("hierarchy smoke: proxy passed_through, meta_send_errors, "
+      "evicted_drops, reclaimed and pending all 0")
 EOF
 echo "hierarchy smoke: $SENT queries proxied, all answered"
 
@@ -396,6 +397,10 @@ flag_case "--stats-interval-s" ./build/tools/ldp_serve \
   --listen 127.0.0.1:0 --stats-interval-s abc "$SMOKE/zone.db"
 flag_case "--threads" ./build/tools/ldp_proxy --meta 127.0.0.1:1 \
   --addresses 127.0.0.1 --threads x
+flag_case "--rate" ./build/tools/ldp_make_workload --model broot \
+  --duration 1 --rate abc --out "$SMOKE/flag_case.bin"
+flag_case "--sample" ./build/tools/ldp_mutate_trace \
+  --in "$SMOKE/flag_case_missing.bin" --out "$SMOKE/flag_case.bin" --sample 2
 echo "tool flags: unknown and unparsable values refused"
 
 echo "== tls smoke: serve+replay over DoT, zero loss =="
@@ -559,7 +564,7 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, compiled-zone block, distrib, proxy flow churn =="
+echo "== asan: socket + replay lifetime paths, registry cells, name offset arithmetic, zone storage, compiled-zone block, distrib, proxy ID ring =="
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test datapath_test \

@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <cmath>
+#include <sstream>
+
 #include "common/strings.h"
 
 namespace ldp {
@@ -75,6 +78,20 @@ Result<double> Flags::GetDouble(const std::string& key,
     return value.error().WithContext("--" + key);
   }
   return *value;
+}
+
+Result<double> Flags::GetDoubleInRange(const std::string& key,
+                                       double fallback, double low,
+                                       double high, bool low_open) const {
+  LDP_ASSIGN_OR_RETURN(double value, GetDouble(key, fallback));
+  const bool above_low = low_open ? value > low : value >= low;
+  if (!std::isfinite(value) || !above_low || value > high) {
+    std::ostringstream range;
+    range << "--" << key << " must be a finite number in "
+          << (low_open ? "(" : "[") << low << ", " << high << "]";
+    return Error(ErrorCode::kOutOfRange, range.str());
+  }
+  return value;
 }
 
 bool Flags::GetBool(const std::string& key, bool fallback) const {

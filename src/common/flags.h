@@ -32,6 +32,12 @@ class Flags {
   Result<int64_t> GetIntInRange(const std::string& key, int64_t fallback,
                                 int64_t low, int64_t high) const;
   Result<double> GetDouble(const std::string& key, double fallback) const;
+  // GetDouble, then an error naming the flag for a NaN, an infinity or a
+  // value outside [low, high], or outside (low, high] with `low_open` (the
+  // fallback, for an absent flag, must lie in range too).
+  Result<double> GetDoubleInRange(const std::string& key, double fallback,
+                                  double low, double high,
+                                  bool low_open = false) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -56,10 +56,11 @@ enum class AttackKind {
   kAmplification,
   // Spoofed-source flood: a cheap, cacheable query repeated from a churn
   // of distinct spoofed endpoints. Harmless to the server, hostile to
-  // stateful middleboxes: each new (source, OQDA) pair is a fresh
-  // HierarchyProxy flow, so the flood LRU-thrashes the flow table
-  // (flows_evicted) and late replies land on drained flows
-  // (evicted_drops).
+  // per-client middlebox state. HierarchyProxy keeps none: each query
+  // takes the next slot of its ID ring whatever its source, so the flood
+  // costs ring slots, not state; a slot left unanswered for a whole wrap
+  // is reclaimed (proxy.reclaimed) and a reply to it is dropped and
+  // counted (proxy.evicted_drops).
   kSpoofedFlood,
 };
 

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
-#include <list>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "common/log.h"
 #include "dns/framing.h"
 #include "net/event_loop.h"
 #include "net/sockets.h"
@@ -17,54 +14,42 @@
 namespace ldp::proxy {
 namespace {
 
-// One flow per (client endpoint, queried address). The OQDA is part of
-// the key: the same client talking to two emulated nameservers holds two
-// flows, each with its own relay socket bound to the right source.
-struct FlowKey {
-  Endpoint client;
-  IpAddress oqda;
-  bool operator==(const FlowKey&) const = default;
-};
-
-struct FlowKeyHash {
-  size_t operator()(const FlowKey& key) const noexcept {
-    uint64_t packed = (uint64_t{key.client.addr.value()} << 32) |
-                      (uint64_t{key.client.port} << 16) |
-                      (key.oqda.value() >> 16);
-    return std::hash<uint64_t>()(packed ^ (uint64_t{key.oqda.value()} << 40));
-  }
-};
-
 constexpr size_t kDnsHeaderBytes = 12;
 
-NanoDuration RelayTickFor(const RelayConfig& config) {
-  NanoDuration shortest =
-      std::min(config.flow_idle_timeout,
-               config.flow_linger > 0 ? config.flow_linger : Seconds(1));
-  return std::clamp<NanoDuration>(shortest / 8, Millis(1), Millis(250));
+// One ring slot per DNS ID: a forwarded query carries its slot's index as
+// its ID.
+constexpr size_t kRingSlots = 65536;
+
+// What the reply leg needs to answer one forwarded query.
+struct Slot {
+  IpAddress client_addr;
+  IpAddress oqda;
+  uint16_t client_port = 0;
+  uint16_t client_id = 0;  // the ID the client chose
+  uint16_t site = 0;       // catchment assignment
+  bool held = false;       // a query is owed a reply
+};
+static_assert(sizeof(Slot) <= 16);
+
+uint16_t ReadId(std::span<const uint8_t> wire) {
+  return static_cast<uint16_t>((wire[0] << 8) | wire[1]);
+}
+
+void WriteId(Bytes& wire, uint16_t id) {
+  wire[0] = static_cast<uint8_t>(id >> 8);
+  wire[1] = static_cast<uint8_t>(id);
 }
 
 }  // namespace
 
 // One worker shard: event loop, its SO_REUSEPORT wildcard ingress path,
-// and a private flow table + registry cells. Everything except the
-// cells is loop-thread-only after Start.
+// its upstream socket and ID ring, and private registry cells.
+// Everything except the cells is loop-thread-only after Start.
 struct HierarchyProxy::Shard {
   explicit Shard(stats::MetricsRegistry& metrics)
-      : ledger(metrics), flow_table(metrics.AddGauge("proxy.flow_table")) {}
-
-  struct Flow {
-    uint64_t id = 0;
-    FlowKey key;
-    // Bound (OQDA, client port) and connected to the meta server, so the
-    // kernel hands it only the meta server's replies.
-    std::unique_ptr<net::UdpSocket> sock;
-    bool draining = false;
-    size_t site = 0;  // catchment assignment, fixed for the flow's life
-    NanoTime last_active = 0;  // last query or reply while active
-    NanoTime drained_at = 0;   // when it left the LRU for draining
-    std::list<uint64_t>::iterator lru_it;
-  };
+      : ledger(metrics),
+        pending(metrics.AddGauge("proxy.pending")),
+        ring(std::make_unique<Slot[]>(kRingSlots)) {}
 
   // A spliced TCP pass-through (shard 0 only). Callbacks capture the
   // splice id, never pointers: disposed splices are simply not found, and
@@ -95,8 +80,12 @@ struct HierarchyProxy::Shard {
   std::unique_ptr<net::UdpSocket> ingress;
   std::unordered_set<IpAddress> emulated;
   std::unique_ptr<net::TcpListener> tcp_listener;  // shard 0, same address
+  // Bound to the unspecified address at this shard's own ephemeral port:
+  // queries leave it with their OQDA as source, and the meta server's
+  // replies come back to (OQDA, this port).
+  std::unique_ptr<net::UdpSocket> upstream;
   stats::Ledger<kRelayLedger> ledger;
-  stats::Gauge* flow_table;  // RelayStats::active_flows
+  stats::Gauge* pending;  // RelayStats::pending
   // Per-site load, one pair per RelayConfig::sites entry.
   struct SiteCells {
     stats::Counter* queries_in;
@@ -105,17 +94,17 @@ struct HierarchyProxy::Shard {
   std::vector<SiteCells> sites;
   std::thread thread;
 
-  // Flow table.
-  std::unordered_map<uint64_t, Flow> flows;  // by id (draining included)
-  std::unordered_map<FlowKey, uint64_t, FlowKeyHash> flows_by_key;
-  std::list<uint64_t> lru;  // front = coldest active flow
-  std::deque<uint64_t> draining;  // front = first to close
-  uint64_t next_flow_id = 1;
-  NanoDuration tick_interval = Millis(8);
-  bool tick_armed = false;
+  // The ID ring; `cursor` is the next slot to take and wraps with the ID.
+  std::unique_ptr<Slot[]> ring;
+  uint16_t cursor = 0;
 
-  // Reply staging, reused across batches (SocketDnsServer idiom).
+  // Staging for one batch per leg, reused across batches: rewritten
+  // copies of the datagrams, their send items and the replies' sites.
+  std::vector<Bytes> forward_wire;
+  std::vector<net::UdpSocket::SendItem> forward_items;
+  std::vector<Bytes> reply_wire;
   std::vector<net::UdpSocket::SendItem> reply_items;
+  std::vector<uint16_t> reply_sites;
 
   // TCP splices (shard 0 only).
   std::unordered_map<uint64_t, std::unique_ptr<Splice>> splices;
@@ -161,121 +150,45 @@ struct HierarchyProxy::Shard {
                              " on every local address");
   }
 
-  // --- flow table ---
-
-  // Every stamp of last_active (here and in FlowFor) is a monotonic read
-  // on this shard's thread, and the stamped flow moves to the hot end. So
-  // the LRU is sorted by last_active, and since every flow shares
-  // flow_idle_timeout, its cold end is the next flow to go idle: OnTick
-  // expires from the front and stops at the first flow not yet due.
-  void Touch(Flow& flow, NanoTime now) {
-    lru.splice(lru.end(), lru, flow.lru_it);  // move to hottest position
-    flow.last_active = now;
+  // The upstream socket keeps SO_REUSEPORT off, so no other shard can
+  // share its port and be handed this shard's replies.
+  Status OpenUpstream(net::UdpOptions options) {
+    options.reuse_port = false;
+    LDP_ASSIGN_OR_RETURN(
+        upstream,
+        net::UdpSocket::Open(
+            *loop, Endpoint{IpAddress(), 0},
+            [this](std::span<const net::UdpSocket::RecvItem> items) {
+              OnUpstreamBatch(items);
+            },
+            options));
+    return Status::Ok();
   }
 
-  // Active -> draining: unreachable by key, excluded from the LRU, socket
-  // kept open for flow_linger so late replies are counted, not invisible.
-  // Flows enter draining in time order and share flow_linger, so the
-  // draining FIFO is sorted by drain deadline too.
-  template <uint64_t RelayStats::*kReason>
-  void MoveToDraining(Flow& flow, NanoTime now) {
-    flow.draining = true;
-    flow.drained_at = now;
-    draining.push_back(flow.id);
-    lru.erase(flow.lru_it);
-    flow_table->Add(-1);
-    auto by_key = flows_by_key.find(flow.key);
-    if (by_key != flows_by_key.end() && by_key->second == flow.id) {
-      flows_by_key.erase(by_key);
-    }
-    ledger.Add<kReason>();
-  }
-
-  Flow* FlowFor(Endpoint client, IpAddress oqda, NanoTime now) {
-    FlowKey key{client, oqda};
-    auto it = flows_by_key.find(key);
-    if (it != flows_by_key.end()) return &flows.at(it->second);
-
-    if (lru.size() >= config.flow_capacity && !lru.empty()) {
-      MoveToDraining<&RelayStats::flows_evicted>(flows.at(lru.front()), now);
-    }
-
-    uint64_t id = next_flow_id++;
-    // Port-preserving relay bind: the meta server should see the client's
-    // original source port (paper §2.4, "ports pass through untouched").
-    // A collision (e.g. two clients sharing a port across evict/re-create,
-    // or the service port itself) falls back to an ephemeral port.
-    auto handler = [this, id](std::span<const net::UdpSocket::RecvItem>
-                                  items) { OnRelayBatch(id, items); };
-    auto sock =
-        net::UdpSocket::Open(*loop, Endpoint{oqda, client.port}, handler);
-    if (!sock.ok()) {
-      ledger.Add<&RelayStats::port_fallbacks>();
-      sock = net::UdpSocket::Open(*loop, Endpoint{oqda, 0}, handler);
-      if (!sock.ok()) {
-        LDP_DEBUG << "relay bind failed: " << sock.error().ToString();
-        return nullptr;
-      }
-    }
-    if (auto connected = (*sock)->Connect(config.meta_server);
-        !connected.ok()) {
-      LDP_DEBUG << "relay connect failed: " << connected.error().ToString();
-      return nullptr;
-    }
-
-    Flow flow;
-    flow.id = id;
-    flow.key = key;
-    flow.sock = std::move(*sock);
-    flow.last_active = now;
-    if (!config.sites.empty()) {
-      flow.site = config.catchment.Lookup(client.addr);
-    }
-    flow.lru_it = lru.insert(lru.end(), id);
-    auto emplaced = flows.emplace(id, std::move(flow));
-    flows_by_key.emplace(key, id);
-    ledger.Add<&RelayStats::flows_created>();
-    flow_table->Add(1);
-    ArmTick();
-    return &emplaced.first->second;
-  }
-
-  // The tick runs while either order holds a flow.
-  void ArmTick() {
-    if (tick_armed || (lru.empty() && draining.empty())) return;
-    tick_armed = true;
-    loop->ScheduleAfter(tick_interval, [this]() { OnTick(); });
-  }
-
-  void OnTick() {
-    tick_armed = false;
-    const NanoTime now = MonotonicNow();
-    while (!lru.empty()) {
-      Flow& flow = flows.at(lru.front());
-      if (flow.last_active + config.flow_idle_timeout > now) break;
-      MoveToDraining<&RelayStats::flows_expired>(flow, now);
-    }
-    while (!draining.empty()) {
-      auto it = flows.find(draining.front());
-      if (it->second.drained_at + config.flow_linger > now) break;
-      flows.erase(it);  // linger over: the relay socket closes here
-      draining.pop_front();
-    }
-    ArmTick();
+  // Reuses the staging buffer at `index` for a copy of `payload`. A
+  // resize moves the buffers without copying their bytes, so spans taken
+  // from earlier ones stay valid.
+  static Bytes& Stage(std::vector<Bytes>& buffers, size_t index,
+                      std::span<const uint8_t> payload) {
+    if (buffers.size() <= index) buffers.resize(index + 1);
+    buffers[index].assign(payload.begin(), payload.end());
+    return buffers[index];
   }
 
   // --- UDP data path ---
 
   // Queries arriving at the service port. The paper's recursive-proxy
-  // rewrite (src := OQDA, dst := meta) is realized by forwarding from the
-  // flow's relay socket, which is bound to the OQDA. Each datagram carries
-  // the address it targeted (RecvItem::to), from IP_PKTINFO.
+  // rewrite (src := OQDA, dst := meta) is one SendBatch on the upstream
+  // socket per ingress batch, each query naming its OQDA (RecvItem::to,
+  // from IP_PKTINFO) as source and carrying its ring slot as its ID.
   void OnIngressBatch(std::span<const net::UdpSocket::RecvItem> items) {
     const NanoTime t0 = MonotonicNow();
     if (udp_batch != nullptr) udp_batch->Record(items.size());
+    forward_items.clear();
+    const uint16_t first_id = cursor;  // forwarded queries take successive IDs
     for (const auto& item : items) {
       ledger.Add<&RelayStats::queries_in>();
-      IpAddress oqda = item.to.addr;
+      const IpAddress oqda = item.to.addr;
       if (item.payload.size() < kDnsHeaderBytes || !emulated.contains(oqda)) {
         // Not a DNS message — or a datagram for a local address we don't
         // emulate that happens to share the service port. Nothing to
@@ -283,89 +196,106 @@ struct HierarchyProxy::Shard {
         ledger.Add<&RelayStats::passed_through>();
         continue;
       }
-      Flow* flow = FlowFor(item.from, oqda, t0);
-      if (flow == nullptr) {
-        ledger.Add<&RelayStats::meta_send_errors>();
-        continue;
-      }
-      if (flow->site < sites.size()) {
-        sites[flow->site].queries_in->Add();
-      }
-      auto status = flow->sock->Send(item.payload);
-      if (status.ok()) {
-        ledger.Add<&RelayStats::rewritten>();
+      const uint16_t id = cursor++;
+      Slot& slot = ring[id];
+      if (slot.held) {
+        // Unanswered for a whole wrap: the ring's oldest query gives way.
+        ledger.Add<&RelayStats::reclaimed>();
       } else {
-        ledger.Add<&RelayStats::meta_send_errors>();
+        pending->Add(1);
       }
-      Touch(*flow, t0);
+      slot.client_addr = item.from.addr;
+      slot.oqda = oqda;
+      slot.client_port = item.from.port;
+      slot.client_id = ReadId(item.payload);
+      slot.site = config.sites.empty()
+                      ? 0
+                      : static_cast<uint16_t>(
+                            config.catchment.Lookup(item.from.addr));
+      slot.held = true;
+      if (slot.site < sites.size()) sites[slot.site].queries_in->Add();
+      Bytes& wire = Stage(forward_wire, forward_items.size(), item.payload);
+      WriteId(wire, id);
+      forward_items.push_back(
+          net::UdpSocket::SendItem{wire, config.meta_server, {oqda, 0}});
     }
-    if (rewrite_ns != nullptr && !items.empty()) {
+    if (forward_items.empty()) return;
+    const size_t accepted = upstream->SendBatch(forward_items);
+    ledger.Add<&RelayStats::rewritten>(accepted);
+    ledger.Add<&RelayStats::meta_send_errors>(forward_items.size() -
+                                              accepted);
+    for (size_t i = accepted; i < forward_items.size(); ++i) {
+      // Never left: owes no reply.
+      ring[static_cast<uint16_t>(first_id + i)].held = false;
+      pending->Add(-1);
+    }
+    if (rewrite_ns != nullptr) {
       // Per-query rewrite+forward cost, averaged over the batch.
       rewrite_ns->Record(static_cast<uint64_t>(
           (MonotonicNow() - t0) / static_cast<int64_t>(items.size())));
     }
   }
 
-  // Meta-server replies landing on one flow's relay socket (connected, so
-  // nothing else lands there). The reverse rewrite (src := OQDA, dst :=
-  // client) is realized by answering over the ingress socket with the OQDA
-  // as the reply's source.
-  void OnRelayBatch(uint64_t flow_id,
-                    std::span<const net::UdpSocket::RecvItem> items) {
-    auto it = flows.find(flow_id);
-    if (it == flows.end()) return;
-    Flow& flow = it->second;
-    if (flow.draining) {
-      // The flow was evicted/expired before the meta server answered:
-      // accountable loss, not silence.
-      ledger.Add<&RelayStats::evicted_drops>(items.size());
-      return;
-    }
-    ledger.Add<&RelayStats::responses_in>(items.size());
-    // `from` makes the reply leave from the queried address (an IP_PKTINFO
-    // source).
-    Endpoint reply_source{flow.key.oqda, ingress->local().port};
-    NanoDuration rtt =
-        flow.site < config.sites.size() ? config.sites[flow.site].rtt : 0;
-    if (rtt > 0) {
-      // Anycast RTT injection: hold the reply for the flow's site delay.
-      // Payloads are copied (the recv spans die with this batch) and the
-      // send runs on this same loop thread, so the shared reply_items
-      // staging and counters stay single-writer.
-      std::vector<Bytes> held;
-      held.reserve(items.size());
-      for (const auto& item : items) {
-        held.emplace_back(item.payload.begin(), item.payload.end());
+  // Datagrams landing on the upstream socket. A meta-server reply whose
+  // slot is held and whose destination is the slot's OQDA gets the
+  // client's ID back and takes the reverse rewrite (src := OQDA, dst :=
+  // client): it is answered over the ingress socket with the OQDA as its
+  // source. Its site's RTT, if any, holds it on a loop timer first.
+  void OnUpstreamBatch(std::span<const net::UdpSocket::RecvItem> items) {
+    reply_items.clear();
+    reply_sites.clear();
+    const uint16_t service_port = ingress->local().port;
+    for (const auto& item : items) {
+      if (item.from != config.meta_server ||
+          item.payload.size() < kDnsHeaderBytes) {
+        ledger.Add<&RelayStats::passed_through>();
+        continue;
       }
-      Endpoint client = flow.key.client;
-      size_t site = flow.site;
-      loop->ScheduleAfter(
-          rtt, [this, client, reply_source, site, held = std::move(held)]() {
-            reply_items.clear();
-            for (const auto& payload : held) {
-              reply_items.push_back(
-                  net::UdpSocket::SendItem{payload, client, reply_source});
-            }
-            SendReplies(site);
-          });
-    } else {
-      reply_items.clear();
-      for (const auto& item : items) {
-        reply_items.push_back(net::UdpSocket::SendItem{
-            item.payload, flow.key.client, reply_source});
+      Slot& slot = ring[ReadId(item.payload)];
+      if (!slot.held || slot.oqda != item.to.addr) {
+        // Its query was reclaimed or already answered, or the reply went
+        // to another emulated address: accountable loss, not silence.
+        ledger.Add<&RelayStats::evicted_drops>();
+        continue;
       }
-      SendReplies(flow.site);
+      slot.held = false;
+      pending->Add(-1);
+      ledger.Add<&RelayStats::responses_in>();
+      const Endpoint client{slot.client_addr, slot.client_port};
+      const Endpoint source{slot.oqda, service_port};
+      const NanoDuration rtt =
+          slot.site < config.sites.size() ? config.sites[slot.site].rtt : 0;
+      if (rtt > 0) {
+        // Anycast RTT injection. The copy outlives this batch, and the
+        // send runs on this same loop thread, so the staging vectors and
+        // counters stay single-writer.
+        Bytes held(item.payload.begin(), item.payload.end());
+        WriteId(held, slot.client_id);
+        loop->ScheduleAfter(rtt, [this, held = std::move(held), client,
+                                  source, site = slot.site]() {
+          reply_items.assign(
+              {net::UdpSocket::SendItem{held, client, source}});
+          reply_sites.assign({site});
+          SendReplies();
+        });
+        continue;
+      }
+      Bytes& wire = Stage(reply_wire, reply_items.size(), item.payload);
+      WriteId(wire, slot.client_id);
+      reply_items.push_back(net::UdpSocket::SendItem{wire, client, source});
+      reply_sites.push_back(slot.site);
     }
-    Touch(flow, MonotonicNow());
+    if (!reply_items.empty()) SendReplies();
   }
 
-  // Flushes reply_items through the ingress path, attributing to `site`.
-  void SendReplies(size_t site) {
-    size_t accepted = ingress->SendBatch(reply_items);
+  // Flushes reply_items through the ingress path, attributing each
+  // accepted reply to its site.
+  void SendReplies() {
+    const size_t accepted = ingress->SendBatch(reply_items);
     ledger.Add<&RelayStats::responses_out>(accepted);
     ledger.Add<&RelayStats::rewritten>(accepted);
-    if (site < sites.size()) {
-      sites[site].responses_out->Add(accepted);
+    for (size_t i = 0; i < accepted && !sites.empty(); ++i) {
+      sites[reply_sites[i]].responses_out->Add();
     }
   }
 
@@ -393,10 +323,10 @@ struct HierarchyProxy::Shard {
       DisposeSplice(id);
       return;
     }
-    StartUpstream(id, /*port_preserving=*/true);
+    StartUpstream(id);
   }
 
-  void StartUpstream(uint64_t id, bool port_preserving) {
+  void StartUpstream(uint64_t id) {
     auto it = splices.find(id);
     if (it == splices.end()) return;
     Splice& splice = *it->second;
@@ -404,12 +334,9 @@ struct HierarchyProxy::Shard {
     splice.up_connected = false;
     splice.from_upstream = dns::StreamAssembler();  // new stream, new framing
     net::TcpConnectOptions options;
-    // Dial from the OQDA so the meta server's view match sees it; keep the
-    // client's port on the first attempt (reconnects use an ephemeral port
-    // — the old 4-tuple may linger in TIME_WAIT).
-    options.local = Endpoint{
-        splice.oqda,
-        port_preserving ? splice.client->remote().port : uint16_t{0}};
+    // Dial from the OQDA at an ephemeral port, so the meta server's view
+    // match sees the OQDA, as on the UDP leg.
+    options.local = Endpoint{splice.oqda, 0};
     auto conn = net::TcpConnection::Connect(
         *loop, config.meta_server,
         [this, id](Status status) { OnUpstreamConnected(id, status); },
@@ -417,17 +344,6 @@ struct HierarchyProxy::Shard {
           OnUpstreamData(id, data);
         },
         [this, id](Status) { OnUpstreamClosed(id); }, options);
-    if (!conn.ok() && port_preserving) {
-      ledger.Add<&RelayStats::port_fallbacks>();
-      options.local.port = 0;
-      conn = net::TcpConnection::Connect(
-          *loop, config.meta_server,
-          [this, id](Status status) { OnUpstreamConnected(id, status); },
-          [this, id](std::span<const uint8_t> data) {
-            OnUpstreamData(id, data);
-          },
-          [this, id](Status) { OnUpstreamClosed(id); }, options);
-    }
     if (!conn.ok()) {
       RetryOrFail(id);
       return;
@@ -449,8 +365,7 @@ struct HierarchyProxy::Shard {
         continue;
       }
       ledger.Add<&RelayStats::tcp_queries>();
-      uint16_t dns_id =
-          static_cast<uint16_t>(((*wire)[0] << 8) | (*wire)[1]);
+      const uint16_t dns_id = ReadId(*wire);
       Splice::Entry entry;
       entry.seq = splice.next_seq++;
       // *wire came out of a StreamAssembler, so it fits a u16 frame.
@@ -499,8 +414,7 @@ struct HierarchyProxy::Shard {
     if (!splice.from_upstream.Feed(data).ok()) return;
     while (auto wire = splice.from_upstream.NextMessage()) {
       if (wire->size() < 2) continue;
-      uint16_t dns_id =
-          static_cast<uint16_t>(((*wire)[0] << 8) | (*wire)[1]);
+      const uint16_t dns_id = ReadId(*wire);
       splice.inflight.erase(dns_id);
       splice.attempts = 0;  // a live reply refills the reconnect budget
       ledger.Add<&RelayStats::tcp_responses>();
@@ -552,9 +466,8 @@ struct HierarchyProxy::Shard {
                          << std::min(splice.attempts, 10);
     ++splice.attempts;
     ledger.Add<&RelayStats::tcp_reconnects>();
-    splice.reconnect_timer = loop->ScheduleAfter(delay, [this, id]() {
-      StartUpstream(id, /*port_preserving=*/false);
-    });
+    splice.reconnect_timer =
+        loop->ScheduleAfter(delay, [this, id]() { StartUpstream(id); });
   }
 
   void DisposeSplice(uint64_t id) {
@@ -598,15 +511,8 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
       config.meta_server.port == 0) {
     return Error(ErrorCode::kInvalidArgument, "meta server endpoint unset");
   }
-  // Both expiry orders rely on these: the LRU on one positive idle
-  // timeout, the draining FIFO on one linger.
-  if (config.flow_idle_timeout <= 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "flow_idle_timeout must be positive");
-  }
-  if (config.flow_linger < 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "flow_linger must not be negative");
+  if (config.sites.size() > UINT16_MAX) {
+    return Error(ErrorCode::kOutOfRange, "more than 65535 anycast sites");
   }
   if (!config.sites.empty() &&
       config.catchment.default_site() >= config.sites.size()) {
@@ -623,7 +529,6 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
     auto shard = std::make_unique<Shard>(metrics);
     shard->config = config;
     shard->config.n_shards = n_shards;
-    shard->tick_interval = RelayTickFor(config);
     LDP_ASSIGN_OR_RETURN(shard->loop, net::EventLoop::Create());
     for (const SiteSpec& site : config.sites) {
       const std::string prefix = "proxy.site." + site.name;
@@ -646,10 +551,11 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
     udp_options.metrics = config.metrics;
 
     // One wildcard socket per shard carries every emulated address;
-    // OnIngressBatch reads each query's OQDA from RecvItem::to. TCP splices on shard 0 only (mirrors ShardedDnsServer:
-    // the TCP lane needs correctness, not multi-core throughput). An
-    // ephemeral UDP port may be held by some TCP socket on another
-    // address, so shard 0 draws again a few times, as SocketDnsServer does.
+    // OnIngressBatch reads each query's OQDA from RecvItem::to. TCP
+    // splices on shard 0 only (mirrors ShardedDnsServer: the TCP lane
+    // needs correctness, not multi-core throughput). An ephemeral UDP port
+    // may be held by some TCP socket on another address, so shard 0 draws
+    // again a few times, as SocketDnsServer does.
     shard->emulated.insert(config.addresses.begin(), config.addresses.end());
     const bool tcp = i == 0 && config.splice_tcp;
     Status opened = shard->OpenIngress(port, tcp, udp_options);
@@ -658,6 +564,7 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
       opened = shard->OpenIngress(port, tcp, udp_options);
     }
     if (!opened.ok()) return opened.error();
+    LDP_RETURN_IF_ERROR(shard->OpenUpstream(udp_options));
     if (port == 0) port = shard->ingress->local().port;  // resolve once
     proxy->shards_.push_back(std::move(shard));
   }
@@ -690,7 +597,7 @@ RelayStats HierarchyProxy::TotalStats() const {
   }
   for (const auto& shard : shards_) {
     shard->ledger.AddTo(total);
-    total.active_flows += shard->flow_table->Get();
+    total.pending += shard->pending->Get();
     for (size_t i = 0; i < shard->sites.size(); ++i) {
       total.sites[i].queries_in += shard->sites[i].queries_in->Get();
       total.sites[i].responses_out += shard->sites[i].responses_out->Get();

@@ -11,22 +11,27 @@
 //     aliases, see LoopbackAlias in common/ip.h) is local, so a query to
 //     address A lands there, and the datagram's destination (RecvItem::to)
 //     is its OQDA.
-//   rewrite:         the query is forwarded to the meta server from a
-//     relay socket bound to (A, client-port) and connected to the meta
-//     server: the meta server sees src == OQDA (its split-horizon view
-//     selector) and the client's original port (ports pass through
-//     untouched, paper §2.4).
-//   authoritative side: the meta server's reply lands on that relay
-//     socket; the proxy sends it back to the client over the ingress path
-//     with A as its source, so the client sees the reply arriving from the
-//     address it queried.
+//   rewrite:         each shard forwards every query to the meta server
+//     through one upstream socket bound to the unspecified address at its
+//     own ephemeral port, naming the OQDA as the datagram's source
+//     (IP_PKTINFO): the meta server sees src == OQDA, its split-horizon
+//     view selector. The query's DNS ID is replaced by the index of the
+//     ring slot that remembers the client (below).
+//   authoritative side: the meta server's reply lands on the upstream
+//     socket at (OQDA, upstream port); its ID names the slot, which gives
+//     back the client endpoint and the client's own ID. The proxy sends
+//     the reply to the client over the ingress path with A as its source,
+//     so the client sees the reply arriving from the address it queried.
 //
-// Flows — one per (client endpoint, OQDA) pair — live in a NAT-style
-// bounded table kept in two orders. Active flows sit in an LRU list, which
-// is also their idle order: the cold end is evicted at capacity and
-// expires first. Evicted/expired flows linger briefly in a draining FIFO
-// so a late meta reply is counted (proxy.evicted_drops) instead of
-// silently vanishing; the FIFO's front is the next relay socket to close.
+// The ID ring: 65,536 slots per shard, one per DNS ID, taken strictly
+// round-robin, so the ring is its own age order. A slot still held when
+// the cursor comes round again belongs to a query the meta server did
+// not answer within one wrap; it is reclaimed and counted
+// (proxy.reclaimed). A reply is delivered only when it comes from the
+// meta server, its slot is held and it arrived at the slot's OQDA;
+// otherwise it is counted (proxy.evicted_drops or proxy.passed_through).
+// The client's port does not reach the meta server (paper §2.4 passes it
+// through); views match on the source address alone (DESIGN.md §10).
 //
 // TCP is spliced: the proxy accepts on the same wildcard address and port,
 // dials the meta server from the address the client dialed, and re-frames
@@ -35,11 +40,12 @@
 // unanswered frames, carrying the rewrite across reconnects.
 //
 // Sharding mirrors ShardedDnsServer: n_shards worker threads, each with
-// its own EventLoop, SO_REUSEPORT wildcard ingress path, flow table and
-// metric instances (merged by name at snapshot). TCP stays on shard 0.
+// its own EventLoop, SO_REUSEPORT wildcard ingress path, upstream socket,
+// ID ring and metric instances (merged by name at snapshot). TCP stays on
+// shard 0.
 //
-// Anycast emulation (catchment.h): when `sites` is configured, each flow
-// is pinned to a site by catchment lookup on the client address, UDP
+// Anycast emulation (catchment.h): when `sites` is configured, each query
+// is assigned a site by catchment lookup on the client address, UDP
 // replies are delayed by the site's RTT, and per-site proxy.site.*
 // counters expose the load split. Sites are virtual — all catchments
 // reach the same meta server — which is exactly the paper's meta-server
@@ -76,15 +82,8 @@ struct RelayConfig {
   // Where rewritten queries go: the meta-DNS-server.
   Endpoint meta_server;
   size_t n_shards = 1;
+  // SO_RCVBUF of each shard's ingress and upstream sockets.
   int udp_recv_buffer_bytes = 0;
-
-  // Flow table bounds (per shard). Start refuses a flow_idle_timeout <= 0
-  // or a negative flow_linger.
-  size_t flow_capacity = 4096;
-  NanoDuration flow_idle_timeout = Seconds(30);
-  // Draining window after eviction/expiry during which late replies are
-  // still observed (and counted as drops) before the socket closes.
-  NanoDuration flow_linger = Seconds(1);
 
   // TCP splice (shard 0).
   bool splice_tcp = true;
@@ -92,22 +91,22 @@ struct RelayConfig {
   NanoDuration tcp_reconnect_backoff = Millis(50);
 
   // Anycast sites (empty = single-site, no catchment logic on the hot
-  // path). Flows are assigned a site at creation by catchment lookup on
-  // the client source address; each site's RTT is injected on the UDP
-  // reply path.
+  // path), at most 65,535. Each UDP query is assigned a site by catchment
+  // lookup on the client source address; each site's RTT is injected on
+  // the UDP reply path.
   std::vector<SiteSpec> sites;
   CatchmentMap catchment;
 
-  // Optional live metrics: each shard counts proxy.* and the flow-table
-  // occupancy gauge into its own cells there (in a private registry
-  // without one), and records rewrite-latency and ingress-batch
-  // histograms. The registry must outlive the proxy; its cells keep the
-  // final totals for snapshots taken after Stop().
+  // Optional live metrics: each shard counts proxy.*, the held-slot gauge
+  // and its sockets' datapath.* frames into its own cells there (in a
+  // private registry without one), and records rewrite-latency and
+  // ingress-batch histograms. The registry must outlive the proxy; its
+  // cells keep the final totals for snapshots taken after Stop().
   stats::MetricsRegistry* metrics = nullptr;
 };
 
 // Sums of every shard's registry cells; all counters monotonic except
-// active_flows.
+// pending.
 struct RelayStats {
   uint64_t rewritten = 0;       // address-rewritten packets, both legs
   uint64_t passed_through = 0;  // seen but not rewritable: not DNS-sized,
@@ -115,18 +114,19 @@ struct RelayStats {
   uint64_t queries_in = 0;
   uint64_t responses_in = 0;
   uint64_t responses_out = 0;
+  // Always 0: the relay keeps no flows. Kept as fields only because the
+  // benchmark still names them.
   uint64_t flows_created = 0;
-  uint64_t flows_evicted = 0;   // LRU pressure
-  uint64_t flows_expired = 0;   // idle timeout
-  uint64_t evicted_drops = 0;   // replies that arrived for a draining flow
-  uint64_t port_fallbacks = 0;  // relay bind fell back to an ephemeral port
+  uint64_t flows_evicted = 0;
+  uint64_t reclaimed = 0;       // slots still held when the ring came round
+  uint64_t evicted_drops = 0;   // meta replies to a free slot or another OQDA
   uint64_t meta_send_errors = 0;
   uint64_t tcp_accepted = 0;
   uint64_t tcp_queries = 0;
   uint64_t tcp_responses = 0;
   uint64_t tcp_reconnects = 0;
   uint64_t tcp_failed = 0;      // splices torn down with queries still owed
-  int64_t active_flows = 0;     // current flow-table occupancy (gauge)
+  int64_t pending = 0;          // ring slots held: queries owed a reply
 
   // Per-site load split (empty unless RelayConfig::sites was set).
   struct SiteLoad {
@@ -138,7 +138,7 @@ struct RelayStats {
 };
 
 // The relay's ledger: each counter's metric name and RelayStats field.
-// active_flows is the proxy.flow_table gauge; each site's load is
+// pending is the proxy.pending gauge; each site's load is
 // proxy.site.<name>.queries and .responses.
 inline constexpr auto kRelayLedger = std::to_array<
     stats::LedgerRow<RelayStats>>({
@@ -147,11 +147,8 @@ inline constexpr auto kRelayLedger = std::to_array<
     {"proxy.queries_in", &RelayStats::queries_in},
     {"proxy.responses_in", &RelayStats::responses_in},
     {"proxy.responses_out", &RelayStats::responses_out},
-    {"proxy.flows_created", &RelayStats::flows_created},
-    {"proxy.flows_evicted", &RelayStats::flows_evicted},
-    {"proxy.flows_expired", &RelayStats::flows_expired},
+    {"proxy.reclaimed", &RelayStats::reclaimed},
     {"proxy.evicted_drops", &RelayStats::evicted_drops},
-    {"proxy.port_fallbacks", &RelayStats::port_fallbacks},
     {"proxy.meta_send_errors", &RelayStats::meta_send_errors},
     {"proxy.tcp_accepted", &RelayStats::tcp_accepted},
     {"proxy.tcp_queries", &RelayStats::tcp_queries},
@@ -165,9 +162,9 @@ class HierarchyProxy {
   using Config = RelayConfig;
 
   // Binds each shard's wildcard ingress path (resolving an ephemeral
-  // service port via the first bind), then starts one worker thread per
-  // shard. Fails, naming the port, when another socket holds the port on
-  // one of the local addresses. Mirrors
+  // service port via the first bind) and its upstream socket, then starts
+  // one worker thread per shard. Fails, naming the port, when another
+  // socket holds the port on one of the local addresses. Mirrors
   // ShardedDnsServer: sockets and loops are built on the calling thread;
   // after Start returns each loop is touched only by its own worker.
   static Result<std::unique_ptr<HierarchyProxy>> Start(const Config& config);

@@ -14,15 +14,14 @@
 //     and attack traffic;
 //   - what the attack *costs the server* is read from the machinery's
 //     existing meters: engine cache hit rate (NXDOMAIN flood collapses
-//     it), response_bytes (amplification), proxy flow churn +
+//     it), response_bytes (amplification), proxy reclaimed slots +
 //     evicted_drops (spoofed flood), loop-lag histograms (CPU proxy).
 //
 // One attack cannot ride the trace replayer: spoofed *sources*. A
-// realtime querier owns one socket, so every query it sends shares one
-// flow key at the proxy no matter what record.src says. RunSpoofedFlood
-// is the real-socket stand-in: a socket-rotating injector that mints a
-// fresh ephemeral port (= fresh proxy flow) every few queries, producing
-// genuine flow-table LRU churn.
+// realtime querier owns one socket, so every query it sends leaves from
+// one client endpoint no matter what record.src says. RunSpoofedFlood is
+// the real-socket stand-in: a socket-rotating injector that mints a
+// fresh ephemeral port (= a fresh client endpoint) every few queries.
 #ifndef LDPLAYER_SCENARIO_SCENARIO_H
 #define LDPLAYER_SCENARIO_SCENARIO_H
 
@@ -92,10 +91,9 @@ AmplificationReport ComputeAmplification(
 
 // Spoofed-source flood over real sockets. Each rotation closes a socket
 // and binds a fresh one, minting a new ephemeral port — to the proxy, a
-// brand-new client endpoint and hence a brand-new flow. With
-// rotate_after_sends small and rate high, flows are created far faster
-// than they idle out, forcing LRU evictions; replies to already-evicted
-// flows surface as proxy.evicted_drops.
+// brand-new client endpoint. The proxy's ID ring holds no per-client
+// state, so the flood's replies come back to whichever sockets are still
+// open; a reply to a closed socket is lost at the client, not the proxy.
 struct SpoofedFloodConfig {
   Endpoint target;          // an emulated NS address at the proxy port
   Bytes query_wire;         // the (cacheable) query repeated by the flood

@@ -75,6 +75,32 @@ TEST(Flags, IntInRangeNamesTheFlag) {
             "--low must be in [1, 10]");
 }
 
+TEST(Flags, DoubleInRangeRefusesNonFiniteAndOutOfRange) {
+  Flags flags = ParseArgs({"--half=0.5", "--zero=0", "--one=1", "--big=1.5",
+                           "--neg=-0.1", "--nan=nan", "--inf=inf",
+                           "--minf=-inf", "--bad=0.5x"});
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("half", 1, 0, 1).value(), 0.5);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("zero", 1, 0, 1).value(), 0);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("one", 0, 0, 1).value(), 1);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("absent", 0.25, 0, 1).value(),
+                   0.25);
+  // An open lower bound refuses the bound itself.
+  EXPECT_FALSE(flags.GetDoubleInRange("zero", 1, 0, 10, true).ok());
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("half", 1, 0, 10, true).value(),
+                   0.5);
+  for (const char* key : {"big", "neg", "nan", "inf", "minf", "bad"}) {
+    auto value = flags.GetDoubleInRange(key, 0.5, 0, 1);
+    ASSERT_FALSE(value.ok()) << key;
+    EXPECT_NE(value.error().message().find(std::string("--") + key),
+              std::string::npos)
+        << value.error().ToString();
+  }
+  EXPECT_EQ(flags.GetDoubleInRange("big", 0.5, 0, 1).error().message(),
+            "--big must be a finite number in [0, 1]");
+  EXPECT_EQ(flags.GetDoubleInRange("zero", 1, 0, 10, true).error().message(),
+            "--zero must be a finite number in (0, 10]");
+}
+
 TEST(Flags, RequireKnownCatchesTypos) {
   Flags flags = ParseArgs({"--rate=5", "--typo=1"});
   EXPECT_TRUE(flags.RequireKnown({"rate", "typo"}).ok());

@@ -1,13 +1,13 @@
 // HierarchyProxy (src/proxy/relay.h): the real-socket address-rewriting
 // relay must deliver the paper's §2.4 contract — the meta server sees the
-// OQDA as source (its split-horizon view selector) with the client's port
-// preserved, and the reply returns from the address the client queried.
-// Plus the NAT-table bounds: LRU eviction under pressure, idle expiry from
-// the LRU's cold end, late replies for drained flows dropped-and-counted
-// and relay sockets closed once the linger has passed; and
-// the single wildcard listener's edges: traffic to local addresses it does
-// not emulate, datagrams to a relay socket from anyone but the meta
-// server, and a service port another socket already holds.
+// OQDA as source (its split-horizon view selector), and the reply returns
+// from the address the client queried, byte-identical to the meta
+// server's direct answer. Plus the ID ring's edges: two clients sharing a
+// DNS ID, replies to a freed slot, from a stranger or to the wrong OQDA
+// counted and never delivered, and a full wrap of unanswered queries
+// reclaimed; and the single wildcard listener's edges: traffic to local
+// addresses it does not emulate and a service port another socket already
+// holds.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -70,18 +70,17 @@ sockaddr_in SockAddr(IpAddress addr, uint16_t port) {
   return sa;
 }
 
-// Blocking UDP client pinned to a specific local port, so the test can
-// assert the rewrite preserved it end to end.
+// Blocking UDP client bound to an ephemeral port on `local`.
 class UdpClient {
  public:
-  explicit UdpClient(uint16_t local_port = 0) {
+  explicit UdpClient(IpAddress local = IpAddress::Loopback()) {
     fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
     EXPECT_GE(fd_, 0);
     timeval tv{.tv_sec = 5, .tv_usec = 0};
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in local = SockAddr(IpAddress::Loopback(), local_port);
-    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&local),
-                     sizeof(local)),
+    sockaddr_in local_sa = SockAddr(local, 0);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&local_sa),
+                     sizeof(local_sa)),
               0);
   }
   ~UdpClient() { ::close(fd_); }
@@ -127,8 +126,8 @@ Bytes MakeQueryWire(const std::string& qname, uint16_t id) {
 }
 
 // A stand-in meta server the test controls: records each query's rewritten
-// source endpoint and replies only when told to, so eviction and expiry
-// can be staged deterministically.
+// source endpoint and replies only when told to, so late, duplicate and
+// misdirected replies can be staged deterministically.
 class ManualMeta {
  public:
   ManualMeta() {
@@ -151,7 +150,7 @@ class ManualMeta {
   }
 
   struct Seen {
-    Endpoint from;  // the relay's rewritten source: (OQDA, client port)
+    Endpoint from;  // the relay's rewritten source: (OQDA, upstream port)
     Bytes wire;
   };
 
@@ -170,13 +169,15 @@ class ManualMeta {
                 Bytes(buf, buf + got)};
   }
 
-  void ReplyTo(const Seen& seen) {
+  // Answers `seen` at its source, or at `to` when that is set.
+  void ReplyTo(const Seen& seen, std::optional<Endpoint> to = std::nullopt) {
     auto query = dns::Message::Decode(seen.wire);
     ASSERT_TRUE(query.ok());
     auto reply = *query;
     reply.qr = true;
     Bytes wire = reply.Encode();
-    sockaddr_in sa = SockAddr(seen.from.addr, seen.from.port);
+    const Endpoint dst = to.value_or(seen.from);
+    sockaddr_in sa = SockAddr(dst.addr, dst.port);
     EXPECT_EQ(::sendto(fd_, wire.data(), wire.size(), 0,
                        reinterpret_cast<sockaddr*>(&sa), sizeof(sa)),
               static_cast<ssize_t>(wire.size()));
@@ -194,7 +195,7 @@ bool WaitFor(const std::function<bool()>& done, int timeout_ms = 5000) {
   return done();
 }
 
-TEST(HierarchyProxyTest, UdpRewriteRoundTripPreservesPortAndView) {
+TEST(HierarchyProxyTest, UdpRewriteRoundTripPreservesOqdaAndView) {
   server::ShardedDnsServer::Config sconfig;
   sconfig.listen = Endpoint{IpAddress::Loopback(), 0};
   sconfig.n_shards = 1;
@@ -214,7 +215,8 @@ TEST(HierarchyProxyTest, UdpRewriteRoundTripPreservesPortAndView) {
   ASSERT_NE(service_port, 0);
 
   // Same client socket queries both emulated addresses: each query must
-  // match its address's view, and each reply must come back *from* the
+  // reach the meta server from its OQDA, so it matches that address's view
+  // and gets that view's answer, and each reply must come back *from* the
   // address that was queried.
   UdpClient client;
   struct Case {
@@ -233,6 +235,9 @@ TEST(HierarchyProxyTest, UdpRewriteRoundTripPreservesPortAndView) {
     ASSERT_TRUE(reply.ok());
     EXPECT_EQ(reply->rcode, dns::Rcode::kNoError) << c.qname;
     ASSERT_EQ(reply->answers.size(), 1u) << c.qname;
+    const auto* a = std::get_if<dns::ARdata>(&reply->answers[0].rdata);
+    ASSERT_NE(a, nullptr) << c.qname;
+    EXPECT_EQ(a->address, c.want) << "answered from another view";
   }
 
   // The client can hold the reply before the shard thread has bumped its
@@ -242,18 +247,18 @@ TEST(HierarchyProxyTest, UdpRewriteRoundTripPreservesPortAndView) {
   RelayStats stats = (*relay)->TotalStats();
   EXPECT_EQ(stats.queries_in, 2u);
   EXPECT_EQ(stats.responses_out, 2u);
-  // Port-preserving: both relay sockets bound (OQDA, client_port) without
-  // falling back to an ephemeral port — the meta server saw the client's
-  // own port, which is what view-keyed per-client state depends on.
-  EXPECT_EQ(stats.port_fallbacks, 0u);
-  EXPECT_EQ(stats.flows_created, 2u);  // one per (client, OQDA) pair
+  EXPECT_EQ(stats.pending, 0) << "an answered query still holds its slot";
 
   // The same totals must be visible through the registry under proxy.*.
   stats::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.CounterValue("proxy.queries_in"), 2u);
   EXPECT_EQ(snapshot.CounterValue("proxy.responses_out"), 2u);
-  EXPECT_EQ(snapshot.GaugeValue("proxy.flow_table"), stats.active_flows);
+  EXPECT_EQ(snapshot.GaugeValue("proxy.pending"), stats.pending);
   EXPECT_NE(snapshot.Histogram("proxy.rewrite_ns"), nullptr);
+  // The upstream socket counts its frames too: two queries out, two
+  // replies in, on top of the ingress socket's two in and two out.
+  EXPECT_EQ(snapshot.CounterValue("datapath.rx_frames"), 4u);
+  EXPECT_EQ(snapshot.CounterValue("datapath.tx_frames"), 4u);
 
   (*relay)->Stop();
   (*meta)->Stop();
@@ -319,7 +324,7 @@ TEST(HierarchyProxyTest, TcpSpliceRewriteRoundTrip) {
 
 // Every RelayStats field equals the same-named cells in the registry the
 // shards count into, while the shards still run: the proxy.* ledger, the
-// flow-table gauge and the per-site load, over UDP and a TCP splice.
+// held-slot gauge and the per-site load, over UDP and a TCP splice.
 TEST(HierarchyProxyTest, LedgerViewEqualsTheRegistryWhileRelaying) {
   server::ShardedDnsServer::Config sconfig;
   sconfig.listen = Endpoint{IpAddress::Loopback(), 0};
@@ -339,7 +344,7 @@ TEST(HierarchyProxyTest, LedgerViewEqualsTheRegistryWhileRelaying) {
   ASSERT_TRUE(relay.ok()) << relay.error().ToString();
   const uint16_t port = (*relay)->port();
 
-  // Fresh client sockets spread the flows across both shards.
+  // Fresh client sockets spread the queries across both shards.
   const int kClients = 8;
   for (int i = 0; i < kClients; ++i) {
     UdpClient client;
@@ -371,11 +376,10 @@ TEST(HierarchyProxyTest, LedgerViewEqualsTheRegistryWhileRelaying) {
   const RelayStats stats = (*relay)->TotalStats();
   const stats::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(stats.queries_in, static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.flows_created, static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.active_flows, kClients);
+  EXPECT_EQ(stats.pending, 0);
   EXPECT_EQ(stats.tcp_queries, 1u);
   ledger_check::ExpectViewMatchesSnapshot<kRelayLedger>(stats, snapshot);
-  EXPECT_EQ(snapshot.GaugeValue("proxy.flow_table"), stats.active_flows);
+  EXPECT_EQ(snapshot.GaugeValue("proxy.pending"), stats.pending);
   ASSERT_EQ(stats.sites.size(), 2u);
   EXPECT_EQ(stats.sites[1].queries_in, static_cast<uint64_t>(kClients));
   for (const auto& site : stats.sites) {
@@ -390,237 +394,8 @@ TEST(HierarchyProxyTest, LedgerViewEqualsTheRegistryWhileRelaying) {
   (*meta)->Stop();
 }
 
-TEST(HierarchyProxyTest, LruEvictionDropsAndCountsLateReplies) {
-  ManualMeta meta;
-
-  RelayConfig config;
-  config.addresses = {kNsA};
-  config.meta_server = meta.endpoint();
-  config.flow_capacity = 4;
-  config.flow_linger = Seconds(5);  // keep drained sockets observable
-  config.splice_tcp = false;
-  auto relay = HierarchyProxy::Start(config);
-  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
-  Endpoint service{kNsA, (*relay)->port()};
-
-  // Six distinct client ports → six flows through a table of four: the
-  // two oldest get LRU-evicted into the draining state.
-  std::vector<std::unique_ptr<UdpClient>> clients;
-  std::vector<ManualMeta::Seen> seen;
-  for (int i = 0; i < 6; ++i) {
-    clients.push_back(std::make_unique<UdpClient>());
-    clients.back()->SendTo(service,
-                           MakeQueryWire("q" + std::to_string(i) + ".a.test",
-                                         static_cast<uint16_t>(i)));
-    auto arrived = meta.Read();
-    ASSERT_TRUE(arrived.has_value()) << "query " << i << " never relayed";
-    EXPECT_EQ(arrived->from.addr, kNsA);  // rewritten source is the OQDA
-    EXPECT_EQ(arrived->from.port, clients.back()->port());
-    seen.push_back(*arrived);
-  }
-  ASSERT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().flows_evicted >= 2;
-  })) << "LRU never evicted under pressure";
-  RelayStats stats = (*relay)->TotalStats();
-  EXPECT_EQ(stats.flows_created, 6u);
-  EXPECT_EQ(stats.active_flows, 4);
-
-  // A late reply for the oldest (evicted) flow must be dropped and
-  // counted, not forwarded to the client.
-  meta.ReplyTo(seen[0]);
-  ASSERT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().evicted_drops >= 1;
-  })) << "late reply for drained flow was not counted";
-  EXPECT_TRUE(clients[0]->Recv(nullptr, 200).empty())
-      << "evicted flow must not deliver";
-
-  // A reply for a still-resident flow is delivered normally.
-  meta.ReplyTo(seen[5]);
-  EXPECT_FALSE(clients[5]->Recv(nullptr, 5000).empty());
-  (*relay)->Stop();
-}
-
-TEST(HierarchyProxyTest, IdleFlowsExpire) {
-  ManualMeta meta;
-
-  RelayConfig config;
-  config.addresses = {kNsA};
-  config.meta_server = meta.endpoint();
-  config.flow_idle_timeout = Millis(50);
-  config.flow_linger = Millis(50);
-  config.splice_tcp = false;
-  auto relay = HierarchyProxy::Start(config);
-  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
-
-  UdpClient client;
-  client.SendTo(Endpoint{kNsA, (*relay)->port()},
-                MakeQueryWire("idle.a.test", 1));
-  ASSERT_TRUE(meta.Read().has_value());
-  ASSERT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().flows_expired >= 1;
-  })) << "idle flow never expired";
-  EXPECT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().active_flows == 0;
-  }));
-  (*relay)->Stop();
-}
-
-// A flow that keeps talking outlives its idle timeout: every query moves
-// it to the LRU's hot end, so the tick never finds it at the cold end
-// with its idle timeout passed.
-TEST(HierarchyProxyTest, ActiveFlowOutlivesItsIdleTimeout) {
-  ManualMeta meta;
-
-  RelayConfig config;
-  config.addresses = {kNsA};
-  config.meta_server = meta.endpoint();
-  config.flow_idle_timeout = Millis(100);
-  config.flow_linger = Millis(50);
-  config.splice_tcp = false;
-  auto relay = HierarchyProxy::Start(config);
-  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
-
-  UdpClient client;
-  const Endpoint service{kNsA, (*relay)->port()};
-  for (uint16_t i = 0; i < 20; ++i) {  // ~400 ms, four idle timeouts
-    client.SendTo(service, MakeQueryWire("busy.a.test", i));
-    ASSERT_TRUE(meta.Read().has_value()) << "query " << i;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  RelayStats stats = (*relay)->TotalStats();
-  EXPECT_EQ(stats.flows_created, 1u);
-  EXPECT_EQ(stats.flows_expired, 0u) << "an active flow must not expire";
-
-  ASSERT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().flows_expired >= 1;
-  })) << "the flow never expired once it went quiet";
-  (*relay)->Stop();
-}
-
-// Idle expiry pops the LRU's cold end and stops at the first flow not yet
-// due: a quiet flow behind a busy one goes, the busy one stays.
-TEST(HierarchyProxyTest, ColdFlowExpiresBesideAHotOne) {
-  ManualMeta meta;
-
-  RelayConfig config;
-  config.addresses = {kNsA};
-  config.meta_server = meta.endpoint();
-  config.flow_idle_timeout = Millis(100);
-  config.flow_linger = Seconds(5);  // keep the drained socket observable
-  config.splice_tcp = false;
-  auto relay = HierarchyProxy::Start(config);
-  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
-  const Endpoint service{kNsA, (*relay)->port()};
-
-  UdpClient quiet;
-  quiet.SendTo(service, MakeQueryWire("quiet.a.test", 1));
-  auto quiet_seen = meta.Read();
-  ASSERT_TRUE(quiet_seen.has_value()) << "quiet query never relayed";
-
-  UdpClient busy;
-  for (uint16_t i = 0; i < 20; ++i) {  // ~400 ms, four idle timeouts
-    busy.SendTo(service, MakeQueryWire("busy.a.test", i));
-    auto seen = meta.Read();
-    ASSERT_TRUE(seen.has_value()) << "query " << i;
-    meta.ReplyTo(*seen);
-    EXPECT_FALSE(busy.Recv(nullptr, 5000).empty()) << "reply " << i;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  ASSERT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().flows_expired >= 1;
-  })) << "the quiet flow never expired";
-  RelayStats stats = (*relay)->TotalStats();
-  EXPECT_EQ(stats.flows_created, 2u);
-  EXPECT_EQ(stats.flows_expired, 1u);
-  EXPECT_EQ(stats.active_flows, 1);
-
-  // The drained flow is the quiet one: its late reply is dropped and
-  // counted, while the busy flow still answers.
-  meta.ReplyTo(*quiet_seen);
-  ASSERT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().evicted_drops >= 1;
-  })) << "the quiet flow was not the drained one";
-  EXPECT_TRUE(quiet.Recv(nullptr, 200).empty());
-  busy.SendTo(service, MakeQueryWire("busy.a.test", 99));
-  auto last = meta.Read();
-  ASSERT_TRUE(last.has_value());
-  meta.ReplyTo(*last);
-  EXPECT_FALSE(busy.Recv(nullptr, 5000).empty());
-  EXPECT_EQ((*relay)->TotalStats().active_flows, 1);
-  (*relay)->Stop();
-}
-
-// A drained flow's relay socket closes once its linger has passed, which
-// frees its (OQDA, client port) for a port-preserving bind again.
-TEST(HierarchyProxyTest, DrainedFlowReleasesItsPortAfterLinger) {
-  ManualMeta meta;
-
-  RelayConfig config;
-  config.addresses = {kNsA};
-  config.meta_server = meta.endpoint();
-  config.flow_capacity = 1;
-  config.flow_linger = Millis(100);
-  config.splice_tcp = false;
-  auto relay = HierarchyProxy::Start(config);
-  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
-  const Endpoint service{kNsA, (*relay)->port()};
-
-  UdpClient a;
-  UdpClient b;
-  a.SendTo(service, MakeQueryWire("a1.a.test", 1));
-  ASSERT_TRUE(meta.Read().has_value());
-  b.SendTo(service, MakeQueryWire("b1.a.test", 2));  // evicts a's flow
-  ASSERT_TRUE(meta.Read().has_value());
-  ASSERT_TRUE(WaitFor([&] {
-    return (*relay)->TotalStats().flows_evicted >= 1;
-  }));
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  a.SendTo(service, MakeQueryWire("a2.a.test", 3));
-  auto again = meta.Read();
-  ASSERT_TRUE(again.has_value()) << "a's second query never relayed";
-  EXPECT_EQ(again->from.addr, kNsA);
-  EXPECT_EQ(again->from.port, a.port());
-  const RelayStats stats = (*relay)->TotalStats();
-  EXPECT_EQ(stats.flows_created, 3u);
-  EXPECT_EQ(stats.port_fallbacks, 0u);
-  (*relay)->Stop();
-}
-
-// Both expiry orders rely on one positive idle timeout and one
-// non-negative linger, so Start refuses anything else by field name.
-TEST(HierarchyProxyTest, StartRefusesNonPositiveIdleTimeoutOrNegativeLinger) {
-  ManualMeta meta;
-  RelayConfig config;
-  config.addresses = {kNsA};
-  config.meta_server = meta.endpoint();
-  config.splice_tcp = false;
-
-  for (NanoDuration idle : {NanoDuration{0}, Millis(-1)}) {
-    RelayConfig bad = config;
-    bad.flow_idle_timeout = idle;
-    auto relay = HierarchyProxy::Start(bad);
-    ASSERT_FALSE(relay.ok()) << "idle timeout " << idle;
-    EXPECT_EQ(relay.error().code(), ErrorCode::kInvalidArgument);
-    EXPECT_NE(relay.error().message().find("flow_idle_timeout"),
-              std::string::npos);
-  }
-  RelayConfig bad = config;
-  bad.flow_linger = Millis(-1);
-  auto refused = HierarchyProxy::Start(bad);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.error().code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(refused.error().message().find("flow_linger"), std::string::npos);
-
-  RelayConfig no_linger = config;
-  no_linger.flow_linger = 0;
-  auto started = HierarchyProxy::Start(no_linger);
-  ASSERT_TRUE(started.ok()) << started.error().ToString();
-  (*started)->Stop();
-}
-
-// Relay sockets are connected to the meta server: a datagram from anyone
-// else to a live flow's (OQDA, client port) is not taken for an answer.
+// The upstream socket hears every local address at its port: a datagram
+// from anyone but the meta server is not taken for an answer.
 TEST(HierarchyProxyTest, RelaySocketTakesRepliesOnlyFromTheMetaServer) {
   ManualMeta meta;
 
@@ -637,7 +412,7 @@ TEST(HierarchyProxyTest, RelaySocketTakesRepliesOnlyFromTheMetaServer) {
   auto seen = meta.Read();
   ASSERT_TRUE(seen.has_value()) << "query never relayed";
 
-  // A third party sends a well-formed answer to the flow's relay socket.
+  // A third party sends a well-formed answer to the upstream socket.
   auto query = dns::Message::Decode(seen->wire);
   ASSERT_TRUE(query.ok());
   dns::Message forged = *query;
@@ -647,6 +422,9 @@ TEST(HierarchyProxyTest, RelaySocketTakesRepliesOnlyFromTheMetaServer) {
   EXPECT_TRUE(client.Recv(nullptr, 300).empty())
       << "a datagram from outside the meta server reached the client";
   EXPECT_EQ((*relay)->TotalStats().responses_in, 0u);
+  EXPECT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().passed_through == 1;
+  })) << "the stranger's datagram was not counted";
 
   // The meta server's own reply still goes through.
   meta.ReplyTo(*seen);
@@ -654,6 +432,198 @@ TEST(HierarchyProxyTest, RelaySocketTakesRepliesOnlyFromTheMetaServer) {
   EXPECT_TRUE(WaitFor([&] {
     return (*relay)->TotalStats().responses_in == 1;
   }));
+  (*relay)->Stop();
+}
+
+// Differential oracle: every query of a small split-horizon set, sent
+// through the proxy, gets the reply the meta server gives the same query
+// sent straight from a socket bound to the OQDA, byte for byte, ID
+// included.
+TEST(HierarchyProxyTest, ProxiedReplyIsByteIdenticalToTheDirectOne) {
+  server::ShardedDnsServer::Config sconfig;
+  sconfig.listen = Endpoint{IpAddress::Loopback(), 0};
+  sconfig.n_shards = 1;
+  sconfig.serve_tcp = false;
+  auto meta = server::ShardedDnsServer::Start(SplitHorizonViews(), sconfig);
+  ASSERT_TRUE(meta.ok()) << meta.error().ToString();
+
+  RelayConfig config;
+  config.addresses = {kNsA, kNsB};
+  config.meta_server = (*meta)->endpoint();
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+
+  UdpClient client;
+  uint16_t id = 1000;
+  for (IpAddress oqda : {kNsA, kNsB}) {
+    UdpClient direct(oqda);
+    for (const char* qname :
+         {"www.a.test", "a.test", "x.y.b.test", "b.test", "other.test"}) {
+      for (dns::RRType type :
+           {dns::RRType::kA, dns::RRType::kNS, dns::RRType::kSOA,
+            dns::RRType::kAAAA}) {
+        auto message = dns::Message::MakeQuery(*dns::Name::Parse(qname),
+                                               type, false);
+        message.id = id++;
+        const Bytes query = message.Encode();
+        client.SendTo(Endpoint{oqda, (*relay)->port()}, query);
+        const Bytes proxied = client.Recv();
+        direct.SendTo((*meta)->endpoint(), query);
+        const Bytes expected = direct.Recv();
+        ASSERT_FALSE(expected.empty()) << qname;
+        EXPECT_EQ(proxied, expected)
+            << qname << " type " << static_cast<int>(type) << " via "
+            << oqda.ToString();
+      }
+    }
+  }
+  (*relay)->Stop();
+  (*meta)->Stop();
+}
+
+// Two clients send the same DNS ID to the same OQDA back to back: each
+// query takes its own slot, so both are answered, each with its own ID.
+TEST(HierarchyProxyTest, TwoClientsSharingAnIdAreBothAnswered) {
+  ManualMeta meta;
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+  const Endpoint service{kNsA, (*relay)->port()};
+
+  UdpClient first;
+  UdpClient second;
+  first.SendTo(service, MakeQueryWire("first.a.test", 4242));
+  second.SendTo(service, MakeQueryWire("second.a.test", 4242));
+  auto seen_first = meta.Read();
+  auto seen_second = meta.Read();
+  ASSERT_TRUE(seen_first.has_value() && seen_second.has_value());
+  EXPECT_NE(dns::Message::Decode(seen_first->wire)->id,
+            dns::Message::Decode(seen_second->wire)->id)
+      << "both queries reached the meta server under one ID";
+  EXPECT_EQ(seen_first->from.addr, kNsA);
+  EXPECT_EQ(seen_second->from, seen_first->from)
+      << "one upstream socket carries both";
+
+  // Answer in reverse order: the ID, not arrival order, finds the client.
+  meta.ReplyTo(*seen_second);
+  meta.ReplyTo(*seen_first);
+  for (auto* client : {&first, &second}) {
+    auto reply = dns::Message::Decode(client->Recv());
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->id, 4242);
+    ASSERT_EQ(reply->questions.size(), 1u);
+    EXPECT_EQ(reply->questions[0].name,
+              *dns::Name::Parse(client == &first ? "first.a.test"
+                                                 : "second.a.test"));
+  }
+  (*relay)->Stop();
+}
+
+// A reply to a slot already answered, one from a stranger and one that
+// reached another emulated address are each counted, and none reaches
+// the client.
+TEST(HierarchyProxyTest, MisdirectedRepliesAreCountedNotDelivered) {
+  ManualMeta meta;
+
+  RelayConfig config;
+  config.addresses = {kNsA, kNsB};
+  config.meta_server = meta.endpoint();
+  config.splice_tcp = false;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+
+  UdpClient client;
+  client.SendTo(Endpoint{kNsA, (*relay)->port()},
+                MakeQueryWire("late.a.test", 9));
+  auto seen = meta.Read();
+  ASSERT_TRUE(seen.has_value()) << "query never relayed";
+  ASSERT_EQ(seen->from.addr, kNsA);
+
+  // To the upstream port on the other emulated address: wrong OQDA.
+  meta.ReplyTo(*seen, Endpoint{kNsB, seen->from.port});
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().evicted_drops == 1;
+  })) << "a reply to the wrong OQDA was not counted";
+
+  // From a stranger, to the right address and port.
+  auto query = dns::Message::Decode(seen->wire);
+  ASSERT_TRUE(query.ok());
+  dns::Message forged = *query;
+  forged.qr = true;
+  UdpClient stranger;
+  stranger.SendTo(seen->from, forged.Encode());
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().passed_through == 1;
+  })) << "a stranger's reply was not counted";
+  EXPECT_TRUE(client.Recv(nullptr, 200).empty());
+
+  // The real reply frees the slot; the same reply again finds it free.
+  meta.ReplyTo(*seen);
+  EXPECT_FALSE(client.Recv(nullptr, 5000).empty());
+  meta.ReplyTo(*seen);
+  ASSERT_TRUE(WaitFor([&] {
+    return (*relay)->TotalStats().evicted_drops == 2;
+  })) << "a reply to a freed slot was not counted";
+  EXPECT_TRUE(client.Recv(nullptr, 200).empty());
+
+  const RelayStats stats = (*relay)->TotalStats();
+  EXPECT_EQ(stats.responses_in, 1u);
+  EXPECT_EQ(stats.responses_out, 1u);
+  EXPECT_EQ(stats.pending, 0);
+  (*relay)->Stop();
+}
+
+// One wrap of unanswered queries fills the ring; the next forward takes
+// the oldest slot back and counts it. The held-slot gauge never passes
+// the ring's size.
+TEST(HierarchyProxyTest, UnansweredQueriesAreReclaimedAfterOneWrap) {
+  ManualMeta meta;  // never reads, never answers
+
+  stats::MetricsRegistry registry;
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = meta.endpoint();
+  config.splice_tcp = false;
+  config.metrics = &registry;
+  auto relay = HierarchyProxy::Start(config);
+  ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+  const Endpoint service{kNsA, (*relay)->port()};
+
+  constexpr uint64_t kRing = 65536;
+  const Bytes query = MakeQueryWire("wrap.a.test", 1);
+  UdpClient client;
+  uint64_t sent = 0;
+  // Small bursts, each read by the proxy before the next, so its receive
+  // buffer never overflows; stop once one forward past a wrap went out.
+  while ((*relay)->TotalStats().rewritten <= kRing) {
+    for (int i = 0; i < 64; ++i) client.SendTo(service, query);
+    sent += 64;
+    for (int spins = 0;
+         (*relay)->TotalStats().queries_in < sent && spins < 20000;
+         ++spins) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ASSERT_LE((*relay)->TotalStats().pending, static_cast<int64_t>(kRing));
+    ASSERT_LT(sent, 4 * kRing) << "the proxy stopped forwarding";
+  }
+  // A batch bumps rewritten after its SendBatch, past its other counters:
+  // read the totals once the last batch is wholly counted.
+  ASSERT_TRUE(WaitFor([&] {
+    const RelayStats now = (*relay)->TotalStats();
+    return now.rewritten + now.meta_send_errors == now.queries_in;
+  }));
+  const RelayStats stats = (*relay)->TotalStats();
+  EXPECT_EQ(stats.meta_send_errors, 0u);
+  EXPECT_GE(stats.reclaimed, 1u);
+  EXPECT_EQ(stats.reclaimed, stats.rewritten - kRing);
+  EXPECT_EQ(stats.pending, static_cast<int64_t>(kRing));
+  EXPECT_EQ(registry.Snapshot().GaugeValue("proxy.pending"),
+            static_cast<int64_t>(kRing));
   (*relay)->Stop();
 }
 
@@ -692,7 +662,7 @@ TEST(HierarchyProxyTest, NonEmulatedLocalAddressIsPassedThrough) {
   }));
   RelayStats stats = (*relay)->TotalStats();
   EXPECT_EQ(stats.passed_through, 2u);
-  EXPECT_EQ(stats.flows_created, 0u);
+  EXPECT_EQ(stats.pending, 0);
   EXPECT_EQ(stats.tcp_accepted, 0u);
   EXPECT_EQ(stats.rewritten, 0u);
   (*relay)->Stop();

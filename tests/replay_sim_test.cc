@@ -3,27 +3,12 @@
 #include "mutate/mutate.h"
 #include "replay/sim_engine.h"
 #include "replay/sticky.h"
-#include "replay/timing.h"
 #include "server/sim_server.h"
 #include "workload/traces.h"
 #include "zone/masterfile.h"
 
 namespace ldp::replay {
 namespace {
-
-TEST(ReplayScheduler, DelayArithmetic) {
-  ReplayScheduler scheduler;
-  scheduler.Synchronize(/*trace_epoch=*/Seconds(100),
-                        /*real_epoch=*/Seconds(5000));
-  // Query 2 s into the trace, evaluated 0.5 s into the replay: wait 1.5 s.
-  EXPECT_EQ(scheduler.DelayFor(Seconds(102), Seconds(5000) + Millis(500)),
-            Millis(1500));
-  // Already late: send immediately.
-  EXPECT_EQ(scheduler.DelayFor(Seconds(101), Seconds(5002)), 0);
-  EXPECT_EQ(scheduler.Lag(Seconds(101), Seconds(5002)), Seconds(1));
-  // Exactly on time.
-  EXPECT_EQ(scheduler.DelayFor(Seconds(102), Seconds(5002)), 0);
-}
 
 TEST(StickyAssigner, SameSourceSameDownstream) {
   StickyAssigner assigner(8, 42);

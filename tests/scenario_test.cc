@@ -2,7 +2,8 @@
 // + anycast catchment (src/proxy/catchment.h): the pieces the scenario pack
 // composes. Pure-logic checks (generator properties, mask/outcome splits,
 // catchment routing) plus two real-socket checks: per-site counter
-// attribution with injected reply RTT, and spoofed-flood flow churn.
+// attribution with injected reply RTT, and a spoofed flood through the
+// proxy's ID ring.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +12,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <thread>
 #include <unordered_set>
 
 #include "dns/message.h"
@@ -327,7 +329,10 @@ TEST(CatchmentTest, ProxyAttributesQueriesToSitesAndInjectsRtt) {
   (*meta)->Stop();
 }
 
-TEST(ScenarioTest, SpoofedFloodMintsFreshFlowsAndChurnsTheLru) {
+// A spoofed-source flood costs the proxy ring slots, not per-client
+// state: the flood's replies come back to its rotating sockets, a legit
+// query beside it is answered, and the held slots stay within the ring.
+TEST(ScenarioTest, SpoofedFloodIsAnsweredBesideLegitTraffic) {
   server::ShardedDnsServer::Config sconfig;
   sconfig.listen = Endpoint{IpAddress::Loopback(), 0};
   sconfig.n_shards = 1;
@@ -339,34 +344,43 @@ TEST(ScenarioTest, SpoofedFloodMintsFreshFlowsAndChurnsTheLru) {
   config.addresses = {kNs};
   config.meta_server = (*meta)->endpoint();
   config.splice_tcp = false;
-  config.flow_capacity = 32;  // tiny table: rotation must overflow it
   auto relay = proxy::HierarchyProxy::Start(config);
   ASSERT_TRUE(relay.ok()) << relay.error().ToString();
+  const Endpoint service{kNs, (*relay)->port()};
 
   scenario::SpoofedFloodConfig flood;
-  flood.target = Endpoint{kNs, (*relay)->port()};
+  flood.target = service;
   flood.query_wire = QueryWire("flood.a.test");
   flood.rate_qps = 2000;
   flood.duration = Millis(500);
   flood.n_sockets = 8;
   flood.rotate_after_sends = 2;
-  auto report = scenario::RunSpoofedFlood(flood);
+  Result<scenario::SpoofedFloodReport> report =
+      Error(ErrorCode::kInternal, "flood never ran");
+  std::thread flooder([&] { report = scenario::RunSpoofedFlood(flood); });
+
+  // A legit client queries while the flood runs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  BoundClient legit(IpAddress(127, 61, 0, 9));
+  legit.SendTo(service, QueryWire("legit.a.test"));
+  const Bytes answer = legit.Recv();
+  flooder.join();
   ASSERT_TRUE(report.ok()) << report.error().ToString();
+  ASSERT_FALSE(answer.empty()) << "the legit query beside the flood was lost";
+  auto reply = dns::Message::Decode(answer);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->rcode, dns::Rcode::kNoError);
 
   // Every rotation is a fresh ephemeral port = a fresh client endpoint.
   EXPECT_GT(report->sent, 500u);
   EXPECT_GE(report->sockets_opened, report->sent / flood.rotate_after_sends);
-  EXPECT_GT(report->replies, 0u);  // surviving sockets do hear answers
+  EXPECT_GT(report->replies, 0u) << "the flood's replies never came back";
 
-  proxy::RelayStats stats = (*relay)->TotalStats();
-  // The paced sender can fall behind wall-clock under load, so bound the
-  // churn by what the flood actually minted, not by an absolute rate.
-  EXPECT_GT(stats.flows_created, 3 * config.flow_capacity);
-  EXPECT_GE(stats.flows_created,
-            static_cast<uint64_t>(report->sockets_opened) / 2);
-  EXPECT_GT(stats.flows_evicted, 0u);
-  EXPECT_LE(stats.active_flows,
-            static_cast<int64_t>(config.flow_capacity));
+  const proxy::RelayStats stats = (*relay)->TotalStats();
+  EXPECT_GE(stats.responses_out, report->replies);
+  EXPECT_GE(stats.pending, 0);
+  EXPECT_LE(stats.pending, 65536);
+  EXPECT_EQ(stats.reclaimed, 0u) << "no wrap at this size";
   (*relay)->Stop();
   (*meta)->Stop();
 }

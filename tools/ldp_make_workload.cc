@@ -29,7 +29,9 @@ constexpr const char* kUsage =
               [--tlds N] [--slds N]
 Integer ranges: --duration [0, 31536000], --seed [0, 2^63-1], --clients
 [1, 16777216], --tlds [1, 10000], --slds [0, 10000], --interarrival-us
-[1, 86400000000], --records [0, 2^30].
+[1, 86400000000], --records [0, 2^30]. Real ranges: --rate (0, 1e7],
+--do-fraction, --tcp-fraction and --nxdomain-fraction [0, 1],
+--interarrival-s (0, 86400].
 Output format by extension: .txt (editable) or .bin (replay input).)";
 
 }  // namespace
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --model %s\n%s\n", model.c_str(), kUsage);
     return 2;
   }
-  // Integer flags, with each model's defaults: a value that does not parse
+  // Numeric flags, with each model's defaults: a value that does not parse
   // or lies outside its range exits 2 by flag name.
   const auto duration_s = flags.GetIntInRange("duration", 60, 0, 31'536'000);
   const auto seed =
@@ -81,9 +83,23 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  auto getd = [&](const char* key, double fallback) {
-    return flags.GetDouble(key, fallback).value_or(fallback);
-  };
+  const workload::BRootConfig broot_defaults;
+  const auto rate = flags.GetDoubleInRange("rate", 3800, 0, 1e7, true);
+  const auto do_fraction =
+      flags.GetDoubleInRange("do-fraction", broot_defaults.do_fraction, 0, 1);
+  const auto tcp_fraction = flags.GetDoubleInRange(
+      "tcp-fraction", broot_defaults.tcp_fraction, 0, 1);
+  const auto nxdomain_fraction = flags.GetDoubleInRange(
+      "nxdomain-fraction", broot_defaults.nxdomain_fraction, 0, 1);
+  const auto interarrival_s =
+      flags.GetDoubleInRange("interarrival-s", 0.18, 0, 86'400, true);
+  for (const auto* value : {&rate, &do_fraction, &tcp_fraction,
+                            &nxdomain_fraction, &interarrival_s}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
+  }
   auto server = IpAddress::Parse(flags.GetString("server", "10.0.0.1"));
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.error().ToString().c_str());
@@ -93,13 +109,12 @@ int main(int argc, char** argv) {
   std::vector<trace::QueryRecord> records;
   if (broot) {
     workload::BRootConfig config;
-    config.median_rate_qps = getd("rate", 3800);
+    config.median_rate_qps = *rate;
     config.duration = Seconds(*duration_s);
     config.n_clients = static_cast<size_t>(*clients);
-    config.do_fraction = getd("do-fraction", config.do_fraction);
-    config.tcp_fraction = getd("tcp-fraction", config.tcp_fraction);
-    config.nxdomain_fraction =
-        getd("nxdomain-fraction", config.nxdomain_fraction);
+    config.do_fraction = *do_fraction;
+    config.tcp_fraction = *tcp_fraction;
+    config.nxdomain_fraction = *nxdomain_fraction;
     config.n_tlds = static_cast<size_t>(*tlds);
     config.seed = static_cast<uint64_t>(*seed);
     config.server = *server;
@@ -119,7 +134,7 @@ int main(int argc, char** argv) {
     auto hierarchy = workload::BuildHierarchy(hconfig);
     workload::RecConfig config;
     config.n_records = static_cast<size_t>(*n_records);
-    config.mean_interarrival_s = getd("interarrival-s", 0.18);
+    config.mean_interarrival_s = *interarrival_s;
     config.n_clients = static_cast<size_t>(*clients);
     config.seed = static_cast<uint64_t>(*seed);
     config.server = *server;

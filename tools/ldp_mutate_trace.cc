@@ -21,18 +21,22 @@ namespace {
 constexpr const char* kUsage =
     R"(usage: ldp_mutate --in FILE --out FILE [passes...]
   --force-protocol udp|tcp|tls   rewrite every query's transport
-  --do-fraction F                set DO bit on fraction F of queries
+  --do-fraction F                set DO bit on fraction F of queries, F in
+                                 [0, 1]
   --edns-size N                  force EDNS payload size, in [0, 65535]
   --unique-prefix STR            prepend "<STR><index>." to each qname
-  --time-scale F                 multiply timestamps (0.5 = double rate)
-  --time-shift-s S               add S seconds to timestamps
+  --time-scale F                 multiply timestamps (0.5 = double rate),
+                                 F in (0, 1e6]
+  --time-shift-s S               add S seconds to timestamps, S in
+                                 [-1e9, 1e9]
   --rebase                       shift so the first query is at t=0
-  --sample F                     keep a deterministic fraction F
+  --sample F                     keep a deterministic fraction F, in [0, 1]
   --keep-protocol udp|tcp|tls    drop queries on other transports
 Attack overlay (after the passes; see src/mutate/attack.h):
   --attack KIND                  overlay nxdomain|amplification|spoofed
-  --attack-qps N                 attack rate, queries/sec (1000)
-  --attack-duration-s S          attack length, seconds (trace span or 10)
+  --attack-qps N                 attack rate, queries/sec, in (0, 1e7] (1000)
+  --attack-duration-s S          attack length, seconds, in (0, 31536000]
+                                 (trace span or 10)
   --attack-server IP             victim address (default: first record's dst)
   --attack-base NAME             zone under attack (default: root)
   --attack-seed N                attack RNG seed (0xa77ac)
@@ -63,13 +67,31 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Integer flags are read before the trace loads: a value that does not
+  // Numeric flags are read before the trace loads: a value that does not
   // parse or lies outside its range exits 2 by flag name.
   const auto seed_flag = flags.GetIntInRange("seed", 0x5a, 0, INT64_MAX);
   const auto edns_size = flags.GetIntInRange("edns-size", 4096, 0, 65535);
   const auto attack_seed =
       flags.GetIntInRange("attack-seed", 0xa77ac, 0, INT64_MAX);
   for (const auto* value : {&seed_flag, &edns_size, &attack_seed}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
+      return 2;
+    }
+  }
+  const auto do_fraction = flags.GetDoubleInRange("do-fraction", 1, 0, 1);
+  const auto time_scale =
+      flags.GetDoubleInRange("time-scale", 1, 0, 1e6, true);
+  const auto time_shift_s =
+      flags.GetDoubleInRange("time-shift-s", 0, -1e9, 1e9);
+  const auto sample = flags.GetDoubleInRange("sample", 1, 0, 1);
+  const auto attack_qps =
+      flags.GetDoubleInRange("attack-qps", 1000, 0, 1e7, true);
+  // Its default, the trace span, is known only once the trace is read.
+  const auto attack_duration_s =
+      flags.GetDoubleInRange("attack-duration-s", 10, 0, 31'536'000, true);
+  for (const auto* value : {&do_fraction, &time_scale, &time_shift_s,
+                            &sample, &attack_qps, &attack_duration_s}) {
     if (!value->ok()) {
       std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
       return 2;
@@ -104,8 +126,7 @@ int main(int argc, char** argv) {
     pipeline.Add(mutate::ForceProtocol(*protocol));
   }
   if (flags.Has("do-fraction")) {
-    pipeline.Add(mutate::SetDnssecOk(
-        flags.GetDouble("do-fraction", 1.0).value_or(1.0), seed));
+    pipeline.Add(mutate::SetDnssecOk(*do_fraction, seed));
   }
   if (flags.Has("edns-size")) {
     pipeline.Add(mutate::SetEdnsSize(static_cast<uint16_t>(*edns_size)));
@@ -115,19 +136,16 @@ int main(int argc, char** argv) {
         mutate::PrependUniqueLabel(flags.GetString("unique-prefix", "r")));
   }
   if (flags.Has("time-scale")) {
-    pipeline.Add(
-        mutate::TimeScale(flags.GetDouble("time-scale", 1.0).value_or(1.0)));
+    pipeline.Add(mutate::TimeScale(*time_scale));
   }
   if (flags.Has("time-shift-s")) {
-    pipeline.Add(mutate::TimeShift(
-        SecondsF(flags.GetDouble("time-shift-s", 0).value_or(0))));
+    pipeline.Add(mutate::TimeShift(SecondsF(*time_shift_s)));
   }
   if (flags.GetBool("rebase", false) && !records->empty()) {
     pipeline.Add(mutate::RebaseToZero(records->front().timestamp));
   }
   if (flags.Has("sample")) {
-    pipeline.Add(
-        mutate::Sample(flags.GetDouble("sample", 1.0).value_or(1.0), seed));
+    pipeline.Add(mutate::Sample(*sample, seed));
   }
   if (pipeline.pass_count() == 0 && !flags.Has("attack")) {
     std::fprintf(stderr, "no mutation passes given\n%s\n", kUsage);
@@ -158,7 +176,7 @@ int main(int argc, char** argv) {
     }
     mutate::AttackConfig attack_config;
     attack_config.kind = *kind;
-    attack_config.rate_qps = flags.GetDouble("attack-qps", 1000).value_or(1000);
+    attack_config.rate_qps = *attack_qps;
     // Default the attack window to the trace span, so the overlay covers
     // the legitimate traffic it is meant to degrade. Fall back to the
     // pre-mutation span when sampling dropped every record.
@@ -170,7 +188,7 @@ int main(int argc, char** argv) {
         front ? ToSeconds(back->timestamp - front->timestamp) : 10.0;
     if (span_s <= 0) span_s = 10.0;
     attack_config.duration = SecondsF(
-        flags.GetDouble("attack-duration-s", span_s).value_or(span_s));
+        flags.Has("attack-duration-s") ? *attack_duration_s : span_s);
     attack_config.start = front ? front->timestamp : 0;
     if (flags.Has("attack-server")) {
       auto server = IpAddress::Parse(flags.GetString("attack-server", ""));

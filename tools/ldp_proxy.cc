@@ -34,19 +34,13 @@ constexpr const char* kUsage =
                            on every local address (0 = ephemeral; the
                            resolved port is printed)
   --threads N              relay shards, SO_REUSEPORT, in [1, 1024] (1)
-  --flow-capacity N        flow-table entries per shard before LRU, in
-                           [1, 16777216] (4096)
-  --flow-idle-timeout-s N  expire idle flows after N seconds, in
-                           [1, 86400] (30)
-  --flow-linger-ms N       draining window for late replies, ms, in
-                           [0, 86400000] (1000)
   --no-tcp                 UDP only (no TCP splice)
   --sites NAME:RTT,...     emulate anycast sites (e.g. lax:0,ams:80); each
                            site delays UDP replies by RTT ms and counts its
                            load under proxy.site.NAME.* metrics
   --catchment FILE         client-prefix -> site map ("route P/LEN SITE",
                            "default SITE" lines); requires --sites
-  --udp-rcvbuf-bytes N     SO_RCVBUF per shard listener (0 = kernel default)
+  --udp-rcvbuf-bytes N     SO_RCVBUF per shard socket (0 = kernel default)
   --stats-interval-s N     print relay stats every N seconds, in [0, 86400]
                            (10; 0=off)
   --metrics-out FILE       append JSONL metric snapshots to FILE
@@ -72,9 +66,8 @@ int main(int argc, char** argv) {
   const Flags& flags = *flags_result;
   if (auto s = flags.RequireKnown(
           {"meta", "views", "addresses", "loopback-alias", "port", "threads",
-           "flow-capacity", "flow-idle-timeout-s", "flow-linger-ms", "no-tcp",
-           "sites", "catchment", "udp-rcvbuf-bytes", "stats-interval-s",
-           "metrics-out", "metrics-interval-ms", "help"});
+           "no-tcp", "sites", "catchment", "udp-rcvbuf-bytes",
+           "stats-interval-s", "metrics-out", "metrics-interval-ms", "help"});
       !s.ok()) {
     std::fprintf(stderr, "%s\n%s\n", s.error().ToString().c_str(), kUsage);
     return 2;
@@ -96,21 +89,14 @@ int main(int argc, char** argv) {
   // outside its range exits 2 by flag name.
   const auto port = flags.GetIntInRange("port", 0, 0, 65535);
   const auto threads = flags.GetIntInRange("threads", 1, 1, 1024);
-  const auto flow_capacity =
-      flags.GetIntInRange("flow-capacity", 4096, 1, 1 << 24);
   const auto rcvbuf =
       flags.GetIntInRange("udp-rcvbuf-bytes", 0, 0, INT32_MAX);
-  const auto idle_timeout_s =
-      flags.GetIntInRange("flow-idle-timeout-s", 30, 1, 86'400);
-  const auto linger_ms =
-      flags.GetIntInRange("flow-linger-ms", 1000, 0, 86'400'000);
   const auto metrics_interval_ms =
       flags.GetIntInRange("metrics-interval-ms", 1000, 1, 86'400'000);
   const auto stats_interval_s =
       flags.GetIntInRange("stats-interval-s", 10, 0, 86'400);
   for (const auto* value :
-       {&port, &threads, &flow_capacity, &rcvbuf, &idle_timeout_s,
-        &linger_ms, &metrics_interval_ms, &stats_interval_s}) {
+       {&port, &threads, &rcvbuf, &metrics_interval_ms, &stats_interval_s}) {
     if (!value->ok()) {
       std::fprintf(stderr, "%s\n", value->error().ToString().c_str());
       return 2;
@@ -183,9 +169,6 @@ int main(int argc, char** argv) {
   config.meta_server = *meta;
   config.n_shards = static_cast<size_t>(*threads);
   config.udp_recv_buffer_bytes = static_cast<int>(*rcvbuf);
-  config.flow_capacity = static_cast<size_t>(*flow_capacity);
-  config.flow_idle_timeout = Seconds(*idle_timeout_s);
-  config.flow_linger = Millis(*linger_ms);
   config.splice_tcp = !flags.GetBool("no-tcp", false);
   if (flags.Has("sites")) {
     auto sites = proxy::ParseSiteSpecs(flags.GetString("sites", ""));
@@ -235,15 +218,14 @@ int main(int argc, char** argv) {
   const int64_t stats_interval = *stats_interval_s;
   std::function<void()> print_stats = [&]() {
     proxy::RelayStats stats = (*relay)->TotalStats();
-    std::printf("queries=%llu responses=%llu rewritten=%llu flows=%lld "
-                "evicted=%llu expired=%llu evicted-drops=%llu "
+    std::printf("queries=%llu responses=%llu rewritten=%llu pending=%lld "
+                "reclaimed=%llu evicted-drops=%llu "
                 "tcp-queries=%llu tcp-reconnects=%llu\n",
                 static_cast<unsigned long long>(stats.queries_in),
                 static_cast<unsigned long long>(stats.responses_out),
                 static_cast<unsigned long long>(stats.rewritten),
-                static_cast<long long>(stats.active_flows),
-                static_cast<unsigned long long>(stats.flows_evicted),
-                static_cast<unsigned long long>(stats.flows_expired),
+                static_cast<long long>(stats.pending),
+                static_cast<unsigned long long>(stats.reclaimed),
                 static_cast<unsigned long long>(stats.evicted_drops),
                 static_cast<unsigned long long>(stats.tcp_queries),
                 static_cast<unsigned long long>(stats.tcp_reconnects));
